@@ -26,6 +26,7 @@ from .cubes import (
     permute_inputs,
     phase_minterms,
     permute_minterms,
+    transform_mask,
     write_pla,
 )
 from .spectra import (

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import cores as cores_mod
@@ -366,7 +366,6 @@ def _core_report_text(cover: Cover, metric: str = "cubes") -> str:
         phase = f"~{names[a]}" if inv_a else "plain"
         lines.append(f"  ({names[a]},{names[b]})  {phase:>8}  {core.cube_count} cubes")
     lines.append("expanded cores:")
-    best = None
     for (a, b), (inv_a, core) in sorted(pairs.items()):
         if not core.cube_indices:
             continue

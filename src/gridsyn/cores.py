@@ -17,7 +17,7 @@ greedy widening that may trade cubes for inputs, and candidates compete on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .cubes import Cover, cover_to_minterms
 
@@ -57,9 +57,6 @@ class Core:
         return tuple(
             _phase_cube(self.base.cubes[i], self.inverted) for i in self.cube_indices
         )
-
-    def selected_cover(self) -> Cover:
-        return Cover(self.base.input_names, tuple(self.base.cubes[i] for i in self.cube_indices))
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,48 @@ def popcount_class_masks(masks: Sequence[int], full: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# truth-table transforms
+#
+# Complementing input i exchanges the two halves of every 2**(i+1)-bit block
+# of a truth table; exchanging inputs i < k moves each assignment with
+# x_i = 1, x_k = 0 up by 2**k - 2**i.  Both are delta swaps (Warren, Hacker's
+# Delight, ch. 7): a constant number of big-integer operations each.
+
+
+def _delta_swap(bits: int, low: int, delta: int) -> int:
+    """Exchange the bits selected by ``low`` with the bits ``delta`` above them."""
+    t = (bits ^ (bits >> delta)) & low
+    return bits ^ t ^ (t << delta)
+
+
+def transform_mask(
+    bits: int, n: int, perm: Sequence[int] | None = None, flips: int = 0
+) -> int:
+    """Truth table after complementing inputs and then reordering them.
+
+    Assignment ``v`` maps to ``w`` with bit ``j`` of ``w`` equal to bit
+    ``perm[j]`` of ``v ^ flips``: the inputs set in ``flips`` are inverted
+    and new input ``j`` is old input ``perm[j]``, as in permute_inputs.
+    ``perm`` must be a permutation of ``range(n)`` (None keeps the order)
+    and ``flips`` must be below ``2**n``.
+    Costs at most n phase swaps plus n - 1 transpositions.
+    """
+    masks = assignment_masks(n)
+    while flips:
+        low = flips & -flips  # complementing input i moves blocks by 2**i
+        bits = _delta_swap(bits, ~masks[low.bit_length() - 1], low)
+        flips ^= low
+    if perm is not None:
+        at = list(range(n))  # at[j]: old input now at position j
+        for j, v in enumerate(perm):
+            if at[j] != v:  # positions below j are final
+                k = at.index(v, j + 1)
+                bits = _delta_swap(bits, masks[j] & ~masks[k], (1 << k) - (1 << j))
+                at[j], at[k] = v, at[j]
+    return bits
+
+
+# ---------------------------------------------------------------------------
 # cover operations
 
 
@@ -300,10 +342,7 @@ def phase_minterms(s: MintermSet, p: PhaseVector) -> MintermSet:
     """Image of a minterm set under complementing the inverted inputs."""
     if p.n != s.n:
         raise ValueError("phase vector length mismatch")
-    mask = p.mask
-    if not mask:
-        return s
-    return MintermSet.from_indices(s.n, (v ^ mask for v in s.members()))
+    return MintermSet(s.n, transform_mask(s.bits, s.n, flips=p.mask))
 
 
 def permute_minterms(s: MintermSet, perm: Sequence[int]) -> MintermSet:
@@ -311,14 +350,7 @@ def permute_minterms(s: MintermSet, perm: Sequence[int]) -> MintermSet:
     perm = tuple(perm)
     if sorted(perm) != list(range(s.n)):
         raise ValueError("not a permutation of the inputs")
-    out = 0
-    for v in s.members():
-        w = 0
-        for j in range(s.n):
-            if (v >> perm[j]) & 1:
-                w |= 1 << j
-        out |= 1 << w
-    return MintermSet(s.n, out)
+    return MintermSet(s.n, transform_mask(s.bits, s.n, perm))
 
 
 def minterms_to_cover(s: MintermSet, input_names: Sequence[str] | None = None) -> Cover:

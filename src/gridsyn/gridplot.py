@@ -20,13 +20,18 @@ objective; the link count L breaks ties.
 Internally a node's suffix set is a bit mask over the ``2**k`` possible
 completions (k characters left to read), with the next character to read in
 the most significant position, so splitting on the next character is a
-single shift or mask of a big integer.
+single shift or mask of a big integer.  One truth-table transform
+(``cubes.transform_mask``) turns the minterm set into that word mask, and
+one pass computes the classes level by level, with the link count; N, L,
+planarity and bridges come from those classes.  Node objects, with their
+links, are built on demand, only for rendering, factoring and path counts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -35,6 +40,7 @@ from .cubes import (
     DEFAULT_EXPANSION_CAP,
     MintermSet,
     PhaseVector,
+    transform_mask,
 )
 
 
@@ -67,17 +73,46 @@ class PlotMetrics(NamedTuple):
 
 @dataclass(frozen=True)
 class GridDag:
-    """Minimal stratified acceptor of a fixed-length word set on the grid."""
+    """Minimal stratified acceptor of a fixed-length word set on the grid.
+
+    ``classes[d]`` lists the (rank, suffix mask) classes of depth ``d`` in
+    ascending order and ``link_count`` counts their links; node objects are
+    numbered in that order and built on first access.
+    """
 
     n: int
     order: tuple[int, ...]
     phases: PhaseVector
-    nodes: tuple[GridNode, ...]
-    levels: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[tuple[int, int], ...], ...]
+    link_count: int
 
     @property
     def origin(self) -> int:
         return 0
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        out = []
+        start = 0
+        for keys in self.classes:
+            out.append(tuple(range(start, start + len(keys))))
+            start += len(keys)
+        return tuple(out)
+
+    @cached_property
+    def nodes(self) -> tuple[GridNode, ...]:
+        ids = [dict(zip(keys, level)) for keys, level in zip(self.classes, self.levels)]
+        nodes = []
+        for depth, keys in enumerate(self.classes):
+            half = 1 << (self.n - depth - 1) if depth < self.n else 0
+            for rank, mask in keys:
+                # half == 0 on the accepting level, which has no links
+                hi = mask >> half if half else 0
+                lo = mask & ((1 << half) - 1)
+                one = ids[depth + 1][(rank + 1, hi)] if hi else None
+                zero = ids[depth + 1][(rank, lo)] if lo else None
+                nodes.append(GridNode(rank, depth, mask, one, zero))
+        return tuple(nodes)
 
     def accepting(self) -> tuple[int, ...]:
         return self.levels[self.n] if self.n < len(self.levels) else ()
@@ -91,13 +126,35 @@ class GridDag:
                 yield (i, 0, node.zero)
 
 
-def _word_of(v: int, n: int, order: Sequence[int], phase_mask: int) -> int:
-    """Encode assignment ``v`` as a word index, first consumed input most significant."""
-    u = v ^ phase_mask
-    w = 0
-    for t in range(n):
-        w = (w << 1) | ((u >> order[t]) & 1)
-    return w
+def _level_pass(word_bits: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """Sorted (rank, suffix mask) classes of every level, and the link count.
+
+    ``word_bits`` is a word-set mask with the first character most
+    significant, so a class splits on its next character by one shift and
+    one mask.  The origin class exists even for the empty set.
+    """
+    classes = [((0, word_bits),)]
+    links = 0
+    for d in range(n):
+        half = 1 << (n - d - 1)
+        low = (1 << half) - 1
+        nxt: set[tuple[int, int]] = set()
+        for r, mask in classes[-1]:
+            hi = mask >> half
+            lo = mask & low
+            if hi:
+                nxt.add((r + 1, hi))
+                links += 1
+            if lo:
+                nxt.add((r, lo))
+                links += 1
+        classes.append(tuple(sorted(nxt)))
+    return tuple(classes), links
+
+
+def _planar_levels(classes: Sequence[Sequence[tuple[int, int]]]) -> bool:
+    """True iff no level holds two classes of equal rank."""
+    return all(len({r for r, _ in keys}) == len(keys) for keys in classes)
 
 
 def build_grid_dag(
@@ -121,125 +178,52 @@ def build_grid_dag(
         phases = PhaseVector.none(n)
     if phases.n != n:
         raise ValueError("phase vector length mismatch")
-
-    word_bits = 0
-    pmask = phases.mask
-    for v in s.members():
-        word_bits |= 1 << _word_of(v, n, order, pmask)
-
-    # Forward pass: discover the (rank, suffix-mask) keys of every level.
-    level_keys: list[set[tuple[int, int]]] = [{(0, word_bits)}]
-    cur = level_keys[0]
-    for d in range(n):
-        half = 1 << (n - d - 1)
-        low = (1 << half) - 1
-        nxt: set[tuple[int, int]] = set()
-        for r, mask in cur:
-            if not mask:
-                continue
-            hi = mask >> half
-            lo = mask & low
-            if hi:
-                nxt.add((r + 1, hi))
-            if lo:
-                nxt.add((r, lo))
-        level_keys.append(nxt)
-        cur = nxt
-
-    ids: list[dict[tuple[int, int], int]] = []
-    flat: list[tuple[int, int, int]] = []  # (rank, depth, mask)
-    next_id = 0
-    for d, keys in enumerate(level_keys):
-        idmap = {}
-        for key in sorted(keys):
-            idmap[key] = next_id
-            flat.append((key[0], d, key[1]))
-            next_id += 1
-        ids.append(idmap)
-
-    nodes = []
-    for rank, depth, mask in flat:
-        one = zero = None
-        if depth < n and mask:
-            half = 1 << (n - depth - 1)
-            hi = mask >> half
-            lo = mask & ((1 << half) - 1)
-            if hi:
-                one = ids[depth + 1][(rank + 1, hi)]
-            if lo:
-                zero = ids[depth + 1][(rank, lo)]
-        nodes.append(GridNode(rank=rank, depth=depth, suffix_key=mask, one=one, zero=zero))
-
-    levels = tuple(
-        tuple(ids[d][key] for key in sorted(level_keys[d])) for d in range(n + 1)
-    )
-    return GridDag(n=n, order=order, phases=phases, nodes=tuple(nodes), levels=levels)
+    # the first consumed input becomes the most significant word bit
+    word_bits = transform_mask(s.bits, n, order[::-1], phases.mask)
+    return GridDag(n, order, phases, *_level_pass(word_bits, n))
 
 
 def metrics(g: GridDag) -> PlotMetrics:
     """Node count (origin excluded) and link count."""
-    links = sum((node.one is not None) + (node.zero is not None) for node in g.nodes)
-    return PlotMetrics(len(g.nodes) - 1, links)
+    return PlotMetrics(sum(map(len, g.classes)) - 1, g.link_count)
 
 
 def bridge_points(g: GridDag) -> dict[tuple[int, int], int]:
     """Grid points hosting more than one node, with their multiplicities."""
     counts: dict[tuple[int, int], int] = {}
-    for node in g.nodes:
-        counts[node.point] = counts.get(node.point, 0) + 1
+    for depth, keys in enumerate(g.classes):
+        for rank, _ in keys:
+            counts[(rank, depth)] = counts.get((rank, depth), 0) + 1
     return {pt: k for pt, k in sorted(counts.items()) if k > 1}
 
 
 def is_planar_plot(g: GridDag) -> bool:
     """True iff every grid point hosts at most one node."""
-    for level in g.levels:
-        ranks = [g.nodes[i].rank for i in level]
-        if len(ranks) != len(set(ranks)):
-            return False
-    return True
-
-
-def _msb_word_to_index(w: int, length: int) -> int:
-    """Convert a word (first character most significant) to assignment-index form."""
-    idx = 0
-    for t in range(length):
-        if (w >> (length - 1 - t)) & 1:
-            idx |= 1 << t
-    return idx
+    return _planar_levels(g.classes)
 
 
 def _suffix_minterms(node: GridNode, n: int) -> MintermSet:
     k = n - node.depth
-    bits = 0
-    mask = node.suffix_key
-    while mask:
-        low = mask & -mask
-        w = low.bit_length() - 1
-        bits |= 1 << _msb_word_to_index(w, k)
-        mask ^= low
-    return MintermSet(k, bits)
+    return MintermSet(k, transform_mask(node.suffix_key, k, range(k - 1, -1, -1)))
 
 
-def _prefix_words(g: GridDag, depth: int) -> dict[int, set[int]]:
-    """Set of length-``depth`` words (MSB-first) reaching each node at ``depth``."""
-    cur: dict[int, set[int]] = {g.origin: {0}}
-    for _ in range(depth):
-        nxt: dict[int, set[int]] = {}
-        for nid, words in cur.items():
+def _prefix_sets(g: GridDag, depth: int) -> dict[int, int]:
+    """Minterm mask of the length-``depth`` prefixes reaching each node at ``depth``.
+
+    Character t of a prefix is bit t of its index, so extending every prefix
+    by a 0 keeps the mask and extending by a 1 shifts it by ``2**t``.
+    """
+    cur: dict[int, int] = {g.origin: 1}
+    for t in range(depth):
+        nxt: dict[int, int] = {}
+        for nid, mask in cur.items():
             node = g.nodes[nid]
             if node.one is not None:
-                nxt.setdefault(node.one, set()).update((w << 1) | 1 for w in words)
+                nxt[node.one] = nxt.get(node.one, 0) | (mask << (1 << t))
             if node.zero is not None:
-                nxt.setdefault(node.zero, set()).update(w << 1 for w in words)
+                nxt[node.zero] = nxt.get(node.zero, 0) | mask
         cur = nxt
     return cur
-
-
-def _prefix_minterms(words: set[int], depth: int) -> MintermSet:
-    bits = 0
-    for w in words:
-        bits |= 1 << _msb_word_to_index(w, depth)
-    return MintermSet(depth, bits)
 
 
 def planar_factor(g: GridDag, depth: int) -> tuple[MintermSet, MintermSet] | None:
@@ -254,8 +238,8 @@ def planar_factor(g: GridDag, depth: int) -> tuple[MintermSet, MintermSet] | Non
     if len(level) != 1:
         return None
     nid = level[0]
-    words = _prefix_words(g, depth).get(nid, set())
-    return (_prefix_minterms(words, depth), _suffix_minterms(g.nodes[nid], g.n))
+    prefix = _prefix_sets(g, depth).get(nid, 0)
+    return (MintermSet(depth, prefix), _suffix_minterms(g.nodes[nid], g.n))
 
 
 def rank_cut(
@@ -272,14 +256,14 @@ def rank_cut(
     ranks = [g.nodes[i].rank for i in level]
     if len(ranks) != len(set(ranks)):
         return None
-    prefixes = _prefix_words(g, depth)
+    prefixes = _prefix_sets(g, depth)
     out = []
     for nid in sorted(level, key=lambda i: g.nodes[i].rank):
         node = g.nodes[nid]
         out.append(
             (
                 node.rank,
-                _prefix_minterms(prefixes.get(nid, set()), depth),
+                MintermSet(depth, prefixes.get(nid, 0)),
                 _suffix_minterms(node, g.n),
             )
         )

@@ -20,10 +20,10 @@ single-operand gates, no degenerate rank sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cubes import ParseError
+from .cubes import ParseError, popcount_class_masks
 
 KIND_SYM = "SYM"
 KIND_INV = "INV"
@@ -90,25 +90,29 @@ class Netlist:
         return [node for node in self.nodes if node.kind == KIND_SYM]
 
 
-def _supports(nodes: Sequence[NetNode]) -> list[frozenset[int]]:
-    sup: list[frozenset[int]] = []
-
-    def ref_support(ref: Ref) -> frozenset[int]:
+def _support(operands: Sequence[Ref], supports: Sequence[frozenset[int]]) -> frozenset[int]:
+    """Union of the operands' input supports, given the supports of earlier nodes."""
+    acc: set[int] = set()
+    for ref in operands:
         if ref.kind == "input":
-            return frozenset((ref.index,))
-        return sup[ref.index]
+            acc.add(ref.index)
+        else:
+            acc |= supports[ref.index]
+    return frozenset(acc)
 
-    for node in nodes:
-        acc: set[int] = set()
-        for op in node.operands:
-            acc |= ref_support(op)
-        sup.append(frozenset(acc))
-    return sup
+
+def _overlapping(operands: Sequence[Ref], supports: Sequence[frozenset[int]]) -> bool:
+    """True iff two operands share an input."""
+    parts = [_support((ref,), supports) for ref in operands]
+    return sum(map(len, parts)) != len(frozenset().union(*parts))
 
 
 def netlist_supports(nl: Netlist) -> list[frozenset[int]]:
     """Input support of every node, in node order."""
-    return _supports(nl.nodes)
+    sup: list[frozenset[int]] = []
+    for node in nl.nodes:
+        sup.append(_support(node.operands, sup))
+    return sup
 
 
 class NetlistBuilder:
@@ -118,7 +122,7 @@ class NetlistBuilder:
         self.input_names = tuple(input_names)
         self._nodes: list[NetNode] = []
         self._intern: dict[tuple, int] = {}
-        self._support: list[frozenset[int]] = []
+        self._supports: list[frozenset[int]] = []
 
     # -- reference constructors
 
@@ -173,13 +177,7 @@ class NetlistBuilder:
             return self.const(1)
         if len(flat) == 1:
             return flat[0]
-        union: set[int] = set()
-        total = 0
-        for ref in flat:
-            s = self._ref_support(ref)
-            union |= s
-            total += len(s)
-        if total != len(union):
+        if _overlapping(flat, self._supports):
             raise NetlistError("disjoint product with overlapping operand supports")
         return self._add(NetNode(KIND_AND, tuple(flat)))
 
@@ -207,17 +205,16 @@ class NetlistBuilder:
 
     def finish(self, output: Ref) -> Netlist:
         """Freeze the netlist, dropping nodes unreachable from the output."""
-        reachable: set[int] = set()
-
-        def mark(ref: Ref):
-            if ref.kind != "node" or ref.index in reachable:
-                return
-            reachable.add(ref.index)
-            for op in self._nodes[ref.index].operands:
-                mark(op)
-
-        mark(output)
-        keep = sorted(reachable)
+        # operands point to earlier nodes, so one backward sweep marks them all
+        reachable = [False] * len(self._nodes)
+        if output.kind == "node":
+            reachable[output.index] = True
+        for i in range(len(self._nodes) - 1, -1, -1):
+            if reachable[i]:
+                for op in self._nodes[i].operands:
+                    if op.kind == "node":
+                        reachable[op.index] = True
+        keep = [i for i, live in enumerate(reachable) if live]
         remap = {old: new for new, old in enumerate(keep)}
 
         def remap_ref(ref: Ref) -> Ref:
@@ -239,21 +236,13 @@ class NetlistBuilder:
     def _resolve(self, ref: Ref) -> NetNode | None:
         return self._nodes[ref.index] if ref.kind == "node" else None
 
-    def _ref_support(self, ref: Ref) -> frozenset[int]:
-        if ref.kind == "input":
-            return frozenset((ref.index,))
-        return self._support[ref.index]
-
     def _add(self, node: NetNode) -> Ref:
         key = (node.kind, node.operands, node.ranks, node.value)
         idx = self._intern.get(key)
         if idx is None:
             idx = len(self._nodes)
             self._nodes.append(node)
-            acc: set[int] = set()
-            for op in node.operands:
-                acc |= self._ref_support(op)
-            self._support.append(frozenset(acc))
+            self._supports.append(_support(node.operands, self._supports))
             self._intern[key] = idx
         return node_ref(idx)
 
@@ -317,15 +306,7 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
                 acc |= val(op)
             masks.append(acc)
         elif node.kind == KIND_SYM:
-            classes = [full]
-            for op in node.operands:
-                m = val(op)
-                inv = ~m & full
-                nxt = [classes[0] & inv]
-                for j in range(1, len(classes)):
-                    nxt.append((classes[j] & inv) | (classes[j - 1] & m))
-                nxt.append(classes[-1] & m)
-                classes = nxt
+            classes = popcount_class_masks([val(op) for op in node.operands], full)
             acc = 0
             for r in node.ranks:
                 acc |= classes[r]
@@ -382,6 +363,7 @@ def _parse_ref(token: str, num_nodes: int, num_inputs: int, lineno: int) -> Ref:
 def netlist_from_text(text: str) -> Netlist:
     input_names: tuple[str, ...] | None = None
     nodes: list[NetNode] = []
+    supports: list[frozenset[int]] = []
     output: Ref | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -425,12 +407,14 @@ def netlist_from_text(text: str) -> Netlist:
         operands = tuple(_parse_ref(tok, len(nodes), len(input_names), lineno) for tok in rest)
         if kind == KIND_INV and len(operands) != 1:
             raise ParseError("INV takes exactly one operand", lineno)
-        if kind == KIND_SYM:
-            if not operands:
-                raise ParseError("SYM needs operands", lineno)
-            if not ranks.issubset(range(len(operands) + 1)):
-                raise ParseError("SYM rank set out of range for its arity", lineno)
+        if kind in (KIND_SYM, KIND_AND, KIND_OR) and not operands:
+            raise ParseError(f"{kind} needs operands", lineno)
+        if kind == KIND_SYM and not ranks.issubset(range(len(operands) + 1)):
+            raise ParseError("SYM rank set out of range for its arity", lineno)
+        if kind == KIND_AND and _overlapping(operands, supports):
+            raise ParseError("AND_DISJOINT operands have overlapping supports", lineno)
         nodes.append(NetNode(kind, operands, ranks=ranks, value=value))
+        supports.append(_support(operands, supports))
     if input_names is None:
         raise ParseError("missing inputs line")
     if output is None:

@@ -11,18 +11,20 @@ The survey sweeps every function of a small arity.  Its 'direct' mode tries
 all n! * 2**n configurations per function; the 'classes' mode partitions
 functions into orbits under input permutation plus input complementation
 (planarity is invariant under both, since those transforms merely relabel
-the configuration space) and decides each orbit once.  Both modes count
-identically; 'direct' is the ground truth and 'classes' the fast default.
+the configuration space) and decides each orbit once: the orbit is also
+the set of words of all configurations, so it is planar iff one member's
+identity-order plot is.  Both modes count identically; 'direct' is the
+ground truth and 'classes' the fast default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cubes import MintermSet, PhaseVector
-from .gridplot import build_grid_dag, is_planar_plot
+from .cubes import MintermSet, PhaseVector, transform_mask
+from .gridplot import _level_pass, _planar_levels, build_grid_dag, is_planar_plot
 
 _EXHAUSTIVE_WITNESS_CAP = 6
 _SURVEY_CAP = 4
@@ -92,35 +94,6 @@ def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> Minte
 # planarity decision
 
 
-def _planar_word_walk(word_bits: int, n: int) -> bool:
-    """Planarity of the identity-order plot of a word-set mask.
-
-    Word index encoding puts the first consumed character in the most
-    significant position.  Walk the levels keeping one suffix mask per rank;
-    two different suffix classes on one rank kill planarity immediately.
-    """
-    level = {0: word_bits}
-    for d in range(n):
-        half = 1 << (n - d - 1)
-        low = (1 << half) - 1
-        nxt: dict[int, int] = {}
-        for r, mask in level.items():
-            hi = mask >> half
-            lo = mask & low
-            if hi:
-                prev = nxt.get(r + 1)
-                if prev is not None and prev != hi:
-                    return False
-                nxt[r + 1] = hi
-            if lo:
-                prev = nxt.get(r)
-                if prev is not None and prev != lo:
-                    return False
-                nxt[r] = lo
-        level = nxt
-    return True
-
-
 def is_planar_function(
     s: MintermSet, cap: int = _EXHAUSTIVE_WITNESS_CAP
 ) -> tuple[tuple[int, ...], PhaseVector] | None:
@@ -157,29 +130,30 @@ class PlanarSurvey:
         return self.planar == self.total
 
 
-def _word_tables(n: int) -> list[list[int]]:
-    """Index remap per configuration: assignment index -> word index."""
-    tables = []
-    for order in permutations(range(n)):
-        for pmask in range(1 << n):
-            table = []
-            for v in range(1 << n):
-                u = v ^ pmask
-                w = 0
-                for t in range(n):
-                    w = (w << 1) | ((u >> order[t]) & 1)
-                table.append(w)
-            tables.append(table)
-    return tables
+def _planar_word(word_bits: int, n: int) -> bool:
+    """Planarity of the identity-order plot of a word-set mask."""
+    return _planar_levels(_level_pass(word_bits, n)[0])
 
 
-def _remap(mask: int, table: Sequence[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _orbit(f: int, n: int) -> set[int]:
+    """Truth tables reachable from ``f`` by input complements and permutations.
+
+    Closure under the n single-input flips and the n - 1 adjacent
+    transpositions, which generate the whole group.
+    """
+    steps = [(None, 1 << i) for i in range(n)] + [
+        ((*range(i), i + 1, i, *range(i + 2, n)), 0) for i in range(n - 1)
+    ]
+    orbit = {f}
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        for perm, flips in steps:
+            h = transform_mask(g, n, perm, flips)
+            if h not in orbit:
+                orbit.add(h)
+                todo.append(h)
+    return orbit
 
 
 def survey_planarity(n: int, mode: str = "classes") -> PlanarSurvey:
@@ -193,36 +167,34 @@ def survey_planarity(n: int, mode: str = "classes") -> PlanarSurvey:
     if mode not in ("classes", "direct"):
         raise ValueError(f"unknown survey mode {mode!r}")
     total = 1 << (1 << n)
-    tables = _word_tables(n)
-    # identity-order word table (identity permutation comes first, phase 0)
-    rev = tables[0]
-
     nonplanar: list[int] = []
     planar_count = 0
 
     if mode == "direct":
+        configs = [
+            (order[::-1], pmask)
+            for order in permutations(range(n))
+            for pmask in range(1 << n)
+        ]
         for f in range(total):
-            if any(_planar_word_walk(_remap(f, t), n) for t in tables):
+            if any(_planar_word(transform_mask(f, n, rev, pmask), n) for rev, pmask in configs):
                 planar_count += 1
             elif len(nonplanar) < _MAX_WITNESSES:
                 nonplanar.append(f)
         return PlanarSurvey(n, total, planar_count, tuple(nonplanar), mode)
 
+    # Reversing the word is itself an input permutation, so an orbit is also
+    # the set of its members' words under every configuration.
     seen = bytearray(total)
-    nonplanar_all: list[int] = []
     for f in range(total):
         if seen[f]:
             continue
-        words = {_remap(f, t) for t in tables}
-        orbit = {_remap(w, rev) for w in words}  # back to assignment encoding
-        planar = any(_planar_word_walk(w, n) for w in words)
+        orbit = _orbit(f, n)
         for g in orbit:
             seen[g] = 1
-        if planar:
+        if any(_planar_word(w, n) for w in orbit):
             planar_count += len(orbit)
         else:
-            nonplanar_all.extend(orbit)
-    nonplanar_all.sort()
-    return PlanarSurvey(
-        n, total, planar_count, tuple(nonplanar_all[:_MAX_WITNESSES]), mode
-    )
+            nonplanar.extend(orbit)
+    nonplanar.sort()
+    return PlanarSurvey(n, total, planar_count, tuple(nonplanar[:_MAX_WITNESSES]), mode)

@@ -79,6 +79,15 @@ def oracle_metrics(words: set[str], n: int) -> tuple[int, int]:
     return (len(classes) - 1, len(links))
 
 
+def oracle_planar(words: set[str], n: int) -> bool:
+    """Planarity from the definition: no two prefix classes share a grid point."""
+    classes = {
+        (len(p), p.count("1"), frozenset(w[len(p):] for w in words if w.startswith(p)))
+        for p in {w[:d] for w in words for d in range(n + 1)}
+    }
+    return len({key[:2] for key in classes}) == len(classes)
+
+
 def oracle_accepts(words: set[str], n: int) -> set[str]:
     return set(words)
 

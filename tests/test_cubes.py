@@ -18,6 +18,7 @@ from gridsyn import (
     permute_inputs,
     permute_minterms,
     phase_minterms,
+    transform_mask,
     write_pla,
 )
 from gridsyn.cubes import cube_dc_count, index_to_minterm
@@ -199,6 +200,24 @@ class TestTransforms:
             assert cover_to_minterms(permute_inputs(c, perm)) == permute_minterms(
                 cover_to_minterms(c), perm
             )
+
+
+class TestTransformMask:
+    def test_matches_per_minterm_definition(self):
+        import random
+
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            bits = rng.getrandbits(1 << n)
+            perm = tuple(rng.sample(range(n), n))
+            flips = rng.getrandbits(n) if n else 0
+            expected = 0
+            for v in range(1 << n):
+                if (bits >> v) & 1:
+                    u = v ^ flips
+                    expected |= 1 << sum(((u >> perm[j]) & 1) << j for j in range(n))
+            assert transform_mask(bits, n, perm, flips) == expected
 
 
 class TestMisc:

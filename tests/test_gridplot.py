@@ -21,10 +21,11 @@ from gridsyn import (
     sf_minterms,
     spectrum_of,
 )
+from gridsyn import transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import path_counts
+from gridsyn.gridplot import _level_pass, _planar_levels, path_counts
 
-from helpers import ms, oracle_metrics, words_of
+from helpers import ms, oracle_metrics, oracle_planar, words_of
 
 XOR_PAIR = ms("1010", "1001", "0110", "0101")
 
@@ -126,6 +127,38 @@ class TestMetrics:
             seen = {(dag.nodes[i].rank, dag.nodes[i].suffix_key) for i in lv}
             assert len(seen) == len(lv)
 
+
+
+class TestLevelPass:
+    def test_kernel_words_and_level_pass_match_string_oracle(self):
+        rng = random.Random(29)
+        for _ in range(120):
+            n = rng.randint(0, 8)
+            s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
+            order = tuple(rng.sample(range(n), n))
+            inverted = [i for i in range(n) if rng.random() < 0.5]
+            phases = PhaseVector.inverting(n, inverted)
+            word_bits = transform_mask(s.bits, n, order[::-1], phases.mask)
+            words = words_of(s, order, inverted)
+            # first consumed input is the most significant word bit
+            decoded = {
+                "".join(str((w >> (n - 1 - t)) & 1) for t in range(n))
+                for w in range(1 << n)
+                if (word_bits >> w) & 1
+            }
+            assert decoded == words
+            classes, links = _level_pass(word_bits, n)
+            assert (sum(map(len, classes)) - 1, links) == oracle_metrics(words, n)
+            assert _planar_levels(classes) == oracle_planar(words, n)
+            dag = build_grid_dag(s, order, phases)
+            assert (dag.classes, dag.link_count) == (classes, links)
+            assert is_planar_plot(dag) == oracle_planar(words, n)
+
+    def test_nodes_are_numbered_by_rank_then_mask_within_levels(self):
+        dag = build_grid_dag(ms("0000", "0011", "1100", "1111", "0110"))
+        flat = [(node.depth, node.rank, node.suffix_key) for node in dag.nodes]
+        assert flat == sorted(flat)
+        assert [len(level) for level in dag.levels] == [len(keys) for keys in dag.classes]
 
 class TestStructure:
     def test_path_counts_match_spectrum(self):

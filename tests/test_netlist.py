@@ -105,6 +105,18 @@ class TestBuilder:
         nl = b.finish(keep)
         assert len(nl.nodes) == 1
 
+    def test_finish_handles_deep_chains(self):
+        b = fresh()
+        ref = b.input(0)
+        for k in range(1500):
+            ref = b.sym({1}, (ref, b.input(1 + k % 3)))
+        nl = b.finish(ref)
+        assert len(nl.nodes) == 1500
+        assert nl.output.index == 1499
+        # the chain XORs in inputs 1, 2, 3 five hundred times each
+        assert evaluate_netlist(nl, (1, 0, 1, 1)) == 1
+        assert netlist_from_text(netlist_to_text(nl)) == nl
+
     def test_supports(self):
         b = fresh()
         s = b.sym({1, 2}, (b.input(1), b.inv(b.input(3))))
@@ -193,6 +205,10 @@ class TestSerialization:
             ("inputs: a\n0 INV i4\noutput: n0\n", "out of range"),
             ("inputs: a\n0 CONST 2\noutput: n0\n", "0/1"),
             ("inputs: a b\n0 SYM [3] i0 i1\noutput: n0\n", "out of range for its arity"),
+            ("inputs: a\n0 AND_DISJOINT\noutput: n0\n", "AND_DISJOINT needs operands"),
+            ("inputs: a\n0 OR\noutput: n0\n", "OR needs operands"),
+            ("inputs: a\n0 AND_DISJOINT i0 i0\noutput: n0\n", "overlapping"),
+            ("inputs: a b\n0 INV i0\n1 AND_DISJOINT n0 i1 i0\noutput: n1\n", "overlapping"),
             ("inputs: a\n", "missing output"),
         ],
     )

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -17,9 +18,10 @@ from gridsyn import (
     sf_minterms,
     survey_planarity,
 )
-from gridsyn.planar import _planar_word_walk, _remap, _word_tables
+from gridsyn import transform_mask
+from gridsyn.planar import _planar_word
 
-from helpers import ms
+from helpers import ms, words_of
 
 
 class TestTemplate:
@@ -107,13 +109,10 @@ class TestWalkAgreesWithDags:
             inverted = [i for i in range(n) if rng.random() < 0.4]
             phases = PhaseVector.inverting(n, inverted)
             dag = build_grid_dag(s, order, phases)
-            from gridsyn.gridplot import _word_of
-
-            word_bits = 0
-            pmask = phases.mask
-            for v in s.members():
-                word_bits |= 1 << _word_of(v, n, order, pmask)
-            assert _planar_word_walk(word_bits, n) == is_planar_plot(dag)
+            word_bits = transform_mask(s.bits, n, order[::-1], phases.mask)
+            words = words_of(s, order, inverted)
+            assert word_bits == sum(1 << int(w, 2) for w in words)
+            assert _planar_word(word_bits, n) == is_planar_plot(dag)
 
 
 class TestSurvey:
@@ -139,11 +138,13 @@ class TestSurvey:
     def test_class_mode_matches_per_function_search_on_samples(self):
         survey = survey_planarity(4)
         rng = random.Random(11)
-        tables = _word_tables(4)
+        configs = [(order[::-1], pmask) for order in permutations(range(4)) for pmask in range(16)]
         nonplanar = set(survey.nonplanar_witnesses)
         samples = list(nonplanar)[:4] + [rng.getrandbits(16) for _ in range(25)]
         for mask in samples:
-            direct = any(_planar_word_walk(_remap(mask, t), 4) for t in tables)
+            direct = any(
+                _planar_word(transform_mask(mask, 4, rev, pmask), 4) for rev, pmask in configs
+            )
             definitional = is_planar_function(MintermSet(4, mask)) is not None
             assert direct == definitional
             if mask in nonplanar:
