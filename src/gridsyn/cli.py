@@ -527,14 +527,18 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 {
                     "command": "verify",
                     "equivalent": result.equivalent,
+                    "exhaustive": result.exhaustive,
+                    "checked": result.checked,
                     "witness": list(result.witness) if result.witness else None,
                 },
                 indent=2,
             )
         )
     else:
-        if result:
+        if result and result.exhaustive:
             print("equivalent")
+        elif result:
+            print(f"equivalent on {result.checked} sampled assignments")
         else:
             print(f"mismatch at {result.witness}")
     return 0 if result else 1

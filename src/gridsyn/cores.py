@@ -2,11 +2,15 @@
 
 A core is a sub-list of a cover's cubes that, after an optional polarity
 flip on some of the inputs, is closed under every permutation of a chosen
-input subset Z.  Membership is syntactic on cubes: a cube belongs iff its
-image under the permutation (applied to cube columns) is itself a cube of
-the list.  Syntactic closure implies that the minterm set of the selected
-cubes is genuinely symmetric over Z, since permuting inputs maps cubes to
-cubes.
+input subset Z.  Membership is syntactic on cubes and decided by counting:
+the orbit of a cube under the permutations of Z is every cube with the same
+part outside Z and the same counts of ``0``, ``1`` and ``-`` on Z, so a cube
+belongs iff its class holds all ``C(w, c1) * C(w - c1, c0)`` of those cubes
+(``w = |Z|``).  Syntactic closure implies that the minterm set of the
+selected cubes is genuinely symmetric over Z, since permuting inputs maps
+cubes to cubes.  The search runs on integer cubes: each cube is a pair of
+input bit masks (its ``1`` columns, its ``0`` columns), and a phase flip is
+a masked exchange of the two.
 
 Search proceeds the way a cover is actually mined for structure: all input
 pairs are scored with both effective polarities, the best pair seeds a
@@ -17,6 +21,7 @@ greedy widening that may trade cubes for inputs, and candidates compete on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .cubes import Cover, cover_to_minterms
@@ -76,12 +81,45 @@ def _phase_cube(cube: str, inverted: frozenset[int]) -> str:
     return "".join(_FLIP[ch] if j in inverted else ch for j, ch in enumerate(cube))
 
 
-def _swap_cols(cube: str, i: int, j: int) -> str:
-    if cube[i] == cube[j]:
-        return cube
-    chars = list(cube)
-    chars[i], chars[j] = chars[j], chars[i]
-    return "".join(chars)
+_ONES = str.maketrans("10-", "100")
+_ZEROS = str.maketrans("10-", "010")
+
+IntCube = tuple[int, int]
+
+
+def _int_cubes(cover: Cover) -> list[IntCube]:
+    """Each cube as ``(ones, zeros)`` bit masks; bit j is input j."""
+    return [
+        (int(rev.translate(_ONES) or "0", 2), int(rev.translate(_ZEROS) or "0", 2))
+        for rev in (cube[::-1] for cube in cover.cubes)
+    ]
+
+
+def _closed(cubes: Sequence[IntCube], indices: Sequence[int], z: int, flips: int) -> list[int]:
+    """The indices whose cube lies in a class closed under every permutation of Z.
+
+    ``z`` and ``flips`` are input bit masks.  A cube's class key is its part
+    outside Z and its counts of 1 and 0 on Z after the flips (a flip outside
+    Z maps every class onto another, so it cannot change the result).  A
+    class is closed when it holds all ``C(w, c1) * C(w - c1, c0)`` distinct
+    cubes of its key.  The result keeps the order of ``indices``.
+    """
+    w = z.bit_count()
+    out, keep, swap = ~z, z & ~flips, z & flips
+    key_of: dict[IntCube, tuple[int, int, int, int]] = {}
+    count: dict[tuple[int, int, int, int], int] = {}
+    for i in indices:
+        cube = cubes[i]
+        if cube not in key_of:
+            ones, zeros = cube
+            c1 = (ones & keep | zeros & swap).bit_count()
+            c0 = (zeros & keep | ones & swap).bit_count()
+            key = key_of[cube] = (ones & out, zeros & out, c1, c0)
+            count[key] = count.get(key, 0) + 1
+    closed = {
+        key for key, c in count.items() if c == comb(w, key[2]) * comb(w - key[2], key[3])
+    }
+    return [i for i in indices if key_of[cubes[i]] in closed]
 
 
 def _core_size(cover: Cover, indices: Sequence[int], metric: str) -> int:
@@ -103,13 +141,12 @@ def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     """
     if a == b:
         raise ValueError("pair inputs must differ")
-    inverted = frozenset((a,)) if invert_a else frozenset()
-    phased = [_phase_cube(cube, inverted) for cube in cover.cubes]
-    present = set(phased)
-    indices = tuple(
-        i for i, cube in enumerate(phased) if _swap_cols(cube, a, b) in present
-    )
-    return Core(cover, indices, (a, b), inverted)
+    return _pair_core(cover, _int_cubes(cover), a, b, invert_a)
+
+
+def _pair_core(cover: Cover, cubes: Sequence[IntCube], a: int, b: int, invert_a: bool) -> Core:
+    indices = _closed(cubes, range(len(cubes)), 1 << a | 1 << b, invert_a << a)
+    return Core(cover, indices, (a, b), {a} if invert_a else ())
 
 
 def best_pair_cores(
@@ -118,46 +155,17 @@ def best_pair_cores(
     """Best polarity choice per unordered input pair; ties keep the plain phase."""
     if cover.n < 2:
         raise ValueError("pair cores need at least two inputs")
+    cubes = _int_cubes(cover)
     out: dict[tuple[int, int], tuple[bool, Core]] = {}
     for a in range(cover.n):
         for b in range(a + 1, cover.n):
-            plain = pair_core(cover, a, b, invert_a=False)
-            flipped = pair_core(cover, a, b, invert_a=True)
-            if _core_size(cover, flipped.cube_indices, size_metric) > _core_size(
+            plain = _pair_core(cover, cubes, a, b, invert_a=False)
+            flipped = _pair_core(cover, cubes, a, b, invert_a=True)
+            flip = _core_size(cover, flipped.cube_indices, size_metric) > _core_size(
                 cover, plain.cube_indices, size_metric
-            ):
-                out[(a, b)] = (True, flipped)
-            else:
-                out[(a, b)] = (False, plain)
+            )
+            out[(a, b)] = (True, flipped) if flip else (False, plain)
     return out
-
-
-def _orbit(cube: str, gens: Sequence[tuple[int, int]]) -> set[str]:
-    seen = {cube}
-    frontier = [cube]
-    while frontier:
-        cur = frontier.pop()
-        for i, j in gens:
-            img = _swap_cols(cur, i, j)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return seen
-
-
-def _closed_subset(cubes: set[str], gens: Sequence[tuple[int, int]]) -> set[str]:
-    """Largest subset closed under the given transpositions (union of full orbits)."""
-    keep: set[str] = set()
-    rejected: set[str] = set()
-    for cube in cubes:
-        if cube in keep or cube in rejected:
-            continue
-        orbit = _orbit(cube, gens)
-        if orbit <= cubes:
-            keep |= orbit
-        else:
-            rejected |= orbit & cubes
-    return keep
 
 
 def expand_core(
@@ -170,42 +178,32 @@ def expand_core(
     set, and accepts the candidate only if ``count * width**2`` strictly
     increases.  Polarities fixed in earlier steps are not revisited.
     """
-    z = list(seed.sym_inputs)
-    inverted = set(seed.inverted)
+    cubes = _int_cubes(cover)
+    z = sum(1 << i for i in seed.sym_inputs)
+    flips = sum(1 << i for i in seed.inverted)
     indices = list(seed.cube_indices)
     size = _core_size(cover, indices, size_metric)
-    score = size * len(z) * len(z)
+    score = size * z.bit_count() ** 2
 
     while True:
-        best = None  # (score, size, x, invert_x, indices)
-        width = len(z) + 1
+        best = None  # (score, size, z, flips, indices)
+        width = z.bit_count() + 1
         for x in range(cover.n):
-            if x in z:
+            bit = 1 << x
+            if z & bit:
                 continue
-            for invert_x in (False, True):
-                phases = frozenset(inverted | ({x} if invert_x else set()))
-                phased = {
-                    _phase_cube(cover.cubes[i], phases): None for i in indices
-                }.keys()
-                members = sorted(z + [x])
-                gens = list(zip(members, members[1:]))
-                closed = _closed_subset(set(phased), gens)
-                cand = [
-                    i for i in indices if _phase_cube(cover.cubes[i], phases) in closed
-                ]
+            for cand_flips in (flips, flips | bit):
+                cand = _closed(cubes, indices, z | bit, cand_flips)
                 cand_size = _core_size(cover, cand, size_metric)
                 cand_score = cand_size * width * width
                 if best is None or cand_score > best[0]:
-                    best = (cand_score, cand_size, x, invert_x, cand)
+                    best = (cand_score, cand_size, z | bit, cand_flips, cand)
         if best is None or best[0] <= score:
             break
-        score, size = best[0], best[1]
-        z.append(best[2])
-        if best[3]:
-            inverted.add(best[2])
-        indices = best[4]
+        score, size, z, flips, indices = best
 
-    core = Core(cover, tuple(indices), tuple(sorted(z)), frozenset(inverted))
+    inputs = [i for i in range(cover.n) if z >> i & 1]
+    core = Core(cover, indices, inputs, {i for i in inputs if flips >> i & 1})
     return core, CoreScore.compute(size, core.width)
 
 

@@ -68,8 +68,13 @@ class DecomposeOptions:
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """Outcome of ``verify``: ``checked`` assignments were compared, all of
+    them when ``exhaustive``, else a seeded sample."""
+
     equivalent: bool
     witness: tuple[int, ...] | None = None
+    exhaustive: bool = True
+    checked: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -315,18 +320,20 @@ def _shannon_split(
 # equivalence checking
 
 
-_EXHAUSTIVE_LIMIT = 20  # full truth table up to 2**20 assignments
-_SAMPLE_BLOCK = 16  # free inputs per sampled block
-_SAMPLE_TARGET = 1 << 20
+_EXHAUSTIVE_LIMIT = 20  # one truth table up to 2**20 assignments
+_BLOCK = 16  # free inputs per block above that
+_SAMPLE_BLOCKS = 16  # distinct seeded blocks beyond the expansion cap
 
 
 def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
-    """Compare a netlist against a cover; exhaustive up to 2**20 assignments.
+    """Compare a netlist against a cover on every assignment up to the expansion cap.
 
-    Beyond that, at least 2**20 assignments are sampled in blocks: the
-    inputs past the first 16 are frozen to seeded random values and the
-    remaining 16-input subspace is checked exhaustively per block.  On a
-    mismatch the witness assignment is returned.
+    Up to 2**20 assignments both sides are compared as one truth table.
+    Above that the inputs past the first 16 are frozen block by block and
+    each 16-input subspace is compared as one truth table: all
+    ``2**(n - 16)`` blocks up to ``DEFAULT_EXPANSION_CAP`` inputs, and 16
+    distinct blocks drawn with ``seed`` (2**20 sampled assignments, not
+    exhaustive) beyond it.  On a mismatch the witness assignment is returned.
     """
     if nl.input_names != cover.input_names:
         raise ValueError("netlist and cover have different input sets")
@@ -336,21 +343,28 @@ def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
         full = full_mask(n)
         diff = cover_mask(cover, masks, full) ^ netlist_mask(nl, masks, full)
         if not diff:
-            return VerifyResult(True)
+            return VerifyResult(True, None, True, 1 << n)
         idx = (diff & -diff).bit_length() - 1
-        return VerifyResult(False, tuple((idx >> i) & 1 for i in range(n)))
+        return VerifyResult(False, tuple((idx >> i) & 1 for i in range(n)), True, 1 << n)
 
-    rng = random.Random(seed)
-    low = _SAMPLE_BLOCK
-    blocks = _SAMPLE_TARGET // (1 << low)
-    base_masks = assignment_masks(low)
-    full = full_mask(low)
-    for _ in range(blocks):
-        fixed = [rng.getrandbits(1) for _ in range(n - low)]
+    high = n - _BLOCK
+    exhaustive = n <= DEFAULT_EXPANSION_CAP
+    if exhaustive:
+        blocks: Sequence[int] = range(1 << high)
+    else:
+        rng = random.Random(seed)
+        drawn: dict[int, None] = {}
+        while len(drawn) < _SAMPLE_BLOCKS:
+            drawn[rng.getrandbits(high)] = None
+        blocks = list(drawn)
+    base_masks = assignment_masks(_BLOCK)
+    full = full_mask(_BLOCK)
+    for k, block in enumerate(blocks, 1):
+        fixed = tuple((block >> i) & 1 for i in range(high))
         in_masks = list(base_masks) + [full if b else 0 for b in fixed]
         diff = cover_mask(cover, in_masks, full) ^ netlist_mask(nl, in_masks, full)
         if diff:
             idx = (diff & -diff).bit_length() - 1
-            witness = tuple((idx >> i) & 1 for i in range(low)) + tuple(fixed)
-            return VerifyResult(False, witness)
-    return VerifyResult(True)
+            witness = tuple((idx >> i) & 1 for i in range(_BLOCK)) + fixed
+            return VerifyResult(False, witness, exhaustive, k << _BLOCK)
+    return VerifyResult(True, None, exhaustive, len(blocks) << _BLOCK)

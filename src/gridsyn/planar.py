@@ -135,7 +135,7 @@ def _planar_word(word_bits: int, n: int) -> bool:
     return _planar_levels(_level_pass(word_bits, n)[0])
 
 
-def _orbit(f: int, n: int) -> set[int]:
+def _np_class(f: int, n: int) -> set[int]:
     """Truth tables reachable from ``f`` by input complements and permutations.
 
     Closure under the n single-input flips and the n - 1 adjacent
@@ -189,7 +189,7 @@ def survey_planarity(n: int, mode: str = "classes") -> PlanarSurvey:
     for f in range(total):
         if seen[f]:
             continue
-        orbit = _orbit(f, n)
+        orbit = _np_class(f, n)
         for g in orbit:
             seen[g] = 1
         if any(_planar_word(w, n) for w in orbit):

@@ -41,7 +41,13 @@ class FullRankSet:
 
 
 def spectrum_of(s: MintermSet) -> RankSpectrum:
-    """Minterm counts per rank, indices 0..n."""
+    """Minterm counts per rank, indices 0..n.
+
+    Up to ``_RANK_MASK_CAP`` inputs each count is one popcount of the set
+    under a rank mask; above it the members are counted one at a time.
+    """
+    if s.n <= _RANK_MASK_CAP:
+        return tuple((s.bits & m).bit_count() for m in rank_index_masks(s.n))
     counts = [0] * (s.n + 1)
     for v in s.members():
         counts[v.bit_count()] += 1

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from pathlib import Path
 
 from gridsyn import Cover, MintermSet
+
+DEMO_PLAS = Path(__file__).resolve().parent.parent / "demos" / "pla"
 
 
 def ms(*strings: str, n: int | None = None) -> MintermSet:
@@ -94,3 +97,54 @@ def oracle_accepts(words: set[str], n: int) -> set[str]:
 
 def all_assignments(n: int):
     return product((0, 1), repeat=n)
+
+
+def random_cover_with_duplicates(rng: random.Random, n: int, m: int) -> Cover:
+    """A random cover in which some cubes repeat at random positions."""
+    cubes = list(random_cover(rng, n, m).cubes)
+    for _ in range(rng.randint(0, m // 2)):
+        cubes.insert(rng.randrange(len(cubes) + 1), rng.choice(cubes))
+    return Cover(tuple(f"x{i}" for i in range(n)), tuple(cubes))
+
+
+# ---------------------------------------------------------------------------
+# symmetric-core oracle: closure by breadth-first search over cube strings
+
+
+def phase_cube(cube: str, inverted) -> str:
+    flip = {"0": "1", "1": "0", "-": "-"}
+    return "".join(flip[ch] if j in inverted else ch for j, ch in enumerate(cube))
+
+
+def _swap_cols(cube: str, i: int, j: int) -> str:
+    chars = list(cube)
+    chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+def _orbit(cube: str, gens) -> set[str]:
+    seen = {cube}
+    frontier = [cube]
+    while frontier:
+        cur = frontier.pop()
+        for i, j in gens:
+            img = _swap_cols(cur, i, j)
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return seen
+
+
+def oracle_closed_subset(cubes: set[str], gens) -> set[str]:
+    """Largest subset closed under the given transpositions (union of full orbits)."""
+    keep: set[str] = set()
+    rejected: set[str] = set()
+    for cube in cubes:
+        if cube in keep or cube in rejected:
+            continue
+        orbit = _orbit(cube, gens)
+        if orbit <= cubes:
+            keep |= orbit
+        else:
+            rejected |= orbit & cubes
+    return keep

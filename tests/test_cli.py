@@ -4,6 +4,8 @@ import pytest
 
 from gridsyn.cli import main
 
+from helpers import DEMO_PLAS
+
 MALFORMED_NETLISTS = {
     "empty_and": "inputs: a b\n0 AND_DISJOINT\noutput: n0\n",
     "empty_or": "inputs: a b\n0 OR\noutput: n0\n",
@@ -28,3 +30,55 @@ def test_survey_headline(tmp_path, monkeypatch, capsys):
     assert (summary["total"], summary["planar"]) == (65536, 42244)
     assert summary["nonplanar_witnesses"][0]["mask"] == 0x358
     assert json.loads((tmp_path / "planar_bf4.json").read_text()) == summary
+
+
+def test_spectrum_headline(capsys):
+    assert main(["spectrum", str(DEMO_PLAS / "xor_pair.pla")]) == 0
+    assert capsys.readouterr().out == "[0,0,4,0,0]\n"
+
+
+def test_cores_report_runs(capsys):
+    assert main(["cores", str(DEMO_PLAS / "xor_pair.pla")]) == 0
+    assert "best core:" in capsys.readouterr().out
+
+
+def test_synth_is_deterministic(tmp_path, monkeypatch, capsys):
+    runs = []
+    for k in range(2):
+        work = tmp_path / f"run{k}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["synth", str(DEMO_PLAS / "fa_carry.pla")]) == 0
+        runs.append((capsys.readouterr().out, (work / "fa_carry.net").read_text()))
+    assert runs[0] == runs[1]
+    assert "fa_carry: verified equivalent" in runs[0][0]
+
+
+def _wide_files(tmp_path, n):
+    """A one-cube PLA on n inputs and the netlist of its first input."""
+    names = [f"x{i}" for i in range(n)]
+    (tmp_path / "wide.pla").write_text(
+        f".i {n}\n.o 1\n.ilb {' '.join(names)}\n{'1' + '-' * (n - 1)} 1\n.e\n"
+    )
+    (tmp_path / "wide.net").write_text(f"inputs: {' '.join(names)}\noutput: i0\n")
+
+
+@pytest.mark.parametrize(
+    "n, text, exhaustive, checked",
+    [
+        (24, "equivalent\n", True, 1 << 24),
+        (25, "equivalent on 1048576 sampled assignments\n", False, 1 << 20),
+    ],
+)
+def test_verify_says_when_it_sampled(n, text, exhaustive, checked, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _wide_files(tmp_path, n)
+    assert main(["verify", "wide.net", "wide.pla"]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["verify", "wide.net", "wide.pla", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["equivalent"], report["exhaustive"], report["checked"]) == (
+        True,
+        exhaustive,
+        checked,
+    )

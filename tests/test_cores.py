@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,7 +19,14 @@ from gridsyn import (
     select_best_core,
 )
 
-from helpers import random_cover
+from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes
+
+from helpers import (
+    oracle_closed_subset,
+    phase_cube,
+    random_cover,
+    random_cover_with_duplicates,
+)
 
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
 XOR_PAIR = Cover(("a", "b", "c", "d"), ("1010", "1001", "0110", "0101"))
@@ -142,6 +150,11 @@ class TestExpand:
             if core is not None and core.cube_indices:
                 assert core_is_symmetric(core)
 
+    def test_zero_input_cover_keeps_the_seed(self):
+        c = Cover((), ("",))
+        core, score = expand_core(Core(c, (), (), ()), c)
+        assert (core.cube_indices, core.sym_inputs, score.score) == ((), (), 0)
+
     def test_minterm_metric_counts_minterms(self):
         c = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
         core, score = expand_core(pair_core(c, 0, 1), c, size_metric="minterms")
@@ -201,3 +214,45 @@ class TestDcPartition:
             for p in parts:
                 union |= cover_to_minterms(p).bits
             assert union == cover_to_minterms(c).bits
+
+
+class TestClosure:
+    def test_class_count_matches_orbit_search(self):
+        rng = random.Random(2000)
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
+            z = sorted(rng.sample(range(n), rng.randint(2, n)))
+            inverted = {j for j in z if rng.random() < 0.4}
+            indices = [i for i in range(cover.m) if rng.random() < 0.8]
+            phased = [phase_cube(cube, inverted) for cube in cover.cubes]
+            closed = oracle_closed_subset({phased[i] for i in indices}, list(zip(z, z[1:])))
+            expected = [i for i in indices if phased[i] in closed]
+            z_mask = sum(1 << j for j in z)
+            flips = sum(1 << j for j in inverted)
+            assert _closed(_int_cubes(cover), indices, z_mask, flips) == expected
+
+
+#: sha256 of the search results below, computed with the string-based search.
+PINNED_BEST_CORE = "8bab626e7ca6516f591e619fa55493e7501dac6499c5947d663ff5c724e24584"
+
+
+class TestSearchIsPinned:
+    """The core search returns what the string-based search returned."""
+
+    @staticmethod
+    def best_core_digest(count: int) -> str:
+        rng = random.Random(1993)
+        h = hashlib.sha256()
+        for _ in range(count):
+            n = rng.randint(2, 8)
+            cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
+            for metric in SIZE_METRICS:
+                core = best_core(cover, metric)
+                if core is not None:
+                    core = (core.cube_indices, core.sym_inputs, sorted(core.inverted))
+                h.update(repr(core).encode())
+        return h.hexdigest()
+
+    def test_best_core_on_random_covers(self):
+        assert self.best_core_digest(600) == PINNED_BEST_CORE

@@ -212,7 +212,7 @@ class TestVerify:
             verify(nl, Cover(("x", "y", "z"), ("11-",)))
 
     def test_wide_cover_sampling_path(self):
-        # 22 inputs forces the block-sampling branch
+        # 22 inputs takes the block-by-block branch
         n = 22
         names = tuple(f"x{i}" for i in range(n))
         cube = "1" + "-" * (n - 1)
@@ -224,6 +224,28 @@ class TestVerify:
         bad = b2.finish(b2.inv(b2.input(0)))
         result = verify(bad, c)
         assert not result and result.witness is not None
+
+    def test_every_block_is_checked_up_to_the_cap(self):
+        # a sampled check at 21 inputs missed the one differing assignment
+        n = 21
+        names = tuple(f"x{i}" for i in range(n))
+        b = NetlistBuilder(names)
+        const0 = b.finish(b.const(0))
+        result = verify(const0, Cover(names, ("0" * n,)))
+        assert not result
+        assert result.witness == (0,) * n
+        assert result.exhaustive
+
+    @pytest.mark.parametrize(
+        "n, exhaustive, checked",
+        [(3, True, 8), (20, True, 1 << 20), (22, True, 1 << 22), (26, False, 1 << 20)],
+    )
+    def test_result_reports_coverage(self, n, exhaustive, checked):
+        names = tuple(f"x{i}" for i in range(n))
+        b = NetlistBuilder(names)
+        result = verify(b.finish(b.input(0)), Cover(names, ("1" + "-" * (n - 1),)))
+        assert result.equivalent
+        assert (result.exhaustive, result.checked) == (exhaustive, checked)
 
 
 class TestGuards:

@@ -42,6 +42,20 @@ class TestSpectrum:
             for perm in permutations(range(n)):
                 assert spectrum_of(permute_minterms(s, perm)) == sp
 
+    def test_rank_masks_match_per_minterm_count(self):
+        rng = random.Random(1986)
+        for n in range(11):
+            for _ in range(8):
+                s = MintermSet(n, rng.getrandbits(1 << n))
+                counts = [0] * (n + 1)
+                for v in s.members():
+                    counts[bin(v).count("1")] += 1
+                assert spectrum_of(s) == tuple(counts)
+
+    def test_above_rank_mask_cap_counts_members(self):
+        n = 25
+        assert spectrum_of(MintermSet(n, 1 | 1 << ((1 << n) - 1))) == (1,) + (0,) * (n - 1) + (1,)
+
     def test_format(self):
         assert format_spectrum((0, 0, 4, 0, 0)) == "[0,0,4,0,0]"
 
