@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cores as cores_mod
 from .cubes import (
+    DEFAULT_EXPANSION_CAP,
     CapacityError,
     Cover,
     MintermSet,
@@ -43,27 +43,6 @@ from .spectra import format_spectrum, spectrum_of
 from .tcells import MappingError, library_from_pitch_table, library_inventory, map_netlist
 
 REPORT_COLUMNS = ("cct", "inp", "cub", "dens", "pitches")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    netlist_path: str | None = None
-    out: str | None = None
-    order: str | None = None
-    phases: str | None = None
-    minimize: str | None = None
-    render_style: str = "ascii"
-    dc_partition: bool = False
-    core_metric: str = "cubes"
-    max_arity: int = 5
-    pitch_table: str | None = None
-    seed: int = 0
-    json_output: bool = False
-    report_cores: bool = False
-    survey_n: int = 3
-    survey_mode: str = "classes"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -123,37 +102,16 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    cfg.input_path = getattr(ns, "input", None)
-    cfg.netlist_path = getattr(ns, "netlist", None)
-    cfg.out = getattr(ns, "out", None)
-    cfg.order = getattr(ns, "order", None)
-    cfg.phases = getattr(ns, "phases", None)
-    cfg.minimize = getattr(ns, "minimize", None)
-    cfg.render_style = getattr(ns, "render", "ascii")
-    cfg.dc_partition = getattr(ns, "dc_partition", False)
-    cfg.core_metric = getattr(ns, "core_metric", "cubes")
-    cfg.max_arity = getattr(ns, "max_arity", 5)
-    cfg.pitch_table = getattr(ns, "pitch_table", None)
-    cfg.seed = getattr(ns, "seed", 0)
-    cfg.json_output = getattr(ns, "json", False)
-    cfg.report_cores = getattr(ns, "report_cores", False)
-    cfg.survey_n = getattr(ns, "n", 3)
-    cfg.survey_mode = getattr(ns, "mode", "classes")
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        return run(_config(ns))
+        return run(ns)
     except (ParseError, CapacityError, MappingError, ValueError, OSError) as exc:
         print(f"gridsyn: error: {exc}", file=sys.stderr)
         return 2
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     handler = {
         "synth": _cmd_synth,
         "spectrum": _cmd_spectrum,
@@ -162,8 +120,8 @@ def run(cfg: RunConfig) -> int:
         "tmap": _cmd_tmap,
         "explore-planar": _cmd_explore,
         "verify": _cmd_verify,
-    }[cfg.command]
-    return handler(cfg)
+    }[ns.command]
+    return handler(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +139,16 @@ def _read_pla(path: str) -> list[tuple[str, Cover]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _stem(cfg: RunConfig) -> str:
-    if cfg.out:
-        return cfg.out
-    return Path(cfg.input_path).stem
+def _stem(ns: argparse.Namespace) -> str:
+    if ns.out:
+        return ns.out
+    return Path(ns.input).stem
 
 
-def _load_library(cfg: RunConfig):
-    if cfg.pitch_table:
-        return library_from_pitch_table(Path(cfg.pitch_table).read_text(), cfg.max_arity)
-    return library_inventory(cfg.max_arity)
+def _load_library(ns: argparse.Namespace):
+    if ns.pitch_table:
+        return library_from_pitch_table(Path(ns.pitch_table).read_text(), ns.max_arity)
+    return library_inventory(ns.max_arity)
 
 
 def _parse_name_list(spec: str, names: tuple[str, ...], what: str) -> list[int]:
@@ -220,11 +178,11 @@ def _format_report(rows: list[dict]) -> str:
 # commands
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
-    outputs = _read_pla(cfg.input_path)
-    stem = _stem(cfg)
-    lib = _load_library(cfg)
-    opts = DecomposeOptions(dc_partition=cfg.dc_partition, core_size_metric=cfg.core_metric)
+def _cmd_synth(ns: argparse.Namespace) -> int:
+    outputs = _read_pla(ns.input)
+    stem = _stem(ns)
+    lib = _load_library(ns)
+    opts = DecomposeOptions(dc_partition=ns.dc_partition, core_size_metric=ns.core_metric)
 
     summary = []
     rows = []
@@ -233,7 +191,7 @@ def _cmd_synth(cfg: RunConfig) -> int:
     for name, cover in outputs:
         cct = stem if len(outputs) == 1 else f"{stem}.{name}"
         nl = decompose(cover, opts)
-        check = verify(nl, cover, seed=cfg.seed)
+        check = verify(nl, cover, seed=ns.seed)
         if not check:
             failed = True
             text_lines.append(f"{cct}: VERIFICATION FAILED at {check.witness}")
@@ -241,7 +199,10 @@ def _cmd_synth(cfg: RunConfig) -> int:
         net_path = Path(f"{cct}.net")
         net_path.write_text(netlist_to_text(nl))
 
-        layout = minimize_layout(cover_to_minterms(cover), mode=cfg.minimize, seed=cfg.seed)
+        # the layout search expands the whole truth table, even of dead inputs
+        layout = None
+        if cover.n <= DEFAULT_EXPANSION_CAP:
+            layout = minimize_layout(cover_to_minterms(cover), mode=ns.minimize, seed=ns.seed)
         sym_count = len(nl.sym_nodes())
         try:
             area = map_netlist(nl, lib).total_pitches
@@ -257,13 +218,20 @@ def _cmd_synth(cfg: RunConfig) -> int:
                 "pitches": area,
             }
         )
-        text_lines.append(f"{cct}: verified equivalent; netlist -> {net_path}")
+        checked = "" if check.exhaustive else f" on {check.checked} sampled assignments"
+        text_lines.append(f"{cct}: verified equivalent{checked}; netlist -> {net_path}")
         text_lines.append(f"{cct}: output = {netlist_to_expr(nl)}")
-        text_lines.append(
-            f"{cct}: best layout {layout.metrics} "
-            f"order=({','.join(cover.input_names[i] for i in layout.order)}) "
-            f"inverted=({','.join(cover.input_names[i] for i in layout.phases.inverted)})"
-        )
+        if layout is None:
+            text_lines.append(
+                f"{cct}: best layout skipped "
+                f"({cover.n} inputs over the {DEFAULT_EXPANSION_CAP}-input cap)"
+            )
+        else:
+            text_lines.append(
+                f"{cct}: best layout {layout.metrics} "
+                f"order=({','.join(cover.input_names[i] for i in layout.order)}) "
+                f"inverted=({','.join(cover.input_names[i] for i in layout.phases.inverted)})"
+            )
         summary.append(
             {
                 "output": name,
@@ -271,10 +239,14 @@ def _cmd_synth(cfg: RunConfig) -> int:
                 "cubes": cover.m,
                 "density": literal_density(cover),
                 "verified": True,
+                "exhaustive": check.exhaustive,
+                "checked": check.checked,
                 "netlist_file": str(net_path),
                 "netlist": netlist_to_json_dict(nl),
                 "sym_nodes": sym_count,
-                "layout": {
+                "layout": None
+                if layout is None
+                else {
                     "order": list(layout.order),
                     "inverted": list(layout.phases.inverted),
                     "N": layout.metrics.node_count,
@@ -283,10 +255,10 @@ def _cmd_synth(cfg: RunConfig) -> int:
                 "pitches": area,
             }
         )
-        if cfg.report_cores:
+        if ns.report_cores:
             text_lines.append(_core_report_text(cover))
 
-    if cfg.json_output:
+    if ns.json:
         print(json.dumps({"command": "synth", "circuits": summary, "verified": not failed}, indent=2))
     else:
         for line in text_lines:
@@ -296,9 +268,9 @@ def _cmd_synth(cfg: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    outputs = _read_pla(cfg.input_path)
-    if cfg.json_output:
+def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    outputs = _read_pla(ns.input)
+    if ns.json:
         payload = [
             {"output": name, "spectrum": list(spectrum_of(cover_to_minterms(cover)))}
             for name, cover in outputs
@@ -311,25 +283,25 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_grid(cfg: RunConfig) -> int:
-    outputs = _read_pla(cfg.input_path)
-    stem = _stem(cfg)
+def _cmd_grid(ns: argparse.Namespace) -> int:
+    outputs = _read_pla(ns.input)
+    stem = _stem(ns)
     payload = []
     for name, cover in outputs:
         s = cover_to_minterms(cover)
-        if cfg.minimize:
-            layout = minimize_layout(s, mode=cfg.minimize, seed=cfg.seed)
+        if ns.minimize:
+            layout = minimize_layout(s, mode=ns.minimize, seed=ns.seed)
             order, phases = layout.order, layout.phases
         else:
             order = tuple(range(cover.n))
-            if cfg.order:
-                order = tuple(_parse_name_list(cfg.order, cover.input_names, "order"))
+            if ns.order:
+                order = tuple(_parse_name_list(ns.order, cover.input_names, "order"))
                 if sorted(order) != list(range(cover.n)):
                     raise ValueError("--order must list every input exactly once")
             phases = PhaseVector.none(cover.n)
-            if cfg.phases:
+            if ns.phases:
                 phases = PhaseVector.inverting(
-                    cover.n, _parse_name_list(cfg.phases, cover.input_names, "phases")
+                    cover.n, _parse_name_list(ns.phases, cover.input_names, "phases")
                 )
         dag = build_grid_dag(s, order, phases)
         m = metrics(dag)
@@ -340,20 +312,20 @@ def _cmd_grid(cfg: RunConfig) -> int:
             "N": m.node_count,
             "L": m.link_count,
         }
-        if not cfg.json_output and len(outputs) > 1:
+        if not ns.json and len(outputs) > 1:
             print(f"== {name}")
-        if cfg.render_style == "svg":
+        if ns.render == "svg":
             path = Path(f"{stem}.svg" if len(outputs) == 1 else f"{stem}.{name}.svg")
             path.write_text(render(dag, "svg"))
             entry["svg_file"] = str(path)
-            if not cfg.json_output:
+            if not ns.json:
                 print(str(m))
                 print(f"svg -> {path}")
         else:
-            if not cfg.json_output:
+            if not ns.json:
                 print(render(dag, "ascii"), end="")
         payload.append(entry)
-    if cfg.json_output:
+    if ns.json:
         print(json.dumps({"command": "grid", "outputs": payload}, indent=2))
     return 0
 
@@ -386,19 +358,19 @@ def _core_report_text(cover: Cover, metric: str = "cubes") -> str:
     return "\n".join(lines)
 
 
-def _cmd_cores(cfg: RunConfig) -> int:
-    outputs = _read_pla(cfg.input_path)
-    if cfg.json_output:
+def _cmd_cores(ns: argparse.Namespace) -> int:
+    outputs = _read_pla(ns.input)
+    if ns.json:
         payload = []
         for name, cover in outputs:
             pairs = []
             for (a, b), (inv_a, core) in sorted(
-                cores_mod.best_pair_cores(cover, cfg.core_metric).items()
+                cores_mod.best_pair_cores(cover, ns.core_metric).items()
             ):
                 pairs.append(
                     {"pair": [a, b], "invert_first": inv_a, "cubes": core.cube_count}
                 )
-            best = cores_mod.best_core(cover, cfg.core_metric)
+            best = cores_mod.best_core(cover, ns.core_metric)
             payload.append(
                 {
                     "output": name,
@@ -417,19 +389,19 @@ def _cmd_cores(cfg: RunConfig) -> int:
     for name, cover in outputs:
         if len(outputs) > 1:
             print(f"== {name}")
-        print(_core_report_text(cover, cfg.core_metric))
+        print(_core_report_text(cover, ns.core_metric))
     return 0
 
 
-def _cmd_tmap(cfg: RunConfig) -> int:
-    path = Path(cfg.input_path)
-    lib = _load_library(cfg)
-    stem = _stem(cfg)
+def _cmd_tmap(ns: argparse.Namespace) -> int:
+    path = Path(ns.input)
+    lib = _load_library(ns)
+    stem = _stem(ns)
     jobs: list[tuple[str, Netlist, Cover | None]] = []
     if path.suffix == ".net":
         jobs.append((stem, netlist_from_text(path.read_text()), None))
     else:
-        outputs = _read_pla(cfg.input_path)
+        outputs = _read_pla(ns.input)
         for name, cover in outputs:
             cct = stem if len(outputs) == 1 else f"{stem}.{name}"
             jobs.append((cct, decompose(cover), cover))
@@ -473,7 +445,7 @@ def _cmd_tmap(cfg: RunConfig) -> int:
                 "netlist_file": str(out_path),
             }
         )
-    if cfg.json_output:
+    if ns.json:
         print(json.dumps({"command": "tmap", "circuits": payload}, indent=2))
     else:
         for line in lines:
@@ -483,8 +455,8 @@ def _cmd_tmap(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_explore(cfg: RunConfig) -> int:
-    survey = survey_planarity(cfg.survey_n, mode=cfg.survey_mode)
+def _cmd_explore(ns: argparse.Namespace) -> int:
+    survey = survey_planarity(ns.n, mode=ns.mode)
     summary = {
         "command": "explore-planar",
         "n": survey.n,
@@ -497,9 +469,9 @@ def _cmd_explore(cfg: RunConfig) -> int:
         ],
         "mode": survey.mode,
     }
-    out_path = Path(cfg.out or f"planar_bf{survey.n}.json")
+    out_path = Path(ns.out or f"planar_bf{survey.n}.json")
     out_path.write_text(json.dumps(summary, indent=2) + "\n")
-    if cfg.json_output:
+    if ns.json:
         print(json.dumps(summary, indent=2))
     else:
         print(f"functions of {survey.n} inputs: {survey.total}")
@@ -514,14 +486,14 @@ def _cmd_explore(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    nl = netlist_from_text(Path(cfg.netlist_path).read_text())
-    outputs = _read_pla(cfg.input_path)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    nl = netlist_from_text(Path(ns.netlist).read_text())
+    outputs = _read_pla(ns.input)
     if len(outputs) != 1:
         raise ValueError("verify expects a single-output PLA")
     cover = outputs[0][1]
-    result = verify(nl, cover, seed=cfg.seed)
-    if cfg.json_output:
+    result = verify(nl, cover, seed=ns.seed)
+    if ns.json:
         print(
             json.dumps(
                 {

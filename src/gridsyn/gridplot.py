@@ -25,6 +25,19 @@ single shift or mask of a big integer.  One truth-table transform
 one pass computes the classes level by level, with the link count; N, L,
 planarity and bridges come from those classes.  Node objects, with their
 links, are built on demand, only for rendering, factoring and path counts.
+
+The layout search and the planarity decision try thousands of
+configurations of one function, and level d of each depends only on the set
+S of the first d inputs read and their phases p: its classes are the
+distinct (rank of the phased prefix, cofactor of the function on that
+prefix).  A per-function level table therefore memoises, per (S, p & S), the
+class count and whether the ranks are distinct, and per (S, p & S, next
+input) the link count, so a configuration costs a few dictionary lookups
+once its levels have been seen.  Class sets are kept only along the last
+walked configuration; a cofactor is a full-width truth-table mask with the
+inputs of S fixed to 0, so splitting it on input x is two masks and a
+shift.  Each search confirms the configuration it returns with one full
+grid DAG.
 """
 
 from __future__ import annotations
@@ -40,6 +53,8 @@ from .cubes import (
     DEFAULT_EXPANSION_CAP,
     MintermSet,
     PhaseVector,
+    assignment_masks,
+    full_mask,
     transform_mask,
 )
 
@@ -312,6 +327,114 @@ class LayoutResult(NamedTuple):
     metrics: PlotMetrics
 
 
+class _LevelTable:
+    """Level statistics of one function's grid plots, memoised across configurations.
+
+    A level is keyed by ``S | (p & S) << n``, with S the mask of the inputs
+    read so far and p the phase mask.  ``counts`` maps a level key to its
+    (class count, planar) pair and ``links`` maps a level key plus the next
+    input to the level's outgoing link count.  ``path[d]`` holds the key and
+    the classes of the depth-d level walked last, as a dict from cofactor to
+    the bit mask of the ranks it occurs at, so a cofactor shared by several
+    classes is split once.
+    """
+
+    def __init__(self, s: MintermSet, cap: int = DEFAULT_EXPANSION_CAP):
+        n = s.n
+        if n > cap:
+            raise CapacityError(f"grid construction capped at {cap} inputs")
+        self.n = n
+        full = full_mask(n)
+        self.low = [full & ~m for m in assignment_masks(n)]
+        self.counts: dict[int, tuple[int, bool]] = {0: (1, True)}
+        self.links: dict[int, int] = {}
+        self.path: list[tuple[int, dict[int, int]]] = [(0, {s.bits: 1})] + [(-1, {})] * n
+
+    def _keys(self, order: Sequence[int], pmask: int) -> list[int]:
+        keys = [0]
+        read = 0
+        for x in order:
+            read |= 1 << x
+            keys.append(read | (pmask & read) << self.n)
+        return keys
+
+    def _split(self, d: int, keys: list[int], order: Sequence[int], pmask: int) -> None:
+        """Record level d + 1 and the links into it, walking from the deepest
+        stored level of this configuration at or above depth d."""
+        path = self.path
+        k = d
+        while path[k][0] != keys[k]:
+            k -= 1
+        for t in range(k, d + 1):
+            x = order[t]
+            low = self.low[x]
+            shift = 1 << x
+            inv = (pmask >> x) & 1
+            nxt: dict[int, int] = {}
+            links = 0
+            for g, ranks in path[t][1].items():
+                hi = (g >> shift) & low
+                lo = g & low
+                if hi:
+                    nxt[hi] = nxt.get(hi, 0) | ranks << (1 - inv)
+                    links += ranks.bit_count()
+                if lo:
+                    nxt[lo] = nxt.get(lo, 0) | ranks << inv
+                    links += ranks.bit_count()
+            size = 0
+            seen = 0
+            for ranks in nxt.values():
+                size += ranks.bit_count()
+                seen |= ranks
+            self.links[keys[t] | x << 2 * self.n] = links
+            self.counts[keys[t + 1]] = (size, seen.bit_count() == size)
+            path[t + 1] = (keys[t + 1], nxt)
+
+    def metrics(self, order: Sequence[int], pmask: int) -> tuple[int, int]:
+        """(N, L) of the configuration, as ``metrics(build_grid_dag(...))``."""
+        keys = self._keys(order, pmask)
+        shift = 2 * self.n
+        link_keys = [keys[d] | x << shift for d, x in enumerate(order)]
+        counts, links = self.counts, self.links
+        for d, lk in enumerate(link_keys):
+            if lk not in links or keys[d + 1] not in counts:
+                self._split(d, keys, order, pmask)
+        return (
+            sum(counts[k][0] for k in keys) - 1,
+            sum(links[lk] for lk in link_keys),
+        )
+
+    def planar(self, order: Sequence[int], pmask: int) -> bool:
+        """``is_planar_plot(build_grid_dag(...))``, stopping at the first bridged level."""
+        keys = self._keys(order, pmask)
+        counts = self.counts
+        for d in range(self.n):
+            hit = counts.get(keys[d + 1])
+            if hit is None:
+                self._split(d, keys, order, pmask)
+                hit = counts[keys[d + 1]]
+            if not hit[1]:
+                return False
+        return True
+
+
+def _phase_mask(ph: Sequence[bool]) -> int:
+    return sum(1 << i for i, inverted in enumerate(ph) if inverted)
+
+
+def _phasings(n: int) -> list[tuple[tuple[bool, ...], int]]:
+    """Every phase tuple in lexicographic order, with its mask."""
+    return [(ph, _phase_mask(ph)) for ph in product((False, True), repeat=n)]
+
+
+def _confirmed(s: MintermSet, best: tuple, cap: int) -> LayoutResult:
+    """The search result for a (N, L, order, phases) key, checked against its grid DAG."""
+    result = LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
+    if metrics(build_grid_dag(s, result.order, result.phases, cap=cap)) != result.metrics:
+        raise RuntimeError(f"level table disagrees with the grid DAG at {result}")
+    return result
+
+
 def minimize_layout(
     s: MintermSet,
     mode: str = "exhaustive",
@@ -329,25 +452,23 @@ def minimize_layout(
     if mode == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive layout search requires n <= 8")
-        best = None
-        for order in permutations(range(n)):
-            for ph in product((False, True), repeat=n):
-                m = metrics(build_grid_dag(s, order, PhaseVector(ph), cap=cap))
-                key = (m.node_count, m.link_count, order, ph)
-                if best is None or key < best:
-                    best = key
-        assert best is not None
-        return LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
+        table = _LevelTable(s, cap)
+        phasings = _phasings(n)
+        best = min(
+            (*table.metrics(order, pmask), order, ph)
+            for order in permutations(range(n))
+            for ph, pmask in phasings
+        )
+        return _confirmed(s, best, cap)
     if mode != "greedy":
         raise ValueError(f"unknown search mode {mode!r}")
 
     rng = random.Random(seed)
-
-    def measure(order: tuple[int, ...], ph: tuple[bool, ...]) -> PlotMetrics:
-        return metrics(build_grid_dag(s, order, PhaseVector(ph), cap=cap))
+    table = _LevelTable(s, cap)
 
     def climb(order: tuple[int, ...], ph: tuple[bool, ...]):
-        cur_m = measure(order, ph)
+        pmask = _phase_mask(ph)
+        cur_m = table.metrics(order, pmask)
         while True:
             best_neighbor = None
             for i in range(n):
@@ -355,20 +476,19 @@ def minimize_layout(
                     cand = list(order)
                     cand[i], cand[j] = cand[j], cand[i]
                     cand_t = tuple(cand)
-                    m = measure(cand_t, ph)
-                    k = (m.node_count, m.link_count, cand_t, ph)
+                    k = (*table.metrics(cand_t, pmask), cand_t, ph)
                     if best_neighbor is None or k < best_neighbor:
                         best_neighbor = k
             for i in range(n):
                 cand_ph = tuple(p ^ (idx == i) for idx, p in enumerate(ph))
-                m = measure(order, cand_ph)
-                k = (m.node_count, m.link_count, order, cand_ph)
+                k = (*table.metrics(order, pmask ^ 1 << i), order, cand_ph)
                 if best_neighbor is None or k < best_neighbor:
                     best_neighbor = k
-            if best_neighbor is None or best_neighbor[:2] >= (cur_m.node_count, cur_m.link_count):
-                return (cur_m.node_count, cur_m.link_count, order, ph)
-            cur_m = PlotMetrics(best_neighbor[0], best_neighbor[1])
+            if best_neighbor is None or best_neighbor[:2] >= cur_m:
+                return (*cur_m, order, ph)
+            cur_m = best_neighbor[:2]
             order, ph = best_neighbor[2], best_neighbor[3]
+            pmask = _phase_mask(ph)
 
     starts = [(tuple(range(n)), (False,) * n)]
     for _ in range(n):
@@ -377,7 +497,7 @@ def minimize_layout(
         ph = tuple(bool(rng.getrandbits(1)) for _ in range(n))
         starts.append((tuple(order), ph))
     best = min(climb(order, ph) for order, ph in starts)
-    return LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
+    return _confirmed(s, best, cap)
 
 
 # ---------------------------------------------------------------------------

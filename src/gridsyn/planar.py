@@ -20,11 +20,18 @@ ground truth and 'classes' the fast default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable
 
 from .cubes import MintermSet, PhaseVector, transform_mask
-from .gridplot import _level_pass, _planar_levels, build_grid_dag, is_planar_plot
+from .gridplot import (
+    _LevelTable,
+    _level_pass,
+    _phasings,
+    _planar_levels,
+    build_grid_dag,
+    is_planar_plot,
+)
 
 _EXHAUSTIVE_WITNESS_CAP = 6
 _SURVEY_CAP = 4
@@ -105,10 +112,16 @@ def is_planar_function(
     n = s.n
     if n > cap:
         raise ValueError(f"exhaustive planarity search capped at {cap} inputs")
+    table = _LevelTable(s)
+    phasings = _phasings(n)
     for order in permutations(range(n)):
-        for ph in product((False, True), repeat=n):
-            phases = PhaseVector(ph)
-            if is_planar_plot(build_grid_dag(s, order, phases)):
+        for ph, pmask in phasings:
+            if table.planar(order, pmask):
+                phases = PhaseVector(ph)
+                if not is_planar_plot(build_grid_dag(s, order, phases)):
+                    raise RuntimeError(
+                        f"level table disagrees with the grid DAG at {order}, {phases}"
+                    )
                 return (order, phases)
     return None
 

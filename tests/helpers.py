@@ -8,10 +8,12 @@ agreement is meaningful.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
-from gridsyn import Cover, MintermSet
+from gridsyn import Cover, MintermSet, PhaseVector, build_grid_dag, is_planar_plot, metrics
+from gridsyn.cubes import DEFAULT_EXPANSION_CAP
+from gridsyn.gridplot import LayoutResult, PlotMetrics
 
 DEMO_PLAS = Path(__file__).resolve().parent.parent / "demos" / "pla"
 
@@ -148,3 +150,77 @@ def oracle_closed_subset(cubes: set[str], gens) -> set[str]:
         else:
             rejected |= orbit & cubes
     return keep
+
+
+# ---------------------------------------------------------------------------
+# layout-search and planarity oracles: one full grid DAG per configuration
+
+
+def oracle_minimize_layout(s, mode="exhaustive", seed=0, cap=DEFAULT_EXPANSION_CAP):
+    """``minimize_layout`` as a loop that builds every configuration's grid DAG."""
+    n = s.n
+    if mode == "exhaustive":
+        if n > 8:
+            raise ValueError("exhaustive layout search requires n <= 8")
+        best = None
+        for order in permutations(range(n)):
+            for ph in product((False, True), repeat=n):
+                m = metrics(build_grid_dag(s, order, PhaseVector(ph), cap=cap))
+                key = (m.node_count, m.link_count, order, ph)
+                if best is None or key < best:
+                    best = key
+        assert best is not None
+        return LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
+    if mode != "greedy":
+        raise ValueError(f"unknown search mode {mode!r}")
+
+    rng = random.Random(seed)
+
+    def measure(order: tuple[int, ...], ph: tuple[bool, ...]) -> PlotMetrics:
+        return metrics(build_grid_dag(s, order, PhaseVector(ph), cap=cap))
+
+    def climb(order: tuple[int, ...], ph: tuple[bool, ...]):
+        cur_m = measure(order, ph)
+        while True:
+            best_neighbor = None
+            for i in range(n):
+                for j in range(i + 1, n):
+                    cand = list(order)
+                    cand[i], cand[j] = cand[j], cand[i]
+                    cand_t = tuple(cand)
+                    m = measure(cand_t, ph)
+                    k = (m.node_count, m.link_count, cand_t, ph)
+                    if best_neighbor is None or k < best_neighbor:
+                        best_neighbor = k
+            for i in range(n):
+                cand_ph = tuple(p ^ (idx == i) for idx, p in enumerate(ph))
+                m = measure(order, cand_ph)
+                k = (m.node_count, m.link_count, order, cand_ph)
+                if best_neighbor is None or k < best_neighbor:
+                    best_neighbor = k
+            if best_neighbor is None or best_neighbor[:2] >= (cur_m.node_count, cur_m.link_count):
+                return (cur_m.node_count, cur_m.link_count, order, ph)
+            cur_m = PlotMetrics(best_neighbor[0], best_neighbor[1])
+            order, ph = best_neighbor[2], best_neighbor[3]
+
+    starts = [(tuple(range(n)), (False,) * n)]
+    for _ in range(n):
+        order = list(range(n))
+        rng.shuffle(order)
+        ph = tuple(bool(rng.getrandbits(1)) for _ in range(n))
+        starts.append((tuple(order), ph))
+    best = min(climb(order, ph) for order, ph in starts)
+    return LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
+
+
+def oracle_planar_witness(s, cap=6):
+    """``is_planar_function`` as a loop that builds every configuration's grid DAG."""
+    n = s.n
+    if n > cap:
+        raise ValueError(f"exhaustive planarity search capped at {cap} inputs")
+    for order in permutations(range(n)):
+        for ph in product((False, True), repeat=n):
+            phases = PhaseVector(ph)
+            if is_planar_plot(build_grid_dag(s, order, phases)):
+                return (order, phases)
+    return None

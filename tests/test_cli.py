@@ -82,3 +82,23 @@ def test_verify_says_when_it_sampled(n, text, exhaustive, checked, tmp_path, mon
         exhaustive,
         checked,
     )
+
+
+def test_synth_skips_layout_over_the_cap(tmp_path, monkeypatch, capsys):
+    # 25 inputs, two of them live: decomposition and verification run, the
+    # layout search would have to expand all 2**25 assignments
+    monkeypatch.chdir(tmp_path)
+    n = 25
+    names = [f"x{i}" for i in range(n)]
+    (tmp_path / "wide.pla").write_text(
+        f".i {n}\n.o 1\n.ilb {' '.join(names)}\n{'---1' + '-' * 10 + '0' + '-' * 10} 1\n.e\n"
+    )
+    assert main(["synth", "wide.pla"]) == 0
+    out = capsys.readouterr().out
+    assert "wide: best layout skipped (25 inputs over the 24-input cap)\n" in out
+    assert "wide: verified equivalent on 1048576 sampled assignments;" in out
+    assert (tmp_path / "wide.net").exists()
+    assert main(["synth", "wide.pla", "--json"]) == 0
+    (circuit,) = json.loads(capsys.readouterr().out)["circuits"]
+    assert circuit["layout"] is None
+    assert (circuit["inputs"], circuit["exhaustive"], circuit["checked"]) == (25, False, 1 << 20)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 from math import comb
@@ -21,11 +22,18 @@ from gridsyn import (
     sf_minterms,
     spectrum_of,
 )
-from gridsyn import transform_mask
+from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import _level_pass, _planar_levels, path_counts
+from gridsyn.gridplot import _LevelTable, _level_pass, _planar_levels, path_counts
 
-from helpers import ms, oracle_metrics, oracle_planar, words_of
+from helpers import (
+    ms,
+    oracle_metrics,
+    oracle_minimize_layout,
+    oracle_planar,
+    random_cover,
+    words_of,
+)
 
 XOR_PAIR = ms("1010", "1001", "0110", "0101")
 
@@ -354,6 +362,75 @@ class TestMinimize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             minimize_layout(ms("1"), mode="annealing")
+
+
+class TestLevelTable:
+    def test_matches_the_grid_dag(self):
+        """(N, L) and planarity of 320 seeded (function, order, phases) triples,
+        eight configurations per function through one table, so later ones
+        reuse the levels and class sets of earlier ones."""
+        rng = random.Random(1990)
+        triples = 0
+        for k in range(40):
+            n = k % 8
+            if k < 8:
+                s = MintermSet(n, 0) if k % 2 else MintermSet.universe(n)
+            else:
+                s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
+            table = _LevelTable(s, n)
+            for _ in range(8):
+                order = tuple(rng.sample(range(n), n))
+                pmask = rng.getrandbits(n) if n else 0
+                phases = PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n)))
+                dag = build_grid_dag(s, order, phases)
+                assert table.metrics(order, pmask) == tuple(metrics(dag)), (s, order, pmask)
+                assert table.planar(order, pmask) == is_planar_plot(dag), (s, order, pmask)
+                triples += 1
+        assert triples == 320
+
+    def test_capacity_error(self):
+        with pytest.raises(CapacityError):
+            minimize_layout(MintermSet(9, 0), mode="greedy", cap=8)
+
+
+def layout_cases():
+    """(minterm set, mode, seed) searches in a fixed order: greedy for n 0-9,
+    exhaustive for n <= 5, each on the empty function, the tautology, a dense
+    random function and a random cover."""
+    rng = random.Random(1990)
+    for n in range(10):
+        sets = [
+            MintermSet(n, 0),
+            MintermSet.universe(n),
+            MintermSet(n, rng.getrandbits(1 << n)),
+            cover_to_minterms(random_cover(rng, n, rng.randint(1, 2 * n + 1))),
+        ]
+        for s in sets:
+            yield s, "greedy", rng.randrange(100)
+            if n <= 5:
+                yield s, "exhaustive", 0
+
+
+def layout_key(result) -> tuple:
+    return (result.order, result.phases.inverted, tuple(result.metrics))
+
+
+#: sha256 of the search results on ``layout_cases``, computed with one full
+#: grid DAG per configuration.
+PINNED_LAYOUTS = "21f7b84870152fe949e22488d3722aeb4c981b384938e1246915cdcc95c756de"
+
+
+class TestSearchAgainstOracle:
+    def test_results_match_the_per_configuration_loop(self):
+        for s, mode, seed in layout_cases():
+            got = minimize_layout(s, mode=mode, seed=seed)
+            assert got == oracle_minimize_layout(s, mode=mode, seed=seed), (s, mode, seed)
+
+    def test_results_are_pinned(self):
+        h = hashlib.sha256()
+        for s, mode, seed in layout_cases():
+            h.update(repr(layout_key(minimize_layout(s, mode=mode, seed=seed))).encode())
+        assert h.hexdigest() == PINNED_LAYOUTS
 
 
 class TestRender:

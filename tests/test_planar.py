@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -21,7 +22,7 @@ from gridsyn import (
 from gridsyn import transform_mask
 from gridsyn.planar import _planar_word
 
-from helpers import ms, words_of
+from helpers import ms, oracle_planar_witness, words_of
 
 
 class TestTemplate:
@@ -97,6 +98,42 @@ class TestIsPlanarFunction:
     def test_arity_cap(self):
         with pytest.raises(ValueError):
             is_planar_function(MintermSet(7, 1))
+
+
+def planarity_cases():
+    """Functions of n <= 5 inputs in a fixed order: the empty function, the
+    tautology, random functions, and planar-by-construction functions under
+    a random input permutation and phase assignment."""
+    rng = random.Random(1993)
+    for n in range(6):
+        yield MintermSet(n, 0)
+        yield MintermSet.universe(n)
+        for _ in range(3):
+            yield MintermSet(n, rng.getrandbits(1 << n))
+        t = full_template(n)
+        for _ in range(3):
+            pf = derive_pf(t, {link for link in sorted(t.links) if rng.random() < 0.3})
+            perm = tuple(rng.sample(range(n), n))
+            phases = PhaseVector(tuple(rng.random() < 0.5 for _ in range(n)))
+            yield permute_minterms(phase_minterms(pf, phases), perm)
+
+
+#: sha256 of the witnesses on ``planarity_cases``, computed with one full grid
+#: DAG per configuration.
+PINNED_WITNESSES = "3964e9545b5077b3dd32bc74c5dbf260d5327f1c717597b47ebbf4ebfa95d669"
+
+
+class TestDecisionAgainstOracle:
+    def test_witnesses_match_the_per_configuration_loop(self):
+        for s in planarity_cases():
+            assert is_planar_function(s) == oracle_planar_witness(s), s
+
+    def test_witnesses_are_pinned(self):
+        h = hashlib.sha256()
+        for s in planarity_cases():
+            w = is_planar_function(s)
+            h.update(repr(w and (w[0], w[1].inverted)).encode())
+        assert h.hexdigest() == PINNED_WITNESSES
 
 
 class TestWalkAgreesWithDags:
