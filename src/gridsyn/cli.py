@@ -90,7 +90,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore-planar", help="exhaustive planarity survey")
     p.add_argument("-n", type=int, required=True, choices=(0, 1, 2, 3, 4))
-    p.add_argument("--mode", choices=("classes", "direct"), default="classes")
     p.add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")
     p.add_argument("--json", action="store_true")
 
@@ -256,7 +255,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
             }
         )
         if ns.report_cores:
-            text_lines.append(_core_report_text(cover))
+            text_lines.append(_core_report_text(cover, ns.core_metric))
 
     if ns.json:
         print(json.dumps({"command": "synth", "circuits": summary, "verified": not failed}, indent=2))
@@ -330,7 +329,7 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _core_report_text(cover: Cover, metric: str = "cubes") -> str:
+def _core_report_text(cover: Cover, metric: str) -> str:
     lines = ["pair cores:"]
     pairs = cores_mod.best_pair_cores(cover, metric)
     names = cover.input_names
@@ -456,7 +455,7 @@ def _cmd_tmap(ns: argparse.Namespace) -> int:
 
 
 def _cmd_explore(ns: argparse.Namespace) -> int:
-    survey = survey_planarity(ns.n, mode=ns.mode)
+    survey = survey_planarity(ns.n)
     summary = {
         "command": "explore-planar",
         "n": survey.n,
@@ -467,7 +466,6 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
             {"mask": w, "minterms": list(MintermSet(survey.n, w).members())}
             for w in survey.nonplanar_witnesses
         ],
-        "mode": survey.mode,
     }
     out_path = Path(ns.out or f"planar_bf{survey.n}.json")
     out_path.write_text(json.dumps(summary, indent=2) + "\n")

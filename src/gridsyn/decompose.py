@@ -328,26 +328,19 @@ _SAMPLE_BLOCKS = 16  # distinct seeded blocks beyond the expansion cap
 def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
     """Compare a netlist against a cover on every assignment up to the expansion cap.
 
-    Up to 2**20 assignments both sides are compared as one truth table.
-    Above that the inputs past the first 16 are frozen block by block and
-    each 16-input subspace is compared as one truth table: all
-    ``2**(n - 16)`` blocks up to ``DEFAULT_EXPANSION_CAP`` inputs, and 16
-    distinct blocks drawn with ``seed`` (2**20 sampled assignments, not
-    exhaustive) beyond it.  On a mismatch the witness assignment is returned.
+    Up to 2**20 assignments both sides are compared as one truth table, a
+    single block with no input fixed.  Above that the inputs past the first
+    16 are frozen block by block and each 16-input subspace is compared as
+    one truth table: all ``2**(n - 16)`` blocks up to
+    ``DEFAULT_EXPANSION_CAP`` inputs, and 16 distinct blocks drawn with
+    ``seed`` (2**20 sampled assignments, not exhaustive) beyond it.  On a
+    mismatch the witness assignment is returned.
     """
     if nl.input_names != cover.input_names:
         raise ValueError("netlist and cover have different input sets")
     n = cover.n
-    if n <= _EXHAUSTIVE_LIMIT:
-        masks = assignment_masks(n)
-        full = full_mask(n)
-        diff = cover_mask(cover, masks, full) ^ netlist_mask(nl, masks, full)
-        if not diff:
-            return VerifyResult(True, None, True, 1 << n)
-        idx = (diff & -diff).bit_length() - 1
-        return VerifyResult(False, tuple((idx >> i) & 1 for i in range(n)), True, 1 << n)
-
-    high = n - _BLOCK
+    free = n if n <= _EXHAUSTIVE_LIMIT else _BLOCK
+    high = n - free
     exhaustive = n <= DEFAULT_EXPANSION_CAP
     if exhaustive:
         blocks: Sequence[int] = range(1 << high)
@@ -357,14 +350,14 @@ def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
         while len(drawn) < _SAMPLE_BLOCKS:
             drawn[rng.getrandbits(high)] = None
         blocks = list(drawn)
-    base_masks = assignment_masks(_BLOCK)
-    full = full_mask(_BLOCK)
+    base_masks = assignment_masks(free)
+    full = full_mask(free)
     for k, block in enumerate(blocks, 1):
         fixed = tuple((block >> i) & 1 for i in range(high))
         in_masks = list(base_masks) + [full if b else 0 for b in fixed]
         diff = cover_mask(cover, in_masks, full) ^ netlist_mask(nl, in_masks, full)
         if diff:
             idx = (diff & -diff).bit_length() - 1
-            witness = tuple((idx >> i) & 1 for i in range(_BLOCK)) + fixed
-            return VerifyResult(False, witness, exhaustive, k << _BLOCK)
-    return VerifyResult(True, None, exhaustive, len(blocks) << _BLOCK)
+            witness = tuple((idx >> i) & 1 for i in range(free)) + fixed
+            return VerifyResult(False, witness, exhaustive, k << free)
+    return VerifyResult(True, None, exhaustive, len(blocks) << free)

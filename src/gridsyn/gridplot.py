@@ -46,7 +46,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .cubes import (
     CapacityError,
@@ -131,14 +131,6 @@ class GridDag:
 
     def accepting(self) -> tuple[int, ...]:
         return self.levels[self.n] if self.n < len(self.levels) else ()
-
-    def links(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (source node id, bit value, target node id)."""
-        for i, node in enumerate(self.nodes):
-            if node.one is not None:
-                yield (i, 1, node.one)
-            if node.zero is not None:
-                yield (i, 0, node.zero)
 
 
 def _level_pass(word_bits: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
@@ -519,9 +511,7 @@ def _cell(node: GridNode) -> tuple[int, int]:
 
 def render_ascii(g: GridDag) -> str:
     """Deterministic character drawing: 'o' nodes, '*' accepting, '=' bridges."""
-    mult: dict[tuple[int, int], int] = {}
-    for node in g.nodes:
-        mult[node.point] = mult.get(node.point, 0) + 1
+    bridges = bridge_points(g)
 
     max_col = max((node.rank for node in g.nodes), default=0)
     max_row = max((node.depth - node.rank for node in g.nodes), default=0)
@@ -539,7 +529,7 @@ def render_ascii(g: GridDag) -> str:
     for node in g.nodes:
         col, row = _cell(node)
         x, y = col * 4, row * 2
-        if mult[node.point] > 1:
+        if node.point in bridges:
             canvas[y][x] = "="
         elif node.depth == g.n:
             canvas[y][x] = "*"
@@ -554,7 +544,6 @@ def render_ascii(g: GridDag) -> str:
     lines.append(str(m))
     acc_ranks = sorted(g.nodes[i].rank for i in g.accepting())
     lines.append("accepting ranks: " + (",".join(map(str, acc_ranks)) if acc_ranks else "none"))
-    bridges = bridge_points(g)
     if bridges:
         lines.append(
             "bridges: " + " ".join(f"(r={r},d={d})x{k}" for (r, d), k in bridges.items())
@@ -568,9 +557,7 @@ def render_svg(g: GridDag) -> str:
     """Self-contained SVG rendering of the plot."""
     step = 60
     pad = 30
-    mult: dict[tuple[int, int], int] = {}
-    for node in g.nodes:
-        mult[node.point] = mult.get(node.point, 0) + 1
+    bridges = bridge_points(g)
 
     def xy(node: GridNode) -> tuple[int, int]:
         col, row = _cell(node)
@@ -594,7 +581,7 @@ def render_svg(g: GridDag) -> str:
             )
     for node in g.nodes:
         x, y = xy(node)
-        bridged = mult[node.point] > 1
+        bridged = node.point in bridges
         fill = "red" if bridged else ("black" if node.depth == g.n else "white")
         parts.append(
             f'<circle cx="{x}" cy="{y}" r="6" fill="{fill}" stroke="black" stroke-width="1.5"/>'

@@ -7,14 +7,11 @@ links from the full symmetric grid template always yields a planar
 function, so the template acts as a programmable cell: the full template of
 arity n carries exactly n(n+1) links.
 
-The survey sweeps every function of a small arity.  Its 'direct' mode tries
-all n! * 2**n configurations per function; the 'classes' mode partitions
-functions into orbits under input permutation plus input complementation
-(planarity is invariant under both, since those transforms merely relabel
-the configuration space) and decides each orbit once: the orbit is also
-the set of words of all configurations, so it is planar iff one member's
-identity-order plot is.  Both modes count identically; 'direct' is the
-ground truth and 'classes' the fast default.
+The survey sweeps every function of a small arity.  Planarity is invariant
+under input permutation and input complementation, which merely relabel
+the configuration space, so the survey partitions the functions into
+orbits under that group (the NP classes) and decides each orbit once, with
+``is_planar_function`` on its first member.
 """
 
 from __future__ import annotations
@@ -24,14 +21,7 @@ from itertools import permutations
 from typing import Iterable
 
 from .cubes import MintermSet, PhaseVector, transform_mask
-from .gridplot import (
-    _LevelTable,
-    _level_pass,
-    _phasings,
-    _planar_levels,
-    build_grid_dag,
-    is_planar_plot,
-)
+from .gridplot import _LevelTable, _phasings, build_grid_dag, is_planar_plot
 
 _EXHAUSTIVE_WITNESS_CAP = 6
 _SURVEY_CAP = 4
@@ -136,40 +126,13 @@ class PlanarSurvey:
     total: int
     planar: int
     nonplanar_witnesses: tuple[int, ...]
-    mode: str
 
     @property
     def all_planar(self) -> bool:
         return self.planar == self.total
 
 
-def _planar_word(word_bits: int, n: int) -> bool:
-    """Planarity of the identity-order plot of a word-set mask."""
-    return _planar_levels(_level_pass(word_bits, n)[0])
-
-
-def _np_class(f: int, n: int) -> set[int]:
-    """Truth tables reachable from ``f`` by input complements and permutations.
-
-    Closure under the n single-input flips and the n - 1 adjacent
-    transpositions, which generate the whole group.
-    """
-    steps = [(None, 1 << i) for i in range(n)] + [
-        ((*range(i), i + 1, i, *range(i + 2, n)), 0) for i in range(n - 1)
-    ]
-    orbit = {f}
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        for perm, flips in steps:
-            h = transform_mask(g, n, perm, flips)
-            if h not in orbit:
-                orbit.add(h)
-                todo.append(h)
-    return orbit
-
-
-def survey_planarity(n: int, mode: str = "classes") -> PlanarSurvey:
+def survey_planarity(n: int) -> PlanarSurvey:
     """Classify every function of arity n as planar or not.
 
     Deterministic; reports the total, the planar count, and up to ten
@@ -177,37 +140,20 @@ def survey_planarity(n: int, mode: str = "classes") -> PlanarSurvey:
     """
     if not 0 <= n <= _SURVEY_CAP:
         raise ValueError(f"exhaustive survey capped at {_SURVEY_CAP} inputs")
-    if mode not in ("classes", "direct"):
-        raise ValueError(f"unknown survey mode {mode!r}")
     total = 1 << (1 << n)
+    group = [(perm, flips) for perm in permutations(range(n)) for flips in range(1 << n)]
+    seen = bytearray(total)
     nonplanar: list[int] = []
     planar_count = 0
-
-    if mode == "direct":
-        configs = [
-            (order[::-1], pmask)
-            for order in permutations(range(n))
-            for pmask in range(1 << n)
-        ]
-        for f in range(total):
-            if any(_planar_word(transform_mask(f, n, rev, pmask), n) for rev, pmask in configs):
-                planar_count += 1
-            elif len(nonplanar) < _MAX_WITNESSES:
-                nonplanar.append(f)
-        return PlanarSurvey(n, total, planar_count, tuple(nonplanar), mode)
-
-    # Reversing the word is itself an input permutation, so an orbit is also
-    # the set of its members' words under every configuration.
-    seen = bytearray(total)
     for f in range(total):
         if seen[f]:
             continue
-        orbit = _np_class(f, n)
+        orbit = {transform_mask(f, n, perm, flips) for perm, flips in group}
         for g in orbit:
             seen[g] = 1
-        if any(_planar_word(w, n) for w in orbit):
+        if is_planar_function(MintermSet(n, f)) is not None:
             planar_count += len(orbit)
         else:
             nonplanar.extend(orbit)
     nonplanar.sort()
-    return PlanarSurvey(n, total, planar_count, tuple(nonplanar[:_MAX_WITNESSES]), mode)
+    return PlanarSurvey(n, total, planar_count, tuple(nonplanar[:_MAX_WITNESSES]))

@@ -14,11 +14,16 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .cubes import CapacityError, MintermSet, assignment_masks, full_mask, popcount_class_masks
+from .cubes import (
+    CapacityError,
+    DEFAULT_EXPANSION_CAP,
+    MintermSet,
+    assignment_masks,
+    full_mask,
+    popcount_class_masks,
+)
 
 RankSpectrum = tuple[int, ...]
-
-_RANK_MASK_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -35,18 +40,14 @@ class FullRankSet:
         if not self.ranks.issubset(range(self.n + 1)):
             raise ValueError(f"ranks must lie in [0, {self.n}]")
 
-    @property
-    def sorted_ranks(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ranks))
-
 
 def spectrum_of(s: MintermSet) -> RankSpectrum:
     """Minterm counts per rank, indices 0..n.
 
-    Up to ``_RANK_MASK_CAP`` inputs each count is one popcount of the set
-    under a rank mask; above it the members are counted one at a time.
+    Up to ``DEFAULT_EXPANSION_CAP`` inputs each count is one popcount of the
+    set under a rank mask; above it the members are counted one at a time.
     """
-    if s.n <= _RANK_MASK_CAP:
+    if s.n <= DEFAULT_EXPANSION_CAP:
         return tuple((s.bits & m).bit_count() for m in rank_index_masks(s.n))
     counts = [0] * (s.n + 1)
     for v in s.members():
@@ -95,8 +96,8 @@ def fullrank_set_if_symmetric(s: MintermSet) -> FullRankSet | None:
 @functools.lru_cache(maxsize=None)
 def rank_index_masks(n: int) -> tuple[int, ...]:
     """Truth-table mask of each rank class: ``masks[r]`` covers popcount-r indices."""
-    if n > _RANK_MASK_CAP:
-        raise CapacityError(f"rank masks capped at {_RANK_MASK_CAP} inputs")
+    if n > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(f"rank masks capped at {DEFAULT_EXPANSION_CAP} inputs")
     return tuple(popcount_class_masks(assignment_masks(n), full_mask(n)))
 
 

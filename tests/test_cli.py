@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
+from gridsyn import write_pla
 from gridsyn.cli import main
 
-from helpers import DEMO_PLAS
+from helpers import DEMO_PLAS, random_cover
 
 MALFORMED_NETLISTS = {
     "empty_and": "inputs: a b\n0 AND_DISJOINT\noutput: n0\n",
@@ -40,6 +42,18 @@ def test_spectrum_headline(capsys):
 def test_cores_report_runs(capsys):
     assert main(["cores", str(DEMO_PLAS / "xor_pair.pla")]) == 0
     assert "best core:" in capsys.readouterr().out
+
+
+def test_synth_core_report_uses_the_core_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.pla").write_text(write_pla(random_cover(random.Random(0), 5, 8)))
+    reports = {}
+    for metric in ("cubes", "minterms"):
+        assert main(["cores", "r.pla", "--core-metric", metric]) == 0
+        reports[metric] = capsys.readouterr().out
+    assert reports["cubes"] != reports["minterms"]
+    assert main(["synth", "r.pla", "--report-cores", "--core-metric", "minterms"]) == 0
+    assert reports["minterms"] in capsys.readouterr().out
 
 
 def test_synth_is_deterministic(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from itertools import permutations
 
 import pytest
 
@@ -19,10 +18,8 @@ from gridsyn import (
     sf_minterms,
     survey_planarity,
 )
-from gridsyn import transform_mask
-from gridsyn.planar import _planar_word
 
-from helpers import ms, oracle_planar_witness, words_of
+from helpers import ms, oracle_planar_witness
 
 
 class TestTemplate:
@@ -136,20 +133,16 @@ class TestDecisionAgainstOracle:
         assert h.hexdigest() == PINNED_WITNESSES
 
 
-class TestWalkAgreesWithDags:
-    def test_fast_walk_matches_definitional_path(self):
-        rng = random.Random(8)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            s = MintermSet(n, rng.getrandbits(1 << n))
-            order = tuple(rng.sample(range(n), n))
-            inverted = [i for i in range(n) if rng.random() < 0.4]
-            phases = PhaseVector.inverting(n, inverted)
-            dag = build_grid_dag(s, order, phases)
-            word_bits = transform_mask(s.bits, n, order[::-1], phases.mask)
-            words = words_of(s, order, inverted)
-            assert word_bits == sum(1 << int(w, 2) for w in words)
-            assert _planar_word(word_bits, n) == is_planar_plot(dag)
+@pytest.fixture(scope="module")
+def survey4():
+    return survey_planarity(4)
+
+
+def oracle_survey(n):
+    """Total, planar count and first ten non-planar masks, one oracle call per function."""
+    total = 1 << (1 << n)
+    nonplanar = [f for f in range(total) if oracle_planar_witness(MintermSet(n, f)) is None]
+    return (total, total - len(nonplanar), tuple(nonplanar[:10]))
 
 
 class TestSurvey:
@@ -162,44 +155,40 @@ class TestSurvey:
         survey = survey_planarity(3)
         assert (survey.total, survey.planar) == (256, 256)
 
-    def test_direct_and_class_modes_agree_exactly(self):
+    def test_survey_matches_per_function_oracle(self):
         for n in range(0, 4):
-            d = survey_planarity(n, mode="direct")
-            c = survey_planarity(n, mode="classes")
-            assert (d.total, d.planar, d.nonplanar_witnesses) == (
-                c.total,
-                c.planar,
-                c.nonplanar_witnesses,
-            )
+            survey = survey_planarity(n)
+            assert (survey.total, survey.planar, survey.nonplanar_witnesses) == oracle_survey(n)
 
-    def test_class_mode_matches_per_function_search_on_samples(self):
-        survey = survey_planarity(4)
+    def test_four_inputs_match_per_function_oracle_on_samples(self, survey4):
         rng = random.Random(11)
-        configs = [(order[::-1], pmask) for order in permutations(range(4)) for pmask in range(16)]
-        nonplanar = set(survey.nonplanar_witnesses)
+        nonplanar = set(survey4.nonplanar_witnesses)
         samples = list(nonplanar)[:4] + [rng.getrandbits(16) for _ in range(25)]
         for mask in samples:
-            direct = any(
-                _planar_word(transform_mask(mask, 4, rev, pmask), 4) for rev, pmask in configs
-            )
-            definitional = is_planar_function(MintermSet(4, mask)) is not None
-            assert direct == definitional
+            s = MintermSet(4, mask)
+            witness = oracle_planar_witness(s)
+            assert (witness is not None) == (is_planar_function(s) is not None)
             if mask in nonplanar:
-                assert not direct
+                assert witness is None
+
+    def test_four_input_witnesses_are_pinned(self, survey4):
+        assert (survey4.total, survey4.planar) == (65536, 42244)
+        assert survey4.nonplanar_witnesses == (
+            0x358, 0x359, 0x35E, 0x35F, 0x364, 0x365, 0x376, 0x377, 0x398, 0x39A,
+        )
 
     def test_survey_is_deterministic(self):
         a = survey_planarity(4)
         b = survey_planarity(4)
         assert a == b
 
-    def test_witness_list_is_bounded_and_sorted(self):
-        survey = survey_planarity(4)
-        w = survey.nonplanar_witnesses
+    def test_witness_list_is_bounded_and_sorted(self, survey4):
+        w = survey4.nonplanar_witnesses
         assert len(w) <= 10
         assert list(w) == sorted(w)
 
-    def test_arity_cap_and_mode_validation(self):
+    def test_arity_cap(self):
         with pytest.raises(ValueError):
             survey_planarity(5)
         with pytest.raises(ValueError):
-            survey_planarity(2, mode="magic")
+            survey_planarity(-1)
