@@ -46,9 +46,6 @@ from .gridplot import (
     is_planar_plot,
     metrics,
     minimize_layout,
-    pascal_counts,
-    planar_factor,
-    rank_cut,
     render,
 )
 from .cores import (

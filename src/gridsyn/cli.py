@@ -30,7 +30,7 @@ from .cubes import (
     parse_pla_outputs,
 )
 from .decompose import DecomposeOptions, decompose, verify
-from .gridplot import build_grid_dag, metrics, minimize_layout, render
+from .gridplot import EXHAUSTIVE_LAYOUT_CAP, build_grid_dag, metrics, minimize_layout, render
 from .netlist import (
     Netlist,
     netlist_from_text,
@@ -182,6 +182,11 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     stem = _stem(ns)
     lib = _load_library(ns)
     opts = DecomposeOptions(dc_partition=ns.dc_partition, core_size_metric=ns.core_metric)
+    # refuse before any netlist is written; layouts over the expansion cap are skipped
+    if ns.minimize == "exhaustive" and any(
+        EXHAUSTIVE_LAYOUT_CAP < cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
+    ):
+        raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
 
     summary = []
     rows = []

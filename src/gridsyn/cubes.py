@@ -293,10 +293,12 @@ def transform_mask(
 # cover operations
 
 
-def cover_to_minterms(cover: Cover, cap: int = DEFAULT_EXPANSION_CAP) -> MintermSet:
+def cover_to_minterms(cover: Cover) -> MintermSet:
     """Exact union of all minterms covered by any cube."""
-    if cover.n > cap:
-        raise CapacityError(f"exact expansion capped at {cap} inputs (cover has {cover.n})")
+    if cover.n > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(
+            f"exact expansion capped at {DEFAULT_EXPANSION_CAP} inputs (cover has {cover.n})"
+        )
     full = full_mask(cover.n)
     return MintermSet(cover.n, cover_mask(cover, assignment_masks(cover.n), full))
 

@@ -63,7 +63,6 @@ class DecomposeOptions:
     dc_partition: bool = False
     core_size_metric: str = "cubes"
     max_depth: int = 400
-    expansion_cap: int = DEFAULT_EXPANSION_CAP
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,7 @@ def _assert_symmetric(phased: MintermSet, z: Sequence[int]) -> None:
             )
 
 
-def factor_core(
-    core: cores_mod.Core, cap: int = DEFAULT_EXPANSION_CAP
-) -> list[tuple[int, FullRankSet, Cover]]:
+def factor_core(core: cores_mod.Core) -> list[tuple[int, FullRankSet, Cover]]:
     """Rank-cut factorization of a symmetric core.
 
     Returns one term per occupied rank r of Z: the full rank-r symmetric
@@ -124,7 +121,7 @@ def factor_core(
     y = tuple(j for j in range(cover.n) if j not in set(z))
     phased_cubes = core.phased_cubes()
     phased_cover = Cover(cover.input_names, phased_cubes)
-    phased_set = cover_to_minterms(phased_cover, cap=cap)
+    phased_set = cover_to_minterms(phased_cover)
     _assert_symmetric(phased_set, z)
 
     terms: list[tuple[int, FullRankSet, Cover]] = []
@@ -229,12 +226,12 @@ def _decompose_rec(
             return builder.const(1)
         ref = builder.input(inputs[0])
         return ref if has1 else builder.inv(ref)
-    if k > opts.expansion_cap:
-        raise CapacityError(f"decomposition capped at {opts.expansion_cap} live inputs")
+    if k > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(f"decomposition capped at {DEFAULT_EXPANSION_CAP} live inputs")
 
     names = tuple(root.input_names[i] for i in inputs)
     local = Cover(names, tuple(cubes))
-    minterms = cover_to_minterms(local, cap=opts.expansion_cap)
+    minterms = cover_to_minterms(local)
 
     ranks = fullrank_set_if_symmetric(minterms)
     if ranks is not None:
@@ -244,7 +241,7 @@ def _decompose_rec(
     if core is None or not core.cube_indices:
         return _shannon_split(builder, cubes, inputs, root, opts, depth)
 
-    terms = factor_core(core, cap=opts.expansion_cap)
+    terms = factor_core(core)
     z_ops = []
     for local_idx in core.sym_inputs:
         ref = builder.input(inputs[local_idx])

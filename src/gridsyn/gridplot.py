@@ -22,9 +22,11 @@ completions (k characters left to read), with the next character to read in
 the most significant position, so splitting on the next character is a
 single shift or mask of a big integer.  One truth-table transform
 (``cubes.transform_mask``) turns the minterm set into that word mask, and
-one pass computes the classes level by level, with the link count; N, L,
-planarity and bridges come from those classes.  Node objects, with their
-links, are built on demand, only for rendering, factoring and path counts.
+one pass computes the classes level by level, with the link count.  Those
+classes are the whole plot: N, L, planarity, bridges and the drawings come
+from them.  A class at grid point (r, d) links to (r + 1, d + 1) when some
+completion starts with a 1 and to (r, d + 1) when some starts with a 0, so
+no node needs an identity of its own.
 
 The layout search and the planarity decision try thousands of
 configurations of one function, and level d of each depends only on the set
@@ -44,9 +46,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cubes import (
     CapacityError,
@@ -57,25 +58,6 @@ from .cubes import (
     full_mask,
     transform_mask,
 )
-
-
-@dataclass(frozen=True)
-class GridNode:
-    """One suffix class pinned to a grid point.
-
-    ``one`` and ``zero`` are node indices at the next depth, or None.
-    ``suffix_key`` identifies the suffix class (the completion-set mask).
-    """
-
-    rank: int
-    depth: int
-    suffix_key: int
-    one: int | None
-    zero: int | None
-
-    @property
-    def point(self) -> tuple[int, int]:
-        return (self.rank, self.depth)
 
 
 class PlotMetrics(NamedTuple):
@@ -91,8 +73,7 @@ class GridDag:
     """Minimal stratified acceptor of a fixed-length word set on the grid.
 
     ``classes[d]`` lists the (rank, suffix mask) classes of depth ``d`` in
-    ascending order and ``link_count`` counts their links; node objects are
-    numbered in that order and built on first access.
+    ascending order, one per node, and ``link_count`` counts their links.
     """
 
     n: int
@@ -100,37 +81,6 @@ class GridDag:
     phases: PhaseVector
     classes: tuple[tuple[tuple[int, int], ...], ...]
     link_count: int
-
-    @property
-    def origin(self) -> int:
-        return 0
-
-    @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        start = 0
-        for keys in self.classes:
-            out.append(tuple(range(start, start + len(keys))))
-            start += len(keys)
-        return tuple(out)
-
-    @cached_property
-    def nodes(self) -> tuple[GridNode, ...]:
-        ids = [dict(zip(keys, level)) for keys, level in zip(self.classes, self.levels)]
-        nodes = []
-        for depth, keys in enumerate(self.classes):
-            half = 1 << (self.n - depth - 1) if depth < self.n else 0
-            for rank, mask in keys:
-                # half == 0 on the accepting level, which has no links
-                hi = mask >> half if half else 0
-                lo = mask & ((1 << half) - 1)
-                one = ids[depth + 1][(rank + 1, hi)] if hi else None
-                zero = ids[depth + 1][(rank, lo)] if lo else None
-                nodes.append(GridNode(rank, depth, mask, one, zero))
-        return tuple(nodes)
-
-    def accepting(self) -> tuple[int, ...]:
-        return self.levels[self.n] if self.n < len(self.levels) else ()
 
 
 def _level_pass(word_bits: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
@@ -168,7 +118,6 @@ def build_grid_dag(
     s: MintermSet,
     order: Sequence[int] | None = None,
     phases: PhaseVector | None = None,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> GridDag:
     """Build the minimal grid DAG of a minterm set under an order and phasing.
 
@@ -176,8 +125,8 @@ def build_grid_dag(
     merge iff they share depth, rank, and suffix set.
     """
     n = s.n
-    if n > cap:
-        raise CapacityError(f"grid construction capped at {cap} inputs")
+    if n > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(f"grid construction capped at {DEFAULT_EXPANSION_CAP} inputs")
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the inputs")
@@ -209,108 +158,8 @@ def is_planar_plot(g: GridDag) -> bool:
     return _planar_levels(g.classes)
 
 
-def _suffix_minterms(node: GridNode, n: int) -> MintermSet:
-    k = n - node.depth
-    return MintermSet(k, transform_mask(node.suffix_key, k, range(k - 1, -1, -1)))
-
-
-def _prefix_sets(g: GridDag, depth: int) -> dict[int, int]:
-    """Minterm mask of the length-``depth`` prefixes reaching each node at ``depth``.
-
-    Character t of a prefix is bit t of its index, so extending every prefix
-    by a 0 keeps the mask and extending by a 1 shifts it by ``2**t``.
-    """
-    cur: dict[int, int] = {g.origin: 1}
-    for t in range(depth):
-        nxt: dict[int, int] = {}
-        for nid, mask in cur.items():
-            node = g.nodes[nid]
-            if node.one is not None:
-                nxt[node.one] = nxt.get(node.one, 0) | (mask << (1 << t))
-            if node.zero is not None:
-                nxt[node.zero] = nxt.get(node.zero, 0) | mask
-        cur = nxt
-    return cur
-
-
-def planar_factor(g: GridDag, depth: int) -> tuple[MintermSet, MintermSet] | None:
-    """Split F = G * H at a depth hosting a single node, if any.
-
-    G is the set of prefix paths (over the first ``depth`` ordered, phased
-    inputs) and H the node's suffix set; both are in the reordered domain.
-    """
-    if not 0 < depth < g.n:
-        raise ValueError("factor depth must satisfy 0 < depth < n")
-    level = g.levels[depth]
-    if len(level) != 1:
-        return None
-    nid = level[0]
-    prefix = _prefix_sets(g, depth).get(nid, 0)
-    return (MintermSet(depth, prefix), _suffix_minterms(g.nodes[nid], g.n))
-
-
-def rank_cut(
-    g: GridDag, depth: int
-) -> list[tuple[int, MintermSet, MintermSet]] | None:
-    """Per-rank factor terms at a depth where every grid point hosts one node.
-
-    Returns [(rank, prefix set, suffix set), ...] with F the disjoint sum of
-    the per-rank products, or None when some grid point hosts several nodes.
-    """
-    if not 0 < depth < g.n:
-        raise ValueError("cut depth must satisfy 0 < depth < n")
-    level = g.levels[depth]
-    ranks = [g.nodes[i].rank for i in level]
-    if len(ranks) != len(set(ranks)):
-        return None
-    prefixes = _prefix_sets(g, depth)
-    out = []
-    for nid in sorted(level, key=lambda i: g.nodes[i].rank):
-        node = g.nodes[nid]
-        out.append(
-            (
-                node.rank,
-                MintermSet(depth, prefixes.get(nid, 0)),
-                _suffix_minterms(node, g.n),
-            )
-        )
-    return out
-
-
-def path_counts(g: GridDag) -> dict[int, int]:
-    """Number of accepted paths from the origin to each node."""
-    counts = {g.origin: 1}
-    for i, node in enumerate(g.nodes):
-        c = counts.get(i, 0)
-        if not c:
-            continue
-        if node.one is not None:
-            counts[node.one] = counts.get(node.one, 0) + c
-        if node.zero is not None:
-            counts[node.zero] = counts.get(node.zero, 0) + c
-    return counts
-
-
-def pascal_counts(n: int) -> list[list[int]]:
-    """Path multiplicities of the full (tautology) plot, by depth.
-
-    Row d entry r counts the paths from the origin to grid point (r, d);
-    each entry is the sum of its two predecessors, so the n-th row is the
-    binomial diagonal.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    rows = [[1]]
-    for _ in range(n):
-        prev = rows[-1]
-        row = [1]
-        for r in range(1, len(prev)):
-            row.append(prev[r - 1] + prev[r])
-        row.append(1)
-        if len(prev) == 1:
-            row = [1, 1]
-        rows.append(row)
-    return rows
+#: Largest arity that ``minimize_layout`` sweeps exhaustively.
+EXHAUSTIVE_LAYOUT_CAP = 8
 
 
 class LayoutResult(NamedTuple):
@@ -331,10 +180,10 @@ class _LevelTable:
     classes is split once.
     """
 
-    def __init__(self, s: MintermSet, cap: int = DEFAULT_EXPANSION_CAP):
+    def __init__(self, s: MintermSet):
         n = s.n
-        if n > cap:
-            raise CapacityError(f"grid construction capped at {cap} inputs")
+        if n > DEFAULT_EXPANSION_CAP:
+            raise CapacityError(f"grid construction capped at {DEFAULT_EXPANSION_CAP} inputs")
         self.n = n
         full = full_mask(n)
         self.low = [full & ~m for m in assignment_masks(n)]
@@ -419,10 +268,10 @@ def _phasings(n: int) -> list[tuple[tuple[bool, ...], int]]:
     return [(ph, _phase_mask(ph)) for ph in product((False, True), repeat=n)]
 
 
-def _confirmed(s: MintermSet, best: tuple, cap: int) -> LayoutResult:
+def _confirmed(s: MintermSet, best: tuple) -> LayoutResult:
     """The search result for a (N, L, order, phases) key, checked against its grid DAG."""
     result = LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
-    if metrics(build_grid_dag(s, result.order, result.phases, cap=cap)) != result.metrics:
+    if metrics(build_grid_dag(s, result.order, result.phases)) != result.metrics:
         raise RuntimeError(f"level table disagrees with the grid DAG at {result}")
     return result
 
@@ -431,32 +280,31 @@ def minimize_layout(
     s: MintermSet,
     mode: str = "exhaustive",
     seed: int = 0,
-    cap: int = DEFAULT_EXPANSION_CAP,
 ) -> LayoutResult:
     """Search input orders and phases minimizing the node count N.
 
     Ties break on smaller L, then on the lexicographically smallest
     (order, phases) pair.  ``exhaustive`` sweeps all n! * 2**n configurations
-    (n <= 8); ``greedy`` hill-climbs with pairwise order swaps and single
+    (n <= ``EXHAUSTIVE_LAYOUT_CAP``); ``greedy`` hill-climbs with pairwise order swaps and single
     phase flips from the identity plus n seeded random restarts.
     """
     n = s.n
     if mode == "exhaustive":
-        if n > 8:
-            raise ValueError("exhaustive layout search requires n <= 8")
-        table = _LevelTable(s, cap)
+        if n > EXHAUSTIVE_LAYOUT_CAP:
+            raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
+        table = _LevelTable(s)
         phasings = _phasings(n)
         best = min(
             (*table.metrics(order, pmask), order, ph)
             for order in permutations(range(n))
             for ph, pmask in phasings
         )
-        return _confirmed(s, best, cap)
+        return _confirmed(s, best)
     if mode != "greedy":
         raise ValueError(f"unknown search mode {mode!r}")
 
     rng = random.Random(seed)
-    table = _LevelTable(s, cap)
+    table = _LevelTable(s)
 
     def climb(order: tuple[int, ...], ph: tuple[bool, ...]):
         pmask = _phase_mask(ph)
@@ -489,7 +337,7 @@ def minimize_layout(
         ph = tuple(bool(rng.getrandbits(1)) for _ in range(n))
         starts.append((tuple(order), ph))
     best = min(climb(order, ph) for order, ph in starts)
-    return _confirmed(s, best, cap)
+    return _confirmed(s, best)
 
 
 # ---------------------------------------------------------------------------
@@ -504,36 +352,40 @@ def render(g: GridDag, style: str = "ascii") -> str:
     raise ValueError(f"unknown render style {style!r}")
 
 
-def _cell(node: GridNode) -> tuple[int, int]:
-    # column = rank (right steps), row = depth - rank (down steps)
-    return (node.rank, node.depth - node.rank)
+def _class_links(g: GridDag) -> Iterator[tuple[int, int, bool, bool]]:
+    """(rank, depth, has a one-link, has a zero-link) of every class, in level order."""
+    for depth, keys in enumerate(g.classes):
+        # half == 0 on the accepting level, which has no links
+        half = 1 << (g.n - depth - 1) if depth < g.n else 0
+        for rank, mask in keys:
+            yield rank, depth, bool(half and mask >> half), bool(mask & ((1 << half) - 1))
 
 
 def render_ascii(g: GridDag) -> str:
     """Deterministic character drawing: 'o' nodes, '*' accepting, '=' bridges."""
     bridges = bridge_points(g)
+    nodes = list(_class_links(g))
 
-    max_col = max((node.rank for node in g.nodes), default=0)
-    max_row = max((node.depth - node.rank for node in g.nodes), default=0)
+    # column = rank (right steps), row = depth - rank (down steps)
+    max_col = max((r for r, _, _, _ in nodes), default=0)
+    max_row = max((d - r for r, d, _, _ in nodes), default=0)
     width = max_col * 4 + 4
     height = max_row * 2 + 1
     canvas = [[" "] * width for _ in range(height)]
 
-    for node in g.nodes:
-        col, row = _cell(node)
-        x, y = col * 4, row * 2
-        if node.one is not None:
+    for r, d, one, zero in nodes:
+        x, y = r * 4, (d - r) * 2
+        if one:
             canvas[y][x + 1 : x + 4] = "---"
-        if node.zero is not None:
+        if zero:
             canvas[y + 1][x] = "|"
-    for node in g.nodes:
-        col, row = _cell(node)
-        x, y = col * 4, row * 2
-        if node.point in bridges:
+    for r, d, _, _ in nodes:
+        x, y = r * 4, (d - r) * 2
+        if (r, d) in bridges:
             canvas[y][x] = "="
-        elif node.depth == g.n:
+        elif d == g.n:
             canvas[y][x] = "*"
-            for k, ch in enumerate(str(node.rank)):
+            for k, ch in enumerate(str(r)):
                 canvas[y][x + 1 + k] = ch
         else:
             canvas[y][x] = "o"
@@ -542,7 +394,7 @@ def render_ascii(g: GridDag) -> str:
     lines = ["".join(row).rstrip() for row in canvas]
     lines.append("")
     lines.append(str(m))
-    acc_ranks = sorted(g.nodes[i].rank for i in g.accepting())
+    acc_ranks = sorted(r for r, _ in g.classes[g.n])
     lines.append("accepting ranks: " + (",".join(map(str, acc_ranks)) if acc_ranks else "none"))
     if bridges:
         lines.append(
@@ -558,36 +410,35 @@ def render_svg(g: GridDag) -> str:
     step = 60
     pad = 30
     bridges = bridge_points(g)
+    nodes = list(_class_links(g))
 
-    def xy(node: GridNode) -> tuple[int, int]:
-        col, row = _cell(node)
-        return (pad + col * step, pad + row * step)
+    def xy(r: int, d: int) -> tuple[int, int]:
+        return (pad + r * step, pad + (d - r) * step)
 
-    max_col = max((node.rank for node in g.nodes), default=0)
-    max_row = max((node.depth - node.rank for node in g.nodes), default=0)
+    max_col = max((r for r, _, _, _ in nodes), default=0)
+    max_row = max((d - r for r, d, _, _ in nodes), default=0)
     w = pad * 2 + max_col * step + step
     h = pad * 2 + max_row * step + step
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" font-family="monospace" font-size="12">'
     ]
-    for node in g.nodes:
-        x, y = xy(node)
-        for target, label in ((node.one, "1"), (node.zero, "0")):
-            if target is None:
+    for r, d, one, zero in nodes:
+        x, y = xy(r, d)
+        for used, target in ((one, r + 1), (zero, r)):
+            if not used:
                 continue
-            tx, ty = xy(g.nodes[target])
+            tx, ty = xy(target, d + 1)
             parts.append(
                 f'<line x1="{x}" y1="{y}" x2="{tx}" y2="{ty}" stroke="black" stroke-width="1.5"/>'
             )
-    for node in g.nodes:
-        x, y = xy(node)
-        bridged = node.point in bridges
-        fill = "red" if bridged else ("black" if node.depth == g.n else "white")
+    for r, d, _, _ in nodes:
+        x, y = xy(r, d)
+        fill = "red" if (r, d) in bridges else ("black" if d == g.n else "white")
         parts.append(
             f'<circle cx="{x}" cy="{y}" r="6" fill="{fill}" stroke="black" stroke-width="1.5"/>'
         )
-        if node.depth == g.n:
-            parts.append(f'<text x="{x + 10}" y="{y + 4}">{node.rank}</text>')
+        if d == g.n:
+            parts.append(f'<text x="{x + 10}" y="{y + 4}">{r}</text>')
     m = metrics(g)
     parts.append(f'<text x="{pad}" y="{h - 8}">{m}</text>')
     parts.append("</svg>")

@@ -370,7 +370,11 @@ def netlist_from_text(text: str) -> Netlist:
         if not line:
             continue
         if line.startswith("inputs:"):
+            if input_names is not None:
+                raise ParseError("repeated inputs line", lineno)
             input_names = tuple(line[len("inputs:"):].split())
+            if len(set(input_names)) != len(input_names):
+                raise ParseError("duplicate input names", lineno)
             continue
         if line.startswith("output:"):
             if input_names is None:

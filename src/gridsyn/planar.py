@@ -21,7 +21,7 @@ from itertools import permutations
 from typing import Iterable
 
 from .cubes import MintermSet, PhaseVector, transform_mask
-from .gridplot import _LevelTable, _phasings, build_grid_dag, is_planar_plot
+from .gridplot import _LevelTable, _class_links, _phasings, build_grid_dag, is_planar_plot
 
 _EXHAUSTIVE_WITNESS_CAP = 6
 _SURVEY_CAP = 4
@@ -53,13 +53,12 @@ def full_template(n: int) -> TemplateGrid:
 
 def links_of(dag) -> frozenset[tuple[int, int, str]]:
     """Template links actually used by a grid DAG."""
-    used = set()
-    for node in dag.nodes:
-        if node.one is not None:
-            used.add((node.rank, node.depth, "one"))
-        if node.zero is not None:
-            used.add((node.rank, node.depth, "zero"))
-    return frozenset(used)
+    return frozenset(
+        (rank, depth, kind)
+        for rank, depth, one, zero in _class_links(dag)
+        for kind, used in (("one", one), ("zero", zero))
+        if used
+    )
 
 
 def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> MintermSet:
@@ -91,17 +90,17 @@ def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> Minte
 # planarity decision
 
 
-def is_planar_function(
-    s: MintermSet, cap: int = _EXHAUSTIVE_WITNESS_CAP
-) -> tuple[tuple[int, ...], PhaseVector] | None:
+def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | None:
     """Witness (order, phases) making the plot planar, or None.
 
     Configurations are tried in a fixed order (orders lexicographic, then
     phase tuples lexicographic) and the first witness is returned.
     """
     n = s.n
-    if n > cap:
-        raise ValueError(f"exhaustive planarity search capped at {cap} inputs")
+    if n > _EXHAUSTIVE_WITNESS_CAP:
+        raise ValueError(
+            f"exhaustive planarity search capped at {_EXHAUSTIVE_WITNESS_CAP} inputs"
+        )
     table = _LevelTable(s)
     phasings = _phasings(n)
     for order in permutations(range(n)):

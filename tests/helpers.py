@@ -12,7 +12,6 @@ from itertools import permutations, product
 from pathlib import Path
 
 from gridsyn import Cover, MintermSet, PhaseVector, build_grid_dag, is_planar_plot, metrics
-from gridsyn.cubes import DEFAULT_EXPANSION_CAP
 from gridsyn.gridplot import LayoutResult, PlotMetrics
 
 DEMO_PLAS = Path(__file__).resolve().parent.parent / "demos" / "pla"
@@ -156,7 +155,7 @@ def oracle_closed_subset(cubes: set[str], gens) -> set[str]:
 # layout-search and planarity oracles: one full grid DAG per configuration
 
 
-def oracle_minimize_layout(s, mode="exhaustive", seed=0, cap=DEFAULT_EXPANSION_CAP):
+def oracle_minimize_layout(s, mode="exhaustive", seed=0):
     """``minimize_layout`` as a loop that builds every configuration's grid DAG."""
     n = s.n
     if mode == "exhaustive":
@@ -165,7 +164,7 @@ def oracle_minimize_layout(s, mode="exhaustive", seed=0, cap=DEFAULT_EXPANSION_C
         best = None
         for order in permutations(range(n)):
             for ph in product((False, True), repeat=n):
-                m = metrics(build_grid_dag(s, order, PhaseVector(ph), cap=cap))
+                m = metrics(build_grid_dag(s, order, PhaseVector(ph)))
                 key = (m.node_count, m.link_count, order, ph)
                 if best is None or key < best:
                     best = key
@@ -177,7 +176,7 @@ def oracle_minimize_layout(s, mode="exhaustive", seed=0, cap=DEFAULT_EXPANSION_C
     rng = random.Random(seed)
 
     def measure(order: tuple[int, ...], ph: tuple[bool, ...]) -> PlotMetrics:
-        return metrics(build_grid_dag(s, order, PhaseVector(ph), cap=cap))
+        return metrics(build_grid_dag(s, order, PhaseVector(ph)))
 
     def climb(order: tuple[int, ...], ph: tuple[bool, ...]):
         cur_m = measure(order, ph)

@@ -12,6 +12,7 @@ MALFORMED_NETLISTS = {
     "empty_and": "inputs: a b\n0 AND_DISJOINT\noutput: n0\n",
     "empty_or": "inputs: a b\n0 OR\noutput: n0\n",
     "overlapping_and": "inputs: a b\n0 AND_DISJOINT i0 i0\noutput: n0\n",
+    "repeated_inputs": "inputs: a b c\n0 SYM [1] i0 i2\ninputs: a\noutput: n0\n",
 }
 
 
@@ -23,6 +24,16 @@ def test_tmap_rejects_malformed_netlist(name, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("gridsyn: error:")
     assert "Traceback" not in err
+
+
+def test_verify_rejects_a_repeated_inputs_line(tmp_path, monkeypatch, capsys):
+    # exit 1 is reserved for a failed equivalence check
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.net").write_text(MALFORMED_NETLISTS["repeated_inputs"])
+    (tmp_path / "r.pla").write_text(".i 3\n.o 1\n1-0 1\n.e\n")
+    assert main(["verify", "r.net", "r.pla"]) == 2
+    err = capsys.readouterr().err
+    assert err == "gridsyn: error: line 3: repeated inputs line\n"
 
 
 def test_survey_headline(tmp_path, monkeypatch, capsys):
@@ -116,3 +127,14 @@ def test_synth_skips_layout_over_the_cap(tmp_path, monkeypatch, capsys):
     (circuit,) = json.loads(capsys.readouterr().out)["circuits"]
     assert circuit["layout"] is None
     assert (circuit["inputs"], circuit["exhaustive"], circuit["checked"]) == (25, False, 1 << 20)
+
+
+def test_synth_rejects_exhaustive_layout_over_eight_inputs(tmp_path, monkeypatch, capsys):
+    # refused before decomposing, so no netlist is left behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w9.pla").write_text(write_pla(random_cover(random.Random(9), 9, 12)))
+    assert main(["synth", "w9.pla", "--minimize", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridsyn: error: exhaustive layout search requires n <= 8\n"
+    assert list(tmp_path.glob("*.net")) == []

@@ -1,7 +1,6 @@
 import hashlib
 import random
 from itertools import permutations
-from math import comb
 
 import pytest
 
@@ -12,21 +11,19 @@ from gridsyn import (
     build_grid_dag,
     bridge_points,
     is_planar_plot,
+    links_of,
     metrics,
     minimize_layout,
-    pascal_counts,
-    phase_minterms,
-    planar_factor,
-    rank_cut,
+    parse_pla_outputs,
     render,
     sf_minterms,
-    spectrum_of,
 )
 from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import _LevelTable, _level_pass, _planar_levels, path_counts
+from gridsyn.gridplot import _LevelTable, _level_pass, _planar_levels
 
 from helpers import (
+    DEMO_PLAS,
     ms,
     oracle_metrics,
     oracle_minimize_layout,
@@ -80,16 +77,20 @@ class TestMetrics:
             inverted = [i for i in range(n) if rng.random() < 0.3]
             dag = build_grid_dag(s, order, PhaseVector.inverting(n, inverted))
             words = words_of(s, order, inverted)
+            levels = [set(keys) for keys in dag.classes]
             for probe in {format(v, f"0{n}b") for v in range(min(1 << n, 256))} | words:
-                node = 0
-                ok = True
-                for ch in probe:
-                    nid = dag.nodes[node].one if ch == "1" else dag.nodes[node].zero
-                    if nid is None:
-                        ok = False
+                # a 1 leads from class (r, mask) to (r + 1, hi), a 0 to (r, lo)
+                rank, mask = dag.classes[0][0]
+                for d, ch in enumerate(probe):
+                    half = 1 << (n - d - 1)
+                    if ch == "1":
+                        rank, mask = rank + 1, mask >> half
+                    else:
+                        mask &= (1 << half) - 1
+                    if not mask:
                         break
-                    node = nid
-                assert ok == (probe in words)
+                    assert (rank, mask) in levels[d + 1]
+                assert bool(mask) == (probe in words)
 
     def test_node_out_degree_and_link_bound(self):
         rng = random.Random(2)
@@ -99,8 +100,17 @@ class TestMetrics:
             dag = build_grid_dag(s)
             m = metrics(dag)
             assert m.link_count <= 2 * m.node_count
-            for node in dag.nodes:
-                assert (node.one is not None) + (node.zero is not None) <= 2
+            links = 0
+            for d in range(n):
+                half = 1 << (n - d - 1)
+                for rank, mask in dag.classes[d]:
+                    targets = {(rank + 1, mask >> half), (rank, mask & ((1 << half) - 1))}
+                    targets = {t for t in targets if t[1]}
+                    # every class below the origin has a completion, so a link
+                    assert 1 <= len(targets) <= 2 or (d == 0 and not mask)
+                    assert targets <= set(dag.classes[d + 1])
+                    links += len(targets)
+            assert links == m.link_count
 
     def test_node_count_lower_bound(self):
         rng = random.Random(4)
@@ -126,14 +136,12 @@ class TestMetrics:
         # prefixes 11 and 00 of this set share their suffix set {00,11} at
         # depth 2 but sit at different ranks, so they stay distinct nodes
         dag = build_grid_dag(ms("0000", "0011", "1100", "1111"))
-        level = dag.levels[2]
-        assert len(level) == 2
-        keys = {dag.nodes[i].suffix_key for i in level}
-        assert len(keys) == 1
+        level = dag.classes[2]
+        assert [rank for rank, _ in level] == [0, 2]
+        assert len({mask for _, mask in level}) == 1
         # within one grid point merging is maximal
-        for lv in dag.levels:
-            seen = {(dag.nodes[i].rank, dag.nodes[i].suffix_key) for i in lv}
-            assert len(seen) == len(lv)
+        for keys in dag.classes:
+            assert len(set(keys)) == len(keys)
 
 
 
@@ -162,27 +170,8 @@ class TestLevelPass:
             assert (dag.classes, dag.link_count) == (classes, links)
             assert is_planar_plot(dag) == oracle_planar(words, n)
 
-    def test_nodes_are_numbered_by_rank_then_mask_within_levels(self):
-        dag = build_grid_dag(ms("0000", "0011", "1100", "1111", "0110"))
-        flat = [(node.depth, node.rank, node.suffix_key) for node in dag.nodes]
-        assert flat == sorted(flat)
-        assert [len(level) for level in dag.levels] == [len(keys) for keys in dag.classes]
 
 class TestStructure:
-    def test_path_counts_match_spectrum(self):
-        rng = random.Random(6)
-        for _ in range(25):
-            n = rng.randint(1, 8)
-            s = MintermSet(n, rng.getrandbits(1 << n))
-            inverted = [i for i in range(n) if rng.random() < 0.4]
-            phases = PhaseVector.inverting(n, inverted)
-            dag = build_grid_dag(s, phases=phases)
-            counts = path_counts(dag)
-            sp = spectrum_of(phase_minterms(s, phases))
-            by_rank = {dag.nodes[i].rank: counts.get(i, 0) for i in dag.accepting()}
-            for r in range(n + 1):
-                assert by_rank.get(r, 0) == sp[r]
-
     def test_symmetric_plots_are_planar(self):
         rng = random.Random(8)
         for _ in range(30):
@@ -198,117 +187,12 @@ class TestStructure:
                 s = sf_minterms(FullRankSet(n, {r}))
                 dag = build_grid_dag(s)
                 assert is_planar_plot(dag)
-                assert len(dag.accepting()) == 1
+                assert len(dag.classes[n]) == 1
 
     def test_planarity_of_three_configurations(self):
         assert is_planar_plot(build_grid_dag(XOR_PAIR))
         assert not is_planar_plot(build_grid_dag(XOR_PAIR, order=(0, 2, 1, 3)))
         assert bridge_points(build_grid_dag(XOR_PAIR, order=(0, 2, 1, 3))) == {(1, 2): 2}
-
-
-class TestFactoring:
-    def test_single_node_depth_splits_the_function(self):
-        g, h = planar_factor(build_grid_dag(XOR_PAIR), 2)
-        assert set(g.to_strings()) == {"10", "01"}
-        assert set(h.to_strings()) == {"10", "01"}
-
-    def test_multi_node_depth_returns_none(self):
-        assert planar_factor(build_grid_dag(XOR_PAIR, order=(0, 2, 1, 3)), 2) is None
-
-    def test_tautology_has_no_single_node_depth(self):
-        dag = build_grid_dag(MintermSet.universe(3))
-        for depth in (1, 2):
-            assert planar_factor(dag, depth) is None
-
-    def test_depth_bounds(self):
-        dag = build_grid_dag(XOR_PAIR)
-        for depth in (0, 4, 5):
-            with pytest.raises(ValueError):
-                planar_factor(dag, depth)
-            with pytest.raises(ValueError):
-                rank_cut(dag, depth)
-
-    def test_factor_reconstructs_product(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            m, k = rng.randint(1, 4), rng.randint(1, 4)
-            gb = rng.getrandbits(1 << m) or 1
-            hb = rng.getrandbits(1 << k) or 1
-            bits = 0
-            for gv in MintermSet(m, gb).members():
-                for hv in MintermSet(k, hb).members():
-                    bits |= 1 << (gv | (hv << m))
-            dag = build_grid_dag(MintermSet(m + k, bits))
-            got = planar_factor(dag, m)
-            if got is None:
-                continue  # a planar cut can exist without a single node
-            g, h = got
-            rebuilt = 0
-            for gv in g.members():
-                for hv in h.members():
-                    rebuilt |= 1 << (gv | (hv << m))
-            assert rebuilt == bits
-
-    def test_rank_cut_on_phased_configuration(self):
-        dag = build_grid_dag(ms("0000", "0011", "1100", "1111"))
-        cut = rank_cut(dag, 2)
-        assert [(r, set(g.to_strings()), set(h.to_strings())) for r, g, h in cut] == [
-            (0, {"00"}, {"00", "11"}),
-            (2, {"11"}, {"00", "11"}),
-        ]
-
-    def test_rank_cut_identity_configuration(self):
-        cut = rank_cut(build_grid_dag(XOR_PAIR), 2)
-        assert len(cut) == 1
-        r, g, h = cut[0]
-        assert r == 1 and set(g.to_strings()) == {"10", "01"}
-
-    def test_rank_cut_blocked_by_bridged_point(self):
-        assert rank_cut(build_grid_dag(XOR_PAIR, order=(0, 2, 1, 3)), 2) is None
-
-    def test_rank_cut_reconstructs_sum_of_products(self):
-        rng = random.Random(14)
-        for _ in range(30):
-            n = rng.randint(2, 8)
-            s = MintermSet(n, rng.getrandbits(1 << n))
-            if not s:
-                continue
-            dag = build_grid_dag(s)
-            for depth in range(1, n):
-                cut = rank_cut(dag, depth)
-                if cut is None:
-                    continue
-                rebuilt = 0
-                for r, g, h in cut:
-                    for gv in g.members():
-                        assert gv.bit_count() == r
-                        for hv in h.members():
-                            rebuilt |= 1 << (gv | (hv << depth))
-                assert rebuilt == s.bits
-
-
-class TestPascal:
-    def test_small_triangles(self):
-        assert pascal_counts(0) == [[1]]
-        assert pascal_counts(2)[-1] == [1, 2, 1]
-        assert pascal_counts(4)[-1] == [1, 4, 6, 4, 1]
-
-    def test_matches_binomials(self):
-        rows = pascal_counts(9)
-        for d, row in enumerate(rows):
-            assert row == [comb(d, r) for r in range(d + 1)]
-
-    def test_matches_tautology_path_counts(self):
-        n = 5
-        dag = build_grid_dag(MintermSet.universe(n))
-        counts = path_counts(dag)
-        rows = pascal_counts(n)
-        for i, node in enumerate(dag.nodes):
-            assert counts[i] == rows[node.depth][node.rank]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            pascal_counts(-1)
 
 
 class TestMinimize:
@@ -377,7 +261,7 @@ class TestLevelTable:
                 s = MintermSet(n, 0) if k % 2 else MintermSet.universe(n)
             else:
                 s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
-            table = _LevelTable(s, n)
+            table = _LevelTable(s)
             for _ in range(8):
                 order = tuple(rng.sample(range(n), n))
                 pmask = rng.getrandbits(n) if n else 0
@@ -390,7 +274,7 @@ class TestLevelTable:
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            minimize_layout(MintermSet(9, 0), mode="greedy", cap=8)
+            minimize_layout(MintermSet(25, 0), mode="greedy")
 
 
 def layout_cases():
@@ -463,3 +347,39 @@ class TestRender:
     def test_unknown_style(self):
         with pytest.raises(ValueError):
             render(build_grid_dag(XOR_PAIR), "png")
+
+
+def render_cases():
+    """Grid DAGs in a fixed order: every demo PLA output under the identity
+    configuration and six seeded (order, phases) pairs, then the empty and
+    full functions of 0-2 inputs."""
+    rng = random.Random(2001)
+    for path in sorted(DEMO_PLAS.glob("*.pla")):
+        for _, cover in parse_pla_outputs(path.read_text()):
+            s = cover_to_minterms(cover)
+            n = s.n
+            yield build_grid_dag(s)
+            for _ in range(6):
+                order = tuple(rng.sample(range(n), n))
+                inverted = [i for i in range(n) if rng.random() < 0.5]
+                yield build_grid_dag(s, order, PhaseVector.inverting(n, inverted))
+    for n in range(3):
+        yield build_grid_dag(MintermSet(n, 0))
+        yield build_grid_dag(MintermSet.universe(n))
+
+
+#: sha256 of the ASCII and SVG drawings and the sorted template links of
+#: ``render_cases``, computed while grid DAGs still carried node objects.
+PINNED_RENDERS = "677e228c4eeec79419e65c3e962fbabf8b64653a1f974173e39c98ee5a97499e"
+
+
+def test_renders_and_links_are_pinned():
+    h = hashlib.sha256()
+    bridged = 0
+    for dag in render_cases():
+        h.update(render(dag, "ascii").encode())
+        h.update(render(dag, "svg").encode())
+        h.update(repr(sorted(links_of(dag))).encode())
+        bridged += not is_planar_plot(dag)
+    assert bridged == 20
+    assert h.hexdigest() == PINNED_RENDERS

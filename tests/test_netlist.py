@@ -210,6 +210,8 @@ class TestSerialization:
             ("inputs: a\n0 AND_DISJOINT i0 i0\noutput: n0\n", "overlapping"),
             ("inputs: a b\n0 INV i0\n1 AND_DISJOINT n0 i1 i0\noutput: n1\n", "overlapping"),
             ("inputs: a\n", "missing output"),
+            ("inputs: a b c\n0 SYM [1] i0 i2\ninputs: a\noutput: n0\n", "repeated inputs"),
+            ("inputs: a b a\n0 INV i0\noutput: n0\n", "duplicate input names"),
         ],
     )
     def test_parse_errors(self, text, match):
