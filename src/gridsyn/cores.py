@@ -16,13 +16,24 @@ Search proceeds the way a cover is actually mined for structure: all input
 pairs are scored with both effective polarities, the best pair seeds a
 greedy widening that may trade cubes for inputs, and candidates compete on
 ``count * width**2`` so that wide cores beat deep ones.
+
+All pair cores come from one pass over the cover.  For a pair (a, b) a cube
+whose symbols at a and b are equal (or, with a flipped, complementary) is
+closed by itself; any other cube needs its swap partner, the cube that
+differs from it in exactly a and b, with the two symbols exchanged (or
+exchanged and complemented).  So per-input masks of cube positions holding
+``1``, ``0`` and ``-``, plus one scan of the cube pairs for partners, give
+every pair core as a few mask operations.  A widening step tries candidates
+that are all subsets of the current core, so none can be larger than it: the
+step stops at the first candidate that keeps the whole core, as no later one
+could strictly beat it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .cubes import Cover, cover_to_minterms
 
@@ -87,15 +98,19 @@ _ZEROS = str.maketrans("10-", "010")
 IntCube = tuple[int, int]
 
 
+def _int_cube(cube: str) -> IntCube:
+    """A cube as ``(ones, zeros)`` bit masks; bit j is input j."""
+    rev = cube[::-1]
+    return int(rev.translate(_ONES) or "0", 2), int(rev.translate(_ZEROS) or "0", 2)
+
+
 def _int_cubes(cover: Cover) -> list[IntCube]:
-    """Each cube as ``(ones, zeros)`` bit masks; bit j is input j."""
-    return [
-        (int(rev.translate(_ONES) or "0", 2), int(rev.translate(_ZEROS) or "0", 2))
-        for rev in (cube[::-1] for cube in cover.cubes)
-    ]
+    return [_int_cube(cube) for cube in cover.cubes]
 
 
-def _closed(cubes: Sequence[IntCube], indices: Sequence[int], z: int, flips: int) -> list[int]:
+def _closed(
+    cubes: Sequence[IntCube] | Mapping[int, IntCube], indices: Sequence[int], z: int, flips: int
+) -> list[int]:
     """The indices whose cube lies in a class closed under every permutation of Z.
 
     ``z`` and ``flips`` are input bit masks.  A cube's class key is its part
@@ -131,6 +146,87 @@ def _core_size(cover: Cover, indices: Sequence[int], metric: str) -> int:
     raise ValueError(f"unknown core size metric {metric!r}")
 
 
+def _positions(mask: int) -> list[int]:
+    """The set bits of a cube-position mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The plain and the flipped pair core of every pair a < b, as position masks.
+
+    Bit i of a mask is cube position i.  The plain core of (a, b) equals
+    ``_closed(cubes, range(len(cubes)), 1 << a | 1 << b, 0)`` and the
+    flipped one the same with ``flips = 1 << a``.  Partners are found in one
+    pass over the pairs of distinct cubes: two cubes that differ in exactly
+    inputs a < b are plain partners when their symbols there are exchanged,
+    and flip partners when they are exchanged and complemented.
+    """
+    at: dict[IntCube, int] = {}
+    for i, cube in enumerate(cubes):
+        at[cube] = at.get(cube, 0) | 1 << i
+    one, zero = [0] * n, [0] * n
+    for (ones, zeros), bits in at.items():
+        for j in range(n):
+            if ones >> j & 1:
+                one[j] |= bits
+            elif zeros >> j & 1:
+                zero[j] |= bits
+    every = (1 << len(cubes)) - 1
+    dash = [every & ~(one[j] | zero[j]) for j in range(n)]
+
+    plain: dict[tuple[int, int], int] = {}
+    flipped: dict[tuple[int, int], int] = {}
+    distinct = list(at.items())
+    for k, ((o1, z1), bits1) in enumerate(distinct):
+        for (o2, z2), bits2 in distinct[k + 1 :]:
+            diff = o1 ^ o2 | z1 ^ z2
+            if diff.bit_count() != 2:
+                continue
+            a = (diff & -diff).bit_length() - 1
+            b = diff.bit_length() - 1
+            # symbols as 1 -> +1, 0 -> -1, - -> 0, so complementing negates
+            s1a = (o1 >> a & 1) - (z1 >> a & 1)
+            s1b = (o1 >> b & 1) - (z1 >> b & 1)
+            s2a = (o2 >> a & 1) - (z2 >> a & 1)
+            s2b = (o2 >> b & 1) - (z2 >> b & 1)
+            if s2a == s1b and s2b == s1a:
+                plain[a, b] = plain.get((a, b), 0) | bits1 | bits2
+            elif s2a == -s1b and s2b == -s1a:
+                flipped[a, b] = flipped.get((a, b), 0) | bits1 | bits2
+
+    masks = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            both_dash = dash[a] & dash[b]
+            masks[a, b] = (
+                one[a] & one[b] | zero[a] & zero[b] | both_dash | plain.get((a, b), 0),
+                one[a] & zero[b] | zero[a] & one[b] | both_dash | flipped.get((a, b), 0),
+            )
+    return masks
+
+
+def _scored_pairs(cover: Cover, size_metric: str) -> list[tuple[tuple[int, int], bool, int, int]]:
+    """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
+
+    def size(mask: int) -> int:
+        if size_metric == "cubes":
+            return mask.bit_count()
+        return _core_size(cover, _positions(mask), size_metric)
+
+    out = []
+    for pair, (plain, flipped) in _pair_masks(_int_cubes(cover), cover.n).items():
+        plain_size, flipped_size = size(plain), size(flipped)
+        if flipped_size > plain_size:
+            out.append((pair, True, flipped, flipped_size))
+        else:
+            out.append((pair, False, plain, plain_size))
+    return out
+
+
+def _pair_seed(cover: Cover, pair: tuple[int, int], flip: bool, mask: int) -> Core:
+    return Core(cover, _positions(mask), pair, {pair[0]} if flip else ())
+
+
 def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     """Largest cube sub-list closed under swapping columns a and b.
 
@@ -141,10 +237,7 @@ def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     """
     if a == b:
         raise ValueError("pair inputs must differ")
-    return _pair_core(cover, _int_cubes(cover), a, b, invert_a)
-
-
-def _pair_core(cover: Cover, cubes: Sequence[IntCube], a: int, b: int, invert_a: bool) -> Core:
+    cubes = _int_cubes(cover)
     indices = _closed(cubes, range(len(cubes)), 1 << a | 1 << b, invert_a << a)
     return Core(cover, indices, (a, b), {a} if invert_a else ())
 
@@ -155,17 +248,10 @@ def best_pair_cores(
     """Best polarity choice per unordered input pair; ties keep the plain phase."""
     if cover.n < 2:
         raise ValueError("pair cores need at least two inputs")
-    cubes = _int_cubes(cover)
-    out: dict[tuple[int, int], tuple[bool, Core]] = {}
-    for a in range(cover.n):
-        for b in range(a + 1, cover.n):
-            plain = _pair_core(cover, cubes, a, b, invert_a=False)
-            flipped = _pair_core(cover, cubes, a, b, invert_a=True)
-            flip = _core_size(cover, flipped.cube_indices, size_metric) > _core_size(
-                cover, plain.cube_indices, size_metric
-            )
-            out[(a, b)] = (True, flipped) if flip else (False, plain)
-    return out
+    return {
+        pair: (flip, _pair_seed(cover, pair, flip, mask))
+        for pair, flip, mask, _ in _scored_pairs(cover, size_metric)
+    }
 
 
 def expand_core(
@@ -178,7 +264,7 @@ def expand_core(
     set, and accepts the candidate only if ``count * width**2`` strictly
     increases.  Polarities fixed in earlier steps are not revisited.
     """
-    cubes = _int_cubes(cover)
+    cubes = {i: _int_cube(cover.cubes[i]) for i in seed.cube_indices}
     z = sum(1 << i for i in seed.sym_inputs)
     flips = sum(1 << i for i in seed.inverted)
     indices = list(seed.cube_indices)
@@ -188,16 +274,20 @@ def expand_core(
     while True:
         best = None  # (score, size, z, flips, indices)
         width = z.bit_count() + 1
-        for x in range(cover.n):
-            bit = 1 << x
-            if z & bit:
-                continue
-            for cand_flips in (flips, flips | bit):
-                cand = _closed(cubes, indices, z | bit, cand_flips)
-                cand_size = _core_size(cover, cand, size_metric)
-                cand_score = cand_size * width * width
-                if best is None or cand_score > best[0]:
-                    best = (cand_score, cand_size, z | bit, cand_flips, cand)
+        trials = (
+            (z | 1 << x, cand_flips)
+            for x in range(cover.n)
+            if not z >> x & 1
+            for cand_flips in (flips, flips | 1 << x)
+        )
+        for cand_z, cand_flips in trials:
+            cand = _closed(cubes, indices, cand_z, cand_flips)
+            cand_size = _core_size(cover, cand, size_metric)
+            cand_score = cand_size * width * width
+            if best is None or cand_score > best[0]:
+                best = (cand_score, cand_size, cand_z, cand_flips, cand)
+            if cand_size == size:
+                break  # a subset of the core cannot be larger, so none later wins
         if best is None or best[0] <= score:
             break
         score, size, z, flips, indices = best
@@ -226,15 +316,14 @@ def best_core(cover: Cover, size_metric: str = "cubes") -> Core | None:
     """
     if cover.n < 2:
         return None
-    seeds = []
-    for _, (_, core) in sorted(best_pair_cores(cover, size_metric).items()):
-        if core.cube_indices:
-            seeds.append((core, _core_size(cover, core.cube_indices, size_metric)))
+    seeds = [seed for seed in _scored_pairs(cover, size_metric) if seed[2]]
     if not seeds:
         return None
-    top = max(size for _, size in seeds)
+    top = max(size for *_, size in seeds)
     candidates = [
-        expand_core(core, cover, size_metric) for core, size in seeds if size == top
+        expand_core(_pair_seed(cover, pair, flip, mask), cover, size_metric)
+        for pair, flip, mask, size in seeds
+        if size == top
     ]
     return select_best_core(candidates)
 

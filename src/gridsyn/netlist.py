@@ -379,11 +379,15 @@ def netlist_from_text(text: str) -> Netlist:
         if line.startswith("output:"):
             if input_names is None:
                 raise ParseError("output before inputs", lineno)
+            if output is not None:
+                raise ParseError("repeated output line", lineno)
             token = line[len("output:"):].strip()
             output = _parse_ref(token, len(nodes), len(input_names), lineno)
             continue
         if input_names is None:
             raise ParseError("node line before inputs", lineno)
+        if output is not None:
+            raise ParseError("node line after output", lineno)
         parts = line.split()
         try:
             idx = int(parts[0])

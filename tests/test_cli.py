@@ -13,6 +13,8 @@ MALFORMED_NETLISTS = {
     "empty_or": "inputs: a b\n0 OR\noutput: n0\n",
     "overlapping_and": "inputs: a b\n0 AND_DISJOINT i0 i0\noutput: n0\n",
     "repeated_inputs": "inputs: a b c\n0 SYM [1] i0 i2\ninputs: a\noutput: n0\n",
+    "repeated_output": "inputs: a\n0 INV i0\noutput: n0\noutput: i0\n",
+    "node_after_output": "inputs: a\n0 INV i0\noutput: n0\n1 INV n0\n",
 }
 
 
@@ -34,6 +36,20 @@ def test_verify_rejects_a_repeated_inputs_line(tmp_path, monkeypatch, capsys):
     assert main(["verify", "r.net", "r.pla"]) == 2
     err = capsys.readouterr().err
     assert err == "gridsyn: error: line 3: repeated inputs line\n"
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_NETLISTS))
+def test_verify_rejects_malformed_netlist(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = MALFORMED_NETLISTS[name]
+    names = text.splitlines()[0].split()[1:]
+    (tmp_path / f"{name}.net").write_text(text)
+    pla = f".i {len(names)}\n.o 1\n.ilb {' '.join(names)}\n{'1' * len(names)} 1\n.e\n"
+    (tmp_path / "r.pla").write_text(pla)
+    assert main(["verify", f"{name}.net", "r.pla"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gridsyn: error:")
+    assert "Traceback" not in err
 
 
 def test_survey_headline(tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from gridsyn import (
     select_best_core,
 )
 
-from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes
+from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes, _pair_masks
 
 from helpers import (
     oracle_closed_subset,
@@ -233,6 +233,57 @@ class TestClosure:
             assert _closed(_int_cubes(cover), indices, z_mask, flips) == expected
 
 
+class TestPairScan:
+    """The one-pass pair masks equal per-pair closure."""
+
+    @staticmethod
+    def by_closure(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
+        cubes = _int_cubes(cover)
+        every = range(len(cubes))
+        return {
+            (a, b): (
+                _closed(cubes, every, 1 << a | 1 << b, 0),
+                _closed(cubes, every, 1 << a | 1 << b, 1 << a),
+            )
+            for a in range(cover.n)
+            for b in range(a + 1, cover.n)
+        }
+
+    @staticmethod
+    def by_scan(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
+        def positions(mask):
+            return [i for i in range(cover.m) if mask >> i & 1]
+
+        masks = _pair_masks(_int_cubes(cover), cover.n)
+        return {pair: (positions(p), positions(f)) for pair, (p, f) in masks.items()}
+
+    def test_matches_closure_on_random_covers(self):
+        rng = random.Random(2003)
+        for _ in range(300):
+            cover = random_cover_with_duplicates(rng, rng.randint(2, 9), rng.randint(0, 20))
+            assert self.by_scan(cover) == self.by_closure(cover)
+
+    def test_empty_cover(self):
+        cover = Cover(("a", "b", "c"), ())
+        assert self.by_scan(cover) == self.by_closure(cover)
+        assert all(masks == (0, 0) for masks in _pair_masks([], 3).values())
+
+    def test_one_cube(self):
+        cover = Cover(("a", "b", "c"), ("10-",))
+        assert self.by_scan(cover) == self.by_closure(cover)
+        assert self.by_scan(cover) == {(0, 1): ([], [0]), (0, 2): ([], []), (1, 2): ([], [])}
+
+    def test_plain_partners(self):
+        cover = Cover(("a", "b", "c"), ("1-0", "-10"))
+        assert self.by_scan(cover) == self.by_closure(cover)
+        assert self.by_scan(cover)[0, 1] == ([0, 1], [])
+
+    def test_flip_partners(self):
+        cover = Cover(("a", "b", "c"), ("1-0", "-00"))
+        assert self.by_scan(cover) == self.by_closure(cover)
+        assert self.by_scan(cover)[0, 1] == ([], [0, 1])
+
+
 #: sha256 of the search results below, computed with the string-based search.
 PINNED_BEST_CORE = "8bab626e7ca6516f591e619fa55493e7501dac6499c5947d663ff5c724e24584"
 
@@ -256,3 +307,35 @@ class TestSearchIsPinned:
 
     def test_best_core_on_random_covers(self):
         assert self.best_core_digest(600) == PINNED_BEST_CORE
+
+
+#: sha256 of the ``gridsyn cores`` results below, computed before the
+#: one-pass pair scan replaced per-pair closure.
+PINNED_PAIR_SCAN = "9db37132ac4ec6d70e55e53f64896f42df8bfa70e9980db6cd21251fa35879c6"
+
+
+class TestCoresCommandIsPinned:
+    """Every pair core, and the widening of every non-empty one, stay fixed.
+
+    ``PINNED_BEST_CORE`` sees only the widenings of the top seeds; the
+    ``gridsyn cores`` report prints all of them.
+    """
+
+    @staticmethod
+    def pair_scan_digest(count: int) -> str:
+        rng = random.Random(2003)
+        h = hashlib.sha256()
+        for _ in range(count):
+            n = rng.randint(2, 8)
+            cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
+            for metric in SIZE_METRICS:
+                for pair, (flip, core) in sorted(best_pair_cores(cover, metric).items()):
+                    h.update(repr((pair, flip, core.cube_indices)).encode())
+                    if core.cube_indices:
+                        wide, score = expand_core(core, cover, metric)
+                        result = (wide.cube_indices, wide.sym_inputs, sorted(wide.inverted))
+                        h.update(repr((result, score)).encode())
+        return h.hexdigest()
+
+    def test_pair_cores_and_widenings_on_random_covers(self):
+        assert self.pair_scan_digest(300) == PINNED_PAIR_SCAN

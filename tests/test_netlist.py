@@ -212,6 +212,8 @@ class TestSerialization:
             ("inputs: a\n", "missing output"),
             ("inputs: a b c\n0 SYM [1] i0 i2\ninputs: a\noutput: n0\n", "repeated inputs"),
             ("inputs: a b a\n0 INV i0\noutput: n0\n", "duplicate input names"),
+            ("inputs: a\n0 INV i0\noutput: n0\noutput: i0\n", "repeated output"),
+            ("inputs: a\n0 INV i0\noutput: n0\n1 INV n0\n", "after output"),
         ],
     )
     def test_parse_errors(self, text, match):
