@@ -334,9 +334,14 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _pair_cores(cover: Cover, metric: str) -> dict:
+    """``best_pair_cores``, empty for a cover with fewer than two inputs."""
+    return cores_mod.best_pair_cores(cover, metric) if cover.n >= 2 else {}
+
+
 def _core_report_text(cover: Cover, metric: str) -> str:
     lines = ["pair cores:"]
-    pairs = cores_mod.best_pair_cores(cover, metric)
+    pairs = _pair_cores(cover, metric)
     names = cover.input_names
     for (a, b), (inv_a, core) in sorted(pairs.items()):
         phase = f"~{names[a]}" if inv_a else "plain"
@@ -368,9 +373,7 @@ def _cmd_cores(ns: argparse.Namespace) -> int:
         payload = []
         for name, cover in outputs:
             pairs = []
-            for (a, b), (inv_a, core) in sorted(
-                cores_mod.best_pair_cores(cover, ns.core_metric).items()
-            ):
+            for (a, b), (inv_a, core) in sorted(_pair_cores(cover, ns.core_metric).items()):
                 pairs.append(
                     {"pair": [a, b], "invert_first": inv_a, "cubes": core.cube_count}
                 )

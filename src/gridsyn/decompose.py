@@ -13,12 +13,16 @@ One round of the engine on a cover F over inputs X:
 5. recurse on the remainder (the cubes left out of the core) and OR the
    two networks together.
 
-Recursion bottoms out at constants, single literals, and covers whose
-minterm set is already a union of full ranks (emitted as one SYM node).
-When no input pair supports even a one-cube core, a Shannon split on the
-cheapest input guarantees progress.  Every step strictly reduces either the
-cube count or the input count, so the engine terminates; a depth guard
-backs that argument.
+Recursion bottoms out at constants and at covers whose minterm set is
+already a union of full ranks: one SYM node, or a literal when one input is
+live.  Any other cover has at least two live inputs, and then some pair core
+holds a cube.  Among any three live inputs of a cube two carry equal,
+complementary or two don't-care symbols, so the cube lies in that pair's
+plain or flipped core.  With exactly two live inputs a cube with both
+symbols set lies in one of them the same way, and in a cover of mixed cubes
+only (``1-``, ``0-``, ``-1``, ``-0``) each cube has a plain or flipped swap
+partner.  Every step strictly reduces either the cube count or the input
+count, so the engine terminates; a depth guard backs that argument.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .cubes import (
     cover_to_minterms,
     full_mask,
     popcount_class_masks,
-    transform_mask,
 )
 from .netlist import Netlist, NetlistBuilder, Ref, evaluate_netlist, netlist_mask
 from .spectra import FullRankSet, fullrank_set_if_symmetric
@@ -62,7 +65,9 @@ class DecompositionError(RuntimeError):
 class DecomposeOptions:
     dc_partition: bool = False
     core_size_metric: str = "cubes"
-    max_depth: int = 400
+
+
+_DEPTH_LIMIT = 400  # recursion guard; each step removes a cube or an input
 
 
 @dataclass(frozen=True)
@@ -97,24 +102,13 @@ def _prune_contained(cubes: Sequence[str]) -> tuple[str, ...]:
     return tuple(kept)
 
 
-def _assert_symmetric(phased: MintermSet, z: Sequence[int]) -> None:
-    """Exact symmetry check: invariance under each adjacent transposition of Z."""
-    n = phased.n
-    for i, j in zip(z, z[1:]):
-        swap = list(range(n))
-        swap[i], swap[j] = j, i
-        if transform_mask(phased.bits, n, swap) != phased.bits:
-            raise DecompositionError(
-                f"core cube set is not symmetric over inputs {tuple(z)}"
-            )
-
-
 def factor_core(core: cores_mod.Core) -> list[tuple[int, FullRankSet, Cover]]:
     """Rank-cut factorization of a symmetric core.
 
     Returns one term per occupied rank r of Z: the full rank-r symmetric
     function over Z paired with the cofactor cover over Y = X - Z.  The
-    reconstruction Core = sum of G_r * H_r is asserted exactly.
+    reconstruction Core = sum of G_r * H_r is asserted exactly; the sum is
+    symmetric over Z, so this also proves the core symmetric.
     """
     cover = core.base
     z = core.sym_inputs
@@ -122,7 +116,6 @@ def factor_core(core: cores_mod.Core) -> list[tuple[int, FullRankSet, Cover]]:
     phased_cubes = core.phased_cubes()
     phased_cover = Cover(cover.input_names, phased_cubes)
     phased_set = cover_to_minterms(phased_cover)
-    _assert_symmetric(phased_set, z)
 
     terms: list[tuple[int, FullRankSet, Cover]] = []
     y_names = tuple(cover.input_names[j] for j in y)
@@ -157,7 +150,10 @@ def _assert_reconstruction(
         h_mask = cover_mask(h, [masks[j] for j in y], full)
         acc |= z_classes[r] & h_mask
     if acc != phased_set.bits:
-        raise DecompositionError("rank-cut factors do not reconstruct the core")
+        raise DecompositionError(
+            f"core cube set is not symmetric over inputs {tuple(z)}: "
+            "rank-cut factors do not reconstruct it"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +165,18 @@ def decompose(cover: Cover, options: DecomposeOptions | None = None) -> Netlist:
     opts = options or DecomposeOptions()
     builder = NetlistBuilder(cover.input_names)
     all_inputs = tuple(range(cover.n))
+    parts = cores_mod.dc_partition(cover) if opts.dc_partition else [cover]
+    out = builder.or_(
+        [_decompose_rec(builder, part.cubes, all_inputs, cover, opts, 0) for part in parts]
+    )
+    nl = builder.finish(out)
     if opts.dc_partition:
-        parts = cores_mod.dc_partition(cover)
-        refs = [
-            _decompose_rec(builder, part.cubes, all_inputs, cover, opts, 0)
-            for part in parts
-        ]
-        out = builder.or_(refs) if refs else builder.const(0)
-        nl = builder.finish(out)
         check = verify(nl, cover)
         if not check:
             raise DecompositionError(
                 f"don't-care partition broke equivalence at {check.witness}"
             )
-        return nl
-    out = _decompose_rec(builder, cover.cubes, all_inputs, cover, opts, 0)
-    return builder.finish(out)
+    return nl
 
 
 def _decompose_rec(
@@ -196,8 +188,8 @@ def _decompose_rec(
     depth: int,
 ) -> Ref:
     """Decompose a cube list over the given global inputs; returns its output ref."""
-    if depth > opts.max_depth:
-        raise DecompositionError(f"recursion guard exceeded ({opts.max_depth})")
+    if depth > _DEPTH_LIMIT:
+        raise DecompositionError(f"recursion guard exceeded ({_DEPTH_LIMIT})")
     if not cubes:
         return builder.const(0)
     if any(set(cube) <= {"-"} for cube in cubes):
@@ -207,25 +199,10 @@ def _decompose_rec(
     cols = [j for j in range(len(inputs)) if any(cube[j] != "-" for cube in cubes)]
     if len(cols) != len(inputs):
         inputs = tuple(inputs[j] for j in cols)
-        cubes = tuple("".join(cube[j] for j in cols) for cube in cubes)
-        seen = set()
-        deduped = []
-        for cube in cubes:
-            if cube not in seen:
-                seen.add(cube)
-                deduped.append(cube)
-        cubes = tuple(deduped)
+        # drop the repeats that restriction creates, keeping first occurrences
+        cubes = tuple(dict.fromkeys("".join(cube[j] for j in cols) for cube in cubes))
 
     k = len(inputs)
-    if k == 0:
-        return builder.const(1)
-    if k == 1:
-        has1 = any(cube[0] in "1-" for cube in cubes)
-        has0 = any(cube[0] in "0-" for cube in cubes)
-        if has1 and has0:
-            return builder.const(1)
-        ref = builder.input(inputs[0])
-        return ref if has1 else builder.inv(ref)
     if k > DEFAULT_EXPANSION_CAP:
         raise CapacityError(f"decomposition capped at {DEFAULT_EXPANSION_CAP} live inputs")
 
@@ -233,13 +210,16 @@ def _decompose_rec(
     local = Cover(names, tuple(cubes))
     minterms = cover_to_minterms(local)
 
+    # every function of one input is symmetric: sym() returns the input,
+    # its inverter or const(1)
     ranks = fullrank_set_if_symmetric(minterms)
     if ranks is not None:
         return builder.sym(ranks.ranks, [builder.input(i) for i in inputs])
 
+    # k >= 2 here, so some pair core holds a cube (see the module docstring)
     core = cores_mod.best_core(local, opts.core_size_metric)
-    if core is None or not core.cube_indices:
-        return _shannon_split(builder, cubes, inputs, root, opts, depth)
+    if core is None:
+        raise DecompositionError("no pair core holds a cube of this cover")
 
     terms = factor_core(core)
     z_ops = []
@@ -249,26 +229,18 @@ def _decompose_rec(
             ref = builder.inv(ref)
         z_ops.append(ref)
 
-    def is_tautology(h: Cover) -> bool:
-        return any(set(cube) <= {"-"} for cube in h.cubes)
-
     # Ranks sharing a cofactor merge into one symmetric factor:
-    # G_r1*H + G_r2*H = SYM[{r1,r2}]*H.
+    # G_r1*H + G_r2*H = SYM[{r1,r2}]*H.  A tautology cofactor decomposes to
+    # const(1), which and_disjoint drops.
     groups: dict[tuple[str, ...], list[int]] = {}
-    group_cover: dict[tuple[str, ...], Cover] = {}
     for r, _, h in terms:
         groups.setdefault(h.cubes, []).append(r)
-        group_cover[h.cubes] = h
     term_refs = []
     y_globals = tuple(inputs[j] for j in range(k) if j not in set(core.sym_inputs))
-    for key, ranks_group in sorted(groups.items(), key=lambda kv: min(kv[1])):
+    for h_cubes, ranks_group in sorted(groups.items(), key=lambda kv: min(kv[1])):
         g_ref = builder.sym(ranks_group, z_ops)
-        h = group_cover[key]
-        if is_tautology(h):
-            term_refs.append(g_ref)
-        else:
-            h_ref = _decompose_rec(builder, h.cubes, y_globals, root, opts, depth + 1)
-            term_refs.append(builder.and_disjoint([g_ref, h_ref]))
+        h_ref = _decompose_rec(builder, h_cubes, y_globals, root, opts, depth + 1)
+        term_refs.append(builder.and_disjoint([g_ref, h_ref]))
     core_ref = builder.or_(term_refs)
 
     selected = set(core.cube_indices)
@@ -277,40 +249,6 @@ def _decompose_rec(
         return core_ref
     rem_ref = _decompose_rec(builder, remainder, inputs, root, opts, depth + 1)
     return builder.or_([core_ref, rem_ref])
-
-
-def _shannon_split(
-    builder: NetlistBuilder,
-    cubes: Sequence[str],
-    inputs: tuple[int, ...],
-    root: Cover,
-    opts: DecomposeOptions,
-    depth: int,
-) -> Ref:
-    """Cofactor on the input minimizing total cofactor cube count."""
-    k = len(inputs)
-    best = None
-    for j in range(k):
-        c1 = sum(1 for cube in cubes if cube[j] != "0")
-        c0 = sum(1 for cube in cubes if cube[j] != "1")
-        if best is None or c1 + c0 < best[0]:
-            best = (c1 + c0, j)
-    j = best[1]
-    rest = tuple(i for t, i in enumerate(inputs) if t != j)
-
-    def cofactor(keep_char: str) -> tuple[str, ...]:
-        out = []
-        for cube in cubes:
-            if cube[j] == "-" or cube[j] == keep_char:
-                out.append(cube[:j] + cube[j + 1 :])
-        return tuple(out)
-
-    x = builder.input(inputs[j])
-    hi = _decompose_rec(builder, cofactor("1"), rest, root, opts, depth + 1)
-    lo = _decompose_rec(builder, cofactor("0"), rest, root, opts, depth + 1)
-    return builder.or_(
-        [builder.and_disjoint([x, hi]), builder.and_disjoint([builder.inv(x), lo])]
-    )
 
 
 # ---------------------------------------------------------------------------

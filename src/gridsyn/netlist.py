@@ -344,13 +344,17 @@ def netlist_to_text(nl: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_number(digits: str, message: str, lineno: int) -> int:
+    """A number as the writer spells it: ASCII digits, no sign, no leading zero."""
+    if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+        raise ParseError(message, lineno)
+    return int(digits)
+
+
 def _parse_ref(token: str, num_nodes: int, num_inputs: int, lineno: int) -> Ref:
     if len(token) < 2 or token[0] not in "ni":
         raise ParseError(f"bad operand token {token!r}", lineno)
-    try:
-        idx = int(token[1:])
-    except ValueError:
-        raise ParseError(f"bad operand token {token!r}", lineno) from None
+    idx = _parse_number(token[1:], f"bad operand token {token!r}", lineno)
     if token[0] == "i":
         if not 0 <= idx < num_inputs:
             raise ParseError(f"input reference {token} out of range", lineno)
@@ -389,10 +393,7 @@ def netlist_from_text(text: str) -> Netlist:
         if output is not None:
             raise ParseError("node line after output", lineno)
         parts = line.split()
-        try:
-            idx = int(parts[0])
-        except ValueError:
-            raise ParseError(f"expected node index, got {parts[0]!r}", lineno) from None
+        idx = _parse_number(parts[0], f"expected node index, got {parts[0]!r}", lineno)
         if idx != len(nodes):
             raise ParseError(f"node index {idx} out of sequence", lineno)
         if len(parts) < 2 or parts[1] not in _KINDS:
@@ -404,8 +405,13 @@ def netlist_from_text(text: str) -> Netlist:
         if kind == KIND_SYM:
             if not rest or not (rest[0].startswith("[") and rest[0].endswith("]")):
                 raise ParseError("SYM node needs a [rank,...] set", lineno)
-            body = rest[0][1:-1]
-            ranks = frozenset(int(tok) for tok in body.split(",") if tok)
+            listed = [
+                _parse_number(tok, f"bad rank {tok!r}", lineno)
+                for tok in rest[0][1:-1].split(",")
+            ]
+            if listed != sorted(set(listed)):
+                raise ParseError("SYM ranks must be listed in increasing order", lineno)
+            ranks = frozenset(listed)
             rest = rest[1:]
         if kind == KIND_CONST:
             if len(rest) != 1 or rest[0] not in ("0", "1"):

@@ -15,6 +15,13 @@ MALFORMED_NETLISTS = {
     "repeated_inputs": "inputs: a b c\n0 SYM [1] i0 i2\ninputs: a\noutput: n0\n",
     "repeated_output": "inputs: a\n0 INV i0\noutput: n0\noutput: i0\n",
     "node_after_output": "inputs: a\n0 INV i0\noutput: n0\n1 INV n0\n",
+    "signed_operand": "inputs: a b\n0 INV i+1\noutput: n0\n",
+    "underscored_operand": "inputs: a b\n0 INV i0_1\noutput: n0\n",
+    "non_ascii_operand": "inputs: a b\n0 INV i\u0661\noutput: n0\n",
+    "zero_padded_operand": "inputs: a b\n0 INV i01\noutput: n0\n",
+    "signed_index": "inputs: a\n+0 INV i0\noutput: n0\n",
+    "signed_rank": "inputs: a b\n0 SYM [+1] i0 i1\noutput: n0\n",
+    "non_numeric_rank": "inputs: a\n0 SYM [x] i0\noutput: n0\n",
 }
 
 
@@ -69,6 +76,29 @@ def test_spectrum_headline(capsys):
 def test_cores_report_runs(capsys):
     assert main(["cores", str(DEMO_PLAS / "xor_pair.pla")]) == 0
     assert "best core:" in capsys.readouterr().out
+
+
+ONE_INPUT_PLA = ".i 1\n.o 1\n.ilb a\n.ob f\n0 1\n.e\n"
+EMPTY_CORE_REPORT = "pair cores:\nexpanded cores:\nbest core: none\n"
+
+
+def test_cores_on_one_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.pla").write_text(ONE_INPUT_PLA)
+    assert main(["cores", "one.pla"]) == 0
+    assert capsys.readouterr().out == EMPTY_CORE_REPORT
+    assert main(["cores", "one.pla", "--json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["outputs"]
+    assert entry == {"output": "f", "pair_cores": [], "best": None}
+
+
+def test_synth_reports_cores_on_one_input(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.pla").write_text(ONE_INPUT_PLA)
+    assert main(["synth", "one.pla", "--report-cores"]) == 0
+    out = capsys.readouterr().out
+    assert "one: output = ~a\n" in out
+    assert EMPTY_CORE_REPORT in out
 
 
 def test_synth_core_report_uses_the_core_metric(tmp_path, monkeypatch, capsys):

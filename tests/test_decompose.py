@@ -1,4 +1,6 @@
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +10,7 @@ from gridsyn import (
     DecompositionError,
     FullRankSet,
     MintermSet,
+    best_core,
     decompose,
     evaluate_netlist,
     factor_core,
@@ -15,8 +18,7 @@ from gridsyn import (
     pair_core,
     verify,
 )
-from gridsyn.cores import expand_core
-from gridsyn.decompose import _shannon_split
+from gridsyn.cores import SIZE_METRICS, expand_core
 from gridsyn.netlist import (
     KIND_AND,
     KIND_SYM,
@@ -248,22 +250,41 @@ class TestVerify:
         assert (result.exhaustive, result.checked) == (exhaustive, checked)
 
 
-class TestGuards:
-    def test_depth_guard_raises(self):
-        with pytest.raises(DecompositionError, match="guard"):
-            decompose(XOR_PAIR, DecomposeOptions(max_depth=-1))
+def two_input_covers():
+    """Every set of non-tautology 2-input cubes that uses both inputs."""
+    cubes = [a + b for a in "01-" for b in "01-" if a + b != "--"]
+    for m in range(1, len(cubes) + 1):
+        for subset in combinations(cubes, m):
+            if all(any(c[j] != "-" for c in subset) for j in (0, 1)):
+                yield Cover(("a", "b"), subset)
 
-    def test_shannon_split_shape(self):
-        # the split itself is exercised directly; the search machinery makes
-        # it unreachable for real covers since every cube joins some phased
-        # pair core
-        b = NetlistBuilder(("a", "b", "c"))
-        ref = _shannon_split(
-            b, ("11-", "0-1"), (0, 1, 2), Cover(("a", "b", "c"), ("11-", "0-1")), DecomposeOptions(), 0
-        )
-        nl = b.finish(ref)
-        c = Cover(("a", "b", "c"), ("11-", "0-1"))
-        assert slow_equivalent(nl, c)
+
+def live_input_covers():
+    """Seeded covers of 3-9 inputs, all live, with no all-don't-care cube."""
+    rng = random.Random(77)
+    while True:
+        n = rng.randint(3, 9)
+        cubes = [c for c in random_cover(rng, n, rng.randint(1, 3 * n)).cubes if c.strip("-")]
+        if all(any(c[j] != "-" for c in cubes) for j in range(n)):
+            yield Cover(tuple(f"x{i}" for i in range(n)), tuple(cubes))
+
+
+class TestGuards:
+    def test_depth_guard_raises(self, monkeypatch):
+        # the package re-exports the function under the module's name
+        monkeypatch.setattr(sys.modules["gridsyn.decompose"], "_DEPTH_LIMIT", -1)
+        with pytest.raises(DecompositionError, match="guard"):
+            decompose(XOR_PAIR)
+
+    @pytest.mark.parametrize("metric", SIZE_METRICS)
+    def test_every_cover_with_two_live_inputs_has_a_pair_core(self, metric):
+        # the invariant that lets the decomposer recurse without a fallback
+        rng_covers = live_input_covers()
+        covers = list(two_input_covers()) + [next(rng_covers) for _ in range(150)]
+        assert len(covers) == 249 + 150
+        for cover in covers:
+            core = best_core(cover, metric)
+            assert core is not None and core.cube_indices, cover
 
     def test_expansion_cap(self):
         n = 26

@@ -214,6 +214,17 @@ class TestSerialization:
             ("inputs: a b a\n0 INV i0\noutput: n0\n", "duplicate input names"),
             ("inputs: a\n0 INV i0\noutput: n0\noutput: i0\n", "repeated output"),
             ("inputs: a\n0 INV i0\noutput: n0\n1 INV n0\n", "after output"),
+            ("inputs: a b\n0 INV i+1\noutput: n0\n", "line 2: bad operand token"),
+            ("inputs: a b\n0 INV i0_1\noutput: n0\n", "line 2: bad operand token"),
+            ("inputs: a b\n0 INV i\u0661\noutput: n0\n", "line 2: bad operand token"),
+            ("inputs: a b\n0 INV i01\noutput: n0\n", "line 2: bad operand token"),
+            ("inputs: a\n0 INV i0\noutput: n+0\n", "line 3: bad operand token"),
+            ("inputs: a\n+0 INV i0\noutput: n0\n", "line 2: expected node index"),
+            ("inputs: a b\n0 SYM [+1] i0 i1\noutput: n0\n", "line 2: bad rank"),
+            ("inputs: a\n0 SYM [x] i0\noutput: n0\n", "line 2: bad rank"),
+            ("inputs: a b\n0 SYM [0,,2] i0 i1\noutput: n0\n", "line 2: bad rank ''"),
+            ("inputs: a b\n0 SYM [2,0] i0 i1\noutput: n0\n", "line 2: SYM ranks must be listed"),
+            ("inputs: a b\n0 SYM [1,1] i0 i1\noutput: n0\n", "line 2: SYM ranks must be listed"),
         ],
     )
     def test_parse_errors(self, text, match):
