@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Commands: synth, spectrum, grid, cores, tmap, explore-planar, verify.
-Reports go to standard output; artifacts (netlist files, SVG, JSON
-summaries) are written to files named from the input stem, in the current
-directory unless --out overrides the stem.  With --json the stdout report
-is replaced by a machine-readable summary.  Exit status: 0 on success, 1 on
-a failed equivalence check, 2 on usage or parse errors.  All randomized
-steps take --seed, so identical inputs and flags give byte-identical
-output.
+Artifacts (netlist files, SVG, JSON summaries) are written to files named
+from the input stem, in the current directory unless --out overrides the
+stem.  Each command handler writes its artifacts and returns its exit
+status, its record and its text report; ``main`` alone prints, the text
+report or, with --json, the record as one JSON object whose first key is
+"command".  Exit status: 0 on success, 1 on a failed equivalence check, 2
+on usage or parse errors.  All randomized steps take --seed, so identical
+inputs and flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import cores as cores_mod
@@ -42,7 +44,7 @@ from .planar import survey_planarity
 from .spectra import format_spectrum, spectrum_of
 from .tcells import MappingError, library_from_pitch_table, library_inventory, map_netlist
 
-REPORT_COLUMNS = ("cct", "inp", "cub", "dens", "pitches")
+Report = tuple[int, dict, list[str]]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -53,9 +55,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, pla=True):
-        if pla:
-            p.add_argument("input", help="PLA file")
+    def add_common(p):
+        p.add_argument("input", help="PLA file")
         p.add_argument("--out", help="artifact stem (default: input stem in the cwd)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
         p.add_argument("--json", action="store_true", help="machine-readable stdout")
@@ -102,25 +103,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and print its report: the only writer to stdout."""
     ns = _parser().parse_args(argv)
     try:
-        return run(ns)
+        status, record, lines = run(ns)
     except (ParseError, CapacityError, MappingError, ValueError, OSError) as exc:
         print(f"gridsyn: error: {exc}", file=sys.stderr)
         return 2
+    if ns.json:
+        print(json.dumps({"command": ns.command, **record}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return status
 
 
-def run(ns: argparse.Namespace) -> int:
-    handler = {
-        "synth": _cmd_synth,
-        "spectrum": _cmd_spectrum,
-        "grid": _cmd_grid,
-        "cores": _cmd_cores,
-        "tmap": _cmd_tmap,
-        "explore-planar": _cmd_explore,
-        "verify": _cmd_verify,
-    }[ns.command]
-    return handler(ns)
+def run(ns: argparse.Namespace) -> Report:
+    """The command's exit status, ``--json`` record (without its "command" key) and text."""
+    return _COMMANDS[ns.command](ns)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +139,7 @@ def _read_pla(path: str) -> list[tuple[str, Cover]]:
 
 
 def _stem(ns: argparse.Namespace) -> str:
-    if ns.out:
-        return ns.out
-    return Path(ns.input).stem
+    return ns.out or Path(ns.input).stem
 
 
 def _load_library(ns: argparse.Namespace):
@@ -160,24 +158,22 @@ def _parse_name_list(spec: str, names: tuple[str, ...], what: str) -> list[int]:
     return idx
 
 
-def _format_report(rows: list[dict]) -> str:
-    header = f"{'cct':<12} {'inp':>4} {'cub':>4} {'dens':>5} {'pitches':>8}"
-    lines = [header]
-    for row in rows:
-        pitches = row["pitches"]
+def _format_report(rows: list[tuple]) -> list[str]:
+    """The standard report table over (cct, inp, cub, dens, pitches) rows; none if no rows."""
+    if not rows:
+        return []
+    lines = [f"{'cct':<12} {'inp':>4} {'cub':>4} {'dens':>5} {'pitches':>8}"]
+    for cct, inp, cub, dens, pitches in rows:
         pitches_s = f"{pitches:g}" if pitches is not None else "-"
-        lines.append(
-            f"{row['cct']:<12} {row['inp']:>4} {row['cub']:>4} "
-            f"{row['dens']:>5.0f} {pitches_s:>8}"
-        )
-    return "\n".join(lines)
+        lines.append(f"{cct:<12} {inp:>4} {cub:>4} {dens:>5.0f} {pitches_s:>8}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit status, --json record, text report lines)
 
 
-def _cmd_synth(ns: argparse.Namespace) -> int:
+def _cmd_synth(ns: argparse.Namespace) -> Report:
     outputs = _read_pla(ns.input)
     stem = _stem(ns)
     lib = _load_library(ns)
@@ -188,9 +184,9 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     ):
         raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
 
-    summary = []
+    circuits = []
     rows = []
-    text_lines = []
+    lines = []
     failed = False
     for name, cover in outputs:
         cct = stem if len(outputs) == 1 else f"{stem}.{name}"
@@ -198,7 +194,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
         check = verify(nl, cover, seed=ns.seed)
         if not check:
             failed = True
-            text_lines.append(f"{cct}: VERIFICATION FAILED at {check.witness}")
+            lines.append(f"{cct}: VERIFICATION FAILED at {check.witness}")
             continue
         net_path = Path(f"{cct}.net")
         net_path.write_text(netlist_to_text(nl))
@@ -207,47 +203,39 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
         layout = None
         if cover.n <= DEFAULT_EXPANSION_CAP:
             layout = minimize_layout(cover_to_minterms(cover), mode=ns.minimize, seed=ns.seed)
-        sym_count = len(nl.sym_nodes())
         try:
             area = map_netlist(nl, lib).total_pitches
         except MappingError as exc:
             area = None
-            text_lines.append(f"{cct}: unmapped ({exc})")
-        rows.append(
-            {
-                "cct": cct,
-                "inp": cover.n,
-                "cub": cover.m,
-                "dens": literal_density(cover),
-                "pitches": area,
-            }
-        )
+            lines.append(f"{cct}: unmapped ({exc})")
+        density = literal_density(cover)
+        rows.append((cct, cover.n, cover.m, density, area))
         checked = "" if check.exhaustive else f" on {check.checked} sampled assignments"
-        text_lines.append(f"{cct}: verified equivalent{checked}; netlist -> {net_path}")
-        text_lines.append(f"{cct}: output = {netlist_to_expr(nl)}")
+        lines.append(f"{cct}: verified equivalent{checked}; netlist -> {net_path}")
+        lines.append(f"{cct}: output = {netlist_to_expr(nl)}")
         if layout is None:
-            text_lines.append(
+            lines.append(
                 f"{cct}: best layout skipped "
                 f"({cover.n} inputs over the {DEFAULT_EXPANSION_CAP}-input cap)"
             )
         else:
-            text_lines.append(
+            lines.append(
                 f"{cct}: best layout {layout.metrics} "
                 f"order=({','.join(cover.input_names[i] for i in layout.order)}) "
                 f"inverted=({','.join(cover.input_names[i] for i in layout.phases.inverted)})"
             )
-        summary.append(
+        circuits.append(
             {
                 "output": name,
                 "inputs": cover.n,
                 "cubes": cover.m,
-                "density": literal_density(cover),
+                "density": density,
                 "verified": True,
                 "exhaustive": check.exhaustive,
                 "checked": check.checked,
                 "netlist_file": str(net_path),
                 "netlist": netlist_to_json_dict(nl),
-                "sym_nodes": sym_count,
+                "sym_nodes": len(nl.sym_nodes()),
                 "layout": None
                 if layout is None
                 else {
@@ -260,37 +248,28 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
             }
         )
         if ns.report_cores:
-            text_lines.append(_core_report_text(cover, ns.core_metric))
-
-    if ns.json:
-        print(json.dumps({"command": "synth", "circuits": summary, "verified": not failed}, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-        if rows:
-            print(_format_report(rows))
-    return 1 if failed else 0
+            lines.extend(_core_report(cover, ns.core_metric)[1])
+    record = {"circuits": circuits, "verified": not failed}
+    return (1 if failed else 0), record, lines + _format_report(rows)
 
 
-def _cmd_spectrum(ns: argparse.Namespace) -> int:
+def _cmd_spectrum(ns: argparse.Namespace) -> Report:
     outputs = _read_pla(ns.input)
-    if ns.json:
-        payload = [
-            {"output": name, "spectrum": list(spectrum_of(cover_to_minterms(cover)))}
-            for name, cover in outputs
-        ]
-        print(json.dumps({"command": "spectrum", "outputs": payload}, indent=2))
-        return 0
+    entries = []
+    lines = []
     for name, cover in outputs:
-        sp = format_spectrum(spectrum_of(cover_to_minterms(cover)))
-        print(sp if len(outputs) == 1 else f"{name}: {sp}")
-    return 0
+        sp = spectrum_of(cover_to_minterms(cover))
+        entries.append({"output": name, "spectrum": list(sp)})
+        text = format_spectrum(sp)
+        lines.append(text if len(outputs) == 1 else f"{name}: {text}")
+    return 0, {"outputs": entries}, lines
 
 
-def _cmd_grid(ns: argparse.Namespace) -> int:
+def _cmd_grid(ns: argparse.Namespace) -> Report:
     outputs = _read_pla(ns.input)
     stem = _stem(ns)
-    payload = []
+    entries = []
+    lines = []
     for name, cover in outputs:
         s = cover_to_minterms(cover)
         if ns.minimize:
@@ -316,38 +295,32 @@ def _cmd_grid(ns: argparse.Namespace) -> int:
             "N": m.node_count,
             "L": m.link_count,
         }
-        if not ns.json and len(outputs) > 1:
-            print(f"== {name}")
+        if len(outputs) > 1:
+            lines.append(f"== {name}")
         if ns.render == "svg":
             path = Path(f"{stem}.svg" if len(outputs) == 1 else f"{stem}.{name}.svg")
             path.write_text(render(dag, "svg"))
             entry["svg_file"] = str(path)
-            if not ns.json:
-                print(str(m))
-                print(f"svg -> {path}")
+            lines += [str(m), f"svg -> {path}"]
         else:
-            if not ns.json:
-                print(render(dag, "ascii"), end="")
-        payload.append(entry)
-    if ns.json:
-        print(json.dumps({"command": "grid", "outputs": payload}, indent=2))
-    return 0
+            lines += render(dag, "ascii").splitlines()
+        entries.append(entry)
+    return 0, {"outputs": entries}, lines
 
 
-def _pair_cores(cover: Cover, metric: str) -> dict:
-    """``best_pair_cores``, empty for a cover with fewer than two inputs."""
-    return cores_mod.best_pair_cores(cover, metric) if cover.n >= 2 else {}
+def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
+    """Pair cores, their expansions and the best core: the JSON entry and the text.
 
-
-def _core_report_text(cover: Cover, metric: str) -> str:
-    lines = ["pair cores:"]
-    pairs = _pair_cores(cover, metric)
+    A cover with fewer than two inputs has no pair cores.
+    """
     names = cover.input_names
-    for (a, b), (inv_a, core) in sorted(pairs.items()):
+    pairs = sorted(cores_mod.best_pair_cores(cover, metric).items()) if cover.n >= 2 else []
+    lines = ["pair cores:"]
+    for (a, b), (inv_a, core) in pairs:
         phase = f"~{names[a]}" if inv_a else "plain"
         lines.append(f"  ({names[a]},{names[b]})  {phase:>8}  {core.cube_count} cubes")
     lines.append("expanded cores:")
-    for (a, b), (inv_a, core) in sorted(pairs.items()):
+    for (a, b), (inv_a, core) in pairs:
         if not core.cube_indices:
             continue
         expanded, score = cores_mod.expand_core(core, cover, metric)
@@ -357,50 +330,43 @@ def _core_report_text(cover: Cover, metric: str) -> str:
             f"  seed=({names[a]},{names[b]}) Z=({z}) inverted=({inv}) "
             f"count={score.cube_count} score={score.score}"
         )
-    core = cores_mod.best_core(cover, metric)
-    if core is None:
+    best = cores_mod.best_core(cover, metric)
+    if best is None:
         lines.append("best core: none")
     else:
-        z = ",".join(names[i] for i in core.sym_inputs)
-        inv = ",".join(names[i] for i in sorted(core.inverted))
-        lines.append(f"best core: Z=({z}) inverted=({inv}) cubes={core.cube_count}")
-    return "\n".join(lines)
+        z = ",".join(names[i] for i in best.sym_inputs)
+        inv = ",".join(names[i] for i in sorted(best.inverted))
+        lines.append(f"best core: Z=({z}) inverted=({inv}) cubes={best.cube_count}")
+    entry = {
+        "pair_cores": [
+            {"pair": [a, b], "invert_first": inv_a, "cubes": core.cube_count}
+            for (a, b), (inv_a, core) in pairs
+        ],
+        "best": None
+        if best is None
+        else {
+            "sym_inputs": list(best.sym_inputs),
+            "inverted": sorted(best.inverted),
+            "cube_indices": list(best.cube_indices),
+        },
+    }
+    return entry, lines
 
 
-def _cmd_cores(ns: argparse.Namespace) -> int:
+def _cmd_cores(ns: argparse.Namespace) -> Report:
     outputs = _read_pla(ns.input)
-    if ns.json:
-        payload = []
-        for name, cover in outputs:
-            pairs = []
-            for (a, b), (inv_a, core) in sorted(_pair_cores(cover, ns.core_metric).items()):
-                pairs.append(
-                    {"pair": [a, b], "invert_first": inv_a, "cubes": core.cube_count}
-                )
-            best = cores_mod.best_core(cover, ns.core_metric)
-            payload.append(
-                {
-                    "output": name,
-                    "pair_cores": pairs,
-                    "best": None
-                    if best is None
-                    else {
-                        "sym_inputs": list(best.sym_inputs),
-                        "inverted": sorted(best.inverted),
-                        "cube_indices": list(best.cube_indices),
-                    },
-                }
-            )
-        print(json.dumps({"command": "cores", "outputs": payload}, indent=2))
-        return 0
+    entries = []
+    lines = []
     for name, cover in outputs:
+        entry, text = _core_report(cover, ns.core_metric)
+        entries.append({"output": name, **entry})
         if len(outputs) > 1:
-            print(f"== {name}")
-        print(_core_report_text(cover, ns.core_metric))
-    return 0
+            lines.append(f"== {name}")
+        lines += text
+    return 0, {"outputs": entries}, lines
 
 
-def _cmd_tmap(ns: argparse.Namespace) -> int:
+def _cmd_tmap(ns: argparse.Namespace) -> Report:
     path = Path(ns.input)
     lib = _load_library(ns)
     stem = _stem(ns)
@@ -413,7 +379,7 @@ def _cmd_tmap(ns: argparse.Namespace) -> int:
             cct = stem if len(outputs) == 1 else f"{stem}.{name}"
             jobs.append((cct, decompose(cover), cover))
 
-    payload = []
+    circuits = []
     rows = []
     lines = []
     for cct, nl, cover in jobs:
@@ -426,46 +392,22 @@ def _cmd_tmap(ns: argparse.Namespace) -> int:
                 f"  {use.name:<8} x{use.count:<3} {use.unit_cost:g} pitches each"
             )
         lines.append(f"  total: {result.total_pitches:g} pitches")
-        rows.append(
-            {
-                "cct": cct,
-                "inp": nl.n,
-                "cub": cover.m if cover else 0,
-                "dens": literal_density(cover) if cover else 0.0,
-                "pitches": result.total_pitches,
-            }
-        )
-        payload.append(
+        density = literal_density(cover) if cover else 0.0
+        rows.append((cct, nl.n, cover.m if cover else 0, density, result.total_pitches))
+        circuits.append(
             {
                 "circuit": cct,
-                "cells": [
-                    {
-                        "name": u.name,
-                        "arity": u.arity,
-                        "threshold": u.threshold,
-                        "count": u.count,
-                        "unit_cost": u.unit_cost,
-                    }
-                    for u in result.cells
-                ],
+                "cells": [asdict(use) for use in result.cells],
                 "total_pitches": result.total_pitches,
                 "netlist_file": str(out_path),
             }
         )
-    if ns.json:
-        print(json.dumps({"command": "tmap", "circuits": payload}, indent=2))
-    else:
-        for line in lines:
-            print(line)
-        if rows:
-            print(_format_report(rows))
-    return 0
+    return 0, {"circuits": circuits}, lines + _format_report(rows)
 
 
-def _cmd_explore(ns: argparse.Namespace) -> int:
+def _cmd_explore(ns: argparse.Namespace) -> Report:
     survey = survey_planarity(ns.n)
-    summary = {
-        "command": "explore-planar",
+    record = {
         "n": survey.n,
         "total": survey.total,
         "planar": survey.planar,
@@ -476,50 +418,48 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
         ],
     }
     out_path = Path(ns.out or f"planar_bf{survey.n}.json")
-    out_path.write_text(json.dumps(summary, indent=2) + "\n")
-    if ns.json:
-        print(json.dumps(summary, indent=2))
+    out_path.write_text(json.dumps({"command": ns.command, **record}, indent=2) + "\n")
+    lines = [f"functions of {survey.n} inputs: {survey.total}", f"planar: {survey.planar}"]
+    if survey.all_planar:
+        lines.append("all functions planar")
     else:
-        print(f"functions of {survey.n} inputs: {survey.total}")
-        print(f"planar: {survey.planar}")
-        if survey.all_planar:
-            print("all functions planar")
-        else:
-            print(f"non-planar: {survey.total - survey.planar}")
-            for w in survey.nonplanar_witnesses:
-                print(f"  witness mask {w:#x}")
-        print(f"summary -> {out_path}")
-    return 0
+        lines.append(f"non-planar: {survey.total - survey.planar}")
+        lines += [f"  witness mask {w:#x}" for w in survey.nonplanar_witnesses]
+    lines.append(f"summary -> {out_path}")
+    return 0, record, lines
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> Report:
     nl = netlist_from_text(Path(ns.netlist).read_text())
     outputs = _read_pla(ns.input)
     if len(outputs) != 1:
         raise ValueError("verify expects a single-output PLA")
     cover = outputs[0][1]
     result = verify(nl, cover, seed=ns.seed)
-    if ns.json:
-        print(
-            json.dumps(
-                {
-                    "command": "verify",
-                    "equivalent": result.equivalent,
-                    "exhaustive": result.exhaustive,
-                    "checked": result.checked,
-                    "witness": list(result.witness) if result.witness else None,
-                },
-                indent=2,
-            )
-        )
+    record = {
+        "equivalent": result.equivalent,
+        "exhaustive": result.exhaustive,
+        "checked": result.checked,
+        "witness": list(result.witness) if result.witness else None,
+    }
+    if result and result.exhaustive:
+        line = "equivalent"
+    elif result:
+        line = f"equivalent on {result.checked} sampled assignments"
     else:
-        if result and result.exhaustive:
-            print("equivalent")
-        elif result:
-            print(f"equivalent on {result.checked} sampled assignments")
-        else:
-            print(f"mismatch at {result.witness}")
-    return 0 if result else 1
+        line = f"mismatch at {result.witness}"
+    return (0 if result else 1), record, [line]
+
+
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "spectrum": _cmd_spectrum,
+    "grid": _cmd_grid,
+    "cores": _cmd_cores,
+    "tmap": _cmd_tmap,
+    "explore-planar": _cmd_explore,
+    "verify": _cmd_verify,
+}
 
 
 if __name__ == "__main__":

@@ -35,9 +35,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
 
-from .cubes import Cover, cover_to_minterms
-
-_FLIP = {"0": "1", "1": "0", "-": "-"}
+from .cubes import Cover, PhaseVector, apply_phase, cover_to_minterms
 
 #: How candidate cores are sized: by cube count (default) or by the number
 #: of distinct minterms the selected cubes cover.
@@ -70,9 +68,8 @@ class Core:
 
     def phased_cubes(self) -> tuple[str, ...]:
         """The selected cubes with inverted columns flipped."""
-        return tuple(
-            _phase_cube(self.base.cubes[i], self.inverted) for i in self.cube_indices
-        )
+        selected = Cover(self.base.input_names, (self.base.cubes[i] for i in self.cube_indices))
+        return apply_phase(selected, PhaseVector.inverting(self.base.n, self.inverted)).cubes
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,6 @@ class CoreScore:
     @classmethod
     def compute(cls, count: int, width: int) -> "CoreScore":
         return cls(count, width, count * width * width)
-
-
-def _phase_cube(cube: str, inverted: frozenset[int]) -> str:
-    if not inverted:
-        return cube
-    return "".join(_FLIP[ch] if j in inverted else ch for j, ch in enumerate(cube))
 
 
 _ONES = str.maketrans("10-", "100")

@@ -259,13 +259,9 @@ class _LevelTable:
         return True
 
 
-def _phase_mask(ph: Sequence[bool]) -> int:
-    return sum(1 << i for i, inverted in enumerate(ph) if inverted)
-
-
 def _phasings(n: int) -> list[tuple[tuple[bool, ...], int]]:
     """Every phase tuple in lexicographic order, with its mask."""
-    return [(ph, _phase_mask(ph)) for ph in product((False, True), repeat=n)]
+    return [(ph, PhaseVector(ph).mask) for ph in product((False, True), repeat=n)]
 
 
 def _confirmed(s: MintermSet, best: tuple) -> LayoutResult:
@@ -307,7 +303,7 @@ def minimize_layout(
     table = _LevelTable(s)
 
     def climb(order: tuple[int, ...], ph: tuple[bool, ...]):
-        pmask = _phase_mask(ph)
+        pmask = PhaseVector(ph).mask
         cur_m = table.metrics(order, pmask)
         while True:
             best_neighbor = None
@@ -328,7 +324,7 @@ def minimize_layout(
                 return (*cur_m, order, ph)
             cur_m = best_neighbor[:2]
             order, ph = best_neighbor[2], best_neighbor[3]
-            pmask = _phase_mask(ph)
+            pmask = PhaseVector(ph).mask
 
     starts = [(tuple(range(n)), (False,) * n)]
     for _ in range(n):

@@ -14,8 +14,11 @@ Operands are references either to earlier nodes (``n3``) or directly to
 circuit inputs (``i0``), so a bare literal needs no node at all.  The
 builder interns structurally identical nodes, which in particular shares
 one inverter per phased input, and applies local simplifications so that
-emitted netlists are canonical: no nested ORs, no constant operands, no
-single-operand gates, no degenerate rank sets.
+emitted netlists are canonical: no single-operand gates, no empty or full
+rank sets, no constant operands, no nested ORs or ANDs, no double
+inverters, and no duplicate or unreachable nodes.  The builder is the one
+rulebook: the text reader replays every node through it and accepts only
+the form the writer emits.
 """
 
 from __future__ import annotations
@@ -148,11 +151,14 @@ class NetlistBuilder:
     def sym(self, ranks: Iterable[int], operands: Sequence[Ref]) -> Ref:
         operands = tuple(operands)
         if not operands:
-            raise NetlistError("symmetric node needs at least one operand")
+            raise NetlistError("SYM needs operands")
+        for ref in operands:
+            if ref.kind == "node" and self._nodes[ref.index].kind == KIND_CONST:
+                raise NetlistError(f"SYM operand {ref.token} is a constant")
         k = len(operands)
         ranks = frozenset(ranks)
         if not ranks.issubset(range(k + 1)):
-            raise NetlistError(f"rank set {sorted(ranks)} out of range for arity {k}")
+            raise NetlistError(f"SYM rank set {sorted(ranks)} out of range for its arity {k}")
         if not ranks:
             return self.const(0)
         if len(ranks) == k + 1:
@@ -205,15 +211,9 @@ class NetlistBuilder:
 
     def finish(self, output: Ref) -> Netlist:
         """Freeze the netlist, dropping nodes unreachable from the output."""
-        # operands point to earlier nodes, so one backward sweep marks them all
-        reachable = [False] * len(self._nodes)
-        if output.kind == "node":
-            reachable[output.index] = True
-        for i in range(len(self._nodes) - 1, -1, -1):
-            if reachable[i]:
-                for op in self._nodes[i].operands:
-                    if op.kind == "node":
-                        reachable[op.index] = True
+        reachable = _reachable(self._nodes, output)
+        if all(reachable):
+            return Netlist(self.input_names, tuple(self._nodes), output)
         keep = [i for i, live in enumerate(reachable) if live]
         remap = {old: new for new, old in enumerate(keep)}
 
@@ -231,6 +231,18 @@ class NetlistBuilder:
         )
         return Netlist(self.input_names, nodes, remap_ref(output))
 
+    def replay(self, kind: str, operands: tuple[Ref, ...], ranks, value) -> Ref:
+        """Build one node given as its fields, the way the text format lists it."""
+        if kind == KIND_SYM:
+            return self.sym(ranks, operands)
+        if kind == KIND_INV:
+            return self.inv(operands[0])
+        if kind == KIND_AND:
+            return self.and_disjoint(operands)
+        if kind == KIND_OR:
+            return self.or_(operands)
+        return self.const(value)
+
     # -- internals
 
     def _resolve(self, ref: Ref) -> NetNode | None:
@@ -245,6 +257,20 @@ class NetlistBuilder:
             self._supports.append(_support(node.operands, self._supports))
             self._intern[key] = idx
         return node_ref(idx)
+
+
+def _reachable(nodes: Sequence[NetNode], output: Ref) -> list[bool]:
+    """Which nodes the output depends on."""
+    # operands point to earlier nodes, so one backward sweep marks them all
+    reachable = [False] * len(nodes)
+    if output.kind == "node":
+        reachable[output.index] = True
+    for i in range(len(nodes) - 1, -1, -1):
+        if reachable[i]:
+            for op in nodes[i].operands:
+                if op.kind == "node":
+                    reachable[op.index] = True
+    return reachable
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +356,20 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
 # their rank set; CONST nodes carry their value.
 
 
+def _node_text(node: NetNode) -> str:
+    """A node line without its index."""
+    parts = [node.kind]
+    if node.kind == KIND_SYM:
+        parts.append("[" + ",".join(map(str, sorted(node.ranks))) + "]")
+    if node.kind == KIND_CONST:
+        parts.append(str(node.value))
+    parts.extend(op.token for op in node.operands)
+    return " ".join(parts)
+
+
 def netlist_to_text(nl: Netlist) -> str:
     lines = ["inputs: " + " ".join(nl.input_names)]
-    for i, node in enumerate(nl.nodes):
-        parts = [str(i), node.kind]
-        if node.kind == KIND_SYM:
-            parts.append("[" + ",".join(map(str, sorted(node.ranks))) + "]")
-        if node.kind == KIND_CONST:
-            parts.append(str(node.value))
-        parts.extend(op.token for op in node.operands)
-        lines.append(" ".join(parts))
+    lines.extend(f"{i} {_node_text(node)}" for i, node in enumerate(nl.nodes))
     lines.append("output: " + nl.output.token)
     return "\n".join(lines) + "\n"
 
@@ -365,30 +395,39 @@ def _parse_ref(token: str, num_nodes: int, num_inputs: int, lineno: int) -> Ref:
 
 
 def netlist_from_text(text: str) -> Netlist:
-    input_names: tuple[str, ...] | None = None
+    """Read the text format, accepting only what the writer emits.
+
+    Each node line is replayed through a ``NetlistBuilder``.  A node the
+    builder rejects, rewrites, merges with an earlier node, or drops as
+    unreachable from the output raises ``ParseError`` naming its line.
+    """
+    builder: NetlistBuilder | None = None
     nodes: list[NetNode] = []
-    supports: list[frozenset[int]] = []
+    linenos: list[int] = []
+    refs: dict[str, Ref] = {}
     output: Ref | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("inputs:"):
-            if input_names is not None:
+            if builder is not None:
                 raise ParseError("repeated inputs line", lineno)
             input_names = tuple(line[len("inputs:"):].split())
             if len(set(input_names)) != len(input_names):
                 raise ParseError("duplicate input names", lineno)
+            builder = NetlistBuilder(input_names)
+            nodes = builder._nodes
             continue
         if line.startswith("output:"):
-            if input_names is None:
+            if builder is None:
                 raise ParseError("output before inputs", lineno)
             if output is not None:
                 raise ParseError("repeated output line", lineno)
             token = line[len("output:"):].strip()
             output = _parse_ref(token, len(nodes), len(input_names), lineno)
             continue
-        if input_names is None:
+        if builder is None:
             raise ParseError("node line before inputs", lineno)
         if output is not None:
             raise ParseError("node line after output", lineno)
@@ -411,29 +450,39 @@ def netlist_from_text(text: str) -> Netlist:
             ]
             if listed != sorted(set(listed)):
                 raise ParseError("SYM ranks must be listed in increasing order", lineno)
-            ranks = frozenset(listed)
+            ranks = listed
             rest = rest[1:]
         if kind == KIND_CONST:
             if len(rest) != 1 or rest[0] not in ("0", "1"):
                 raise ParseError("CONST node needs a single 0/1 value", lineno)
             value = int(rest[0])
             rest = []
-        operands = tuple(_parse_ref(tok, len(nodes), len(input_names), lineno) for tok in rest)
+        for tok in rest:
+            if tok not in refs:  # a token once valid stays valid: nodes only grow
+                refs[tok] = _parse_ref(tok, idx, len(input_names), lineno)
+        operands = tuple(map(refs.__getitem__, rest))
         if kind == KIND_INV and len(operands) != 1:
             raise ParseError("INV takes exactly one operand", lineno)
         if kind in (KIND_SYM, KIND_AND, KIND_OR) and not operands:
             raise ParseError(f"{kind} needs operands", lineno)
-        if kind == KIND_SYM and not ranks.issubset(range(len(operands) + 1)):
-            raise ParseError("SYM rank set out of range for its arity", lineno)
-        if kind == KIND_AND and _overlapping(operands, supports):
-            raise ParseError("AND_DISJOINT operands have overlapping supports", lineno)
-        nodes.append(NetNode(kind, operands, ranks=ranks, value=value))
-        supports.append(_support(operands, supports))
-    if input_names is None:
+        try:
+            ref = builder.replay(kind, operands, ranks, value)
+        except NetlistError as exc:
+            raise ParseError(str(exc), lineno) from None
+        fresh = ref.kind == "node" and ref.index == idx
+        if not fresh or nodes[idx].kind != kind or nodes[idx].operands != operands:
+            made = _node_text(nodes[idx]) if fresh else ref.token
+            raise ParseError(f"{kind} node is not canonical: it builds as {made}", lineno)
+        linenos.append(lineno)
+    if builder is None:
         raise ParseError("missing inputs line")
     if output is None:
         raise ParseError("missing output line")
-    return Netlist(input_names, tuple(nodes), output)
+    nl = builder.finish(output)
+    if len(nl.nodes) != len(nodes):
+        dead = _reachable(nodes, output).index(False)
+        raise ParseError(f"node {dead} is unreachable from the output", linenos[dead])
+    return nl
 
 
 def netlist_to_json_dict(nl: Netlist) -> dict:

@@ -57,6 +57,10 @@ class TCellLibrary:
     pitch_costs: Mapping[tuple[int, int], float]
     inverter_cost: float = 1.0
 
+    def __post_init__(self):
+        if self.max_arity < 1:
+            raise ValueError("library needs max_arity >= 1")
+
     @property
     def cells(self) -> tuple[ThresholdCell, ...]:
         return tuple(
@@ -82,8 +86,6 @@ def library_inventory(
     The cell count is max_arity*(max_arity+1)/2.  Default pitch costs: a
     k-of-n cell costs n pitches, the inverter 1.
     """
-    if max_arity < 1:
-        raise ValueError("library needs max_arity >= 1")
     if pitch_costs is None:
         pitch_costs = {
             (n, k): float(n) for n in range(1, max_arity + 1) for k in range(1, n + 1)
@@ -307,4 +309,4 @@ def library_from_pitch_table(text: str, max_arity: int | None = None) -> TCellLi
     if not costs:
         raise ParseError("pitch table lists no threshold cells")
     top = max(a for a, _ in costs)
-    return TCellLibrary(max_arity or top, costs, inverter)
+    return TCellLibrary(top if max_arity is None else max_arity, costs, inverter)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,15 @@ MALFORMED_NETLISTS = {
     "signed_index": "inputs: a\n+0 INV i0\noutput: n0\n",
     "signed_rank": "inputs: a b\n0 SYM [+1] i0 i1\noutput: n0\n",
     "non_numeric_rank": "inputs: a\n0 SYM [x] i0\noutput: n0\n",
+    "one_operand_sym": "inputs: a\n0 SYM [1] i0\noutput: n0\n",
+    "one_operand_or": "inputs: a\n0 OR i0\noutput: n0\n",
+    "full_rank_set": "inputs: a b c\n0 SYM [0,1,2,3] i0 i1 i2\noutput: n0\n",
+    "constant_or_operand": "inputs: a b\n0 CONST 1\n1 OR n0 i1\noutput: n1\n",
+    "nested_or": "inputs: a b c\n0 OR i0 i1\n1 OR n0 i2\noutput: n1\n",
+    "double_inverter": "inputs: a\n0 INV i0\n1 INV n0\noutput: n1\n",
+    "duplicate_node": "inputs: a b\n0 INV i0\n1 INV i0\n2 OR n0 n1 i1\noutput: n2\n",
+    "unreachable_node": "inputs: a b\n0 INV i0\n1 INV i1\noutput: n1\n",
+    "constant_sym_operand": "inputs: a b\n0 CONST 1\n1 SYM [1] n0 i1\noutput: n1\n",
 }
 
 
@@ -57,6 +69,33 @@ def test_verify_rejects_malformed_netlist(name, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("gridsyn: error:")
     assert "Traceback" not in err
+
+
+NON_CANONICAL_NETLISTS = {
+    "one_operand_sym": 2,
+    "one_operand_or": 2,
+    "full_rank_set": 2,
+    "constant_or_operand": 3,
+    "nested_or": 3,
+    "double_inverter": 3,
+    "duplicate_node": 3,
+    "unreachable_node": 2,
+    "constant_sym_operand": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL_NETLISTS))
+def test_non_canonical_netlist_names_its_line(name, tmp_path, monkeypatch, capsys):
+    # the reader accepts only what the writer emits
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.net").write_text(MALFORMED_NETLISTS[name])
+    (tmp_path / "x.pla").write_text(".i 3\n.o 1\n.ilb a b c\n111 1\n.e\n")
+    prefix = f"gridsyn: error: line {NON_CANONICAL_NETLISTS[name]}: "
+    for argv in (["tmap", "x.net"], ["verify", "x.net", "x.pla"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 def test_survey_headline(tmp_path, monkeypatch, capsys):
@@ -184,3 +223,113 @@ def test_synth_rejects_exhaustive_layout_over_eight_inputs(tmp_path, monkeypatch
     assert captured.out == ""
     assert captured.err == "gridsyn: error: exhaustive layout search requires n <= 8\n"
     assert list(tmp_path.glob("*.net")) == []
+
+
+@pytest.mark.parametrize("arity", ["0", "-1"])
+@pytest.mark.parametrize("table", [False, True])
+@pytest.mark.parametrize("command", ["synth", "tmap"])
+def test_max_arity_below_one_is_refused(command, table, arity, tmp_path, monkeypatch, capsys):
+    # with or without a pitch table, before any artifact is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "costs.txt").write_text("t 1 1 1\nt 2 1 2\nt 2 2 2\n")
+    shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
+    extra = ["--pitch-table", "costs.txt"] if table else []
+    assert main([command, "fa_carry.pla", "--max-arity", arity, *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "gridsyn: error: library needs max_arity >= 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["costs.txt", "fa_carry.pla"]
+
+
+# ---------------------------------------------------------------------------
+# output pin: every command's status, stdout, stderr and artifacts
+
+PIN_DIGEST = "b5d1fe070df65bea25acdf3d4f81e160e39b99184c8aace4868b561d324fc4aa"
+
+PIN_INPUTS = {
+    "r5.pla": write_pla(random_cover(random.Random(1), 5, 8)),
+    "r6.pla": write_pla(random_cover(random.Random(2), 6, 10)),
+    "one.pla": ONE_INPUT_PLA,
+    "bad.pla": ".i 2\n.o 1\n1x 1\n.e\n",
+    "costs.txt": "inv 1 - 0.5\nt1 1 1 1\nt1of2 2 1 1.5\nt2of2 2 2 1.5\nt1of3 3 1 2\nt2of3 3 2 2.5\n"
+    "t3of3 3 3 2.5\n",
+}
+
+
+def _pin_commands(stems: list[str]) -> list[list[str]]:
+    """The corpus before ``synth`` has run: every PLA through every command."""
+    runs = []
+    for fmt in ([], ["--json"]):
+        for stem in stems:
+            pla = f"{stem}.pla"
+            for command in ("synth", "spectrum", "grid", "cores", "tmap"):
+                runs.append([command, pla, *fmt])
+        for stem in ("r5", "xor_pair", "adder", "one"):
+            runs.append(["synth", f"{stem}.pla", "--report-cores", "--core-metric", "minterms",
+                         "--out", f"{stem}_m", *fmt])
+        for stem in ("r5", "majority5", "adder"):
+            runs.append(["synth", f"{stem}.pla", "--dc-partition", "--minimize", "exhaustive",
+                         "--max-arity", "3", "--out", f"{stem}_x", *fmt])
+        runs.append(["synth", "r6.pla", "--minimize", "exhaustive", *fmt])
+        runs.append(["synth", "fa_sum.pla", "--pitch-table", "costs.txt", "--max-arity", "3",
+                     *fmt])
+        for extra in (["--order", "a,c,b,d"], ["--phases", "b,c"], ["--render", "svg"],
+                      ["--minimize", "greedy"], ["--order", "a,a,b,c"], ["--order", "a,z"],
+                      ["--phases", "b,q"]):
+            runs.append(["grid", "xor_pair.pla", *extra, *fmt])
+        runs.append(["grid", "adder.pla", "--render", "svg", "--out", "add", *fmt])
+        runs.append(["grid", "r5.pla", "--minimize", "exhaustive", "--order", "x4,x3,x2,x1,x0",
+                     *fmt])
+        runs.append(["tmap", "fa_sum.pla", "--pitch-table", "costs.txt", "--max-arity", "3",
+                     *fmt])
+        runs.append(["tmap", "and5.pla", "--pitch-table", "costs.txt", *fmt])
+        for n in range(4):
+            runs.append(["explore-planar", "-n", str(n), *fmt])
+        runs.append(["explore-planar", "-n", "2", "--out", "bf2.json", *fmt])
+        runs.append(["verify", "missing.net", "and5.pla", *fmt])
+    return runs
+
+
+def _pin_net_commands(nets: list[str]) -> list[list[str]]:
+    """The corpus on the netlists ``synth`` and ``tmap`` wrote."""
+    runs = []
+    for fmt in ([], ["--json"]):
+        for net in nets:
+            if not net.endswith(".tmap.net"):
+                runs.append(["tmap", net, *fmt])
+                runs.append(["tmap", net, "--max-arity", "3", *fmt])
+            pla = net.removesuffix(".net").removesuffix(".tmap") + ".pla"
+            if Path(pla).exists():
+                runs.append(["verify", net, pla, *fmt])
+        for net, pla in (("and5.net", "or5.pla"), ("fa_carry.net", "fa_sum.pla"),
+                         ("r5.net", "majority5.pla"), ("parity4.net", "xor_pair.pla"),
+                         ("and5.net", "fa_sum.pla"), ("fa_sum.net", "adder.pla"),
+                         ("fa_sum.net", "bad.pla")):
+            runs.append(["verify", net, pla, *fmt])
+    return runs
+
+
+def _pin_digest(work: Path, monkeypatch, capsys) -> str:
+    shutil.copytree(DEMO_PLAS, work)
+    for name, text in PIN_INPUTS.items():
+        (work / name).write_text(text)
+    monkeypatch.chdir(work)
+    stems = sorted(p.stem for p in work.glob("*.pla"))
+    h = hashlib.sha256()
+
+    def run(argv):
+        status = main(argv)
+        out, err = capsys.readouterr()
+        h.update(json.dumps([argv, status, out, err]).encode() + b"\n")
+
+    for argv in _pin_commands(stems):
+        run(argv)
+    nets = sorted(p.name for p in work.glob("*.net"))
+    for argv in _pin_net_commands(nets):
+        run(argv)
+    for p in sorted(work.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    assert _pin_digest(tmp_path / "work", monkeypatch, capsys) == PIN_DIGEST

@@ -1,0 +1,112 @@
+"""Dead-name check over the package source, using only ``ast``.
+
+Two rules, for every module of ``src/gridsyn`` except ``__init__.py``:
+
+- a module-level function, class or constant must be referenced somewhere
+  in ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` other than at its
+  definition;
+- every module-level import must be used by the module itself, or listed
+  in its ``__all__``.
+
+References are matched by bare identifier (a load of the name, an
+attribute of that name, or a ``from ... import`` of it), so two
+definitions that share a name can hide each other; the check is cheap,
+not exact.  Dunder names are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gridsyn"
+TREES = ("src", "tests", "demos", "perfbench")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _loads(tree: ast.AST) -> Counter:
+    """Identifiers a tree reads: loaded names, attributes and from-imports."""
+    seen: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            seen[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            seen[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            seen.update(alias.name for alias in node.names)
+    return seen
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assigned constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports, ``__future__`` excepted."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+
+
+def dead_names() -> list[str]:
+    """``module.name`` for every definition nothing references."""
+    used: Counter = Counter()
+    for tree_dir in TREES:
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            used.update(_loads(_parse(path)))
+    return [
+        f"{stem}.{name}"
+        for stem, tree in _modules().items()
+        for name in _definitions(tree)
+        if not used[name]
+    ]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports() -> list[str]:
+    """``module.name`` for every import its own module neither reads nor exports."""
+    out = []
+    for stem, tree in _modules().items():
+        body = [node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))]
+        used = _loads(ast.Module(body=body, type_ignores=[])) + Counter(_exported(tree))
+        out += [f"{stem}.{name}" for name in _imports(tree) if not used[name]]
+    return out
+
+
+def test_no_dead_names():
+    assert dead_names() == []
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -225,6 +225,16 @@ class TestSerialization:
             ("inputs: a b\n0 SYM [0,,2] i0 i1\noutput: n0\n", "line 2: bad rank ''"),
             ("inputs: a b\n0 SYM [2,0] i0 i1\noutput: n0\n", "line 2: SYM ranks must be listed"),
             ("inputs: a b\n0 SYM [1,1] i0 i1\noutput: n0\n", "line 2: SYM ranks must be listed"),
+            ("inputs: a\n0 SYM [1] i0\noutput: n0\n", "line 2: SYM node is not canonical"),
+            ("inputs: a\n0 OR i0\noutput: n0\n", "line 2: OR node is not canonical"),
+            ("inputs: a b c\n0 SYM [0,1,2,3] i0 i1 i2\noutput: n0\n", "line 2: SYM node .* CONST 1"),
+            ("inputs: a b\n0 CONST 0\n1 OR n0 i0 i1\noutput: n1\n", "line 3: OR node .* OR i0 i1$"),
+            ("inputs: a b c\n0 OR i0 i1\n1 OR n0 i2\noutput: n1\n", "line 3: .* OR i0 i1 i2$"),
+            ("inputs: a\n0 INV i0\n1 INV n0\noutput: n1\n", "line 3: INV node .* as i0$"),
+            ("inputs: a b\n0 INV i0\n1 INV i0\n2 OR n0 n1 i1\noutput: n2\n", "line 3: .* as n0$"),
+            ("inputs: a b\n0 INV i0\n1 INV i1\noutput: n1\n", "line 2: node 0 is unreachable"),
+            ("inputs: a b\n0 CONST 1\n1 SYM [1] n0 i1\noutput: n1\n", "line 3: SYM operand n0 is a"),
+            ("inputs: a\n0 SYM [0] i0\noutput: n0\n", "line 2: SYM node .* as INV i0$"),
         ],
     )
     def test_parse_errors(self, text, match):
