@@ -20,26 +20,27 @@ objective; the link count L breaks ties.
 Internally a node's suffix set is a bit mask over the ``2**k`` possible
 completions (k characters left to read), with the next character to read in
 the most significant position, so splitting on the next character is a
-single shift or mask of a big integer.  One truth-table transform
-(``cubes.transform_mask``) turns the minterm set into that word mask, and
-one pass computes the classes level by level, with the link count.  Those
-classes are the whole plot: N, L, planarity, bridges and the drawings come
-from them.  A class at grid point (r, d) links to (r + 1, d + 1) when some
-completion starts with a 1 and to (r, d + 1) when some starts with a 0, so
-no node needs an identity of its own.
+single shift or mask of a big integer.  Those classes are the whole plot: N,
+L, planarity, bridges and the drawings come from them.  A class at grid
+point (r, d) links to (r + 1, d + 1) when some completion starts with a 1
+and to (r, d + 1) when some starts with a 0, so no node needs an identity
+of its own.
 
-The layout search and the planarity decision try thousands of
-configurations of one function, and level d of each depends only on the set
-S of the first d inputs read and their phases p: its classes are the
-distinct (rank of the phased prefix, cofactor of the function on that
-prefix).  A per-function level table therefore memoises, per (S, p & S), the
-class count and whether the ranks are distinct, and per (S, p & S, next
-input) the link count, so a configuration costs a few dictionary lookups
-once its levels have been seen.  Class sets are kept only along the last
-walked configuration; a cofactor is a full-width truth-table mask with the
-inputs of S fixed to 0, so splitting it on input x is two masks and a
-shift.  Each search confirms the configuration it returns with one full
-grid DAG.
+One level engine, ``_LevelTable``, computes the classes.  Level d of a
+configuration depends only on the set S of the first d inputs read and
+their phases p: its classes are the distinct (rank of the phased prefix,
+cofactor of the function on that prefix), a cofactor being a full-width
+truth-table mask with the inputs of S fixed to 0, so splitting it on input
+x is two masks and a shift.  The table memoises, per (S, p & S), the class
+count and whether the ranks are distinct, and per (S, p & S, next input)
+the link count, and keeps class sets only along the last walked
+configuration.  The layout search and the planarity decision walk one
+table of the function through thousands of configurations, each costing a
+few dictionary lookups once its levels have been seen.  ``build_grid_dag``
+walks a fresh table of the word mask (``cubes.transform_mask`` puts the
+first input read in the most significant position), reading its inputs
+from the top down without phases, so every cofactor it splits is a suffix
+set.  Each search confirms the configuration it returns with one grid DAG.
 """
 
 from __future__ import annotations
@@ -83,37 +84,6 @@ class GridDag:
     link_count: int
 
 
-def _level_pass(word_bits: int, n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
-    """Sorted (rank, suffix mask) classes of every level, and the link count.
-
-    ``word_bits`` is a word-set mask with the first character most
-    significant, so a class splits on its next character by one shift and
-    one mask.  The origin class exists even for the empty set.
-    """
-    classes = [((0, word_bits),)]
-    links = 0
-    for d in range(n):
-        half = 1 << (n - d - 1)
-        low = (1 << half) - 1
-        nxt: set[tuple[int, int]] = set()
-        for r, mask in classes[-1]:
-            hi = mask >> half
-            lo = mask & low
-            if hi:
-                nxt.add((r + 1, hi))
-                links += 1
-            if lo:
-                nxt.add((r, lo))
-                links += 1
-        classes.append(tuple(sorted(nxt)))
-    return tuple(classes), links
-
-
-def _planar_levels(classes: Sequence[Sequence[tuple[int, int]]]) -> bool:
-    """True iff no level holds two classes of equal rank."""
-    return all(len({r for r, _ in keys}) == len(keys) for keys in classes)
-
-
 def build_grid_dag(
     s: MintermSet,
     order: Sequence[int] | None = None,
@@ -134,9 +104,16 @@ def build_grid_dag(
         phases = PhaseVector.none(n)
     if phases.n != n:
         raise ValueError("phase vector length mismatch")
-    # the first consumed input becomes the most significant word bit
-    word_bits = transform_mask(s.bits, n, order[::-1], phases.mask)
-    return GridDag(n, order, phases, *_level_pass(word_bits, n))
+    # the first consumed input becomes the most significant word bit, so
+    # reading the word table from its top input down splits every class
+    # into the suffix sets of its two completions
+    table = _LevelTable(MintermSet(n, transform_mask(s.bits, n, order[::-1], phases.mask)))
+    _, links = table.metrics(range(n - 1, -1, -1), 0)
+    classes = tuple(
+        tuple(sorted((r, g) for g, ranks in level.items() for r in range(d + 1) if ranks >> r & 1))
+        for d, (_, level) in enumerate(table.path)
+    )
+    return GridDag(n, order, phases, classes, links)
 
 
 def metrics(g: GridDag) -> PlotMetrics:
@@ -155,7 +132,7 @@ def bridge_points(g: GridDag) -> dict[tuple[int, int], int]:
 
 def is_planar_plot(g: GridDag) -> bool:
     """True iff every grid point hosts at most one node."""
-    return _planar_levels(g.classes)
+    return not bridge_points(g)
 
 
 #: Largest arity that ``minimize_layout`` sweeps exhaustively.

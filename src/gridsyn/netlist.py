@@ -156,6 +156,9 @@ class NetlistBuilder:
             if ref.kind == "node" and self._nodes[ref.index].kind == KIND_CONST:
                 raise NetlistError(f"SYM operand {ref.token} is a constant")
         k = len(operands)
+        if len(set(operands)) < k:
+            dup = next(ref for j, ref in enumerate(operands) if ref in operands[:j])
+            raise NetlistError(f"SYM operand {dup.token} repeats")
         ranks = frozenset(ranks)
         if not ranks.issubset(range(k + 1)):
             raise NetlistError(f"SYM rank set {sorted(ranks)} out of range for its arity {k}")

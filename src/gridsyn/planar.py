@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
-from .cubes import MintermSet, PhaseVector, transform_mask
+from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask, transform_mask
 from .gridplot import _LevelTable, _class_links, _phasings, build_grid_dag, is_planar_plot
 
 _EXHAUSTIVE_WITNESS_CAP = 6
@@ -71,19 +71,18 @@ def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> Minte
     if not deleted.issubset(t.links):
         raise ValueError("deleted links must belong to the template")
     alive = t.links - deleted
-    bits = 0
-    for v in range(1 << t.n):
-        rank = 0
-        ok = True
-        for d in range(t.n):
-            bit = (v >> d) & 1
-            if (rank, d, "one" if bit else "zero") not in alive:
-                ok = False
-                break
-            rank += bit
-        if ok:
-            bits |= 1 << v
-    return MintermSet(t.n, bits)
+    # reach[r]: assignments whose first d inputs take alive links to rank r;
+    # an assignment has one rank, so the last level's masks are disjoint
+    reach = [full_mask(t.n)]
+    for d, m in enumerate(assignment_masks(t.n)):
+        nxt = [0] * (d + 2)
+        for r, acc in enumerate(reach):
+            if (r, d, "one") in alive:
+                nxt[r + 1] |= acc & m
+            if (r, d, "zero") in alive:
+                nxt[r] |= acc & ~m
+        reach = nxt
+    return MintermSet(t.n, sum(reach))
 
 
 # ---------------------------------------------------------------------------

@@ -206,34 +206,34 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
             acc = gate(acc, ref)
         return acc
 
-    for node in nl.nodes:
+    for i, node in enumerate(nl.nodes):
+        ops = tuple(res(op) for op in node.operands)
+        if len(set(ops)) < len(ops):
+            j = next(j for j, ref in enumerate(ops) if ref in ops[:j])
+            first, second = node.operands[ops.index(ops[j])], node.operands[j]
+            raise MappingError(
+                f"node n{i}: operands {first.token} and {second.token} map to one signal"
+            )
         if node.kind == KIND_CONST:
             mapped.append(b.const(node.value))
         elif node.kind == KIND_INV:
-            mapped.append(b.inv(res(node.operands[0])))
+            mapped.append(b.inv(ops[0]))
         elif node.kind == KIND_OR:
-            mapped.append(chain([res(op) for op in node.operands], or2))
+            mapped.append(chain(ops, or2))
         elif node.kind == KIND_AND:
-            mapped.append(chain([res(op) for op in node.operands], and2))
+            mapped.append(chain(ops, and2))
         elif node.kind == KIND_SYM:
-            k = len(node.operands)
+            k = len(ops)
             if k > lib.max_arity:
                 raise MappingError(
                     f"symmetric component of {k} inputs exceeds library arity {lib.max_arity}"
                 )
-            ops = tuple(res(op) for op in node.operands)
             terms: list[Ref] = []
             for lower, upper in map_sf(FullRankSet(k, node.ranks)).terms:
-                t_lo = b.sym(range(lower, k + 1), ops) if lower is not None else None
-                t_hi = b.inv(b.sym(range(upper, k + 1), ops)) if upper is not None else None
-                if t_lo is not None and t_hi is not None:
-                    terms.append(and2(t_lo, t_hi))
-                elif t_lo is not None:
-                    terms.append(t_lo)
-                elif t_hi is not None:
-                    terms.append(t_hi)
-                else:
-                    terms.append(b.const(1))
+                factors = [b.sym(range(lower, k + 1), ops)] if lower is not None else []
+                if upper is not None:
+                    factors.append(b.inv(b.sym(range(upper, k + 1), ops)))
+                terms.append(chain(factors, and2) if factors else b.const(1))
             mapped.append(chain(terms, or2) if terms else b.const(0))
         else:  # pragma: no cover
             raise MappingError(f"unmappable node kind {node.kind!r}")

@@ -83,6 +83,19 @@ def oracle_metrics(words: set[str], n: int) -> tuple[int, int]:
     return (len(classes) - 1, len(links))
 
 
+def oracle_classes(words: set[str], n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``GridDag.classes`` from the definition: per depth, the sorted distinct
+    (rank, suffix mask) of every prefix, with the origin kept for the empty set."""
+    levels = []
+    for d in range(n + 1):
+        prefixes = {w[:d] for w in words} | ({""} if d == 0 else set())
+        levels.append(tuple(sorted({
+            (p.count("1"), sum(1 << int(w[d:] or "0", 2) for w in words if w.startswith(p)))
+            for p in prefixes
+        })))
+    return tuple(levels)
+
+
 def oracle_planar(words: set[str], n: int) -> bool:
     """Planarity from the definition: no two prefix classes share a grid point."""
     classes = {
@@ -210,6 +223,24 @@ def oracle_minimize_layout(s, mode="exhaustive", seed=0):
         starts.append((tuple(order), ph))
     best = min(climb(order, ph) for order, ph in starts)
     return LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
+
+
+def oracle_derive_pf(t, deleted) -> MintermSet:
+    """``derive_pf`` as a walk of every assignment along the template's links."""
+    alive = t.links - frozenset(deleted)
+    bits = 0
+    for v in range(1 << t.n):
+        rank = 0
+        ok = True
+        for d in range(t.n):
+            bit = (v >> d) & 1
+            if (rank, d, "one" if bit else "zero") not in alive:
+                ok = False
+                break
+            rank += bit
+        if ok:
+            bits |= 1 << v
+    return MintermSet(t.n, bits)
 
 
 def oracle_planar_witness(s, cap=6):

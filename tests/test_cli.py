@@ -34,6 +34,7 @@ MALFORMED_NETLISTS = {
     "duplicate_node": "inputs: a b\n0 INV i0\n1 INV i0\n2 OR n0 n1 i1\noutput: n2\n",
     "unreachable_node": "inputs: a b\n0 INV i0\n1 INV i1\noutput: n1\n",
     "constant_sym_operand": "inputs: a b\n0 CONST 1\n1 SYM [1] n0 i1\noutput: n1\n",
+    "repeated_sym_operand": "inputs: a b\n0 SYM [1] i0 i0\n1 SYM [1] i1 n0\noutput: n1\n",
 }
 
 
@@ -81,6 +82,7 @@ NON_CANONICAL_NETLISTS = {
     "duplicate_node": 3,
     "unreachable_node": 2,
     "constant_sym_operand": 3,
+    "repeated_sym_operand": 2,
 }
 
 
@@ -96,6 +98,18 @@ def test_non_canonical_netlist_names_its_line(name, tmp_path, monkeypatch, capsy
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+def test_tmap_rejects_operands_that_map_to_one_signal(tmp_path, monkeypatch, capsys):
+    # n0 and n1 are distinct nodes that both map to one 2-input T_1 cell
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.net").write_text(
+        "inputs: a b\n0 OR i0 i1\n1 SYM [1,2] i0 i1\n2 SYM [1] n0 n1\noutput: n2\n"
+    )
+    assert main(["tmap", "x.net"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridsyn: error: node n2: operands n0 and n1 map to one signal\n"
 
 
 def test_survey_headline(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,12 @@
 """Dead-name check over the package source, using only ``ast``.
 
-Two rules, for every module of ``src/gridsyn`` except ``__init__.py``:
+Three rules, for every module of ``src/gridsyn`` except ``__init__.py``:
 
 - a module-level function, class or constant must be referenced somewhere
   in ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` other than at its
   definition;
+- a private (``_``) one must be referenced in ``src/`` outside its own
+  definition, so a test that imports it cannot keep it alive;
 - every module-level import must be used by the module itself, or listed
   in its ``__all__``.
 
@@ -42,17 +44,19 @@ def _loads(tree: ast.AST) -> Counter:
     return seen
 
 
-def _definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions, classes and assigned constants."""
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Module-level functions, classes and assigned constants, with their statements."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
-    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+                names += [(n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [
+        (name, node) for name, node in names if not (name.startswith("__") and name.endswith("__"))
+    ]
 
 
 def _imports(tree: ast.Module) -> list[str]:
@@ -79,8 +83,21 @@ def dead_names() -> list[str]:
     return [
         f"{stem}.{name}"
         for stem, tree in _modules().items()
-        for name in _definitions(tree)
+        for name, _ in _definitions(tree)
         if not used[name]
+    ]
+
+
+def private_names_unused_by_src() -> list[str]:
+    """``module.name`` for every private definition ``src/`` references only inside itself."""
+    used: Counter = Counter()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        used.update(_loads(_parse(path)))
+    return [
+        f"{stem}.{name}"
+        for stem, tree in _modules().items()
+        for name, node in _definitions(tree)
+        if name.startswith("_") and used[name] <= _loads(node)[name]
     ]
 
 
@@ -106,6 +123,10 @@ def unused_imports() -> list[str]:
 
 def test_no_dead_names():
     assert dead_names() == []
+
+
+def test_private_names_are_used_by_the_package():
+    assert private_names_unused_by_src() == []
 
 
 def test_no_unused_imports():

@@ -20,11 +20,12 @@ from gridsyn import (
 )
 from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import _LevelTable, _level_pass, _planar_levels
+from gridsyn.gridplot import _LevelTable
 
 from helpers import (
     DEMO_PLAS,
     ms,
+    oracle_classes,
     oracle_metrics,
     oracle_minimize_layout,
     oracle_planar,
@@ -163,11 +164,9 @@ class TestLevelPass:
                 if (word_bits >> w) & 1
             }
             assert decoded == words
-            classes, links = _level_pass(word_bits, n)
-            assert (sum(map(len, classes)) - 1, links) == oracle_metrics(words, n)
-            assert _planar_levels(classes) == oracle_planar(words, n)
             dag = build_grid_dag(s, order, phases)
-            assert (dag.classes, dag.link_count) == (classes, links)
+            assert dag.classes == oracle_classes(words, n)
+            assert metrics(dag) == oracle_metrics(words, n)
             assert is_planar_plot(dag) == oracle_planar(words, n)
 
 

@@ -154,8 +154,9 @@ class TestEvaluate:
             for _ in range(rng.randint(1, 6)):
                 kind = rng.choice("sioa")
                 if kind == "s":
-                    k = rng.randint(1, min(3, len(pool)))
-                    ops = [rng.choice(pool) for _ in range(k)]
+                    distinct = list(dict.fromkeys(pool))
+                    k = rng.randint(1, min(3, len(distinct)))
+                    ops = rng.sample(distinct, k)
                     ranks = {r for r in range(k + 1) if rng.random() < 0.5}
                     pool.append(b.sym(ranks & set(range(k + 1)), tuple(ops)))
                 elif kind == "i":
@@ -235,6 +236,10 @@ class TestSerialization:
             ("inputs: a b\n0 INV i0\n1 INV i1\noutput: n1\n", "line 2: node 0 is unreachable"),
             ("inputs: a b\n0 CONST 1\n1 SYM [1] n0 i1\noutput: n1\n", "line 3: SYM operand n0 is a"),
             ("inputs: a\n0 SYM [0] i0\noutput: n0\n", "line 2: SYM node .* as INV i0$"),
+            (
+                "inputs: a b\n0 SYM [1] i0 i0\n1 SYM [1] i1 n0\noutput: n1\n",
+                "line 2: SYM operand i0 repeats$",
+            ),
         ],
     )
     def test_parse_errors(self, text, match):

@@ -19,7 +19,7 @@ from gridsyn import (
     survey_planarity,
 )
 
-from helpers import ms, oracle_planar_witness
+from helpers import ms, oracle_derive_pf, oracle_planar_witness
 
 
 class TestTemplate:
@@ -44,6 +44,14 @@ class TestTemplate:
         assert is_planar_plot(dag)
         t = full_template(4)
         assert derive_pf(t, t.links - links_of(dag)) == s
+
+    def test_matches_the_per_assignment_walk(self):
+        rng = random.Random(64)
+        for k in range(300):
+            t = full_template(k % 9)
+            p = rng.random()
+            deleted = {link for link in sorted(t.links) if rng.random() < p}
+            assert derive_pf(t, deleted) == oracle_derive_pf(t, deleted), (t.n, deleted)
 
     def test_derived_functions_are_planar(self):
         rng = random.Random(3)
