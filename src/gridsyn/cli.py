@@ -14,6 +14,7 @@ inputs and flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -46,7 +47,10 @@ from .tcells import MappingError, library_from_pitch_table, library_inventory, m
 
 Report = tuple[int, dict, list[str]]
 
+_ARITY_HELP = "cell library arity (default: the pitch table's largest arity, else 5)"
 
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gridsyn",
@@ -66,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--minimize", choices=("greedy", "exhaustive"), default="greedy")
     p.add_argument("--dc-partition", action="store_true", help="split by don't-care count first")
     p.add_argument("--core-metric", choices=cores_mod.SIZE_METRICS, default="cubes")
-    p.add_argument("--max-arity", type=int, default=5, help="cell library arity")
+    p.add_argument("--max-arity", type=int, help=_ARITY_HELP)
     p.add_argument("--pitch-table", help="cell cost table file")
     p.add_argument("--report-cores", action="store_true", help="also dump the core report")
 
@@ -86,7 +90,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tmap", help="map a netlist (or PLA) onto threshold cells")
     add_common(p)
-    p.add_argument("--max-arity", type=int, default=5)
+    p.add_argument("--max-arity", type=int, help=_ARITY_HELP)
     p.add_argument("--pitch-table")
 
     p = sub.add_parser("explore-planar", help="exhaustive planarity survey")
@@ -127,13 +131,16 @@ def run(ns: argparse.Namespace) -> Report:
 # helpers
 
 
-def _read_pla(path: str) -> list[tuple[str, Cover]]:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise OSError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_pla(path: str) -> list[tuple[str, Cover]]:
     try:
-        return parse_pla_outputs(text)
+        return parse_pla_outputs(_read_text(path))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -144,8 +151,8 @@ def _stem(ns: argparse.Namespace) -> str:
 
 def _load_library(ns: argparse.Namespace):
     if ns.pitch_table:
-        return library_from_pitch_table(Path(ns.pitch_table).read_text(), ns.max_arity)
-    return library_inventory(ns.max_arity)
+        return library_from_pitch_table(_read_text(ns.pitch_table), ns.max_arity)
+    return library_inventory(5 if ns.max_arity is None else ns.max_arity)
 
 
 def _parse_name_list(spec: str, names: tuple[str, ...], what: str) -> list[int]:
@@ -372,7 +379,7 @@ def _cmd_tmap(ns: argparse.Namespace) -> Report:
     stem = _stem(ns)
     jobs: list[tuple[str, Netlist, Cover | None]] = []
     if path.suffix == ".net":
-        jobs.append((stem, netlist_from_text(path.read_text()), None))
+        jobs.append((stem, netlist_from_text(_read_text(ns.input)), None))
     else:
         outputs = _read_pla(ns.input)
         for name, cover in outputs:
@@ -430,7 +437,7 @@ def _cmd_explore(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> Report:
-    nl = netlist_from_text(Path(ns.netlist).read_text())
+    nl = netlist_from_text(_read_text(ns.netlist))
     outputs = _read_pla(ns.input)
     if len(outputs) != 1:
         raise ValueError("verify expects a single-output PLA")

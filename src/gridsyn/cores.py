@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
 
-from .cubes import Cover, PhaseVector, apply_phase, cover_to_minterms
+from .cubes import Cover, cover_to_minterms
 
 #: How candidate cores are sized: by cube count (default) or by the number
 #: of distinct minterms the selected cubes cover.
@@ -65,11 +65,6 @@ class Core:
     @property
     def cube_count(self) -> int:
         return len(self.cube_indices)
-
-    def phased_cubes(self) -> tuple[str, ...]:
-        """The selected cubes with inverted columns flipped."""
-        selected = Cover(self.base.input_names, (self.base.cubes[i] for i in self.cube_indices))
-        return apply_phase(selected, PhaseVector.inverting(self.base.n, self.inverted)).cubes
 
 
 @dataclass(frozen=True)

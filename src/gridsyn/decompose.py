@@ -5,11 +5,12 @@ One round of the engine on a cover F over inputs X:
 1. score every input pair in both polarities (pair cores),
 2. widen the best-scoring cores greedily and pick the overall best core,
    a phased cube subset symmetric over some Z subset of X,
-3. split the core along the rank cut: Core = sum over r of G_r(Z) * H_r(Y)
-   where G_r is the full rank-r symmetric function of Z and H_r the
-   cofactor of the core under any rank-r assignment to Z (they all agree
-   because the core is symmetric over Z),
-4. recurse on each cofactor H_r,
+3. split the core along the rank cut: Core = sum over the distinct
+   cofactors H of G(Z) * H(Y), where H is the cofactor of the core under
+   any rank-r assignment to the phased Z (they all agree because the core
+   is symmetric over Z) and G the full symmetric function of every rank r
+   with that cofactor,
+4. recurse on each cofactor H,
 5. recurse on the remainder (the cubes left out of the core) and OR the
    two networks together.
 
@@ -36,7 +37,6 @@ from .cubes import (
     CapacityError,
     Cover,
     DEFAULT_EXPANSION_CAP,
-    MintermSet,
     assignment_masks,
     cover_mask,
     cover_to_minterms,
@@ -102,58 +102,51 @@ def _prune_contained(cubes: Sequence[str]) -> tuple[str, ...]:
     return tuple(kept)
 
 
-def factor_core(core: cores_mod.Core) -> list[tuple[int, FullRankSet, Cover]]:
-    """Rank-cut factorization of a symmetric core.
+def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
+    """Rank-cut factorization of a symmetric core: one term per distinct cofactor.
 
-    Returns one term per occupied rank r of Z: the full rank-r symmetric
-    function over Z paired with the cofactor cover over Y = X - Z.  The
-    reconstruction Core = sum of G_r * H_r is asserted exactly; the sum is
-    symmetric over Z, so this also proves the core symmetric.
+    Each term pairs the full symmetric function over Z of the ranks sharing
+    a cofactor with that cofactor over Y = X - Z, in order of lowest rank.
+    The rank-r cofactor is read from the core's own cubes where the first r
+    inputs of Z are phased 1 (raw ``0`` on an inverted input).  The
+    reconstruction Core = sum of G * H is asserted exactly; the sum is
+    symmetric over the phased Z, so this also proves the core symmetric.
     """
     cover = core.base
     z = core.sym_inputs
     y = tuple(j for j in range(cover.n) if j not in set(z))
-    phased_cubes = core.phased_cubes()
-    phased_cover = Cover(cover.input_names, phased_cubes)
-    phased_set = cover_to_minterms(phased_cover)
+    cubes = tuple(cover.cubes[i] for i in core.cube_indices)
 
-    terms: list[tuple[int, FullRankSet, Cover]] = []
-    y_names = tuple(cover.input_names[j] for j in y)
+    groups: dict[tuple[str, ...], list[int]] = {}
     for r in range(len(z) + 1):
-        rep = {zj: ("1" if t < r else "0") for t, zj in enumerate(z)}
-        residual: list[str] = []
-        for cube in phased_cubes:
-            if any(cube[j] != "-" and cube[j] != rep[j] for j in z):
-                continue
-            residual.append("".join(cube[j] for j in y))
-        if not residual:
-            continue
-        h = Cover(y_names, _prune_contained(residual))
-        terms.append((r, FullRankSet(len(z), frozenset((r,))), h))
+        rep = {zj: "01"[(t < r) != (zj in core.inverted)] for t, zj in enumerate(z)}
+        residual = [
+            "".join(cube[j] for j in y)
+            for cube in cubes
+            if all(cube[j] == "-" or cube[j] == rep[j] for j in z)
+        ]
+        if residual:
+            groups.setdefault(_prune_contained(residual), []).append(r)
+    y_names = tuple(cover.input_names[j] for j in y)
+    terms = [
+        (FullRankSet(len(z), frozenset(ranks)), Cover(y_names, h)) for h, ranks in groups.items()
+    ]
 
-    _assert_reconstruction(phased_set, terms, z, y, cover.n)
-    return terms
-
-
-def _assert_reconstruction(
-    phased_set: MintermSet,
-    terms: Sequence[tuple[int, FullRankSet, Cover]],
-    z: Sequence[int],
-    y: Sequence[int],
-    n: int,
-) -> None:
-    masks = assignment_masks(n)
-    full = full_mask(n)
-    z_classes = popcount_class_masks([masks[j] for j in z], full)
+    masks = assignment_masks(cover.n)
+    full = full_mask(cover.n)
+    z_masks = [masks[j] ^ full if j in core.inverted else masks[j] for j in z]
+    z_classes = popcount_class_masks(z_masks, full)
+    y_masks = [masks[j] for j in y]
     acc = 0
-    for r, _, h in terms:
-        h_mask = cover_mask(h, [masks[j] for j in y], full)
-        acc |= z_classes[r] & h_mask
-    if acc != phased_set.bits:
+    for g, h in terms:
+        g_mask = sum(z_classes[r] for r in g.ranks)  # rank classes are disjoint
+        acc |= g_mask & cover_mask(h, y_masks, full)
+    if acc != cover_to_minterms(Cover(cover.input_names, cubes)).bits:
         raise DecompositionError(
             f"core cube set is not symmetric over inputs {tuple(z)}: "
             "rank-cut factors do not reconstruct it"
         )
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +214,6 @@ def _decompose_rec(
     if core is None:
         raise DecompositionError("no pair core holds a cube of this cover")
 
-    terms = factor_core(core)
     z_ops = []
     for local_idx in core.sym_inputs:
         ref = builder.input(inputs[local_idx])
@@ -229,17 +221,13 @@ def _decompose_rec(
             ref = builder.inv(ref)
         z_ops.append(ref)
 
-    # Ranks sharing a cofactor merge into one symmetric factor:
-    # G_r1*H + G_r2*H = SYM[{r1,r2}]*H.  A tautology cofactor decomposes to
-    # const(1), which and_disjoint drops.
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for r, _, h in terms:
-        groups.setdefault(h.cubes, []).append(r)
-    term_refs = []
+    # one G*H term per distinct cofactor; a tautology cofactor decomposes to
+    # const(1), which and_disjoint drops
     y_globals = tuple(inputs[j] for j in range(k) if j not in set(core.sym_inputs))
-    for h_cubes, ranks_group in sorted(groups.items(), key=lambda kv: min(kv[1])):
-        g_ref = builder.sym(ranks_group, z_ops)
-        h_ref = _decompose_rec(builder, h_cubes, y_globals, root, opts, depth + 1)
+    term_refs = []
+    for g, h in factor_core(core):
+        g_ref = builder.sym(g.ranks, z_ops)
+        h_ref = _decompose_rec(builder, h.cubes, y_globals, root, opts, depth + 1)
         term_refs.append(builder.and_disjoint([g_ref, h_ref]))
     core_ref = builder.or_(term_refs)
 

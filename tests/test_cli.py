@@ -254,10 +254,53 @@ def test_max_arity_below_one_is_refused(command, table, arity, tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["costs.txt", "fa_carry.pla"]
 
 
+SIX_INPUT_TABLE = "".join(f"t{k}of{n} {n} {k} {n}\n" for n in range(1, 7) for k in range(1, n + 1))
+ALL_OR_NONE6 = ".i 6\n.o 1\n111111 1\n000000 1\n.e\n"
+
+
+@pytest.mark.parametrize("arity", [[], ["--max-arity", "6"]])
+def test_pitch_table_sets_the_default_arity(arity, tmp_path, monkeypatch, capsys):
+    # without --max-arity the table's largest arity (6) applies, not 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "costs.txt").write_text(SIX_INPUT_TABLE)
+    (tmp_path / "w6.pla").write_text(ALL_OR_NONE6)
+    assert main(["tmap", "w6.pla", "--pitch-table", "costs.txt", "--json", *arity]) == 0
+    assert json.loads(capsys.readouterr().out)["circuits"][0]["total_pitches"] == 15
+
+
+def test_plain_inventory_keeps_arity_five(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w6.pla").write_text(ALL_OR_NONE6)
+    assert main(["tmap", "w6.pla"]) == 2
+    assert capsys.readouterr().err == (
+        "gridsyn: error: symmetric component of 6 inputs exceeds library arity 5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["tmap", "fa_carry.pla", "--pitch-table", "nope.txt"], "nope.txt"),
+        (["tmap", "nope.net"], "nope.net"),
+        (["verify", "nope.net", "fa_carry.pla"], "nope.net"),
+        (["synth", "nope.pla"], "nope.pla"),
+    ],
+)
+def test_unreadable_files_are_named(argv, missing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"gridsyn: error: {missing}: No such file or directory\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # output pin: every command's status, stdout, stderr and artifacts
 
-PIN_DIGEST = "b5d1fe070df65bea25acdf3d4f81e160e39b99184c8aace4868b561d324fc4aa"
+PIN_DIGEST = "b142a65edff1ec0dd3dd598d4530fc59c6f45e7316cec33f2c81f60821d09c53"
 
 PIN_INPUTS = {
     "r5.pla": write_pla(random_cover(random.Random(1), 5, 8)),

@@ -38,8 +38,8 @@ PARITY4 = Cover(
 
 def core_is_symmetric(core: Core) -> bool:
     """Independent check: the phased minterm set survives adjacent swaps of Z."""
-    sub = Cover(core.base.input_names, core.phased_cubes())
-    s = cover_to_minterms(sub)
+    sub = Cover(core.base.input_names, (core.base.cubes[i] for i in core.cube_indices))
+    s = cover_to_minterms(apply_phase(sub, PhaseVector.inverting(core.base.n, core.inverted)))
     n = core.base.n
     for i, j in zip(core.sym_inputs, core.sym_inputs[1:]):
         perm = list(range(n))

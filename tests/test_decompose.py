@@ -32,6 +32,10 @@ from helpers import all_assignments, random_cover
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
 SUM3 = Cover(("a", "b", "c"), ("100", "010", "001", "111"))
 XOR_PAIR = Cover(("a", "b", "c", "d"), ("1010", "1001", "0110", "0101"))
+PARITY4 = Cover(
+    ("a", "b", "c", "d"),
+    ("1000", "0100", "0010", "0001", "1110", "1101", "1011", "0111"),
+)
 
 
 def slow_equivalent(nl, cover) -> bool:
@@ -47,22 +51,48 @@ class TestFactorCore:
     def test_carry_partial_core(self):
         core = pair_core(CARRY, 0, 1)
         terms = factor_core(core)
-        shaped = [(r, g.ranks, h.cubes) for r, g, h in terms]
-        assert shaped == [(1, frozenset({1}), ("1",)), (2, frozenset({2}), ("-",))]
+        shaped = [(g.ranks, h.cubes) for g, h in terms]
+        assert shaped == [(frozenset({1}), ("1",)), (frozenset({2}), ("-",))]
 
     def test_fully_symmetric_core_has_trivial_cofactors(self):
         core, _ = expand_core(pair_core(CARRY, 0, 1), CARRY)
         assert core.sym_inputs == (0, 1, 2)
         terms = factor_core(core)
-        assert [(r, h.cubes) for r, _, h in terms] == [(2, ("",)), (3, ("",))]
+        assert [(g.ranks, h.cubes) for g, h in terms] == [(frozenset({2, 3}), ("",))]
 
     def test_pair_product_core_factors_to_xor_cofactor(self):
         core = pair_core(XOR_PAIR, 0, 1)
         terms = factor_core(core)
         assert len(terms) == 1
-        r, g, h = terms[0]
-        assert r == 1 and g == FullRankSet(2, frozenset({1}))
+        g, h = terms[0]
+        assert g == FullRankSet(2, frozenset({1}))
         assert set(h.cubes) == {"10", "01"}
+
+    def test_inverted_input_reads_the_opposite_raw_symbol(self):
+        # "10" with a inverted is phased "00": rank 0 of Z, tautology cofactor
+        core = pair_core(Cover(("a", "b"), ("10",)), 0, 1, invert_a=True)
+        assert [(g.ranks, h.cubes) for g, h in factor_core(core)] == [(frozenset({0}), ("",))]
+
+    def test_ranks_sharing_a_cofactor_are_one_term(self):
+        core = best_core(PARITY4)
+        assert core.sym_inputs == (0, 1, 2, 3)
+        terms = factor_core(core)
+        assert [(g.ranks, h.cubes) for g, h in terms] == [(frozenset({1, 3}), ("",))]
+
+    def test_terms_are_disjoint_ascending_and_distinct(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            c = random_cover(rng, rng.randint(2, 7), rng.randint(1, 20))
+            core = best_core(c)
+            if core is None:
+                continue
+            terms = factor_core(core)
+            ranks = [g.ranks for g, _ in terms]
+            assert sum(map(len, ranks)) == len(frozenset().union(*ranks))
+            lows = [min(r) for r in ranks]
+            assert lows == sorted(lows)
+            cofactors = [h.cubes for _, h in terms]
+            assert len(set(cofactors)) == len(cofactors)
 
     def test_asymmetric_core_rejected(self):
         bogus = type(pair_core(CARRY, 0, 1))(
