@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import cores as cores_mod
 from .cubes import (
@@ -46,6 +47,7 @@ from .spectra import format_spectrum, spectrum_of
 from .tcells import MappingError, library_from_pitch_table, library_inventory, map_netlist
 
 Report = tuple[int, dict, list[str]]
+T = TypeVar("T")
 
 _ARITY_HELP = "cell library arity (default: the pitch table's largest arity, else 5)"
 
@@ -131,16 +133,14 @@ def run(ns: argparse.Namespace) -> Report:
 # helpers
 
 
-def _read_text(path: str) -> str:
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """Parse one input file; a read or parse error names the file."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise OSError(f"{path}: {exc.strerror or exc}") from None
-
-
-def _read_pla(path: str) -> list[tuple[str, Cover]]:
     try:
-        return parse_pla_outputs(_read_text(path))
+        return parse(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -151,7 +151,7 @@ def _stem(ns: argparse.Namespace) -> str:
 
 def _load_library(ns: argparse.Namespace):
     if ns.pitch_table:
-        return library_from_pitch_table(_read_text(ns.pitch_table), ns.max_arity)
+        return _read(ns.pitch_table, lambda text: library_from_pitch_table(text, ns.max_arity))
     return library_inventory(5 if ns.max_arity is None else ns.max_arity)
 
 
@@ -181,7 +181,7 @@ def _format_report(rows: list[tuple]) -> list[str]:
 
 
 def _cmd_synth(ns: argparse.Namespace) -> Report:
-    outputs = _read_pla(ns.input)
+    outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     lib = _load_library(ns)
     opts = DecomposeOptions(dc_partition=ns.dc_partition, core_size_metric=ns.core_metric)
@@ -261,7 +261,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> Report:
-    outputs = _read_pla(ns.input)
+    outputs = _read(ns.input, parse_pla_outputs)
     entries = []
     lines = []
     for name, cover in outputs:
@@ -273,7 +273,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_grid(ns: argparse.Namespace) -> Report:
-    outputs = _read_pla(ns.input)
+    outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     entries = []
     lines = []
@@ -322,6 +322,7 @@ def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
     """
     names = cover.input_names
     pairs = sorted(cores_mod.best_pair_cores(cover, metric).items()) if cover.n >= 2 else []
+    search = cores_mod._Search(cover, metric)
     lines = ["pair cores:"]
     for (a, b), (inv_a, core) in pairs:
         phase = f"~{names[a]}" if inv_a else "plain"
@@ -330,7 +331,7 @@ def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
     for (a, b), (inv_a, core) in pairs:
         if not core.cube_indices:
             continue
-        expanded, score = cores_mod.expand_core(core, cover, metric)
+        expanded, score = cores_mod.expand_core(core, cover, metric, search)
         z = ",".join(names[i] for i in expanded.sym_inputs)
         inv = ",".join(names[i] for i in sorted(expanded.inverted))
         lines.append(
@@ -361,7 +362,7 @@ def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
 
 
 def _cmd_cores(ns: argparse.Namespace) -> Report:
-    outputs = _read_pla(ns.input)
+    outputs = _read(ns.input, parse_pla_outputs)
     entries = []
     lines = []
     for name, cover in outputs:
@@ -379,9 +380,9 @@ def _cmd_tmap(ns: argparse.Namespace) -> Report:
     stem = _stem(ns)
     jobs: list[tuple[str, Netlist, Cover | None]] = []
     if path.suffix == ".net":
-        jobs.append((stem, netlist_from_text(_read_text(ns.input)), None))
+        jobs.append((stem, _read(ns.input, netlist_from_text), None))
     else:
-        outputs = _read_pla(ns.input)
+        outputs = _read(ns.input, parse_pla_outputs)
         for name, cover in outputs:
             cct = stem if len(outputs) == 1 else f"{stem}.{name}"
             jobs.append((cct, decompose(cover), cover))
@@ -437,8 +438,8 @@ def _cmd_explore(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> Report:
-    nl = netlist_from_text(_read_text(ns.netlist))
-    outputs = _read_pla(ns.input)
+    nl = _read(ns.netlist, netlist_from_text)
+    outputs = _read(ns.input, parse_pla_outputs)
     if len(outputs) != 1:
         raise ValueError("verify expects a single-output PLA")
     cover = outputs[0][1]

@@ -27,13 +27,29 @@ every pair core as a few mask operations.  A widening step tries candidates
 that are all subsets of the current core, so none can be larger than it: the
 step stops at the first candidate that keeps the whole core, as no later one
 could strictly beat it.
+
+The widening rests on one fact.  Take Z inside Z' and flips f' that agree
+with f on Z: every Sym(Z') class, in phased coordinates, is a union of
+Sym(Z) classes, so the closure under (Z', f') of any cube list lies inside
+its closure under (Z, f), and closing that smaller list again gives the same
+cubes as closing the whole cover.  Two consequences make the search cheap.
+First, every core met while widening a pair core is the closure of all
+cubes under its (Z, flips), and inverting all of Z changes no class, so the
+core depends only on (Z, flips up to inverting all of Z).  Second, the
+closure of Z + {x} lies inside the pair core of (a, x) for every a in Z,
+with polarity f'(a) xor f'(x); the AND of those pair cores and the current
+core bounds a candidate's size, and a candidate whose bound cannot beat the
+best score so far, nor keep the whole core, is never closed.  One
+``best_core`` call shares one pair scan, the closures it has computed and
+the final widening of every state it has passed through across all its
+seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cubes import Cover, cover_to_minterms
 
@@ -94,9 +110,7 @@ def _int_cubes(cover: Cover) -> list[IntCube]:
     return [_int_cube(cube) for cube in cover.cubes]
 
 
-def _closed(
-    cubes: Sequence[IntCube] | Mapping[int, IntCube], indices: Sequence[int], z: int, flips: int
-) -> list[int]:
+def _closed(cubes: Sequence[IntCube], indices: Sequence[int], z: int, flips: int) -> list[int]:
     """The indices whose cube lies in a class closed under every permutation of Z.
 
     ``z`` and ``flips`` are input bit masks.  A cube's class key is its part
@@ -191,17 +205,69 @@ def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple
     return masks
 
 
-def _scored_pairs(cover: Cover, size_metric: str) -> list[tuple[tuple[int, int], bool, int, int]]:
-    """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
+class _Search:
+    """What the widenings of pair cores of one cover can share.
 
-    def size(mask: int) -> int:
-        if size_metric == "cubes":
+    ``pairs`` is the pair scan, ``cores`` maps ``(z, flips)``, with flips
+    normalised against inverting all of Z, to the closure of all cubes and
+    its size, and ``widened`` maps a widening state ``(z, flips)`` to the
+    state its widening ends in.  Both memos hold only for seeds that are the
+    closure of all cubes, as pair cores are.
+    """
+
+    def __init__(self, cover: Cover, size_metric: str):
+        self.cover = cover
+        self.size_metric = size_metric
+        self.cubes = _int_cubes(cover)
+        self.pairs = _pair_masks(self.cubes, cover.n)
+        self.cores: dict[tuple[int, int], tuple[list[int], int]] = {}
+        self.widened: dict[tuple[int, int], tuple[int, int, list[int], int]] = {}
+
+    def size(self, indices: Sequence[int]) -> int:
+        return _core_size(self.cover, indices, self.size_metric)
+
+    def mask_size(self, mask: int) -> int:
+        if self.size_metric == "cubes":
             return mask.bit_count()
-        return _core_size(cover, _positions(mask), size_metric)
+        return self.size(_positions(mask))
 
+    def upper_size(self, mask: int) -> int:
+        """At least the size of any sub-list of the cubes in ``mask``.
+
+        The cube count, or the sum of the cubes' own minterm counts: an exact
+        minterm count would cost a truth table per candidate.
+        """
+        if self.size_metric == "cubes":
+            return mask.bit_count()
+        return sum(1 << self.cover.cubes[i].count("-") for i in _positions(mask))
+
+    def trials(self, z: int, flips: int, core: int):
+        """``(cand_z, cand_flips, bound)`` per candidate of one widening step.
+
+        Candidates come in input order, the plain phase of the new input x
+        first.  ``bound`` is a position mask holding the candidate's closure:
+        the current core ANDed with the pair core of (a, x) for each a in Z.
+        """
+        members = [(a, flips >> a & 1) for a in range(self.cover.n) if z >> a & 1]
+        for x in range(self.cover.n):
+            if z >> x & 1:
+                continue
+            same = other = core  # x plain, x inverted
+            for a, flipped_a in members:
+                plain, flipped = self.pairs[(a, x) if a < x else (x, a)]
+                if flipped_a:
+                    same, other = same & flipped, other & plain
+                else:
+                    same, other = same & plain, other & flipped
+            yield z | 1 << x, flips, same
+            yield z | 1 << x, flips | 1 << x, other
+
+
+def _scored_pairs(search: _Search) -> list[tuple[tuple[int, int], bool, int, int]]:
+    """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
     out = []
-    for pair, (plain, flipped) in _pair_masks(_int_cubes(cover), cover.n).items():
-        plain_size, flipped_size = size(plain), size(flipped)
+    for pair, (plain, flipped) in search.pairs.items():
+        plain_size, flipped_size = search.mask_size(plain), search.mask_size(flipped)
         if flipped_size > plain_size:
             out.append((pair, True, flipped, flipped_size))
         else:
@@ -236,12 +302,12 @@ def best_pair_cores(
         raise ValueError("pair cores need at least two inputs")
     return {
         pair: (flip, _pair_seed(cover, pair, flip, mask))
-        for pair, flip, mask, _ in _scored_pairs(cover, size_metric)
+        for pair, flip, mask, _ in _scored_pairs(_Search(cover, size_metric))
     }
 
 
 def expand_core(
-    seed: Core, cover: Cover, size_metric: str = "cubes"
+    seed: Core, cover: Cover, size_metric: str = "cubes", search: _Search | None = None
 ) -> tuple[Core, CoreScore]:
     """Greedily widen a core one input at a time while the score improves.
 
@@ -249,35 +315,52 @@ def expand_core(
     largest cube sub-list closed under all permutations of the widened input
     set, and accepts the candidate only if ``count * width**2`` strictly
     increases.  Polarities fixed in earlier steps are not revisited.
+
+    A candidate whose pair-core bound (see the module docstring) times
+    ``width**2`` is no more than the current score and the best score of
+    the step so far is skipped unclosed: it could neither be accepted (ties
+    go to the first) nor keep the whole core.  ``search`` is what the
+    caller's other widenings of pair cores of the same cover and metric
+    have computed; by default the call builds its own.
     """
-    cubes = {i: _int_cube(cover.cubes[i]) for i in seed.cube_indices}
+    if search is None:
+        search = _Search(cover, size_metric)
     z = sum(1 << i for i in seed.sym_inputs)
     flips = sum(1 << i for i in seed.inverted)
     indices = list(seed.cube_indices)
-    size = _core_size(cover, indices, size_metric)
-    score = size * z.bit_count() ** 2
+    size = search.size(indices)
+    passed = []
 
-    while True:
+    while (z, flips) not in search.widened:
+        passed.append((z, flips))
+        score = size * z.bit_count() ** 2
         best = None  # (score, size, z, flips, indices)
         width = z.bit_count() + 1
-        trials = (
-            (z | 1 << x, cand_flips)
-            for x in range(cover.n)
-            if not z >> x & 1
-            for cand_flips in (flips, flips | 1 << x)
-        )
-        for cand_z, cand_flips in trials:
-            cand = _closed(cubes, indices, cand_z, cand_flips)
-            cand_size = _core_size(cover, cand, size_metric)
+        core = sum(1 << i for i in indices)
+        floor = score  # what a candidate must beat to matter
+        for cand_z, cand_flips, bound in search.trials(z, flips, core):
+            if search.upper_size(bound) * width * width <= floor:
+                continue
+            key = (cand_z, min(cand_flips, cand_flips ^ cand_z))
+            known = search.cores.get(key)
+            if known is None:
+                cand = _closed(search.cubes, indices, cand_z, cand_flips)
+                known = search.cores[key] = cand, search.size(cand)
+            cand, cand_size = known
             cand_score = cand_size * width * width
             if best is None or cand_score > best[0]:
                 best = (cand_score, cand_size, cand_z, cand_flips, cand)
+                floor = max(floor, cand_score)
             if cand_size == size:
                 break  # a subset of the core cannot be larger, so none later wins
         if best is None or best[0] <= score:
-            break
-        score, size, z, flips, indices = best
+            search.widened[z, flips] = (z, flips, indices, size)
+        else:
+            _, size, z, flips, indices = best
 
+    end = z, flips, indices, size = search.widened[z, flips]
+    for state in passed:
+        search.widened[state] = end
     inputs = [i for i in range(cover.n) if z >> i & 1]
     core = Core(cover, indices, inputs, {i for i in inputs if flips >> i & 1})
     return core, CoreScore.compute(size, core.width)
@@ -298,16 +381,20 @@ def best_core(cover: Cover, size_metric: str = "cubes") -> Core | None:
 
     Only the maximal pair cores (largest size over all pairs) seed the
     widening step; smaller pair cores are subsets of weaker symmetries and
-    expanding them tends to splinter a clean disjoint factorization.
+    expanding them tends to splinter a clean disjoint factorization.  The
+    seeds' widenings share one pair scan, every closure computed so far
+    (keyed by Z and its flips) and the end of every widening state already
+    passed through, so a seed that reaches another seed's state stops there.
     """
     if cover.n < 2:
         return None
-    seeds = [seed for seed in _scored_pairs(cover, size_metric) if seed[2]]
+    search = _Search(cover, size_metric)
+    seeds = [seed for seed in _scored_pairs(search) if seed[2]]
     if not seeds:
         return None
     top = max(size for *_, size in seeds)
     candidates = [
-        expand_core(_pair_seed(cover, pair, flip, mask), cover, size_metric)
+        expand_core(_pair_seed(cover, pair, flip, mask), cover, size_metric, search)
         for pair, flip, mask, size in seeds
         if size == top
     ]

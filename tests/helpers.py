@@ -12,6 +12,15 @@ from itertools import permutations, product
 from pathlib import Path
 
 from gridsyn import Cover, MintermSet, PhaseVector, build_grid_dag, is_planar_plot, metrics
+from gridsyn.cores import (
+    Core,
+    CoreScore,
+    _closed,
+    _core_size,
+    _int_cubes,
+    best_pair_cores,
+    select_best_core,
+)
 from gridsyn.gridplot import LayoutResult, PlotMetrics
 
 DEMO_PLAS = Path(__file__).resolve().parent.parent / "demos" / "pla"
@@ -162,6 +171,62 @@ def oracle_closed_subset(cubes: set[str], gens) -> set[str]:
         else:
             rejected |= orbit & cubes
     return keep
+
+
+# ---------------------------------------------------------------------------
+# core-search reference: the widening loop without bound or memos
+
+
+def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
+    """``expand_core`` without the pair-core bound or shared memos: every candidate is closed."""
+    cubes = _int_cubes(cover)
+    z = sum(1 << i for i in seed.sym_inputs)
+    flips = sum(1 << i for i in seed.inverted)
+    indices = list(seed.cube_indices)
+    size = _core_size(cover, indices, size_metric)
+    score = size * z.bit_count() ** 2
+
+    while True:
+        best = None  # (score, size, z, flips, indices)
+        width = z.bit_count() + 1
+        trials = (
+            (z | 1 << x, cand_flips)
+            for x in range(cover.n)
+            if not z >> x & 1
+            for cand_flips in (flips, flips | 1 << x)
+        )
+        for cand_z, cand_flips in trials:
+            cand = _closed(cubes, indices, cand_z, cand_flips)
+            cand_size = _core_size(cover, cand, size_metric)
+            cand_score = cand_size * width * width
+            if best is None or cand_score > best[0]:
+                best = (cand_score, cand_size, cand_z, cand_flips, cand)
+            if cand_size == size:
+                break  # a subset of the core cannot be larger, so none later wins
+        if best is None or best[0] <= score:
+            break
+        score, size, z, flips, indices = best
+
+    inputs = [i for i in range(cover.n) if z >> i & 1]
+    core = Core(cover, indices, inputs, {i for i in inputs if flips >> i & 1})
+    return core, CoreScore.compute(size, core.width)
+
+
+def reference_best_core(cover: Cover, size_metric: str = "cubes"):
+    """``best_core`` over ``reference_expand_core``: the largest pair cores, widened."""
+    if cover.n < 2:
+        return None
+    seeds = [
+        (core, _core_size(cover, core.cube_indices, size_metric))
+        for _, core in best_pair_cores(cover, size_metric).values()
+        if core.cube_indices
+    ]
+    if not seeds:
+        return None
+    top = max(size for _, size in seeds)
+    return select_best_core(
+        [reference_expand_core(core, cover, size_metric) for core, size in seeds if size == top]
+    )
 
 
 # ---------------------------------------------------------------------------

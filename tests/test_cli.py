@@ -55,7 +55,7 @@ def test_verify_rejects_a_repeated_inputs_line(tmp_path, monkeypatch, capsys):
     (tmp_path / "r.pla").write_text(".i 3\n.o 1\n1-0 1\n.e\n")
     assert main(["verify", "r.net", "r.pla"]) == 2
     err = capsys.readouterr().err
-    assert err == "gridsyn: error: line 3: repeated inputs line\n"
+    assert err == "gridsyn: error: r.net: line 3: repeated inputs line\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_NETLISTS))
@@ -92,7 +92,7 @@ def test_non_canonical_netlist_names_its_line(name, tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     (tmp_path / "x.net").write_text(MALFORMED_NETLISTS[name])
     (tmp_path / "x.pla").write_text(".i 3\n.o 1\n.ilb a b c\n111 1\n.e\n")
-    prefix = f"gridsyn: error: line {NON_CANONICAL_NETLISTS[name]}: "
+    prefix = f"gridsyn: error: x.net: line {NON_CANONICAL_NETLISTS[name]}: "
     for argv in (["tmap", "x.net"], ["verify", "x.net", "x.pla"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -275,6 +275,31 @@ def test_plain_inventory_keeps_arity_five(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "gridsyn: error: symmetric component of 6 inputs exceeds library arity 5\n"
     )
+
+
+BAD_NETLIST_ERROR = "bad.net: line 2: SYM operand i0 repeats"
+BAD_TABLE_ERROR = "bad.txt: line 1: expected 'name arity threshold cost'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "bad.net", "fa_carry.pla"], BAD_NETLIST_ERROR),
+        (["tmap", "bad.net"], BAD_NETLIST_ERROR),
+        (["tmap", "fa_carry.pla", "--pitch-table", "bad.txt"], BAD_TABLE_ERROR),
+        (["synth", "fa_carry.pla", "--pitch-table", "bad.txt"], BAD_TABLE_ERROR),
+    ],
+    ids=["verify-netlist", "tmap-netlist", "tmap-pitch-table", "synth-pitch-table"],
+)
+def test_parse_errors_name_their_file(argv, message, tmp_path, monkeypatch, capsys):
+    # with two input files, a bare line number would not say which one it is in
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
+    (tmp_path / "bad.net").write_text(MALFORMED_NETLISTS["repeated_sym_operand"])
+    (tmp_path / "bad.txt").write_text("t1of2 2 1\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"gridsyn: error: {message}\n")
 
 
 @pytest.mark.parametrize(

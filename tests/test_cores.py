@@ -19,13 +19,15 @@ from gridsyn import (
     select_best_core,
 )
 
-from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes, _pair_masks
+from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes, _pair_masks, _Search
 
 from helpers import (
     oracle_closed_subset,
     phase_cube,
     random_cover,
     random_cover_with_duplicates,
+    reference_best_core,
+    reference_expand_core,
 )
 
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
@@ -282,6 +284,77 @@ class TestPairScan:
         cover = Cover(("a", "b", "c"), ("1-0", "-00"))
         assert self.by_scan(cover) == self.by_closure(cover)
         assert self.by_scan(cover)[0, 1] == ([], [0, 1])
+
+
+class TestPairCoreBound:
+    """The fact the widening rests on, checked on seeded covers.
+
+    For x outside Z and flips f, the closure under (Z + {x}, f) lies inside
+    the pair core of (a, x) with polarity f(a) xor f(x) for every a in Z, and
+    closing the closure under (Z, f) again gives the same cubes.
+    """
+
+    def test_widened_closure_lies_in_the_pair_cores_and_recloses(self):
+        rng = random.Random(2017)
+        for _ in range(400):
+            n = rng.randint(3, 10)
+            cover = random_cover_with_duplicates(rng, n, rng.randint(1, 30))
+            cubes = _int_cubes(cover)
+            every = range(len(cubes))
+            x, *rest = rng.sample(range(n), rng.randint(2, n))
+            z = sum(1 << a for a in rest)
+            f = sum(1 << a for a in [x, *rest] if rng.random() < 0.4)
+            wide = _closed(cubes, every, z | 1 << x, f)
+            pairs = _pair_masks(cubes, n)
+            bound = (1 << len(cubes)) - 1
+            for a in rest:
+                plain, flipped = pairs[min(a, x), max(a, x)]
+                bound &= flipped if (f >> a ^ f >> x) & 1 else plain
+            assert all(bound >> i & 1 for i in wide)
+            assert _closed(cubes, _closed(cubes, every, z, f & z), z | 1 << x, f) == wide
+
+    def test_inverting_all_of_z_keeps_the_closure(self):
+        rng = random.Random(2018)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            cover = random_cover_with_duplicates(rng, n, rng.randint(1, 20))
+            cubes = _int_cubes(cover)
+            z = sum(1 << a for a in rng.sample(range(n), rng.randint(2, n)))
+            f = z & rng.getrandbits(n)
+            every = range(len(cubes))
+            assert _closed(cubes, every, z, f) == _closed(cubes, every, z, f ^ z)
+
+
+class TestPrunedSearch:
+    """The pruned, shared search returns what the unpruned widening returns.
+
+    ``TestSearchIsPinned`` stops at 8 inputs; here the covers have 9-14,
+    where the pair-core bound skips most closures.
+    """
+
+    @staticmethod
+    def covers() -> list[Cover]:
+        rng = random.Random(2013)
+        return [
+            random_cover_with_duplicates(rng, n, rng.randint(2 * n, 4 * n)) for n in range(9, 15)
+        ]
+
+    @pytest.mark.parametrize("metric", SIZE_METRICS)
+    def test_expand_core_from_every_pair_seed(self, metric):
+        for cover in self.covers():
+            shared = _Search(cover, metric)
+            for a in range(cover.n):
+                for b in range(a + 1, cover.n):
+                    for invert in (False, True):
+                        seed = pair_core(cover, a, b, invert_a=invert)
+                        want = reference_expand_core(seed, cover, metric)
+                        assert expand_core(seed, cover, metric) == want
+                        assert expand_core(seed, cover, metric, shared) == want
+
+    @pytest.mark.parametrize("metric", SIZE_METRICS)
+    def test_best_core(self, metric):
+        for cover in self.covers():
+            assert best_core(cover, metric) == reference_best_core(cover, metric)
 
 
 #: sha256 of the search results below, computed with the string-based search.
