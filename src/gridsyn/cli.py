@@ -318,11 +318,13 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
 def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
     """Pair cores, their expansions and the best core: the JSON entry and the text.
 
-    A cover with fewer than two inputs has no pair cores.
+    One core search serves all three, so the cover's pairs are scanned once
+    and the best core's widenings end where the report's own did.  A cover
+    with fewer than two inputs has no pair cores.
     """
     names = cover.input_names
-    pairs = sorted(cores_mod.best_pair_cores(cover, metric).items()) if cover.n >= 2 else []
     search = cores_mod._Search(cover, metric)
+    pairs = sorted(cores_mod._best_pair_cores(search).items())
     lines = ["pair cores:"]
     for (a, b), (inv_a, core) in pairs:
         phase = f"~{names[a]}" if inv_a else "plain"
@@ -338,7 +340,7 @@ def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
             f"  seed=({names[a]},{names[b]}) Z=({z}) inverted=({inv}) "
             f"count={score.cube_count} score={score.score}"
         )
-    best = cores_mod.best_core(cover, metric)
+    best = cores_mod._best_core(search)
     if best is None:
         lines.append("best core: none")
     else:

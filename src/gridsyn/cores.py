@@ -300,9 +300,13 @@ def best_pair_cores(
     """Best polarity choice per unordered input pair; ties keep the plain phase."""
     if cover.n < 2:
         raise ValueError("pair cores need at least two inputs")
+    return _best_pair_cores(_Search(cover, size_metric))
+
+
+def _best_pair_cores(search: _Search) -> dict[tuple[int, int], tuple[bool, Core]]:
     return {
-        pair: (flip, _pair_seed(cover, pair, flip, mask))
-        for pair, flip, mask, _ in _scored_pairs(_Search(cover, size_metric))
+        pair: (flip, _pair_seed(search.cover, pair, flip, mask))
+        for pair, flip, mask, _ in _scored_pairs(search)
     }
 
 
@@ -388,13 +392,18 @@ def best_core(cover: Cover, size_metric: str = "cubes") -> Core | None:
     """
     if cover.n < 2:
         return None
-    search = _Search(cover, size_metric)
+    return _best_core(_Search(cover, size_metric))
+
+
+def _best_core(search: _Search) -> Core | None:
+    """``best_core`` on the search's cover and metric, sharing what the search holds."""
     seeds = [seed for seed in _scored_pairs(search) if seed[2]]
     if not seeds:
         return None
     top = max(size for *_, size in seeds)
+    cover = search.cover
     candidates = [
-        expand_core(_pair_seed(cover, pair, flip, mask), cover, size_metric, search)
+        expand_core(_pair_seed(cover, pair, flip, mask), cover, search.size_metric, search)
         for pair, flip, mask, size in seeds
         if size == top
     ]

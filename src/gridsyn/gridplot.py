@@ -26,21 +26,23 @@ point (r, d) links to (r + 1, d + 1) when some completion starts with a 1
 and to (r, d + 1) when some starts with a 0, so no node needs an identity
 of its own.
 
-One level engine, ``_LevelTable``, computes the classes.  Level d of a
+One level kernel, ``_split_level``, computes the classes.  Level d of a
 configuration depends only on the set S of the first d inputs read and
 their phases p: its classes are the distinct (rank of the phased prefix,
 cofactor of the function on that prefix), a cofactor being a full-width
 truth-table mask with the inputs of S fixed to 0, so splitting it on input
-x is two masks and a shift.  The table memoises, per (S, p & S), the class
-count and whether the ranks are distinct, and per (S, p & S, next input)
-the link count, and keeps class sets only along the last walked
-configuration.  The layout search and the planarity decision walk one
-table of the function through thousands of configurations, each costing a
-few dictionary lookups once its levels have been seen.  ``build_grid_dag``
-walks a fresh table of the word mask (``cubes.transform_mask`` puts the
-first input read in the most significant position), reading its inputs
-from the top down without phases, so every cofactor it splits is a suffix
-set.  Each search confirms the configuration it returns with one grid DAG.
+x is two masks and a shift.  The kernel splits one level into the next.
+``_LevelTable`` memoises, per (S, p & S), the class count, and per
+(S, p & S, next input) the link count, and keeps class sets only along the
+last walked configuration, so the layout search walks one table of the
+function through thousands of configurations, each costing a few
+dictionary lookups once its levels have been seen.  The planarity decision
+(``planar.is_planar_function``) walks the same kernel over states instead
+of configurations.  ``build_grid_dag`` calls the kernel once per level of
+the word mask (``cubes.transform_mask`` puts the first input read in the
+most significant position), reading its inputs from the top down without
+phases, so every cofactor it splits is a suffix set.  Each search confirms
+the configuration it returns with one grid DAG.
 """
 
 from __future__ import annotations
@@ -107,13 +109,16 @@ def build_grid_dag(
     # the first consumed input becomes the most significant word bit, so
     # reading the word table from its top input down splits every class
     # into the suffix sets of its two completions
-    table = _LevelTable(MintermSet(n, transform_mask(s.bits, n, order[::-1], phases.mask)))
-    _, links = table.metrics(range(n - 1, -1, -1), 0)
-    classes = tuple(
-        tuple(sorted((r, g) for g, ranks in level.items() for r in range(d + 1) if ranks >> r & 1))
-        for d, (_, level) in enumerate(table.path)
-    )
-    return GridDag(n, order, phases, classes, links)
+    level = {transform_mask(s.bits, n, order[::-1], phases.mask): 1}
+    classes = [((0, *level),)]
+    links = 0
+    for d in range(n):
+        half = 1 << (n - 1 - d)  # completions left after this input
+        level, out = _split_level(level, (1 << half) - 1, half, 0)
+        links += out
+        pairs = ((r, g) for g, ranks in level.items() for r in range(d + 2) if ranks >> r & 1)
+        classes.append(tuple(sorted(pairs)))
+    return GridDag(n, order, phases, tuple(classes), links)
 
 
 def metrics(g: GridDag) -> PlotMetrics:
@@ -145,16 +150,46 @@ class LayoutResult(NamedTuple):
     metrics: PlotMetrics
 
 
+def _cofactor_lows(n: int) -> list[int]:
+    """Per input x, the assignments with x at 0: the ``low`` mask that splits
+    a full-width cofactor on x, with shift ``1 << x``."""
+    full = full_mask(n)
+    return [full & ~m for m in assignment_masks(n)]
+
+
+def _split_level(
+    level: dict[int, int], low: int, shift: int, inv: int
+) -> tuple[dict[int, int], int]:
+    """The classes one level down, and the link count out of ``level``.
+
+    ``level`` maps each cofactor to the bit mask of the ranks it occurs at.
+    Reading the next input splits cofactor g into its 1 half
+    ``(g >> shift) & low`` and its 0 half ``g & low``; the 1 half raises the
+    rank unless the input is inverted (``inv`` 1), when the 0 half does.
+    Empty halves make no class and no link.
+    """
+    nxt: dict[int, int] = {}
+    links = 0
+    for g, ranks in level.items():
+        hi = (g >> shift) & low
+        lo = g & low
+        if hi:
+            nxt[hi] = nxt.get(hi, 0) | ranks << (1 - inv)
+            links += ranks.bit_count()
+        if lo:
+            nxt[lo] = nxt.get(lo, 0) | ranks << inv
+            links += ranks.bit_count()
+    return nxt, links
+
+
 class _LevelTable:
     """Level statistics of one function's grid plots, memoised across configurations.
 
     A level is keyed by ``S | (p & S) << n``, with S the mask of the inputs
     read so far and p the phase mask.  ``counts`` maps a level key to its
-    (class count, planar) pair and ``links`` maps a level key plus the next
-    input to the level's outgoing link count.  ``path[d]`` holds the key and
-    the classes of the depth-d level walked last, as a dict from cofactor to
-    the bit mask of the ranks it occurs at, so a cofactor shared by several
-    classes is split once.
+    class count and ``links`` maps a level key plus the next input to the
+    level's outgoing link count.  ``path[d]`` holds the key and the classes
+    of the depth-d level walked last, as ``_split_level`` takes them.
     """
 
     def __init__(self, s: MintermSet):
@@ -162,9 +197,8 @@ class _LevelTable:
         if n > DEFAULT_EXPANSION_CAP:
             raise CapacityError(f"grid construction capped at {DEFAULT_EXPANSION_CAP} inputs")
         self.n = n
-        full = full_mask(n)
-        self.low = [full & ~m for m in assignment_masks(n)]
-        self.counts: dict[int, tuple[int, bool]] = {0: (1, True)}
+        self.low = _cofactor_lows(n)
+        self.counts: dict[int, int] = {0: 1}
         self.links: dict[int, int] = {}
         self.path: list[tuple[int, dict[int, int]]] = [(0, {s.bits: 1})] + [(-1, {})] * n
 
@@ -185,27 +219,9 @@ class _LevelTable:
             k -= 1
         for t in range(k, d + 1):
             x = order[t]
-            low = self.low[x]
-            shift = 1 << x
-            inv = (pmask >> x) & 1
-            nxt: dict[int, int] = {}
-            links = 0
-            for g, ranks in path[t][1].items():
-                hi = (g >> shift) & low
-                lo = g & low
-                if hi:
-                    nxt[hi] = nxt.get(hi, 0) | ranks << (1 - inv)
-                    links += ranks.bit_count()
-                if lo:
-                    nxt[lo] = nxt.get(lo, 0) | ranks << inv
-                    links += ranks.bit_count()
-            size = 0
-            seen = 0
-            for ranks in nxt.values():
-                size += ranks.bit_count()
-                seen |= ranks
+            nxt, links = _split_level(path[t][1], self.low[x], 1 << x, pmask >> x & 1)
             self.links[keys[t] | x << 2 * self.n] = links
-            self.counts[keys[t + 1]] = (size, seen.bit_count() == size)
+            self.counts[keys[t + 1]] = sum(ranks.bit_count() for ranks in nxt.values())
             path[t + 1] = (keys[t + 1], nxt)
 
     def metrics(self, order: Sequence[int], pmask: int) -> tuple[int, int]:
@@ -218,22 +234,9 @@ class _LevelTable:
             if lk not in links or keys[d + 1] not in counts:
                 self._split(d, keys, order, pmask)
         return (
-            sum(counts[k][0] for k in keys) - 1,
+            sum(counts[k] for k in keys) - 1,
             sum(links[lk] for lk in link_keys),
         )
-
-    def planar(self, order: Sequence[int], pmask: int) -> bool:
-        """``is_planar_plot(build_grid_dag(...))``, stopping at the first bridged level."""
-        keys = self._keys(order, pmask)
-        counts = self.counts
-        for d in range(self.n):
-            hit = counts.get(keys[d + 1])
-            if hit is None:
-                self._split(d, keys, order, pmask)
-                hit = counts[keys[d + 1]]
-            if not hit[1]:
-                return False
-        return True
 
 
 def _phasings(n: int) -> list[tuple[tuple[bool, ...], int]]:

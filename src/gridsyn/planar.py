@@ -7,23 +7,39 @@ links from the full symmetric grid template always yields a planar
 function, so the template acts as a programmable cell: the full template of
 arity n carries exactly n(n+1) links.
 
+The decision sweeps no configurations.  Level d of a plot depends only on
+the set of inputs read so far and their phases, so a planar configuration
+is a path from reading nothing to reading everything through states whose
+levels have no bridge: a reachability question over subsets of inputs with
+phases, in the manner of Friedman and Supowit's exact BDD ordering (IEEE
+Trans. Computers, 1990).  Each state's level comes from its parent's with
+one call of the grid level kernel, ``gridplot._split_level``.
+
 The survey sweeps every function of a small arity.  Planarity is invariant
 under input permutation and input complementation, which merely relabel
 the configuration space, so the survey partitions the functions into
 orbits under that group (the NP classes) and decides each orbit once, with
-``is_planar_function`` on its first member.
+``is_planar_function`` on its first member.  Orbits come from per-call
+lookup tables of every permutation's image of each byte of a truth table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable
+from operator import or_
+from typing import Iterable, Iterator
 
 from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask, transform_mask
-from .gridplot import _LevelTable, _class_links, _phasings, build_grid_dag, is_planar_plot
+from .gridplot import (
+    _class_links,
+    _cofactor_lows,
+    _split_level,
+    build_grid_dag,
+    is_planar_plot,
+)
 
-_EXHAUSTIVE_WITNESS_CAP = 6
+_EXHAUSTIVE_WITNESS_CAP = 15
 _SURVEY_CAP = 4
 _MAX_WITNESSES = 10
 
@@ -89,29 +105,100 @@ def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> Minte
 # planarity decision
 
 
+def _planar_level(level: dict[int, int]) -> bool:
+    """True iff no two cofactors of a level share a rank (a grid point)."""
+    seen = 0
+    for ranks in level.values():
+        if seen & ranks:
+            return False
+        seen |= ranks
+    return True
+
+
+def _level_key(read: int, level: dict[int, int]) -> tuple[int, frozenset[tuple[int, int]]]:
+    """All that the completions of a state depend on: the inputs read and the
+    level, its ranks shifted to start at 0 (a uniform shift moves no bridge)."""
+    seen = 0
+    for ranks in level.values():
+        seen |= ranks
+    low = max(0, (seen & -seen).bit_length() - 1)
+    return read, frozenset((g, ranks >> low) for g, ranks in level.items())
+
+
 def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | None:
     """Witness (order, phases) making the plot planar, or None.
 
-    Configurations are tried in a fixed order (orders lexicographic, then
-    phase tuples lexicographic) and the first witness is returned.
+    The witness is the first planar configuration in a fixed order (orders
+    lexicographic, then phase tuples lexicographic), found without sweeping
+    configurations.  Level d of a plot depends only on the state (S, q): the
+    set S of the inputs read so far and their phases q.  A state is good when
+    its level has no bridge and some successor, reading one more input in
+    either phase, is good (or S holds every input), so a witness is a path
+    of good states.  Whether a state is good depends only on S and its level
+    up to a uniform rank shift, which is the memo key.  The order is fixed
+    input by input, as the smallest input with a good successor from some
+    state reached so far; the phases are then the smallest tuple among the
+    states reached with every input read.
     """
     n = s.n
     if n > _EXHAUSTIVE_WITNESS_CAP:
-        raise ValueError(
-            f"exhaustive planarity search capped at {_EXHAUSTIVE_WITNESS_CAP} inputs"
-        )
-    table = _LevelTable(s)
-    phasings = _phasings(n)
-    for order in permutations(range(n)):
-        for ph, pmask in phasings:
-            if table.planar(order, pmask):
-                phases = PhaseVector(ph)
-                if not is_planar_plot(build_grid_dag(s, order, phases)):
-                    raise RuntimeError(
-                        f"level table disagrees with the grid DAG at {order}, {phases}"
-                    )
-                return (order, phases)
-    return None
+        raise ValueError(f"planarity decision capped at {_EXHAUSTIVE_WITNESS_CAP} inputs")
+    every = (1 << n) - 1
+    lows = _cofactor_lows(n)
+    good: dict[tuple[int, frozenset[tuple[int, int]]], bool] = {}
+
+    def step(read: int, level: dict[int, int], x: int, b: int) -> dict[int, int] | None:
+        """The level after reading x at phase b, or None if that state is not good."""
+        read |= 1 << x
+        nxt, _ = _split_level(level, lows[x], 1 << x, b)
+        if not _planar_level(nxt):
+            return None
+        if read == every:
+            return nxt
+        key = _level_key(read, nxt)
+        if key not in good:
+            good[key] = any(
+                step(read, nxt, y, c) is not None
+                for y in range(n)
+                if not read >> y & 1
+                for c in (0, 1)
+            )
+        return nxt if good[key] else None
+
+    def phase_tuple(q: int) -> list[int]:
+        return [q >> i & 1 for i in range(n)]
+
+    # The good states reached along the order so far, one per distinct level
+    # with its smallest phases: states with equal levels have the same
+    # completions, and the smaller phases win every tie among them.
+    read, live = 0, [(0, {s.bits: 1})]
+    order = []
+    while read != every:
+        for x in range(n):
+            if read >> x & 1:
+                continue
+            reached: dict[tuple, tuple[int, dict[int, int]]] = {}
+            for q, level in live:
+                for b in (0, 1):
+                    nxt = step(read, level, x, b)
+                    if nxt is not None:
+                        q_next = q | b << x
+                        key = _level_key(read, nxt)
+                        if key not in reached or phase_tuple(q_next) < phase_tuple(reached[key][0]):
+                            reached[key] = (q_next, nxt)
+            if reached:
+                break
+        else:
+            # only at the root: a live state is good, so it has a good successor
+            return None
+        order.append(x)
+        read |= 1 << x
+        live = list(reached.values())
+    pmask = min((q for q, _ in live), key=phase_tuple)
+    phases = PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n)))
+    if not is_planar_plot(build_grid_dag(s, order, phases)):
+        raise RuntimeError(f"reachability disagrees with the grid DAG at {order}, {phases}")
+    return (tuple(order), phases)
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +217,75 @@ class PlanarSurvey:
         return self.planar == self.total
 
 
+def _image_tables(n: int) -> list[list[tuple[int, ...]]]:
+    """Per byte chunk of an n-input truth table, per value of the chunk, its
+    images under the n! input permutations.
+
+    The image of a truth table under ``transform_mask(bits, n, perm)`` is the
+    OR of its chunks' images.  A chunk value's images are those of the value
+    without its lowest set bit, plus that minterm's.
+    """
+    size = 1 << n
+    width = min(8, size)
+    moves = [  # per permutation, the image of each minterm
+        [sum((v >> p & 1) << j for j, p in enumerate(perm)) for v in range(size)]
+        for perm in permutations(range(n))
+    ]
+    tables = []
+    for base in range(0, size, width):
+        table = [(0,) * len(moves)]
+        for value in range(1, 1 << width):
+            low = value & -value
+            v = base + low.bit_length() - 1  # the minterm of the lowest set bit
+            prev = table[value ^ low]
+            table.append(tuple(image | 1 << move[v] for image, move in zip(prev, moves)))
+        tables.append(table)
+    return tables
+
+
+def _orbits(n: int) -> Iterator[tuple[int, set[int]]]:
+    """Every orbit of the n-input functions under input permutation and
+    complementation, as (smallest member, members), smallest member first.
+
+    Each of the 2**n complementations of the smallest member is one
+    ``transform_mask`` call; its images under the n! permutations are the
+    ORs of its chunks' table entries.
+    """
+    size = 1 << n
+    width = min(8, size)
+    byte = (1 << width) - 1
+    tables = _image_tables(n)
+    seen = bytearray(1 << size)
+    for f in range(1 << size):
+        if seen[f]:
+            continue
+        orbit: set[int] = set()
+        for flips in range(size):
+            g = transform_mask(f, n, None, flips)
+            images = tables[0][g & byte]
+            for c in range(1, len(tables)):
+                images = map(or_, images, tables[c][g >> c * width & byte])
+            orbit.update(images)
+        for g in orbit:
+            seen[g] = 1
+        yield f, orbit
+
+
 def survey_planarity(n: int) -> PlanarSurvey:
     """Classify every function of arity n as planar or not.
 
     Deterministic; reports the total, the planar count, and up to ten
-    non-planar truth tables (as minterm masks, ascending).
+    non-planar truth tables (as minterm masks, ascending).  Planarity is
+    decided once per orbit, on its smallest member.
     """
     if not 0 <= n <= _SURVEY_CAP:
         raise ValueError(f"exhaustive survey capped at {_SURVEY_CAP} inputs")
-    total = 1 << (1 << n)
-    group = [(perm, flips) for perm in permutations(range(n)) for flips in range(1 << n)]
-    seen = bytearray(total)
     nonplanar: list[int] = []
     planar_count = 0
-    for f in range(total):
-        if seen[f]:
-            continue
-        orbit = {transform_mask(f, n, perm, flips) for perm, flips in group}
-        for g in orbit:
-            seen[g] = 1
+    for f, orbit in _orbits(n):
         if is_planar_function(MintermSet(n, f)) is not None:
             planar_count += len(orbit)
         else:
             nonplanar.extend(orbit)
     nonplanar.sort()
-    return PlanarSurvey(n, total, planar_count, tuple(nonplanar[:_MAX_WITNESSES]))
+    return PlanarSurvey(n, 1 << (1 << n), planar_count, tuple(nonplanar[:_MAX_WITNESSES]))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gridsyn import write_pla
+from gridsyn import cores, write_pla
 from gridsyn.cli import main
 
 from helpers import DEMO_PLAS, random_cover
@@ -129,6 +129,16 @@ def test_spectrum_headline(capsys):
 def test_cores_report_runs(capsys):
     assert main(["cores", str(DEMO_PLAS / "xor_pair.pla")]) == 0
     assert "best core:" in capsys.readouterr().out
+
+
+def test_cores_report_scans_the_pairs_once(monkeypatch, capsys):
+    """One core search serves the pair cores, their widenings and the best core."""
+    scans = []
+    scan = cores._pair_masks
+    monkeypatch.setattr(cores, "_pair_masks", lambda *args: scans.append(args) or scan(*args))
+    assert main(["cores", str(DEMO_PLAS / "xor_pair.pla")]) == 0
+    assert "best core: Z=" in capsys.readouterr().out
+    assert len(scans) == 1
 
 
 ONE_INPUT_PLA = ".i 1\n.o 1\n.ilb a\n.ob f\n0 1\n.e\n"

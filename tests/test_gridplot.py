@@ -20,7 +20,8 @@ from gridsyn import (
 )
 from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import _LevelTable
+from gridsyn.gridplot import _LevelTable, _cofactor_lows, _split_level
+from gridsyn.planar import _planar_level
 
 from helpers import (
     DEMO_PLAS,
@@ -249,9 +250,10 @@ class TestMinimize:
 
 class TestLevelTable:
     def test_matches_the_grid_dag(self):
-        """(N, L) and planarity of 320 seeded (function, order, phases) triples,
-        eight configurations per function through one table, so later ones
-        reuse the levels and class sets of earlier ones."""
+        """(N, L) of 320 seeded (function, order, phases) triples, eight
+        configurations per function through one table, so later ones reuse the
+        levels and class sets of earlier ones; and per triple, the class count
+        of every level and the planarity that ``_split_level`` alone gives."""
         rng = random.Random(1990)
         triples = 0
         for k in range(40):
@@ -261,13 +263,20 @@ class TestLevelTable:
             else:
                 s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
             table = _LevelTable(s)
+            lows = _cofactor_lows(n)
             for _ in range(8):
                 order = tuple(rng.sample(range(n), n))
                 pmask = rng.getrandbits(n) if n else 0
                 phases = PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n)))
                 dag = build_grid_dag(s, order, phases)
                 assert table.metrics(order, pmask) == tuple(metrics(dag)), (s, order, pmask)
-                assert table.planar(order, pmask) == is_planar_plot(dag), (s, order, pmask)
+                # the level kernel alone: class counts per level and planarity
+                level, planar = {s.bits: 1}, True
+                for d, x in enumerate(order):
+                    level, _ = _split_level(level, lows[x], 1 << x, pmask >> x & 1)
+                    assert sum(r.bit_count() for r in level.values()) == len(dag.classes[d + 1])
+                    planar = planar and _planar_level(level)
+                assert planar == is_planar_plot(dag), (s, order, pmask)
                 triples += 1
         assert triples == 320
 

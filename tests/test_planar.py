@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import permutations
 
 import pytest
 
@@ -17,7 +18,9 @@ from gridsyn import (
     phase_minterms,
     sf_minterms,
     survey_planarity,
+    transform_mask,
 )
+from gridsyn.planar import _orbits
 
 from helpers import ms, oracle_derive_pf, oracle_planar_witness
 
@@ -102,7 +105,50 @@ class TestIsPlanarFunction:
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
-            is_planar_function(MintermSet(7, 1))
+            is_planar_function(MintermSet(16, 1))
+
+    def test_symmetric_functions_up_to_the_cap(self):
+        rng = random.Random(15)
+        for n in (9, 12, 15):
+            for ranks in (frozenset(range(1, n + 1, 2)), frozenset({n // 2}), frozenset()):
+                s = sf_minterms(FullRankSet(n, ranks))
+                assert is_planar_function(s) == (tuple(range(n)), PhaseVector.none(n))
+            s = disguised(rng, sf_minterms(FullRankSet(n, frozenset({1, n - 1}))))
+            order, phases = is_planar_function(s)
+            assert is_planar_plot(build_grid_dag(s, order, phases))
+
+    def test_wide_witnesses_work_and_survive_input_transforms(self):
+        """Built and near-planar functions of 9-12 inputs: every witness gives a
+        planar plot, built functions always have one, and a disguised copy of
+        a function is planar exactly when the function is."""
+        rng = random.Random(12)
+        for n in range(9, 13):
+            for s, is_built in ((disguised(rng, built(rng, n)), True), (near_planar(rng, n), False)):
+                witness = is_planar_function(s)
+                assert witness is not None or not is_built
+                if witness is not None:
+                    assert is_planar_plot(build_grid_dag(s, *witness))
+                assert (is_planar_function(disguised(rng, s)) is None) == (witness is None)
+
+
+def disguised(rng, s):
+    """``s`` under a random input permutation and phase assignment."""
+    n = s.n
+    perm = tuple(rng.sample(range(n), n))
+    phases = PhaseVector(tuple(rng.random() < 0.5 for _ in range(n)))
+    return permute_minterms(phase_minterms(s, phases), perm)
+
+
+def built(rng, n):
+    """A planar-by-construction function: the template with about 30% of its links cut."""
+    t = full_template(n)
+    return derive_pf(t, {link for link in sorted(t.links) if rng.random() < 0.3})
+
+
+def near_planar(rng, n):
+    """A planar-by-construction function with one minterm toggled, disguised."""
+    pf = built(rng, n)
+    return disguised(rng, MintermSet(n, pf.bits ^ 1 << rng.randrange(1 << n)))
 
 
 def planarity_cases():
@@ -115,17 +161,43 @@ def planarity_cases():
         yield MintermSet.universe(n)
         for _ in range(3):
             yield MintermSet(n, rng.getrandbits(1 << n))
-        t = full_template(n)
         for _ in range(3):
-            pf = derive_pf(t, {link for link in sorted(t.links) if rng.random() < 0.3})
-            perm = tuple(rng.sample(range(n), n))
-            phases = PhaseVector(tuple(rng.random() < 0.5 for _ in range(n)))
-            yield permute_minterms(phase_minterms(pf, phases), perm)
+            yield disguised(rng, built(rng, n))
+
+
+def wider_planarity_cases(ns):
+    """The same kinds of function for each n in ``ns``, one random one, then
+    three near-planar functions per n: on these the decision reaches the
+    most planar states before it fails."""
+    rng = random.Random(2001)
+    for n in ns:
+        yield MintermSet(n, 0)
+        yield MintermSet.universe(n)
+        yield MintermSet(n, rng.getrandbits(1 << n))
+        for _ in range(2):
+            yield disguised(rng, built(rng, n))
+    for n in ns:
+        for _ in range(3):
+            yield near_planar(rng, n)
+
+
+def witness_digest(cases) -> str:
+    h = hashlib.sha256()
+    for s in cases:
+        w = is_planar_function(s)
+        h.update(repr(w and (w[0], w[1].inverted)).encode())
+    return h.hexdigest()
 
 
 #: sha256 of the witnesses on ``planarity_cases``, computed with one full grid
 #: DAG per configuration.
 PINNED_WITNESSES = "3964e9545b5077b3dd32bc74c5dbf260d5327f1c717597b47ebbf4ebfa95d669"
+
+#: sha256 of the witnesses on ``wider_planarity_cases(range(1, 7))`` and on
+#: ``wider_planarity_cases([7, 8])``, computed by the sweep that tried every
+#: configuration in turn through one level table.
+PINNED_WIDER_WITNESSES = "ab07fd7f80a62b7bd724890ef2548c9eb72ba313895c9a7ec1eb52d56dc01b89"
+PINNED_WIDEST_WITNESSES = "4ed39403310be011f4b5d8cc0c724fe79801f7481f0d7669068cef95fc0c50b2"
 
 
 class TestDecisionAgainstOracle:
@@ -134,16 +206,35 @@ class TestDecisionAgainstOracle:
             assert is_planar_function(s) == oracle_planar_witness(s), s
 
     def test_witnesses_are_pinned(self):
-        h = hashlib.sha256()
-        for s in planarity_cases():
-            w = is_planar_function(s)
-            h.update(repr(w and (w[0], w[1].inverted)).encode())
-        assert h.hexdigest() == PINNED_WITNESSES
+        assert witness_digest(planarity_cases()) == PINNED_WITNESSES
+
+    def test_six_input_and_near_planar_witnesses_match_the_loop(self):
+        for s in wider_planarity_cases(range(1, 7)):
+            assert is_planar_function(s) == oracle_planar_witness(s), s
+
+    def test_six_input_and_near_planar_witnesses_are_pinned(self):
+        assert witness_digest(wider_planarity_cases(range(1, 7))) == PINNED_WIDER_WITNESSES
+
+    def test_seven_and_eight_input_witnesses_are_pinned(self):
+        assert witness_digest(wider_planarity_cases([7, 8])) == PINNED_WIDEST_WITNESSES
 
 
 @pytest.fixture(scope="module")
 def survey4():
     return survey_planarity(4)
+
+
+def group_sweep_orbits(n):
+    """(smallest member, members) of every orbit, from ``transform_mask`` over the whole group."""
+    group = [(perm, flips) for perm in permutations(range(n)) for flips in range(1 << n)]
+    seen = set()
+    out = []
+    for f in range(1 << (1 << n)):
+        if f not in seen:
+            orbit = {transform_mask(f, n, perm, flips) for perm, flips in group}
+            seen |= orbit
+            out.append((f, orbit))
+    return out
 
 
 def oracle_survey(n):
@@ -194,6 +285,10 @@ class TestSurvey:
         w = survey4.nonplanar_witnesses
         assert len(w) <= 10
         assert list(w) == sorted(w)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_table_orbits_match_the_group_sweep(self, n):
+        assert list(_orbits(n)) == group_sweep_orbits(n)
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
