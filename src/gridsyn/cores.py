@@ -8,12 +8,17 @@ part outside Z and the same counts of ``0``, ``1`` and ``-`` on Z, so a cube
 belongs iff its class holds all ``C(w, c1) * C(w - c1, c0)`` of those cubes
 (``w = |Z|``).  Syntactic closure implies that the minterm set of the
 selected cubes is genuinely symmetric over Z, since permuting inputs maps
-cubes to cubes.  The search runs on integer cubes: each cube is a pair of
-input bit masks (its ``1`` columns, its ``0`` columns), and a phase flip is
-a masked exchange of the two.
+cubes to cubes.
+
+The search runs on integers.  A cube is a pair of input bit masks (its
+``1`` columns, its ``0`` columns), and a phase flip is a masked exchange of
+the two.  Z and its flips are input bit masks too, and a set of cubes is a
+position mask: bit i is the cover's cube i.  The cube count of a set is its
+popcount; under the ``minterms`` metric the search keeps one truth table per
+cube, and a set's size is the popcount of the OR of its cubes' tables.
 
 Search proceeds the way a cover is actually mined for structure: all input
-pairs are scored with both effective polarities, the best pair seeds a
+pairs are scored with both effective polarities, the best pairs seed a
 greedy widening that may trade cubes for inputs, and candidates compete on
 ``count * width**2`` so that wide cores beat deep ones.
 
@@ -23,39 +28,60 @@ closed by itself; any other cube needs its swap partner, the cube that
 differs from it in exactly a and b, with the two symbols exchanged (or
 exchanged and complemented).  So per-input masks of cube positions holding
 ``1``, ``0`` and ``-``, plus one scan of the cube pairs for partners, give
-every pair core as a few mask operations.  A widening step tries candidates
-that are all subsets of the current core, so none can be larger than it: the
-step stops at the first candidate that keeps the whole core, as no later one
-could strictly beat it.
+every pair core as a few mask operations.
 
-The widening rests on one fact.  Take Z inside Z' and flips f' that agree
-with f on Z: every Sym(Z') class, in phased coordinates, is a union of
-Sym(Z) classes, so the closure under (Z', f') of any cube list lies inside
-its closure under (Z, f), and closing that smaller list again gives the same
-cubes as closing the whole cover.  Two consequences make the search cheap.
-First, every core met while widening a pair core is the closure of all
-cubes under its (Z, flips), and inverting all of Z changes no class, so the
-core depends only on (Z, flips up to inverting all of Z).  Second, the
+One engine, ``_Search.widen``, does every widening.  It rests on one fact.
+Take Z inside Z' and flips f' that agree with f on Z: every Sym(Z') class,
+in phased coordinates, is a union of Sym(Z) classes, so the closure under
+(Z', f') of any cube list lies inside its closure under (Z, f), and closing
+that smaller list again gives the same cubes as closing the whole cover.
+Three consequences make the search cheap.  First, every core met while
+widening a pair core is the closure of all cubes under its (Z, flips), and
+inverting all of Z changes no class, so the core depends only on (Z, flips
+up to inverting all of Z); closures are memoised on that key.  Second, the
 closure of Z + {x} lies inside the pair core of (a, x) for every a in Z,
-with polarity f'(a) xor f'(x); the AND of those pair cores and the current
-core bounds a candidate's size, and a candidate whose bound cannot beat the
-best score so far, nor keep the whole core, is never closed.  One
-``best_core`` call shares one pair scan, the closures it has computed and
-the final widening of every state it has passed through across all its
-seeds.
+with polarity f'(a) xor f'(x).  The engine keeps, for each input x outside
+Z and each phase of x, the AND of those pair cores, and updates it with one
+AND per input when an input joins Z; that AND with the current core bounds
+a candidate's size, and a candidate whose bound cannot beat the best score
+so far, nor keep the whole core, is never closed.  Third, every candidate
+of a step is a subset of the current core, so a step stops at the first
+candidate that keeps the whole core: no later one could strictly beat it.
+One ``best_core`` call shares one pair scan, the closures it has computed
+and the final widening of every state it has passed through across all its
+seeds, and widens each seed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import and_
 from typing import Sequence
 
-from .cubes import Cover, cover_to_minterms
+from .cubes import (
+    DEFAULT_EXPANSION_CAP,
+    CapacityError,
+    Cover,
+    assignment_masks,
+    cube_mask,
+    full_mask,
+)
 
 #: How candidate cores are sized: by cube count (default) or by the number
 #: of distinct minterms the selected cubes cover.
 SIZE_METRICS = ("cubes", "minterms")
+
+
+def _check_inputs(inputs: Sequence[int], n: int) -> None:
+    """Reject an input list with a repeat or an input outside ``range(n)``."""
+    seen = set()
+    for j in inputs:
+        if not 0 <= j < n:
+            raise ValueError(f"input {j!r} outside range({n})")
+        if j in seen:
+            raise ValueError(f"input {j!r} repeated")
+        seen.add(j)
 
 
 @dataclass(frozen=True)
@@ -71,6 +97,11 @@ class Core:
         object.__setattr__(self, "cube_indices", tuple(self.cube_indices))
         object.__setattr__(self, "sym_inputs", tuple(sorted(self.sym_inputs)))
         object.__setattr__(self, "inverted", frozenset(self.inverted))
+        _check_inputs(self.sym_inputs, self.base.n)
+        m = self.base.m
+        for i in self.cube_indices:
+            if not 0 <= i < m:
+                raise ValueError(f"cube index {i!r} outside range({m})")
         if not self.inverted.issubset(self.sym_inputs):
             raise ValueError("inverted inputs must lie inside the symmetric set")
 
@@ -110,56 +141,60 @@ def _int_cubes(cover: Cover) -> list[IntCube]:
     return [_int_cube(cube) for cube in cover.cubes]
 
 
-def _closed(cubes: Sequence[IntCube], indices: Sequence[int], z: int, flips: int) -> list[int]:
-    """The indices whose cube lies in a class closed under every permutation of Z.
+def _closed(cubes: Sequence[IntCube], mask: int, z: int, flips: int) -> int:
+    """The positions in ``mask`` whose cube lies in a class closed under every permutation of Z.
 
-    ``z`` and ``flips`` are input bit masks.  A cube's class key is its part
-    outside Z and its counts of 1 and 0 on Z after the flips (a flip outside
-    Z maps every class onto another, so it cannot change the result).  A
-    class is closed when it holds all ``C(w, c1) * C(w - c1, c0)`` distinct
-    cubes of its key.  The result keeps the order of ``indices``.
+    ``mask`` and the result are position masks, ``z`` and ``flips`` input
+    bit masks.  A cube's class key is its part outside Z and its counts of
+    1 and 0 on Z after the flips (a flip outside Z maps every class onto
+    another, so it cannot change the result).  A class is closed when it
+    holds all ``C(w, c1) * C(w - c1, c0)`` distinct cubes of its key.
     """
     w = z.bit_count()
     out, keep, swap = ~z, z & ~flips, z & flips
     key_of: dict[IntCube, tuple[int, int, int, int]] = {}
     count: dict[tuple[int, int, int, int], int] = {}
-    for i in indices:
-        cube = cubes[i]
-        if cube not in key_of:
+    members: dict[tuple[int, int, int, int], int] = {}
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        cube = cubes[bit.bit_length() - 1]
+        key = key_of.get(cube)
+        if key is None:
             ones, zeros = cube
             c1 = (ones & keep | zeros & swap).bit_count()
             c0 = (zeros & keep | ones & swap).bit_count()
             key = key_of[cube] = (ones & out, zeros & out, c1, c0)
             count[key] = count.get(key, 0) + 1
-    closed = {
-        key for key, c in count.items() if c == comb(w, key[2]) * comb(w - key[2], key[3])
-    }
-    return [i for i in indices if key_of[cubes[i]] in closed]
-
-
-def _core_size(cover: Cover, indices: Sequence[int], metric: str) -> int:
-    if metric == "cubes":
-        return len(indices)
-    if metric == "minterms":
-        sub = Cover(cover.input_names, tuple(cover.cubes[i] for i in indices))
-        return len(cover_to_minterms(sub))
-    raise ValueError(f"unknown core size metric {metric!r}")
+        members[key] = members.get(key, 0) | bit
+    closed = 0
+    for key, c in count.items():
+        if c == comb(w, key[2]) * comb(w - key[2], key[3]):
+            closed |= members[key]
+    return closed
 
 
 def _positions(mask: int) -> list[int]:
-    """The set bits of a cube-position mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
 
 
 def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple[int, int]]:
     """The plain and the flipped pair core of every pair a < b, as position masks.
 
-    Bit i of a mask is cube position i.  The plain core of (a, b) equals
-    ``_closed(cubes, range(len(cubes)), 1 << a | 1 << b, 0)`` and the
-    flipped one the same with ``flips = 1 << a``.  Partners are found in one
-    pass over the pairs of distinct cubes: two cubes that differ in exactly
-    inputs a < b are plain partners when their symbols there are exchanged,
-    and flip partners when they are exchanged and complemented.
+    The plain core of (a, b) equals ``_closed(cubes, every, 1 << a | 1 << b,
+    0)``, with ``every`` the mask of all positions, and the flipped one the
+    same with ``flips = 1 << a``.  Partners are found in one pass over the
+    pairs of distinct cubes: two cubes that differ in exactly inputs a < b
+    are plain partners when their symbols there are exchanged, and flip
+    partners when they are exchanged and complemented.  Either exchange
+    keeps the number of ``-`` symbols, so only cubes with equal counts are
+    paired.
     """
     at: dict[IntCube, int] = {}
     for i, cube in enumerate(cubes):
@@ -176,23 +211,26 @@ def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple
 
     plain: dict[tuple[int, int], int] = {}
     flipped: dict[tuple[int, int], int] = {}
-    distinct = list(at.items())
-    for k, ((o1, z1), bits1) in enumerate(distinct):
-        for (o2, z2), bits2 in distinct[k + 1 :]:
-            diff = o1 ^ o2 | z1 ^ z2
-            if diff.bit_count() != 2:
-                continue
-            a = (diff & -diff).bit_length() - 1
-            b = diff.bit_length() - 1
-            # symbols as 1 -> +1, 0 -> -1, - -> 0, so complementing negates
-            s1a = (o1 >> a & 1) - (z1 >> a & 1)
-            s1b = (o1 >> b & 1) - (z1 >> b & 1)
-            s2a = (o2 >> a & 1) - (z2 >> a & 1)
-            s2b = (o2 >> b & 1) - (z2 >> b & 1)
-            if s2a == s1b and s2b == s1a:
-                plain[a, b] = plain.get((a, b), 0) | bits1 | bits2
-            elif s2a == -s1b and s2b == -s1a:
-                flipped[a, b] = flipped.get((a, b), 0) | bits1 | bits2
+    by_dashes: dict[int, list[tuple[IntCube, int]]] = {}
+    for (ones, zeros), bits in at.items():
+        by_dashes.setdefault((ones | zeros).bit_count(), []).append(((ones, zeros), bits))
+    for group in by_dashes.values():
+        for k, ((o1, z1), bits1) in enumerate(group):
+            for (o2, z2), bits2 in group[k + 1 :]:
+                diff = o1 ^ o2 | z1 ^ z2
+                if diff.bit_count() != 2:
+                    continue
+                a = (diff & -diff).bit_length() - 1
+                b = diff.bit_length() - 1
+                # symbols as 1 -> +1, 0 -> -1, - -> 0, so complementing negates
+                s1a = (o1 >> a & 1) - (z1 >> a & 1)
+                s1b = (o1 >> b & 1) - (z1 >> b & 1)
+                s2a = (o2 >> a & 1) - (z2 >> a & 1)
+                s2b = (o2 >> b & 1) - (z2 >> b & 1)
+                if s2a == s1b and s2b == s1a:
+                    plain[a, b] = plain.get((a, b), 0) | bits1 | bits2
+                elif s2a == -s1b and s2b == -s1a:
+                    flipped[a, b] = flipped.get((a, b), 0) | bits1 | bits2
 
     masks = {}
     for a in range(n):
@@ -206,68 +244,125 @@ def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple
 
 
 class _Search:
-    """What the widenings of pair cores of one cover can share.
+    """What the widenings of pair cores of one cover and size metric share.
 
-    ``pairs`` is the pair scan, ``cores`` maps ``(z, flips)``, with flips
-    normalised against inverting all of Z, to the closure of all cubes and
-    its size, and ``widened`` maps a widening state ``(z, flips)`` to the
-    state its widening ends in.  Both memos hold only for seeds that are the
-    closure of all cubes, as pair cores are.
+    ``pairs`` is the pair scan, and ``partner[a][f][x]`` the pair core of
+    (a, x) in either order, plain for ``f = 0`` and flipped for ``f = 1``.
+    ``size`` sizes a position mask under the metric.  ``cores`` maps ``(z,
+    flips)``, with flips normalised against inverting all of Z, to the
+    closure of all cubes and its size, and ``widened`` maps a widening state
+    ``(z, flips)`` to the state its widening ends in.  Both memos hold only
+    for seeds that are the closure of all cubes, as pair cores are.
     """
 
     def __init__(self, cover: Cover, size_metric: str):
+        if size_metric not in SIZE_METRICS:
+            raise ValueError(f"unknown core size metric {size_metric!r}")
         self.cover = cover
         self.size_metric = size_metric
         self.cubes = _int_cubes(cover)
-        self.pairs = _pair_masks(self.cubes, cover.n)
-        self.cores: dict[tuple[int, int], tuple[list[int], int]] = {}
-        self.widened: dict[tuple[int, int], tuple[int, int, list[int], int]] = {}
+        n = cover.n
+        self.pairs = _pair_masks(self.cubes, n)
+        self.partner = [([0] * n, [0] * n) for _ in range(n)]
+        for (a, b), (plain, flipped) in self.pairs.items():
+            (plain_a, flipped_a), (plain_b, flipped_b) = self.partner[a], self.partner[b]
+            plain_a[b] = plain_b[a] = plain
+            flipped_a[b] = flipped_b[a] = flipped
+        if size_metric == "cubes":
+            self.size = int.bit_count
+        else:
+            if n > DEFAULT_EXPANSION_CAP:
+                raise CapacityError(
+                    f"exact expansion capped at {DEFAULT_EXPANSION_CAP} inputs (cover has {n})"
+                )
+            masks, full = assignment_masks(n), full_mask(n)
+            self.tables = [cube_mask(cube, masks, full) for cube in cover.cubes]
+            self.size = self._minterm_count
+        self.cores: dict[tuple[int, int], tuple[int, int]] = {}
+        self.widened: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
-    def size(self, indices: Sequence[int]) -> int:
-        return _core_size(self.cover, indices, self.size_metric)
+    def _minterm_count(self, mask: int) -> int:
+        """The minterms the cubes at the positions of ``mask`` cover."""
+        acc = 0
+        for i in _positions(mask):
+            acc |= self.tables[i]
+        return acc.bit_count()
 
-    def mask_size(self, mask: int) -> int:
-        if self.size_metric == "cubes":
-            return mask.bit_count()
-        return self.size(_positions(mask))
+    def widen(self, z: int, flips: int, core: int, size: int) -> tuple[int, int, int, int]:
+        """Widen ``core``, of the given size under (z, flips), one input at a time.
 
-    def upper_size(self, mask: int) -> int:
-        """At least the size of any sub-list of the cubes in ``mask``.
-
-        The cube count, or the sum of the cubes' own minterm counts: an exact
-        minterm count would cost a truth table per candidate.
+        Each step tries every input x outside Z in input order, the plain
+        phase of x first, and keeps the candidate whose closure scores
+        highest on ``size * width**2``, the first on ties; the widening
+        ends when no candidate strictly beats the current score.  Returns
+        the end state ``(z, flips, core, size)``.  A candidate whose
+        pair-core bound (see the module docstring) times ``width**2`` is no
+        more than the current score and the step's best so far is skipped
+        unclosed: it could neither be accepted nor keep the whole core.
         """
-        if self.size_metric == "cubes":
-            return mask.bit_count()
-        return sum(1 << self.cover.cubes[i].count("-") for i in _positions(mask))
+        widened = self.widened
+        if (z, flips) in widened:
+            return widened[z, flips]
+        n = self.cover.n
+        partner, cubes, cores, size_of = self.partner, self.cubes, self.cores, self.size
+        # per input x outside Z: the AND of the pair cores of x and every a
+        # in Z, with x plain (same) and with x inverted (other)
+        same = other = [(1 << len(cubes)) - 1] * n
+        for a in _positions(z):
+            fa = flips >> a & 1
+            same = list(map(and_, same, partner[a][fa]))
+            other = list(map(and_, other, partner[a][fa ^ 1]))
 
-    def trials(self, z: int, flips: int, core: int):
-        """``(cand_z, cand_flips, bound)`` per candidate of one widening step.
-
-        Candidates come in input order, the plain phase of the new input x
-        first.  ``bound`` is a position mask holding the candidate's closure:
-        the current core ANDed with the pair core of (a, x) for each a in Z.
-        """
-        members = [(a, flips >> a & 1) for a in range(self.cover.n) if z >> a & 1]
-        for x in range(self.cover.n):
-            if z >> x & 1:
-                continue
-            same = other = core  # x plain, x inverted
-            for a, flipped_a in members:
-                plain, flipped = self.pairs[(a, x) if a < x else (x, a)]
-                if flipped_a:
-                    same, other = same & flipped, other & plain
+        passed = []
+        while (z, flips) not in widened:
+            passed.append((z, flips))
+            width = z.bit_count() + 1
+            w2 = width * width
+            score = floor = size * (width - 1) ** 2  # floor: what a candidate must beat
+            best = None  # (score, size, x, flips, core)
+            for x in range(n):
+                if z >> x & 1:
+                    continue
+                cand_z = z | 1 << x
+                for cand_flips, bound in ((flips, same[x]), (flips | 1 << x, other[x])):
+                    if size_of(bound & core) * w2 <= floor:
+                        continue
+                    key = (cand_z, min(cand_flips, cand_flips ^ cand_z))
+                    known = cores.get(key)
+                    if known is None:
+                        cand = _closed(cubes, core, cand_z, cand_flips)
+                        known = cores[key] = cand, size_of(cand)
+                    cand, cand_size = known
+                    cand_score = cand_size * w2
+                    if best is None or cand_score > best[0]:
+                        best = (cand_score, cand_size, x, cand_flips, cand)
+                        floor = max(floor, cand_score)
+                    if cand_size == size:
+                        break  # a subset of the core cannot be larger, so none later wins
                 else:
-                    same, other = same & plain, other & flipped
-            yield z | 1 << x, flips, same
-            yield z | 1 << x, flips | 1 << x, other
+                    continue
+                break
+            if best is None or best[0] <= score:
+                widened[z, flips] = (z, flips, core, size)
+                break
+            _, size, x, flips, core = best
+            z |= 1 << x
+            fx = flips >> x & 1
+            same = list(map(and_, same, partner[x][fx]))
+            other = list(map(and_, other, partner[x][fx ^ 1]))
+
+        end = widened[z, flips]
+        for state in passed:
+            widened[state] = end
+        return end
 
 
 def _scored_pairs(search: _Search) -> list[tuple[tuple[int, int], bool, int, int]]:
     """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
+    size = search.size
     out = []
     for pair, (plain, flipped) in search.pairs.items():
-        plain_size, flipped_size = search.mask_size(plain), search.mask_size(flipped)
+        plain_size, flipped_size = size(plain), size(flipped)
         if flipped_size > plain_size:
             out.append((pair, True, flipped, flipped_size))
         else:
@@ -287,11 +382,10 @@ def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     and flipping ``b`` mirrors flipping ``a``, so these two polarities are
     the only distinct options.
     """
-    if a == b:
-        raise ValueError("pair inputs must differ")
+    _check_inputs((a, b), cover.n)
     cubes = _int_cubes(cover)
-    indices = _closed(cubes, range(len(cubes)), 1 << a | 1 << b, invert_a << a)
-    return Core(cover, indices, (a, b), {a} if invert_a else ())
+    mask = _closed(cubes, (1 << len(cubes)) - 1, 1 << a | 1 << b, invert_a << a)
+    return Core(cover, _positions(mask), (a, b), {a} if invert_a else ())
 
 
 def best_pair_cores(
@@ -319,64 +413,43 @@ def expand_core(
     largest cube sub-list closed under all permutations of the widened input
     set, and accepts the candidate only if ``count * width**2`` strictly
     increases.  Polarities fixed in earlier steps are not revisited.
-
-    A candidate whose pair-core bound (see the module docstring) times
-    ``width**2`` is no more than the current score and the best score of
-    the step so far is skipped unclosed: it could neither be accepted (ties
-    go to the first) nor keep the whole core.  ``search`` is what the
-    caller's other widenings of pair cores of the same cover and metric
-    have computed; by default the call builds its own.
+    ``search`` is what the caller's other widenings of pair cores of the
+    same cover and metric have computed; by default the call builds its
+    own.  A seed or search of another cover, or a search of another metric,
+    is a ``ValueError``.
     """
+    if seed.base != cover:
+        raise ValueError("the seed core belongs to another cover")
     if search is None:
         search = _Search(cover, size_metric)
-    z = sum(1 << i for i in seed.sym_inputs)
-    flips = sum(1 << i for i in seed.inverted)
-    indices = list(seed.cube_indices)
-    size = search.size(indices)
-    passed = []
+    elif search.cover != cover or search.size_metric != size_metric:
+        raise ValueError("the search belongs to another cover or size metric")
+    core = sum(1 << i for i in set(seed.cube_indices))
+    z, flips, core, size = search.widen(
+        sum(1 << i for i in seed.sym_inputs),
+        sum(1 << i for i in seed.inverted),
+        core,
+        search.size(core),
+    )
+    inputs = _positions(z)
+    wide = Core(cover, _positions(core), inputs, [i for i in inputs if flips >> i & 1])
+    return wide, CoreScore.compute(size, wide.width)
 
-    while (z, flips) not in search.widened:
-        passed.append((z, flips))
-        score = size * z.bit_count() ** 2
-        best = None  # (score, size, z, flips, indices)
-        width = z.bit_count() + 1
-        core = sum(1 << i for i in indices)
-        floor = score  # what a candidate must beat to matter
-        for cand_z, cand_flips, bound in search.trials(z, flips, core):
-            if search.upper_size(bound) * width * width <= floor:
-                continue
-            key = (cand_z, min(cand_flips, cand_flips ^ cand_z))
-            known = search.cores.get(key)
-            if known is None:
-                cand = _closed(search.cubes, indices, cand_z, cand_flips)
-                known = search.cores[key] = cand, search.size(cand)
-            cand, cand_size = known
-            cand_score = cand_size * width * width
-            if best is None or cand_score > best[0]:
-                best = (cand_score, cand_size, cand_z, cand_flips, cand)
-                floor = max(floor, cand_score)
-            if cand_size == size:
-                break  # a subset of the core cannot be larger, so none later wins
-        if best is None or best[0] <= score:
-            search.widened[z, flips] = (z, flips, indices, size)
-        else:
-            _, size, z, flips, indices = best
 
-    end = z, flips, indices, size = search.widened[z, flips]
-    for state in passed:
-        search.widened[state] = end
-    inputs = [i for i in range(cover.n) if z >> i & 1]
-    core = Core(cover, indices, inputs, {i for i in inputs if flips >> i & 1})
-    return core, CoreScore.compute(size, core.width)
+def _selection_key(score: int, width: int, inversions: int, sym_inputs: tuple[int, ...]):
+    """Highest score first, then wider, fewer inversions, smallest Z."""
+    return -score, -width, inversions, sym_inputs
 
 
 def select_best_core(candidates: Sequence[tuple[Core, CoreScore]]) -> Core:
-    """Highest score; ties prefer wider cores, fewer inversions, smallest Z."""
+    """Highest score; ties prefer wider cores, fewer inversions, smallest Z, then the first."""
     if not candidates:
         raise ValueError("no core candidates")
     return min(
         candidates,
-        key=lambda cs: (-cs[1].score, -cs[1].width, len(cs[0].inverted), cs[0].sym_inputs),
+        key=lambda cs: _selection_key(
+            cs[1].score, cs[1].width, len(cs[0].inverted), cs[0].sym_inputs
+        ),
     )[0]
 
 
@@ -396,18 +469,31 @@ def best_core(cover: Cover, size_metric: str = "cubes") -> Core | None:
 
 
 def _best_core(search: _Search) -> Core | None:
-    """``best_core`` on the search's cover and metric, sharing what the search holds."""
-    seeds = [seed for seed in _scored_pairs(search) if seed[2]]
-    if not seeds:
+    """``best_core`` on the search's cover and metric, sharing what the search holds.
+
+    Each top seed is widened once, on masks; the winner, by
+    ``select_best_core``'s rule, is rebuilt by ``expand_core``, which the
+    widening memo answers at once.
+    """
+    seeds = _scored_pairs(search)
+    top = max((size for *_, size in seeds), default=0)
+    if not top:
         return None
-    top = max(size for *_, size in seeds)
+    best = None  # (key, pair, flip, mask)
+    for pair, flip, mask, size in seeds:
+        if size != top:
+            continue
+        a, b = pair
+        z, flips, _, end_size = search.widen(1 << a | 1 << b, int(flip) << a, mask, size)
+        width = z.bit_count()
+        key = _selection_key(
+            end_size * width * width, width, flips.bit_count(), tuple(_positions(z))
+        )
+        if best is None or key < best[0]:
+            best = key, pair, flip, mask
+    _, pair, flip, mask = best
     cover = search.cover
-    candidates = [
-        expand_core(_pair_seed(cover, pair, flip, mask), cover, search.size_metric, search)
-        for pair, flip, mask, size in seeds
-        if size == top
-    ]
-    return select_best_core(candidates)
+    return expand_core(_pair_seed(cover, pair, flip, mask), cover, search.size_metric, search)[0]
 
 
 def dc_partition(cover: Cover) -> list[Cover]:

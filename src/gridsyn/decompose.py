@@ -88,17 +88,20 @@ class VerifyResult:
 # factoring a symmetric core
 
 
-def _prune_contained(cubes: Sequence[str]) -> tuple[str, ...]:
-    """Drop cubes contained in another cube (single-cube containment only)."""
+def _prune_contained(cubes: Sequence[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """Drop cubes contained in another cube (single-cube containment only).
 
-    def contains(big: str, small: str) -> bool:
-        return all(b == "-" or b == s for b, s in zip(big, small))
-
-    kept: list[str] = []
+    Cubes are ``(ones, zeros, position)``; a cube contains another when its
+    ``1`` and ``0`` columns are subsets of the other's.  The first of equal
+    cubes is kept, and a cube that contains kept ones replaces them at the end.
+    """
+    kept: list[tuple[int, int, int]] = []
     for cube in cubes:
-        if any(contains(k, cube) for k in kept):
+        ones, zeros, _ = cube
+        if any(k1 & ones == k1 and k0 & zeros == k0 for k1, k0, _ in kept):
             continue
-        kept = [k for k in kept if not contains(cube, k)] + [cube]
+        kept = [k for k in kept if not (ones & k[0] == ones and zeros & k[1] == zeros)]
+        kept.append(cube)
     return tuple(kept)
 
 
@@ -108,28 +111,45 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
     Each term pairs the full symmetric function over Z of the ranks sharing
     a cofactor with that cofactor over Y = X - Z, in order of lowest rank.
     The rank-r cofactor is read from the core's own cubes where the first r
-    inputs of Z are phased 1 (raw ``0`` on an inverted input).  The
-    reconstruction Core = sum of G * H is asserted exactly; the sum is
-    symmetric over the phased Z, so this also proves the core symmetric.
+    inputs of Z are phased 1 (raw ``0`` on an inverted input): a cube
+    belongs when it has no ``1`` where the assignment is 0 and no ``0`` where
+    it is 1.  The reconstruction Core = sum of G * H is asserted exactly;
+    the sum is symmetric over the phased Z, so this also proves the core
+    symmetric.
     """
     cover = core.base
     z = core.sym_inputs
-    y = tuple(j for j in range(cover.n) if j not in set(z))
+    z_set = set(z)
+    y = tuple(j for j in range(cover.n) if j not in z_set)
+    y_mask = sum(1 << j for j in y)
+    z_mask = sum(1 << j for j in z)
+    flips = sum(1 << j for j in core.inverted)
     cubes = tuple(cover.cubes[i] for i in core.cube_indices)
+    int_cubes = [cores_mod._int_cube(cube) for cube in cubes]
 
-    groups: dict[tuple[str, ...], list[int]] = {}
+    # each distinct cofactor, as (ones, zeros) over Y: its kept cubes and its ranks
+    groups: dict[tuple, tuple[tuple, list[int]]] = {}
+    phased_one = 0  # the inputs of Z phased 1 at rank r
     for r in range(len(z) + 1):
-        rep = {zj: "01"[(t < r) != (zj in core.inverted)] for t, zj in enumerate(z)}
+        if r:
+            phased_one |= 1 << z[r - 1]
+        raw_one = phased_one ^ flips
+        raw_zero = z_mask ^ raw_one
         residual = [
-            "".join(cube[j] for j in y)
-            for cube in cubes
-            if all(cube[j] == "-" or cube[j] == rep[j] for j in z)
+            (ones & y_mask, zeros & y_mask, i)
+            for i, (ones, zeros) in enumerate(int_cubes)
+            if not (ones & raw_zero or zeros & raw_one)
         ]
         if residual:
-            groups.setdefault(_prune_contained(residual), []).append(r)
+            kept = _prune_contained(residual)
+            groups.setdefault(tuple(k[:2] for k in kept), (kept, []))[1].append(r)
     y_names = tuple(cover.input_names[j] for j in y)
     terms = [
-        (FullRankSet(len(z), frozenset(ranks)), Cover(y_names, h)) for h, ranks in groups.items()
+        (
+            FullRankSet(len(z), frozenset(ranks)),
+            Cover(y_names, tuple("".join(cubes[i][j] for j in y) for _, _, i in kept)),
+        )
+        for kept, ranks in groups.values()
     ]
 
     masks = assignment_masks(cover.n)
@@ -185,11 +205,11 @@ def _decompose_rec(
         raise DecompositionError(f"recursion guard exceeded ({_DEPTH_LIMIT})")
     if not cubes:
         return builder.const(0)
-    if any(set(cube) <= {"-"} for cube in cubes):
+    if "-" * len(inputs) in cubes:
         return builder.const(1)
 
     # restrict to the support
-    cols = [j for j in range(len(inputs)) if any(cube[j] != "-" for cube in cubes)]
+    cols = [j for j, col in enumerate(zip(*cubes)) if col.count("-") != len(col)]
     if len(cols) != len(inputs):
         inputs = tuple(inputs[j] for j in cols)
         # drop the repeats that restriction creates, keeping first occurrences

@@ -11,12 +11,19 @@ import random
 from itertools import permutations, product
 from pathlib import Path
 
-from gridsyn import Cover, MintermSet, PhaseVector, build_grid_dag, is_planar_plot, metrics
+from gridsyn import (
+    Cover,
+    MintermSet,
+    PhaseVector,
+    build_grid_dag,
+    cover_to_minterms,
+    is_planar_plot,
+    metrics,
+)
 from gridsyn.cores import (
     Core,
     CoreScore,
     _closed,
-    _core_size,
     _int_cubes,
     best_pair_cores,
     select_best_core,
@@ -177,13 +184,24 @@ def oracle_closed_subset(cubes: set[str], gens) -> set[str]:
 # core-search reference: the widening loop without bound or memos
 
 
+def core_size(cover: Cover, indices, size_metric: str) -> int:
+    """Cube count, or the minterm count of the cubes' own cover."""
+    if size_metric == "cubes":
+        return len(indices)
+    return len(cover_to_minterms(Cover(cover.input_names, [cover.cubes[i] for i in indices])))
+
+
+def positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
     """``expand_core`` without the pair-core bound or shared memos: every candidate is closed."""
     cubes = _int_cubes(cover)
     z = sum(1 << i for i in seed.sym_inputs)
     flips = sum(1 << i for i in seed.inverted)
     indices = list(seed.cube_indices)
-    size = _core_size(cover, indices, size_metric)
+    size = core_size(cover, indices, size_metric)
     score = size * z.bit_count() ** 2
 
     while True:
@@ -196,8 +214,8 @@ def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
             for cand_flips in (flips, flips | 1 << x)
         )
         for cand_z, cand_flips in trials:
-            cand = _closed(cubes, indices, cand_z, cand_flips)
-            cand_size = _core_size(cover, cand, size_metric)
+            cand = positions(_closed(cubes, sum(1 << i for i in indices), cand_z, cand_flips))
+            cand_size = core_size(cover, cand, size_metric)
             cand_score = cand_size * width * width
             if best is None or cand_score > best[0]:
                 best = (cand_score, cand_size, cand_z, cand_flips, cand)
@@ -217,7 +235,7 @@ def reference_best_core(cover: Cover, size_metric: str = "cubes"):
     if cover.n < 2:
         return None
     seeds = [
-        (core, _core_size(cover, core.cube_indices, size_metric))
+        (core, core_size(cover, core.cube_indices, size_metric))
         for _, core in best_pair_cores(cover, size_metric).values()
         if core.cube_indices
     ]

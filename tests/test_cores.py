@@ -1,7 +1,10 @@
 import hashlib
 import random
+import sys
 
 import pytest
+
+import gridsyn.cubes as cubes_mod
 
 from gridsyn import (
     Core,
@@ -25,6 +28,7 @@ from helpers import (
     oracle_closed_subset,
     phase_cube,
     random_cover,
+    positions,
     random_cover_with_duplicates,
     reference_best_core,
     reference_expand_core,
@@ -72,6 +76,11 @@ class TestPairCore:
         with pytest.raises(ValueError):
             pair_core(CARRY, 1, 1)
 
+    @pytest.mark.parametrize("a, b, bad", [(0, 5, "5"), (-1, 1, "-1"), (3, 0, "3")])
+    def test_inputs_outside_the_cover_rejected(self, a, b, bad):
+        with pytest.raises(ValueError, match=f"input {bad} outside range"):
+            pair_core(CARRY, a, b)
+
     def test_double_inversion_equals_plain(self):
         rng = random.Random(2)
         for _ in range(30):
@@ -89,6 +98,30 @@ class TestPairCore:
                 core = pair_core(c, a, b, invert_a=invert)
                 if core.cube_indices:
                     assert core_is_symmetric(core)
+
+
+class TestCoreValidation:
+    def test_repeated_sym_input_rejected(self):
+        with pytest.raises(ValueError, match="input 1 repeated"):
+            Core(CARRY, (0,), (1, 0, 1), ())
+
+    @pytest.mark.parametrize("z, bad", [((0, 3), "3"), ((-1, 2), "-1")])
+    def test_sym_input_outside_the_cover_rejected(self, z, bad):
+        with pytest.raises(ValueError, match=f"input {bad} outside range"):
+            Core(CARRY, (0,), z, ())
+
+    @pytest.mark.parametrize("index", [3, 7, -1])
+    def test_cube_index_outside_the_cover_rejected(self, index):
+        with pytest.raises(ValueError, match=f"cube index {index} outside range"):
+            Core(CARRY, (0, index), (0, 1), ())
+
+    def test_inverted_outside_z_rejected(self):
+        with pytest.raises(ValueError, match="inverted"):
+            Core(CARRY, (0,), (0, 1), (2,))
+
+    def test_valid_core_keeps_its_fields(self):
+        core = Core(CARRY, [2, 0], (2, 0), [0])
+        assert (core.cube_indices, core.sym_inputs, core.inverted) == ((2, 0), (0, 2), {0})
 
 
 class TestBestPairCores:
@@ -156,6 +189,27 @@ class TestExpand:
         c = Cover((), ("",))
         core, score = expand_core(Core(c, (), (), ()), c)
         assert (core.cube_indices, core.sym_inputs, score.score) == ((), (), 0)
+
+    def test_seed_of_another_cover_rejected(self):
+        four = Cover(("a", "b", "c", "d"), ("1-1-", "-11-", "11--"))
+        seed = pair_core(four, 2, 3)
+        with pytest.raises(ValueError, match="another cover"):
+            expand_core(seed, CARRY)
+
+    def test_search_of_another_cover_or_metric_rejected(self):
+        seed = pair_core(CARRY, 0, 1)
+        with pytest.raises(ValueError, match="another cover or size metric"):
+            expand_core(seed, CARRY, "cubes", _Search(PARITY4, "cubes"))
+        with pytest.raises(ValueError, match="another cover or size metric"):
+            expand_core(seed, CARRY, "cubes", _Search(CARRY, "minterms"))
+        equal = Cover(CARRY.input_names, CARRY.cubes)
+        assert expand_core(seed, CARRY, "cubes", _Search(equal, "cubes")) == expand_core(
+            seed, CARRY
+        )
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown core size metric"):
+            best_core(CARRY, "literals")
 
     def test_minterm_metric_counts_minterms(self):
         c = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
@@ -232,7 +286,8 @@ class TestClosure:
             expected = [i for i in indices if phased[i] in closed]
             z_mask = sum(1 << j for j in z)
             flips = sum(1 << j for j in inverted)
-            assert _closed(_int_cubes(cover), indices, z_mask, flips) == expected
+            mask = sum(1 << i for i in indices)
+            assert positions(_closed(_int_cubes(cover), mask, z_mask, flips)) == expected
 
 
 class TestPairScan:
@@ -241,11 +296,11 @@ class TestPairScan:
     @staticmethod
     def by_closure(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
         cubes = _int_cubes(cover)
-        every = range(len(cubes))
+        every = (1 << len(cubes)) - 1
         return {
             (a, b): (
-                _closed(cubes, every, 1 << a | 1 << b, 0),
-                _closed(cubes, every, 1 << a | 1 << b, 1 << a),
+                positions(_closed(cubes, every, 1 << a | 1 << b, 0)),
+                positions(_closed(cubes, every, 1 << a | 1 << b, 1 << a)),
             )
             for a in range(cover.n)
             for b in range(a + 1, cover.n)
@@ -253,9 +308,6 @@ class TestPairScan:
 
     @staticmethod
     def by_scan(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-        def positions(mask):
-            return [i for i in range(cover.m) if mask >> i & 1]
-
         masks = _pair_masks(_int_cubes(cover), cover.n)
         return {pair: (positions(p), positions(f)) for pair, (p, f) in masks.items()}
 
@@ -300,7 +352,7 @@ class TestPairCoreBound:
             n = rng.randint(3, 10)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 30))
             cubes = _int_cubes(cover)
-            every = range(len(cubes))
+            every = (1 << len(cubes)) - 1
             x, *rest = rng.sample(range(n), rng.randint(2, n))
             z = sum(1 << a for a in rest)
             f = sum(1 << a for a in [x, *rest] if rng.random() < 0.4)
@@ -310,7 +362,7 @@ class TestPairCoreBound:
             for a in rest:
                 plain, flipped = pairs[min(a, x), max(a, x)]
                 bound &= flipped if (f >> a ^ f >> x) & 1 else plain
-            assert all(bound >> i & 1 for i in wide)
+            assert wide & ~bound == 0
             assert _closed(cubes, _closed(cubes, every, z, f & z), z | 1 << x, f) == wide
 
     def test_inverting_all_of_z_keeps_the_closure(self):
@@ -321,7 +373,7 @@ class TestPairCoreBound:
             cubes = _int_cubes(cover)
             z = sum(1 << a for a in rng.sample(range(n), rng.randint(2, n)))
             f = z & rng.getrandbits(n)
-            every = range(len(cubes))
+            every = (1 << len(cubes)) - 1
             assert _closed(cubes, every, z, f) == _closed(cubes, every, z, f ^ z)
 
 
@@ -355,6 +407,33 @@ class TestPrunedSearch:
     def test_best_core(self, metric):
         for cover in self.covers():
             assert best_core(cover, metric) == reference_best_core(cover, metric)
+
+    def test_minterm_search_expands_no_cover(self):
+        """Under ``minterms`` the search sizes candidates from per-cube truth
+        tables: it never calls ``cover_to_minterms``, under any binding."""
+        target = cubes_mod.cover_to_minterms.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is target:
+                calls.append(1)
+
+        def search(cover):
+            found = best_core(cover, "minterms")
+            for _, seed in best_pair_cores(cover, "minterms").values():
+                expand_core(seed, cover, "minterms")
+            return found
+
+        covers = self.covers()[:3]
+        sys.setprofile(profile)
+        try:
+            found = [search(cover) for cover in covers]
+            probe = len(calls)
+            cover_to_minterms(covers[0])
+        finally:
+            sys.setprofile(None)
+        assert (probe, len(calls)) == (0, 1)  # the probe shows a call would count
+        assert found == [reference_best_core(cover, "minterms") for cover in covers]
 
 
 #: sha256 of the search results below, computed with the string-based search.

@@ -1,7 +1,9 @@
 """Fixed output corpus: refactors of the decomposer must keep netlists byte-identical.
 
 Each case is the sha256 of ``netlist_to_text(decompose(cover))``.  The corpus
-is every output of the demo PLAs plus seeded random covers of 6-12 inputs.
+is every output of the demo PLAs plus seeded random covers of 6-12 inputs;
+``WIDE_PINNED`` adds seeded covers of 13-16 inputs, the sizes the benchmark
+decomposes.
 ``VARIANT_PINNED`` holds the same corpus under ``dc_partition`` and the
 ``minterms`` core metric, plus seeded covers of 1-6 inputs with and without
 repeated cubes under all three option sets.
@@ -27,6 +29,14 @@ def corpus():
     for k in range(20):
         n = 6 + k % 7
         yield f"random{k:02d}.n{n}", random_cover(rng, n, rng.randint(n, 2 * n))
+
+
+def wide_covers():
+    """Seeded covers of 13-16 inputs and 3n-4n cubes."""
+    rng = random.Random(20013)
+    for k in range(6):
+        n = 13 + k % 4
+        yield f"wide{k:02d}.n{n}", random_cover(rng, n, rng.randint(3 * n, 4 * n))
 
 
 def small_covers():
@@ -104,6 +114,21 @@ PINNED = {
 
 def test_corpus_netlists_are_pinned():
     assert netlist_digests() == PINNED
+
+
+#: Computed before the core search ran on cube-position masks.
+WIDE_PINNED = {
+    "wide00.n13": "46bad714d8468df09ba29213c5f78316f3330f8d238ad3773a65ba90d915c920",
+    "wide01.n14": "3d80beabe9c8d74a4484eadb556a7f352bb8670081741ecdc4ca47267d0c02b7",
+    "wide02.n15": "03d2499d587f0ecfe4de172a6c28024bb90f71e5a3a16313c6574893e299e3c8",
+    "wide03.n16": "acc13d9c02d6290bfdce2cc3b03ecbfd8819290a28967375306de5afc5176bef",
+    "wide04.n13": "864f0d99f743ac367cdb53542896f90ce007374f16df0d67b3389fb17deb89f7",
+    "wide05.n14": "8dde74357261e76847ea47b9ab171dfd7d78d4b1816fb2fb0799e2223eaced61",
+}
+
+
+def test_wide_netlists_are_pinned():
+    assert {name: digest(cover) for name, cover in wide_covers()} == WIDE_PINNED
 
 
 VARIANT_PINNED = {

@@ -47,7 +47,41 @@ def slow_equivalent(nl, cover) -> bool:
     )
 
 
+def string_rank_cut(core) -> list[tuple[frozenset, tuple[str, ...]]]:
+    """The rank cut read character by character from the core's cube strings."""
+
+    def contains(big: str, small: str) -> bool:
+        return all(b == "-" or b == s for b, s in zip(big, small))
+
+    cover, z = core.base, core.sym_inputs
+    y = [j for j in range(cover.n) if j not in z]
+    groups: dict[tuple[str, ...], set[int]] = {}
+    for r in range(len(z) + 1):
+        rep = {zj: "01"[(t < r) != (zj in core.inverted)] for t, zj in enumerate(z)}
+        kept: list[str] = []
+        for i in core.cube_indices:
+            cube = cover.cubes[i]
+            if all(cube[j] in ("-", rep[j]) for j in z):
+                rest = "".join(cube[j] for j in y)
+                if not any(contains(k, rest) for k in kept):
+                    kept = [k for k in kept if not contains(rest, k)] + [rest]
+        if kept:
+            groups.setdefault(tuple(kept), set()).add(r)
+    return [(frozenset(ranks), h) for h, ranks in groups.items()]
+
+
 class TestFactorCore:
+    def test_cofactors_match_the_string_reading(self):
+        rng = random.Random(15)
+        for _ in range(120):
+            c = random_cover(rng, rng.randint(2, 8), rng.randint(1, 24))
+            a, b = rng.sample(range(c.n), 2)
+            seeds = [pair_core(c, a, b, invert_a=inv) for inv in (False, True)]
+            for core in seeds + [expand_core(seed, c)[0] for seed in seeds]:
+                if core.cube_indices:
+                    shaped = [(g.ranks, h.cubes) for g, h in factor_core(core)]
+                    assert shaped == string_rank_cut(core)
+
     def test_carry_partial_core(self):
         core = pair_core(CARRY, 0, 1)
         terms = factor_core(core)
