@@ -15,17 +15,12 @@ from .cubes import (
     MintermSet,
     ParseError,
     PhaseVector,
-    apply_phase,
     cover_to_minterms,
-    eval_cover,
     literal_density,
     minterm_index,
-    minterms_to_cover,
     parse_pla,
     parse_pla_outputs,
-    permute_inputs,
     phase_minterms,
-    permute_minterms,
     transform_mask,
     write_pla,
 )
@@ -35,7 +30,6 @@ from .spectra import (
     convolve,
     format_spectrum,
     fullrank_set_if_symmetric,
-    sf_minterms,
     spectrum_of,
 )
 from .gridplot import (
@@ -51,19 +45,17 @@ from .gridplot import (
 from .cores import (
     Core,
     CoreScore,
+    CoreSearch,
     best_core,
     best_pair_cores,
     dc_partition,
     expand_core,
-    pair_core,
-    select_best_core,
 )
 from .netlist import (
     Netlist,
     NetlistBuilder,
     NetNode,
     Ref,
-    evaluate_netlist,
     netlist_from_text,
     netlist_to_expr,
     netlist_to_json_dict,

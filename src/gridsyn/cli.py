@@ -323,8 +323,8 @@ def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
     with fewer than two inputs has no pair cores.
     """
     names = cover.input_names
-    search = cores_mod._Search(cover, metric)
-    pairs = sorted(cores_mod._best_pair_cores(search).items())
+    search = cores_mod.CoreSearch(cover, metric)
+    pairs = sorted(cores_mod.best_pair_cores(search).items())
     lines = ["pair cores:"]
     for (a, b), (inv_a, core) in pairs:
         phase = f"~{names[a]}" if inv_a else "plain"
@@ -333,14 +333,14 @@ def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
     for (a, b), (inv_a, core) in pairs:
         if not core.cube_indices:
             continue
-        expanded, score = cores_mod.expand_core(core, cover, metric, search)
+        expanded, score = cores_mod.expand_core(core, search)
         z = ",".join(names[i] for i in expanded.sym_inputs)
         inv = ",".join(names[i] for i in sorted(expanded.inverted))
         lines.append(
             f"  seed=({names[a]},{names[b]}) Z=({z}) inverted=({inv}) "
             f"count={score.cube_count} score={score.score}"
         )
-    best = cores_mod._best_core(search)
+    best = cores_mod.best_core(search)
     if best is None:
         lines.append("best core: none")
     else:

@@ -30,26 +30,29 @@ exchanged and complemented).  So per-input masks of cube positions holding
 ``1``, ``0`` and ``-``, plus one scan of the cube pairs for partners, give
 every pair core as a few mask operations.
 
-One engine, ``_Search.widen``, does every widening.  It rests on one fact.
-Take Z inside Z' and flips f' that agree with f on Z: every Sym(Z') class,
-in phased coordinates, is a union of Sym(Z) classes, so the closure under
-(Z', f') of any cube list lies inside its closure under (Z, f), and closing
-that smaller list again gives the same cubes as closing the whole cover.
-Three consequences make the search cheap.  First, every core met while
-widening a pair core is the closure of all cubes under its (Z, flips), and
-inverting all of Z changes no class, so the core depends only on (Z, flips
-up to inverting all of Z); closures are memoised on that key.  Second, the
-closure of Z + {x} lies inside the pair core of (a, x) for every a in Z,
-with polarity f'(a) xor f'(x).  The engine keeps, for each input x outside
-Z and each phase of x, the AND of those pair cores, and updates it with one
-AND per input when an input joins Z; that AND with the current core bounds
-a candidate's size, and a candidate whose bound cannot beat the best score
-so far, nor keep the whole core, is never closed.  Third, every candidate
-of a step is a subset of the current core, so a step stops at the first
-candidate that keeps the whole core: no later one could strictly beat it.
-One ``best_core`` call shares one pair scan, the closures it has computed
-and the final widening of every state it has passed through across all its
-seeds, and widens each seed once.
+One engine, ``CoreSearch.widen``, does every widening, and three facts
+make it cheap.  First, inverting all of Z changes no class, so a closure
+depends only on the cubes closed, Z and the flips up to inverting all of Z;
+closures are memoised on that key.  Second, take Z inside Z' and flips f'
+that agree with f on Z: every Sym(Z') class, in phased coordinates, is a
+union of Sym(Z) classes, so the closure under (Z', f') of any cube list
+lies inside its closure under (Z, f).  So the closure of Z + {x} lies
+inside the pair core of (a, x) for every a in Z, with polarity f'(a) xor
+f'(x).  The engine keeps, for each input x outside Z and each phase of x,
+the AND of those pair cores, and updates it with one AND per input when an
+input joins Z; that AND with the current core bounds a candidate's size,
+and a candidate whose bound cannot beat the best score so far, nor keep the
+whole core, is never closed.  Third, every candidate of a step is a subset
+of the current core, so a step stops at the first candidate that keeps the
+whole core: no later one could strictly beat it.
+
+A ``CoreSearch`` holds what the ``best_pair_cores``, ``expand_core`` and
+``best_core`` calls on one cover and size metric share: the pair scan, the
+closures, and the end of every widening state ``(Z, flips, core)`` passed
+through, so a seed that reaches a state another widening passed through
+stops there.  Both memo keys hold the core itself, since a seed that is not
+a pair core, such as part of one, closes other cubes under the same Z and
+flips.
 """
 
 from __future__ import annotations
@@ -243,19 +246,20 @@ def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple
     return masks
 
 
-class _Search:
-    """What the widenings of pair cores of one cover and size metric share.
+class CoreSearch:
+    """The core search on one cover under one size metric.
 
-    ``pairs`` is the pair scan, and ``partner[a][f][x]`` the pair core of
-    (a, x) in either order, plain for ``f = 0`` and flipped for ``f = 1``.
-    ``size`` sizes a position mask under the metric.  ``cores`` maps ``(z,
-    flips)``, with flips normalised against inverting all of Z, to the
-    closure of all cubes and its size, and ``widened`` maps a widening state
-    ``(z, flips)`` to the state its widening ends in.  Both memos hold only
-    for seeds that are the closure of all cubes, as pair cores are.
+    ``best_pair_cores``, ``expand_core`` and ``best_core`` take one, and
+    every call on the same search shares what it holds.  ``pairs`` is the
+    pair scan, and ``partner[a][f][x]`` the pair core of (a, x) in either
+    order, plain for ``f = 0`` and flipped for ``f = 1``.  ``size`` sizes a
+    position mask under the metric.  ``cores`` maps ``(core, z, flips)``,
+    with flips normalised against inverting all of Z, to the closure of the
+    core under (z, flips) and its size, and ``widened`` maps a widening
+    state ``(z, flips, core)`` to the state its widening ends in.
     """
 
-    def __init__(self, cover: Cover, size_metric: str):
+    def __init__(self, cover: Cover, size_metric: str = "cubes"):
         if size_metric not in SIZE_METRICS:
             raise ValueError(f"unknown core size metric {size_metric!r}")
         self.cover = cover
@@ -278,8 +282,8 @@ class _Search:
             masks, full = assignment_masks(n), full_mask(n)
             self.tables = [cube_mask(cube, masks, full) for cube in cover.cubes]
             self.size = self._minterm_count
-        self.cores: dict[tuple[int, int], tuple[int, int]] = {}
-        self.widened: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self.cores: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.widened: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
 
     def _minterm_count(self, mask: int) -> int:
         """The minterms the cubes at the positions of ``mask`` cover."""
@@ -301,8 +305,8 @@ class _Search:
         unclosed: it could neither be accepted nor keep the whole core.
         """
         widened = self.widened
-        if (z, flips) in widened:
-            return widened[z, flips]
+        if (z, flips, core) in widened:
+            return widened[z, flips, core]
         n = self.cover.n
         partner, cubes, cores, size_of = self.partner, self.cubes, self.cores, self.size
         # per input x outside Z: the AND of the pair cores of x and every a
@@ -314,8 +318,8 @@ class _Search:
             other = list(map(and_, other, partner[a][fa ^ 1]))
 
         passed = []
-        while (z, flips) not in widened:
-            passed.append((z, flips))
+        while (z, flips, core) not in widened:
+            passed.append((z, flips, core))
             width = z.bit_count() + 1
             w2 = width * width
             score = floor = size * (width - 1) ** 2  # floor: what a candidate must beat
@@ -327,7 +331,7 @@ class _Search:
                 for cand_flips, bound in ((flips, same[x]), (flips | 1 << x, other[x])):
                     if size_of(bound & core) * w2 <= floor:
                         continue
-                    key = (cand_z, min(cand_flips, cand_flips ^ cand_z))
+                    key = (core, cand_z, min(cand_flips, cand_flips ^ cand_z))
                     known = cores.get(key)
                     if known is None:
                         cand = _closed(cubes, core, cand_z, cand_flips)
@@ -343,7 +347,7 @@ class _Search:
                     continue
                 break
             if best is None or best[0] <= score:
-                widened[z, flips] = (z, flips, core, size)
+                widened[z, flips, core] = (z, flips, core, size)
                 break
             _, size, x, flips, core = best
             z |= 1 << x
@@ -351,13 +355,13 @@ class _Search:
             same = list(map(and_, same, partner[x][fx]))
             other = list(map(and_, other, partner[x][fx ^ 1]))
 
-        end = widened[z, flips]
+        end = widened[z, flips, core]
         for state in passed:
             widened[state] = end
         return end
 
 
-def _scored_pairs(search: _Search) -> list[tuple[tuple[int, int], bool, int, int]]:
+def _scored_pairs(search: CoreSearch) -> list[tuple[tuple[int, int], bool, int, int]]:
     """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
     size = search.size
     out = []
@@ -374,56 +378,32 @@ def _pair_seed(cover: Cover, pair: tuple[int, int], flip: bool, mask: int) -> Co
     return Core(cover, _positions(mask), pair, {pair[0]} if flip else ())
 
 
-def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
-    """Largest cube sub-list closed under swapping columns a and b.
+def best_pair_cores(search: CoreSearch) -> dict[tuple[int, int], tuple[bool, Core]]:
+    """Best polarity choice per unordered input pair; ties keep the plain phase.
 
-    With ``invert_a`` the test runs on the cover with column ``a``
-    complemented; flipping both columns is equivalent to flipping neither,
-    and flipping ``b`` mirrors flipping ``a``, so these two polarities are
-    the only distinct options.
+    A pair's core is the largest cube sub-list closed under swapping its two
+    columns, with the first column complemented when the flag is set
+    (flipping both is flipping neither, and flipping the second mirrors
+    flipping the first).  A cover with fewer than two inputs has none.
     """
-    _check_inputs((a, b), cover.n)
-    cubes = _int_cubes(cover)
-    mask = _closed(cubes, (1 << len(cubes)) - 1, 1 << a | 1 << b, invert_a << a)
-    return Core(cover, _positions(mask), (a, b), {a} if invert_a else ())
-
-
-def best_pair_cores(
-    cover: Cover, size_metric: str = "cubes"
-) -> dict[tuple[int, int], tuple[bool, Core]]:
-    """Best polarity choice per unordered input pair; ties keep the plain phase."""
-    if cover.n < 2:
-        raise ValueError("pair cores need at least two inputs")
-    return _best_pair_cores(_Search(cover, size_metric))
-
-
-def _best_pair_cores(search: _Search) -> dict[tuple[int, int], tuple[bool, Core]]:
     return {
         pair: (flip, _pair_seed(search.cover, pair, flip, mask))
         for pair, flip, mask, _ in _scored_pairs(search)
     }
 
 
-def expand_core(
-    seed: Core, cover: Cover, size_metric: str = "cubes", search: _Search | None = None
-) -> tuple[Core, CoreScore]:
+def expand_core(seed: Core, search: CoreSearch) -> tuple[Core, CoreScore]:
     """Greedily widen a core one input at a time while the score improves.
 
     Each step tries every remaining input in both polarities, keeps the
     largest cube sub-list closed under all permutations of the widened input
     set, and accepts the candidate only if ``count * width**2`` strictly
-    increases.  Polarities fixed in earlier steps are not revisited.
-    ``search`` is what the caller's other widenings of pair cores of the
-    same cover and metric have computed; by default the call builds its
-    own.  A seed or search of another cover, or a search of another metric,
-    is a ``ValueError``.
+    increases.  Polarities fixed in earlier steps are not revisited.  A seed
+    of a cover other than the search's is a ``ValueError``.
     """
+    cover = search.cover
     if seed.base != cover:
         raise ValueError("the seed core belongs to another cover")
-    if search is None:
-        search = _Search(cover, size_metric)
-    elif search.cover != cover or search.size_metric != size_metric:
-        raise ValueError("the search belongs to another cover or size metric")
     core = sum(1 << i for i in set(seed.cube_indices))
     z, flips, core, size = search.widen(
         sum(1 << i for i in seed.sym_inputs),
@@ -441,39 +421,15 @@ def _selection_key(score: int, width: int, inversions: int, sym_inputs: tuple[in
     return -score, -width, inversions, sym_inputs
 
 
-def select_best_core(candidates: Sequence[tuple[Core, CoreScore]]) -> Core:
-    """Highest score; ties prefer wider cores, fewer inversions, smallest Z, then the first."""
-    if not candidates:
-        raise ValueError("no core candidates")
-    return min(
-        candidates,
-        key=lambda cs: _selection_key(
-            cs[1].score, cs[1].width, len(cs[0].inverted), cs[0].sym_inputs
-        ),
-    )[0]
-
-
-def best_core(cover: Cover, size_metric: str = "cubes") -> Core | None:
+def best_core(search: CoreSearch) -> Core | None:
     """Full pipeline: pair cores, widening, selection.  None if all pairs are empty.
 
     Only the maximal pair cores (largest size over all pairs) seed the
     widening step; smaller pair cores are subsets of weaker symmetries and
-    expanding them tends to splinter a clean disjoint factorization.  The
-    seeds' widenings share one pair scan, every closure computed so far
-    (keyed by Z and its flips) and the end of every widening state already
-    passed through, so a seed that reaches another seed's state stops there.
-    """
-    if cover.n < 2:
-        return None
-    return _best_core(_Search(cover, size_metric))
-
-
-def _best_core(search: _Search) -> Core | None:
-    """``best_core`` on the search's cover and metric, sharing what the search holds.
-
-    Each top seed is widened once, on masks; the winner, by
-    ``select_best_core``'s rule, is rebuilt by ``expand_core``, which the
-    widening memo answers at once.
+    expanding them tends to splinter a clean disjoint factorization.  Each
+    top seed is widened once, on masks, and the widening with the smallest
+    ``_selection_key`` wins, the first on ties; its seed is rebuilt by
+    ``expand_core``, which the widening memo answers at once.
     """
     seeds = _scored_pairs(search)
     top = max((size for *_, size in seeds), default=0)
@@ -492,8 +448,7 @@ def _best_core(search: _Search) -> Core | None:
         if best is None or key < best[0]:
             best = key, pair, flip, mask
     _, pair, flip, mask = best
-    cover = search.cover
-    return expand_core(_pair_seed(cover, pair, flip, mask), cover, search.size_metric, search)[0]
+    return expand_core(_pair_seed(search.cover, pair, flip, mask), search)[0]
 
 
 def dc_partition(cover: Cover) -> list[Cover]:

@@ -269,11 +269,15 @@ def transform_mask(
 
     Assignment ``v`` maps to ``w`` with bit ``j`` of ``w`` equal to bit
     ``perm[j]`` of ``v ^ flips``: the inputs set in ``flips`` are inverted
-    and new input ``j`` is old input ``perm[j]``, as in permute_inputs.
-    ``perm`` must be a permutation of ``range(n)`` (None keeps the order)
-    and ``flips`` must be below ``2**n``.
+    and new input ``j`` is old input ``perm[j]``.  ``perm`` must be a
+    permutation of ``range(n)`` (None keeps the order) and ``flips`` must
+    lie in ``[0, 2**n)``; anything else is a ``ValueError``.
     Costs at most n phase swaps plus n - 1 transpositions.
     """
+    if not 0 <= flips < 1 << n:
+        raise ValueError(f"flips {flips!r} outside [0, 2**{n})")
+    if perm is not None and sorted(perm) != list(range(n)):
+        raise ValueError(f"perm {tuple(perm)!r} is not a permutation of range({n})")
     masks = assignment_masks(n)
     while flips:
         low = flips & -flips  # complementing input i moves blocks by 2**i
@@ -303,62 +307,11 @@ def cover_to_minterms(cover: Cover) -> MintermSet:
     return MintermSet(cover.n, cover_mask(cover, assignment_masks(cover.n), full))
 
 
-def eval_cover(cover: Cover, assignment: Sequence[int]) -> int:
-    """1 iff some cube matches the assignment (don't-care matches both)."""
-    if len(assignment) != cover.n:
-        raise ValueError(f"assignment length {len(assignment)} != input count {cover.n}")
-    for cube in cover.cubes:
-        if all(ch == "-" or (ch == "1") == bool(v) for ch, v in zip(cube, assignment)):
-            return 1
-    return 0
-
-
-_FLIP = str.maketrans("01", "10")
-
-
-def apply_phase(cover: Cover, p: PhaseVector) -> Cover:
-    """Swap 0 and 1 in every column whose input is inverted."""
-    if p.n != cover.n:
-        raise ValueError("phase vector length mismatch")
-    flip = set(p.inverted)
-    if not flip:
-        return cover
-    cubes = tuple(
-        "".join(ch.translate(_FLIP) if j in flip else ch for j, ch in enumerate(cube))
-        for cube in cover.cubes
-    )
-    return Cover(cover.input_names, cubes)
-
-
-def permute_inputs(cover: Cover, perm: Sequence[int]) -> Cover:
-    """Reorder columns so that new column ``j`` is old column ``perm[j]``."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(cover.n)):
-        raise ValueError("not a permutation of the inputs")
-    names = tuple(cover.input_names[perm[j]] for j in range(cover.n))
-    cubes = tuple("".join(cube[perm[j]] for j in range(cover.n)) for cube in cover.cubes)
-    return Cover(names, cubes)
-
-
 def phase_minterms(s: MintermSet, p: PhaseVector) -> MintermSet:
     """Image of a minterm set under complementing the inverted inputs."""
     if p.n != s.n:
         raise ValueError("phase vector length mismatch")
     return MintermSet(s.n, transform_mask(s.bits, s.n, flips=p.mask))
-
-
-def permute_minterms(s: MintermSet, perm: Sequence[int]) -> MintermSet:
-    """Image of a minterm set under reordering inputs (see permute_inputs)."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(s.n)):
-        raise ValueError("not a permutation of the inputs")
-    return MintermSet(s.n, transform_mask(s.bits, s.n, perm))
-
-
-def minterms_to_cover(s: MintermSet, input_names: Sequence[str] | None = None) -> Cover:
-    """One full cube per minterm, in ascending index order."""
-    names = tuple(input_names) if input_names is not None else default_names(s.n)
-    return Cover(names, tuple(index_to_minterm(v, s.n) for v in s.members()))
 
 
 def default_names(n: int) -> tuple[str, ...]:

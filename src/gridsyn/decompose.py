@@ -43,7 +43,7 @@ from .cubes import (
     full_mask,
     popcount_class_masks,
 )
-from .netlist import Netlist, NetlistBuilder, Ref, evaluate_netlist, netlist_mask
+from .netlist import Netlist, NetlistBuilder, Ref, netlist_mask
 from .spectra import FullRankSet, fullrank_set_if_symmetric
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "decompose",
     "factor_core",
     "verify",
-    "evaluate_netlist",
 ]
 
 
@@ -230,7 +229,7 @@ def _decompose_rec(
         return builder.sym(ranks.ranks, [builder.input(i) for i in inputs])
 
     # k >= 2 here, so some pair core holds a cube (see the module docstring)
-    core = cores_mod.best_core(local, opts.core_size_metric)
+    core = cores_mod.best_core(cores_mod.CoreSearch(local, opts.core_size_metric))
     if core is None:
         raise DecompositionError("no pair core holds a cube of this cover")
 

@@ -81,14 +81,6 @@ class Netlist:
     def n(self) -> int:
         return len(self.input_names)
 
-    def phased_inputs(self) -> frozenset[int]:
-        """Inputs that feed a shared boundary inverter."""
-        out = set()
-        for node in self.nodes:
-            if node.kind == KIND_INV and node.operands[0].kind == "input":
-                out.add(node.operands[0].index)
-        return frozenset(out)
-
     def sym_nodes(self) -> list[NetNode]:
         return [node for node in self.nodes if node.kind == KIND_SYM]
 
@@ -108,14 +100,6 @@ def _overlapping(operands: Sequence[Ref], supports: Sequence[frozenset[int]]) ->
     """True iff two operands share an input."""
     parts = [_support((ref,), supports) for ref in operands]
     return sum(map(len, parts)) != len(frozenset().union(*parts))
-
-
-def netlist_supports(nl: Netlist) -> list[frozenset[int]]:
-    """Input support of every node, in node order."""
-    sup: list[frozenset[int]] = []
-    for node in nl.nodes:
-        sup.append(_support(node.operands, sup))
-    return sup
 
 
 class NetlistBuilder:
@@ -278,32 +262,6 @@ def _reachable(nodes: Sequence[NetNode], output: Ref) -> list[bool]:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def evaluate_netlist(nl: Netlist, assignment: Sequence[int]) -> int:
-    """Bottom-up evaluation on one complete input assignment."""
-    if len(assignment) != nl.n:
-        raise ValueError(f"assignment length {len(assignment)} != input count {nl.n}")
-    values: list[int] = []
-
-    def val(ref: Ref) -> int:
-        return int(bool(assignment[ref.index])) if ref.kind == "input" else values[ref.index]
-
-    for node in nl.nodes:
-        if node.kind == KIND_CONST:
-            values.append(node.value)
-        elif node.kind == KIND_INV:
-            values.append(1 - val(node.operands[0]))
-        elif node.kind == KIND_AND:
-            values.append(int(all(val(op) for op in node.operands)))
-        elif node.kind == KIND_OR:
-            values.append(int(any(val(op) for op in node.operands)))
-        elif node.kind == KIND_SYM:
-            ones = sum(val(op) for op in node.operands)
-            values.append(int(ones in node.ranks))
-        else:  # pragma: no cover
-            raise NetlistError(f"unknown node kind {node.kind!r}")
-    return val(nl.output)
 
 
 def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:

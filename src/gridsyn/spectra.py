@@ -100,11 +100,3 @@ def rank_index_masks(n: int) -> tuple[int, ...]:
         raise CapacityError(f"rank masks capped at {DEFAULT_EXPANSION_CAP} inputs")
     return tuple(popcount_class_masks(assignment_masks(n), full_mask(n)))
 
-
-def sf_minterms(f: FullRankSet) -> MintermSet:
-    """All minterms whose rank lies in the full-rank set."""
-    masks = rank_index_masks(f.n)
-    bits = 0
-    for r in f.ranks:
-        bits |= masks[r]
-    return MintermSet(f.n, bits)

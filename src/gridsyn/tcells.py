@@ -142,14 +142,6 @@ def map_sf(f: FullRankSet) -> SFImpl:
     return SFImpl(f.n, tuple(terms))
 
 
-def sf_impl_value(impl: SFImpl, ones: int) -> int:
-    """Evaluate the threshold-pair form on a given input popcount."""
-    for lower, upper in impl.terms:
-        if (lower is None or ones >= lower) and (upper is None or ones < upper):
-            return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # netlist mapping
 

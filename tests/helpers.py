@@ -23,12 +23,14 @@ from gridsyn import (
 from gridsyn.cores import (
     Core,
     CoreScore,
+    CoreSearch,
     _closed,
     _int_cubes,
+    _selection_key,
     best_pair_cores,
-    select_best_core,
 )
 from gridsyn.gridplot import LayoutResult, PlotMetrics
+from gridsyn.netlist import KIND_AND, KIND_CONST, KIND_INV, KIND_OR, KIND_SYM
 
 DEMO_PLAS = Path(__file__).resolve().parent.parent / "demos" / "pla"
 
@@ -41,10 +43,96 @@ def cover_of(names, *cubes: str) -> Cover:
     return Cover(tuple(names), tuple(cubes))
 
 
-def minterm_cover(s: MintermSet, names=None) -> Cover:
-    from gridsyn import minterms_to_cover
+def word(v: int, n: int) -> str:
+    """Assignment ``v`` as a 0/1 string, input 0 first."""
+    return "".join("1" if v >> j & 1 else "0" for j in range(n))
 
-    return minterms_to_cover(s, names)
+
+def minterms_to_cover(s: MintermSet, names=None) -> Cover:
+    """One full cube per minterm, in ascending index order."""
+    names = tuple(names) if names is not None else tuple(f"x{i}" for i in range(s.n))
+    return Cover(names, tuple(word(v, s.n) for v in range(1 << s.n) if v in s))
+
+
+def sf_minterms(f) -> MintermSet:
+    """All minterms of ``f.n`` inputs whose count of ones lies in ``f.ranks``."""
+    words = [word(v, f.n) for v in range(1 << f.n)]
+    return MintermSet.from_strings([w for w in words if w.count("1") in f.ranks], n=f.n)
+
+
+def eval_cover(cover: Cover, assignment) -> int:
+    """1 iff some cube matches the assignment (don't-care matches both)."""
+    assert len(assignment) == cover.n
+    for cube in cover.cubes:
+        if all(ch == "-" or (ch == "1") == bool(v) for ch, v in zip(cube, assignment)):
+            return 1
+    return 0
+
+
+def phase_cover(cover: Cover, inverted) -> Cover:
+    """Swap ``0`` and ``1`` in every column whose input is inverted."""
+    return Cover(cover.input_names, tuple(phase_cube(cube, set(inverted)) for cube in cover.cubes))
+
+
+def permute_cover(cover: Cover, perm) -> Cover:
+    """Reorder columns and names so that new column ``j`` is old column ``perm[j]``."""
+    names = tuple(cover.input_names[k] for k in perm)
+    return Cover(names, tuple("".join(cube[k] for k in perm) for cube in cover.cubes))
+
+
+# ---------------------------------------------------------------------------
+# netlist oracles: one assignment, one node at a time
+
+
+def evaluate_netlist(nl, assignment) -> int:
+    """Bottom-up evaluation on one complete input assignment."""
+    assert len(assignment) == nl.n
+    values: list[int] = []
+
+    def val(ref) -> int:
+        return int(bool(assignment[ref.index])) if ref.kind == "input" else values[ref.index]
+
+    for node in nl.nodes:
+        ops = [val(op) for op in node.operands]
+        if node.kind == KIND_CONST:
+            values.append(node.value)
+        elif node.kind == KIND_INV:
+            values.append(1 - ops[0])
+        elif node.kind == KIND_AND:
+            values.append(int(all(ops)))
+        elif node.kind == KIND_OR:
+            values.append(int(any(ops)))
+        else:
+            assert node.kind == KIND_SYM
+            values.append(int(sum(ops) in node.ranks))
+    return val(nl.output)
+
+
+def supports(nl) -> list[frozenset[int]]:
+    """Input support of every node, in node order."""
+    out: list[frozenset[int]] = []
+    for node in nl.nodes:
+        out.append(frozenset().union(
+            *({op.index} if op.kind == "input" else out[op.index] for op in node.operands)
+        ))
+    return out
+
+
+def phased_inputs(nl) -> frozenset[int]:
+    """Inputs that feed an inverter."""
+    return frozenset(
+        node.operands[0].index
+        for node in nl.nodes
+        if node.kind == KIND_INV and node.operands[0].kind == "input"
+    )
+
+
+def sf_impl_value(impl, ones: int) -> int:
+    """A threshold-pair form on a given input popcount: 1 iff some term's interval holds it."""
+    return int(any(
+        (lower is None or ones >= lower) and (upper is None or ones < upper)
+        for lower, upper in impl.terms
+    ))
 
 
 def random_cover(rng: random.Random, n: int, m: int, dc_bias: float = 0.4) -> Cover:
@@ -180,6 +268,14 @@ def oracle_closed_subset(cubes: set[str], gens) -> set[str]:
     return keep
 
 
+def pair_seed(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
+    """The pair core of (a, b): the cubes whose phased swap orbit lies in the cover."""
+    phased = [phase_cube(cube, {a} if invert_a else set()) for cube in cover.cubes]
+    closed = oracle_closed_subset(set(phased), [(a, b)])
+    indices = [i for i, cube in enumerate(phased) if cube in closed]
+    return Core(cover, indices, (a, b), {a} if invert_a else ())
+
+
 # ---------------------------------------------------------------------------
 # core-search reference: the widening loop without bound or memos
 
@@ -232,19 +328,21 @@ def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
 
 def reference_best_core(cover: Cover, size_metric: str = "cubes"):
     """``best_core`` over ``reference_expand_core``: the largest pair cores, widened."""
-    if cover.n < 2:
-        return None
     seeds = [
         (core, core_size(cover, core.cube_indices, size_metric))
-        for _, core in best_pair_cores(cover, size_metric).values()
+        for _, core in best_pair_cores(CoreSearch(cover, size_metric)).values()
         if core.cube_indices
     ]
     if not seeds:
         return None
     top = max(size for _, size in seeds)
-    return select_best_core(
-        [reference_expand_core(core, cover, size_metric) for core, size in seeds if size == top]
-    )
+    wide = [reference_expand_core(core, cover, size_metric) for core, size in seeds if size == top]
+    return min(
+        wide,
+        key=lambda cs: _selection_key(
+            cs[1].score, cs[1].width, len(cs[0].inverted), cs[0].sym_inputs
+        ),
+    )[0]
 
 
 # ---------------------------------------------------------------------------

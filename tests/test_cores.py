@@ -9,23 +9,22 @@ import gridsyn.cubes as cubes_mod
 from gridsyn import (
     Core,
     CoreScore,
+    CoreSearch,
     Cover,
-    PhaseVector,
-    apply_phase,
     best_core,
     best_pair_cores,
     cover_to_minterms,
     dc_partition,
     expand_core,
-    pair_core,
-    permute_minterms,
-    select_best_core,
 )
 
-from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes, _pair_masks, _Search
+from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes, _pair_masks, _selection_key
 
 from helpers import (
     oracle_closed_subset,
+    pair_seed,
+    permute_cover,
+    phase_cover,
     phase_cube,
     random_cover,
     positions,
@@ -44,15 +43,24 @@ PARITY4 = Cover(
 
 def core_is_symmetric(core: Core) -> bool:
     """Independent check: the phased minterm set survives adjacent swaps of Z."""
-    sub = Cover(core.base.input_names, (core.base.cubes[i] for i in core.cube_indices))
-    s = cover_to_minterms(apply_phase(sub, PhaseVector.inverting(core.base.n, core.inverted)))
+    sub = phase_cover(
+        Cover(core.base.input_names, (core.base.cubes[i] for i in core.cube_indices)),
+        core.inverted,
+    )
+    s = set(cover_to_minterms(sub).to_strings())
     n = core.base.n
     for i, j in zip(core.sym_inputs, core.sym_inputs[1:]):
         perm = list(range(n))
         perm[i], perm[j] = perm[j], perm[i]
-        if permute_minterms(s, perm) != s:
+        if set(cover_to_minterms(permute_cover(sub, perm)).to_strings()) != s:
             return False
     return True
+
+
+def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
+    """The search's pair core of (a, b), with ``a`` complemented when asked."""
+    masks = CoreSearch(cover).pairs[min(a, b), max(a, b)]
+    return Core(cover, positions(masks[invert_a]), (a, b), {a} if invert_a else ())
 
 
 class TestPairCore:
@@ -72,21 +80,12 @@ class TestPairCore:
         assert pair_core(c, 0, 1).cube_indices == ()
         assert pair_core(c, 0, 1, invert_a=True).cube_indices == (0,)
 
-    def test_same_input_rejected(self):
-        with pytest.raises(ValueError):
-            pair_core(CARRY, 1, 1)
-
-    @pytest.mark.parametrize("a, b, bad", [(0, 5, "5"), (-1, 1, "-1"), (3, 0, "3")])
-    def test_inputs_outside_the_cover_rejected(self, a, b, bad):
-        with pytest.raises(ValueError, match=f"input {bad} outside range"):
-            pair_core(CARRY, a, b)
-
     def test_double_inversion_equals_plain(self):
         rng = random.Random(2)
         for _ in range(30):
             c = random_cover(rng, rng.randint(2, 6), rng.randint(1, 12))
             a, b = rng.sample(range(c.n), 2)
-            both = apply_phase(c, PhaseVector.inverting(c.n, [a, b]))
+            both = phase_cover(c, [a, b])
             assert pair_core(both, a, b).cube_indices == pair_core(c, a, b).cube_indices
 
     def test_emitted_cores_are_semantically_symmetric(self):
@@ -96,6 +95,7 @@ class TestPairCore:
             a, b = rng.sample(range(c.n), 2)
             for invert in (False, True):
                 core = pair_core(c, a, b, invert_a=invert)
+                assert core == pair_seed(c, a, b, invert_a=invert)
                 if core.cube_indices:
                     assert core_is_symmetric(core)
 
@@ -126,42 +126,42 @@ class TestCoreValidation:
 
 class TestBestPairCores:
     def test_carry_every_pair_full_and_plain(self):
-        for (a, b), (inv, core) in best_pair_cores(CARRY).items():
+        for (a, b), (inv, core) in best_pair_cores(CoreSearch(CARRY)).items():
             assert not inv
             assert core.cube_count == 3
 
     def test_pair_product_favors_the_paired_inputs(self):
-        cores = best_pair_cores(XOR_PAIR)
+        cores = best_pair_cores(CoreSearch(XOR_PAIR))
         sizes = {pair: core.cube_count for pair, (_, core) in cores.items()}
         assert sizes[(0, 1)] == 4 and sizes[(2, 3)] == 4
         assert all(size < 4 for pair, size in sizes.items() if pair not in ((0, 1), (2, 3)))
 
     def test_single_cube_prefers_inverted_when_larger(self):
         c = Cover(("a", "b"), ("10",))
-        inv, core = best_pair_cores(c)[(0, 1)]
+        inv, core = best_pair_cores(CoreSearch(c))[(0, 1)]
         assert inv and core.cube_count == 1
 
     def test_needs_two_inputs(self):
-        with pytest.raises(ValueError):
-            best_pair_cores(Cover(("a",), ("1",)))
+        assert best_pair_cores(CoreSearch(Cover(("a",), ("1",)))) == {}
+        assert best_pair_cores(CoreSearch(Cover((), ("",)))) == {}
 
 
 class TestExpand:
     def test_carry_expands_to_full_width(self):
         seed = pair_core(CARRY, 0, 1)
-        core, score = expand_core(seed, CARRY)
+        core, score = expand_core(seed, CoreSearch(CARRY))
         assert core.sym_inputs == (0, 1, 2)
         assert score == CoreScore(3, 3, 27)
 
     def test_pair_product_does_not_widen(self):
         seed = pair_core(XOR_PAIR, 0, 1)
-        core, score = expand_core(seed, XOR_PAIR)
+        core, score = expand_core(seed, CoreSearch(XOR_PAIR))
         assert core.sym_inputs == (0, 1)
         assert score == CoreScore(4, 2, 16)
 
     def test_parity_expands_to_all_inputs(self):
         seed = pair_core(PARITY4, 0, 1)
-        core, score = expand_core(seed, PARITY4)
+        core, score = expand_core(seed, CoreSearch(PARITY4))
         assert core.sym_inputs == (0, 1, 2, 3)
         assert score == CoreScore(8, 4, 128)
 
@@ -169,83 +169,80 @@ class TestExpand:
         rng = random.Random(5)
         for _ in range(30):
             c = random_cover(rng, rng.randint(2, 7), rng.randint(1, 16))
-            pairs = best_pair_cores(c)
-            for _, core in pairs.values():
+            search = CoreSearch(c)
+            for _, core in best_pair_cores(search).values():
                 if not core.cube_indices:
                     continue
                 seed_score = core.cube_count * core.width**2
-                _, score = expand_core(core, c)
+                _, score = expand_core(core, search)
                 assert score.score >= seed_score
 
     def test_expanded_cores_stay_symmetric(self):
         rng = random.Random(6)
         for _ in range(25):
             c = random_cover(rng, rng.randint(3, 7), rng.randint(2, 14))
-            core = best_core(c)
+            core = best_core(CoreSearch(c))
             if core is not None and core.cube_indices:
                 assert core_is_symmetric(core)
 
     def test_zero_input_cover_keeps_the_seed(self):
         c = Cover((), ("",))
-        core, score = expand_core(Core(c, (), (), ()), c)
+        core, score = expand_core(Core(c, (), (), ()), CoreSearch(c))
         assert (core.cube_indices, core.sym_inputs, score.score) == ((), (), 0)
 
     def test_seed_of_another_cover_rejected(self):
         four = Cover(("a", "b", "c", "d"), ("1-1-", "-11-", "11--"))
         seed = pair_core(four, 2, 3)
         with pytest.raises(ValueError, match="another cover"):
-            expand_core(seed, CARRY)
+            expand_core(seed, CoreSearch(CARRY))
 
     def test_search_of_another_cover_or_metric_rejected(self):
         seed = pair_core(CARRY, 0, 1)
-        with pytest.raises(ValueError, match="another cover or size metric"):
-            expand_core(seed, CARRY, "cubes", _Search(PARITY4, "cubes"))
-        with pytest.raises(ValueError, match="another cover or size metric"):
-            expand_core(seed, CARRY, "cubes", _Search(CARRY, "minterms"))
+        with pytest.raises(ValueError, match="another cover"):
+            expand_core(seed, CoreSearch(PARITY4))
         equal = Cover(CARRY.input_names, CARRY.cubes)
-        assert expand_core(seed, CARRY, "cubes", _Search(equal, "cubes")) == expand_core(
-            seed, CARRY
-        )
+        assert expand_core(seed, CoreSearch(equal)) == expand_core(seed, CoreSearch(CARRY))
+        # The metric travels with the search, so it cannot disagree with it:
+        # the same seed sizes by cubes under one search and minterms under the other.
+        assert expand_core(seed, CoreSearch(CARRY))[1].cube_count == 3
+        assert expand_core(seed, CoreSearch(CARRY, "minterms"))[1].cube_count == 4
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown core size metric"):
-            best_core(CARRY, "literals")
+            CoreSearch(CARRY, "literals")
 
     def test_minterm_metric_counts_minterms(self):
         c = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
-        core, score = expand_core(pair_core(c, 0, 1), c, size_metric="minterms")
+        core, score = expand_core(pair_core(c, 0, 1), CoreSearch(c, "minterms"))
         assert score.cube_count == 4  # the carry covers four minterms
         assert score.score == 4 * 9
 
 
 class TestSelect:
-    def make(self, count, width, inverted=(), z=None):
-        names = tuple(f"x{i}" for i in range(6))
-        cover = Cover(names, ("1-----"[:6],) * count if count else ())
+    """``_selection_key``, the rule by which ``best_core`` picks among widened seeds."""
+
+    @staticmethod
+    def key(count, width, inverted=(), z=None):
         z = tuple(range(width)) if z is None else z
-        core = Core(cover, tuple(range(count)), z, frozenset(inverted))
-        return (core, CoreScore.compute(count, width))
+        score = CoreScore.compute(count, width)
+        return _selection_key(score.score, score.width, len(inverted), z)
 
     def test_highest_score_wins(self):
-        a = self.make(3, 3)
-        b = self.make(4, 2)
-        assert select_best_core([b, a]) is a[0]
+        assert self.key(3, 3) < self.key(4, 2)
 
     def test_tie_prefers_wider(self):
-        a = self.make(4, 2)  # score 16
-        b = self.make(1, 4)  # score 16, wider
-        assert select_best_core([a, b]) is b[0]
+        assert self.key(1, 4) < self.key(4, 2)  # both score 16
 
     def test_tie_prefers_fewer_inversions_then_smallest_inputs(self):
-        a = self.make(2, 2, inverted=(0,), z=(0, 1))
-        b = self.make(2, 2, inverted=(), z=(2, 3))
-        c = self.make(2, 2, inverted=(), z=(0, 3))
-        assert select_best_core([a, b]) is b[0]
-        assert select_best_core([b, c]) is c[0]
+        a = self.key(2, 2, inverted=(0,), z=(0, 1))
+        b = self.key(2, 2, inverted=(), z=(2, 3))
+        c = self.key(2, 2, inverted=(), z=(0, 3))
+        assert b < a
+        assert c < b
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            select_best_core([])
+    def test_no_candidates_gives_none(self):
+        assert best_core(CoreSearch(Cover(("a", "b", "c"), ()))) is None
+        assert best_core(CoreSearch(Cover(("a",), ("1",)))) is None
 
 
 class TestDcPartition:
@@ -394,19 +391,19 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("metric", SIZE_METRICS)
     def test_expand_core_from_every_pair_seed(self, metric):
         for cover in self.covers():
-            shared = _Search(cover, metric)
+            shared = CoreSearch(cover, metric)
             for a in range(cover.n):
                 for b in range(a + 1, cover.n):
                     for invert in (False, True):
-                        seed = pair_core(cover, a, b, invert_a=invert)
+                        seed = pair_seed(cover, a, b, invert_a=invert)
                         want = reference_expand_core(seed, cover, metric)
-                        assert expand_core(seed, cover, metric) == want
-                        assert expand_core(seed, cover, metric, shared) == want
+                        assert expand_core(seed, CoreSearch(cover, metric)) == want
+                        assert expand_core(seed, shared) == want
 
     @pytest.mark.parametrize("metric", SIZE_METRICS)
     def test_best_core(self, metric):
         for cover in self.covers():
-            assert best_core(cover, metric) == reference_best_core(cover, metric)
+            assert best_core(CoreSearch(cover, metric)) == reference_best_core(cover, metric)
 
     def test_minterm_search_expands_no_cover(self):
         """Under ``minterms`` the search sizes candidates from per-cube truth
@@ -419,9 +416,9 @@ class TestPrunedSearch:
                 calls.append(1)
 
         def search(cover):
-            found = best_core(cover, "minterms")
-            for _, seed in best_pair_cores(cover, "minterms").values():
-                expand_core(seed, cover, "minterms")
+            found = best_core(CoreSearch(cover, "minterms"))
+            for _, seed in best_pair_cores(CoreSearch(cover, "minterms")).values():
+                expand_core(seed, CoreSearch(cover, "minterms"))
             return found
 
         covers = self.covers()[:3]
@@ -434,6 +431,26 @@ class TestPrunedSearch:
             sys.setprofile(None)
         assert (probe, len(calls)) == (0, 1)  # the probe shows a call would count
         assert found == [reference_best_core(cover, "minterms") for cover in covers]
+
+
+class TestSharedSearch:
+    """One search serves every seed, pair core or not, as a fresh one would."""
+
+    @pytest.mark.parametrize("metric", SIZE_METRICS)
+    def test_part_of_a_widened_pair_seed_widens_on_its_own(self, metric):
+        """A seed that shares Z and flips with one widened before, but not its
+        cubes, must not pick up that seed's closures or widening end."""
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(4, 7)
+            cover = random_cover(rng, n, rng.randint(n, 3 * n))
+            search = CoreSearch(cover, metric)
+            for _, seed in best_pair_cores(search).values():
+                if not seed.cube_indices:
+                    continue
+                expand_core(seed, search)
+                part = Core(cover, seed.cube_indices[:-1], seed.sym_inputs, seed.inverted)
+                assert expand_core(part, search) == reference_expand_core(part, cover, metric)
 
 
 #: sha256 of the search results below, computed with the string-based search.
@@ -451,7 +468,7 @@ class TestSearchIsPinned:
             n = rng.randint(2, 8)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
             for metric in SIZE_METRICS:
-                core = best_core(cover, metric)
+                core = best_core(CoreSearch(cover, metric))
                 if core is not None:
                     core = (core.cube_indices, core.sym_inputs, sorted(core.inverted))
                 h.update(repr(core).encode())
@@ -481,10 +498,11 @@ class TestCoresCommandIsPinned:
             n = rng.randint(2, 8)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
             for metric in SIZE_METRICS:
-                for pair, (flip, core) in sorted(best_pair_cores(cover, metric).items()):
+                search = CoreSearch(cover, metric)
+                for pair, (flip, core) in sorted(best_pair_cores(search).items()):
                     h.update(repr((pair, flip, core.cube_indices)).encode())
                     if core.cube_indices:
-                        wide, score = expand_core(core, cover, metric)
+                        wide, score = expand_core(core, search)
                         result = (wide.cube_indices, wide.sym_inputs, sorted(wide.inverted))
                         h.update(repr((result, score)).encode())
         return h.hexdigest()

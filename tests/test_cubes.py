@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,22 +10,18 @@ from gridsyn import (
     MintermSet,
     ParseError,
     PhaseVector,
-    apply_phase,
     cover_to_minterms,
-    eval_cover,
     literal_density,
     minterm_index,
     parse_pla,
     parse_pla_outputs,
-    permute_inputs,
-    permute_minterms,
     phase_minterms,
     transform_mask,
     write_pla,
 )
 from gridsyn.cubes import cube_dc_count, index_to_minterm
 
-from helpers import all_assignments, random_cover
+from helpers import all_assignments, eval_cover, permute_cover, phase_cover, random_cover
 
 XOR_PAIR_PLA = """\
 .i 4
@@ -120,13 +118,9 @@ class TestSemantics:
             cover_to_minterms(wide)
 
     def test_eval_examples(self):
-        assert eval_cover(CARRY, (1, 1, 0)) == 1
-        assert eval_cover(CARRY, (1, 0, 0)) == 0
-        assert eval_cover(Cover(("a",), ()), (0,)) == 0
-
-    def test_eval_length_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_cover(CARRY, (1, 1))
+        assert minterm_index("110") in cover_to_minterms(CARRY)
+        assert minterm_index("100") not in cover_to_minterms(CARRY)
+        assert minterm_index("0") not in cover_to_minterms(Cover(("a",), ()))
 
     def test_minterms_match_eval_exhaustively(self):
         import random
@@ -148,15 +142,22 @@ class TestSemantics:
         assert len(s2) < sum(1 << cube_dc_count(q) for q in overlapping.cubes)
 
 
+def minterms_of(c: Cover) -> int:
+    return cover_to_minterms(c).bits
+
+
 class TestTransforms:
+    """``phase_minterms`` and ``transform_mask`` against the string transforms of cubes."""
+
     def test_phase_single_column(self):
         c = Cover(("a", "b", "c"), ("10-",))
-        assert apply_phase(c, PhaseVector.inverting(3, [0])).cubes == ("00-",)
+        phased = phase_minterms(cover_to_minterms(c), PhaseVector.inverting(3, [0]))
+        assert set(phased.to_strings()) == {"000", "001"}
 
     def test_phase_of_pair_product(self):
-        c = parse_pla(XOR_PAIR_PLA)
-        phased = apply_phase(c, PhaseVector.inverting(4, [1, 2]))
-        assert set(cover_to_minterms(phased).to_strings()) == {"0000", "0011", "1100", "1111"}
+        s = cover_to_minterms(parse_pla(XOR_PAIR_PLA))
+        phased = phase_minterms(s, PhaseVector.inverting(4, [1, 2]))
+        assert set(phased.to_strings()) == {"0000", "0011", "1100", "1111"}
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=50, deadline=None)
@@ -164,28 +165,29 @@ class TestTransforms:
         import random
 
         rng = random.Random(data.draw(st.integers(0, 10**6)))
-        c = random_cover(rng, n, rng.randint(0, 8))
+        s = cover_to_minterms(random_cover(rng, n, rng.randint(0, 8)))
         p = PhaseVector(tuple(data.draw(st.booleans()) for _ in range(n)))
-        assert apply_phase(apply_phase(c, p), p) == c
+        assert phase_minterms(phase_minterms(s, p), p) == s
 
     def test_permute_identity(self):
-        c = parse_pla(XOR_PAIR_PLA)
-        assert permute_inputs(c, (0, 1, 2, 3)) == c
+        bits = minterms_of(parse_pla(XOR_PAIR_PLA))
+        assert transform_mask(bits, 4, (0, 1, 2, 3)) == bits
 
     def test_permute_reorders_names_and_columns(self):
         c = parse_pla(XOR_PAIR_PLA)
-        p = permute_inputs(c, (0, 2, 1, 3))
+        p = permute_cover(c, (0, 2, 1, 3))
         assert p.input_names == ("a", "c", "b", "d")
         assert set(cover_to_minterms(p).to_strings()) == {"1100", "1001", "0110", "0011"}
+        assert transform_mask(minterms_of(c), 4, (0, 2, 1, 3)) == minterms_of(p)
 
     def test_permute_transposition_involution(self):
-        c = parse_pla(XOR_PAIR_PLA)
+        bits = minterms_of(parse_pla(XOR_PAIR_PLA))
         t = (1, 0, 2, 3)
-        assert permute_inputs(permute_inputs(c, t), t) == c
+        assert transform_mask(transform_mask(bits, 4, t), 4, t) == bits
 
     def test_permute_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            permute_inputs(CARRY, (0, 0, 1))
+        with pytest.raises(ValueError, match=r"perm \(0, 0, 1\) is not a permutation"):
+            transform_mask(minterms_of(CARRY), 3, (0, 0, 1))
 
     def test_transforms_commute_with_expansion(self):
         import random
@@ -196,10 +198,10 @@ class TestTransforms:
             c = random_cover(rng, n, rng.randint(1, 10))
             perm = tuple(rng.sample(range(n), n))
             p = PhaseVector(tuple(rng.random() < 0.5 for _ in range(n)))
-            assert cover_to_minterms(apply_phase(c, p)) == phase_minterms(cover_to_minterms(c), p)
-            assert cover_to_minterms(permute_inputs(c, perm)) == permute_minterms(
-                cover_to_minterms(c), perm
+            assert cover_to_minterms(phase_cover(c, p.inverted)) == phase_minterms(
+                cover_to_minterms(c), p
             )
+            assert minterms_of(permute_cover(c, perm)) == transform_mask(minterms_of(c), n, perm)
 
 
 class TestTransformMask:
@@ -218,6 +220,17 @@ class TestTransformMask:
                     u = v ^ flips
                     expected |= 1 << sum(((u >> perm[j]) & 1) << j for j in range(n))
             assert transform_mask(bits, n, perm, flips) == expected
+
+    @pytest.mark.parametrize("perm", [(1,), (0, 2), (1, 1), (0, 1, 2)])
+    def test_perm_that_is_not_a_permutation_rejected(self, perm):
+        message = re.escape(f"perm {perm!r} is not a permutation of range(2)")
+        with pytest.raises(ValueError, match=message):
+            transform_mask(6, 2, perm)
+
+    @pytest.mark.parametrize("flips", [4, 7, -1])
+    def test_flips_outside_the_inputs_rejected(self, flips):
+        with pytest.raises(ValueError, match=f"flips {flips} outside"):
+            transform_mask(6, 2, None, flips)
 
 
 class TestMisc:

@@ -1,12 +1,15 @@
 """Dead-name check over the package source, using only ``ast``.
 
-Three rules, for every module of ``src/gridsyn`` except ``__init__.py``:
+Four rules, for every module of ``src/gridsyn`` except ``__init__.py``:
 
 - a module-level function, class or constant must be referenced somewhere
   in ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` other than at its
   definition;
 - a private (``_``) one must be referenced in ``src/`` outside its own
   definition, so a test that imports it cannot keep it alive;
+- a public one must be referenced outside its own definition in ``src/``
+  (not counting the re-exports of ``__init__.py``), ``demos/`` or
+  ``perfbench/``, so tests alone cannot keep public API alive either;
 - every module-level import must be used by the module itself, or listed
   in its ``__all__``.
 
@@ -101,6 +104,21 @@ def private_names_unused_by_src() -> list[str]:
     ]
 
 
+def public_names_used_only_by_tests() -> list[str]:
+    """``module.name`` for every public definition only ``tests/`` and re-exports reference."""
+    used: Counter = Counter()
+    for tree_dir in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            if path != PACKAGE / "__init__.py":
+                used.update(_loads(_parse(path)))
+    return [
+        f"{stem}.{name}"
+        for stem, tree in _modules().items()
+        for name, node in _definitions(tree)
+        if not name.startswith("_") and used[name] <= _loads(node)[name]
+    ]
+
+
 def _exported(tree: ast.Module) -> set[str]:
     """The names a module lists in ``__all__``."""
     for node in tree.body:
@@ -127,6 +145,10 @@ def test_no_dead_names():
 
 def test_private_names_are_used_by_the_package():
     assert private_names_unused_by_src() == []
+
+
+def test_public_names_are_used_outside_the_tests():
+    assert public_names_used_only_by_tests() == []
 
 
 def test_no_unused_imports():

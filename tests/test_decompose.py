@@ -10,24 +10,28 @@ from gridsyn import (
     DecompositionError,
     FullRankSet,
     MintermSet,
-    best_core,
     decompose,
-    evaluate_netlist,
     factor_core,
-    minterms_to_cover,
-    pair_core,
     verify,
 )
-from gridsyn.cores import SIZE_METRICS, expand_core
+from gridsyn.cores import SIZE_METRICS, Core, CoreSearch, best_core, expand_core
 from gridsyn.netlist import (
     KIND_AND,
     KIND_SYM,
     NetlistBuilder,
-    netlist_supports,
     netlist_to_expr,
 )
 
-from helpers import all_assignments, random_cover
+from helpers import (
+    all_assignments,
+    eval_cover,
+    evaluate_netlist,
+    minterms_to_cover,
+    pair_seed,
+    phased_inputs,
+    random_cover,
+    supports,
+)
 
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
 SUM3 = Cover(("a", "b", "c"), ("100", "010", "001", "111"))
@@ -40,8 +44,6 @@ PARITY4 = Cover(
 
 def slow_equivalent(nl, cover) -> bool:
     """Independent oracle: pointwise evaluation of both sides."""
-    from gridsyn import eval_cover
-
     return all(
         evaluate_netlist(nl, a) == eval_cover(cover, a) for a in all_assignments(cover.n)
     )
@@ -76,26 +78,26 @@ class TestFactorCore:
         for _ in range(120):
             c = random_cover(rng, rng.randint(2, 8), rng.randint(1, 24))
             a, b = rng.sample(range(c.n), 2)
-            seeds = [pair_core(c, a, b, invert_a=inv) for inv in (False, True)]
-            for core in seeds + [expand_core(seed, c)[0] for seed in seeds]:
+            seeds = [pair_seed(c, a, b, invert_a=inv) for inv in (False, True)]
+            for core in seeds + [expand_core(seed, CoreSearch(c))[0] for seed in seeds]:
                 if core.cube_indices:
                     shaped = [(g.ranks, h.cubes) for g, h in factor_core(core)]
                     assert shaped == string_rank_cut(core)
 
     def test_carry_partial_core(self):
-        core = pair_core(CARRY, 0, 1)
+        core = pair_seed(CARRY, 0, 1)
         terms = factor_core(core)
         shaped = [(g.ranks, h.cubes) for g, h in terms]
         assert shaped == [(frozenset({1}), ("1",)), (frozenset({2}), ("-",))]
 
     def test_fully_symmetric_core_has_trivial_cofactors(self):
-        core, _ = expand_core(pair_core(CARRY, 0, 1), CARRY)
+        core, _ = expand_core(pair_seed(CARRY, 0, 1), CoreSearch(CARRY))
         assert core.sym_inputs == (0, 1, 2)
         terms = factor_core(core)
         assert [(g.ranks, h.cubes) for g, h in terms] == [(frozenset({2, 3}), ("",))]
 
     def test_pair_product_core_factors_to_xor_cofactor(self):
-        core = pair_core(XOR_PAIR, 0, 1)
+        core = pair_seed(XOR_PAIR, 0, 1)
         terms = factor_core(core)
         assert len(terms) == 1
         g, h = terms[0]
@@ -104,11 +106,11 @@ class TestFactorCore:
 
     def test_inverted_input_reads_the_opposite_raw_symbol(self):
         # "10" with a inverted is phased "00": rank 0 of Z, tautology cofactor
-        core = pair_core(Cover(("a", "b"), ("10",)), 0, 1, invert_a=True)
+        core = pair_seed(Cover(("a", "b"), ("10",)), 0, 1, invert_a=True)
         assert [(g.ranks, h.cubes) for g, h in factor_core(core)] == [(frozenset({0}), ("",))]
 
     def test_ranks_sharing_a_cofactor_are_one_term(self):
-        core = best_core(PARITY4)
+        core = best_core(CoreSearch(PARITY4))
         assert core.sym_inputs == (0, 1, 2, 3)
         terms = factor_core(core)
         assert [(g.ranks, h.cubes) for g, h in terms] == [(frozenset({1, 3}), ("",))]
@@ -117,7 +119,7 @@ class TestFactorCore:
         rng = random.Random(12)
         for _ in range(150):
             c = random_cover(rng, rng.randint(2, 7), rng.randint(1, 20))
-            core = best_core(c)
+            core = best_core(CoreSearch(c))
             if core is None:
                 continue
             terms = factor_core(core)
@@ -129,7 +131,7 @@ class TestFactorCore:
             assert len(set(cofactors)) == len(cofactors)
 
     def test_asymmetric_core_rejected(self):
-        bogus = type(pair_core(CARRY, 0, 1))(
+        bogus = Core(
             base=XOR_PAIR, cube_indices=(0, 1, 2), sym_inputs=(0, 2), inverted=frozenset()
         )
         with pytest.raises(DecompositionError, match="not symmetric"):
@@ -170,7 +172,7 @@ class TestWorkedDecompositions:
         c = Cover(("a", "b"), ("01",))  # not-a AND b
         nl = decompose(c)
         assert netlist_to_expr(nl) == "SYM[2](~a, b)"
-        assert nl.phased_inputs() == {0}
+        assert phased_inputs(nl) == {0}
 
 
 class TestEquivalence:
@@ -219,7 +221,7 @@ class TestNetlistInvariants:
 
     def test_disjoint_products_have_disjoint_supports(self):
         for nl in self.sample_netlists():
-            sup = netlist_supports(nl)
+            sup = supports(nl)
 
             def support(ref):
                 return frozenset((ref.index,)) if ref.kind == "input" else sup[ref.index]
@@ -268,8 +270,6 @@ class TestVerify:
         result = verify(nl, parity.__class__(("a", "b", "c"), parity.cubes))
         assert not result
         a = result.witness
-        from gridsyn import eval_cover
-
         assert evaluate_netlist(nl, a) != eval_cover(parity, a)
 
     def test_input_name_mismatch_rejected(self):
@@ -347,7 +347,7 @@ class TestGuards:
         covers = list(two_input_covers()) + [next(rng_covers) for _ in range(150)]
         assert len(covers) == 249 + 150
         for cover in covers:
-            core = best_core(cover, metric)
+            core = best_core(CoreSearch(cover, metric))
             assert core is not None and core.cube_indices, cover
 
     def test_expansion_cap(self):

@@ -16,7 +16,6 @@ from gridsyn import (
     minimize_layout,
     parse_pla_outputs,
     render,
-    sf_minterms,
 )
 from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
@@ -31,6 +30,7 @@ from helpers import (
     oracle_minimize_layout,
     oracle_planar,
     random_cover,
+    sf_minterms,
     words_of,
 )
 

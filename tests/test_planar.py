@@ -14,15 +14,12 @@ from gridsyn import (
     is_planar_function,
     is_planar_plot,
     links_of,
-    permute_minterms,
-    phase_minterms,
-    sf_minterms,
     survey_planarity,
     transform_mask,
 )
 from gridsyn.planar import _orbits
 
-from helpers import ms, oracle_derive_pf, oracle_planar_witness
+from helpers import ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
 
 
 class TestTemplate:
@@ -100,7 +97,7 @@ class TestIsPlanarFunction:
             planar = is_planar_function(s) is not None
             perm = tuple(rng.sample(range(n), n))
             phases = PhaseVector(tuple(rng.random() < 0.5 for _ in range(n)))
-            image = permute_minterms(phase_minterms(s, phases), perm)
+            image = MintermSet(n, transform_mask(s.bits, n, perm, phases.mask))
             assert (is_planar_function(image) is not None) == planar
 
     def test_arity_cap(self):
@@ -136,7 +133,7 @@ def disguised(rng, s):
     n = s.n
     perm = tuple(rng.sample(range(n), n))
     phases = PhaseVector(tuple(rng.random() < 0.5 for _ in range(n)))
-    return permute_minterms(phase_minterms(s, phases), perm)
+    return MintermSet(n, transform_mask(s.bits, n, perm, phases.mask))
 
 
 def built(rng, n):

@@ -12,12 +12,11 @@ from gridsyn import (
     convolve,
     format_spectrum,
     fullrank_set_if_symmetric,
-    permute_minterms,
-    sf_minterms,
     spectrum_of,
+    transform_mask,
 )
 
-from helpers import ms
+from helpers import ms, sf_minterms
 
 
 class TestSpectrum:
@@ -40,7 +39,7 @@ class TestSpectrum:
             s = MintermSet(n, rng.getrandbits(1 << n))
             sp = spectrum_of(s)
             for perm in permutations(range(n)):
-                assert spectrum_of(permute_minterms(s, perm)) == sp
+                assert spectrum_of(MintermSet(n, transform_mask(s.bits, n, perm))) == sp
 
     def test_rank_masks_match_per_minterm_count(self):
         rng = random.Random(1986)

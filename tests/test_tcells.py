@@ -8,21 +8,25 @@ from gridsyn import (
     MintermSet,
     ParseError,
     decompose,
-    evaluate_netlist,
     intervals,
     library_from_pitch_table,
     library_inventory,
     map_netlist,
     map_sf,
-    minterms_to_cover,
     scell_count,
-    sf_minterms,
     verify,
 )
 from gridsyn.netlist import KIND_SYM, NetlistBuilder
-from gridsyn.tcells import MappingError, ThresholdCell, sf_impl_value
+from gridsyn.tcells import MappingError, ThresholdCell
 
-from helpers import all_assignments, random_cover
+from helpers import (
+    all_assignments,
+    evaluate_netlist,
+    minterms_to_cover,
+    random_cover,
+    sf_impl_value,
+    sf_minterms,
+)
 
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
 SUM3 = Cover(("a", "b", "c"), ("100", "010", "001", "111"))
