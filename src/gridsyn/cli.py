@@ -136,9 +136,11 @@ def run(ns: argparse.Namespace) -> Report:
 def _read(path: str, parse: Callable[[str], T]) -> T:
     """Parse one input file; a read or parse error names the file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     try:
         return parse(text)
     except ParseError as exc:

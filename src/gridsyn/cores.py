@@ -10,12 +10,13 @@ belongs iff its class holds all ``C(w, c1) * C(w - c1, c0)`` of those cubes
 selected cubes is genuinely symmetric over Z, since permuting inputs maps
 cubes to cubes.
 
-The search runs on integers.  A cube is a pair of input bit masks (its
-``1`` columns, its ``0`` columns), and a phase flip is a masked exchange of
-the two.  Z and its flips are input bit masks too, and a set of cubes is a
-position mask: bit i is the cover's cube i.  The cube count of a set is its
-popcount; under the ``minterms`` metric the search keeps one truth table per
-cube, and a set's size is the popcount of the OR of its cubes' tables.
+The search runs on integers.  A cube is a ``cubes.Cube`` from
+``Cover.bit_cubes`` (its ``1`` and ``0`` columns as input bit masks), and a
+phase flip is a masked exchange of the two.  Z and its flips are input bit
+masks too, and a set of cubes is a position mask: bit i is the cover's cube
+i.  The cube count of a set is its popcount; under the ``minterms`` metric
+the search keeps one truth table per cube, and a set's size is the popcount
+of the OR of its cubes' tables.
 
 Search proceeds the way a cover is actually mined for structure: all input
 pairs are scored with both effective polarities, the best pairs seed a
@@ -66,9 +67,11 @@ from .cubes import (
     DEFAULT_EXPANSION_CAP,
     CapacityError,
     Cover,
+    Cube,
     assignment_masks,
     cube_mask,
     full_mask,
+    set_bits,
 )
 
 #: How candidate cores are sized: by cube count (default) or by the number
@@ -128,23 +131,7 @@ class CoreScore:
         return cls(count, width, count * width * width)
 
 
-_ONES = str.maketrans("10-", "100")
-_ZEROS = str.maketrans("10-", "010")
-
-IntCube = tuple[int, int]
-
-
-def _int_cube(cube: str) -> IntCube:
-    """A cube as ``(ones, zeros)`` bit masks; bit j is input j."""
-    rev = cube[::-1]
-    return int(rev.translate(_ONES) or "0", 2), int(rev.translate(_ZEROS) or "0", 2)
-
-
-def _int_cubes(cover: Cover) -> list[IntCube]:
-    return [_int_cube(cube) for cube in cover.cubes]
-
-
-def _closed(cubes: Sequence[IntCube], mask: int, z: int, flips: int) -> int:
+def _closed(cubes: Sequence[Cube], mask: int, z: int, flips: int) -> int:
     """The positions in ``mask`` whose cube lies in a class closed under every permutation of Z.
 
     ``mask`` and the result are position masks, ``z`` and ``flips`` input
@@ -155,7 +142,7 @@ def _closed(cubes: Sequence[IntCube], mask: int, z: int, flips: int) -> int:
     """
     w = z.bit_count()
     out, keep, swap = ~z, z & ~flips, z & flips
-    key_of: dict[IntCube, tuple[int, int, int, int]] = {}
+    key_of: dict[Cube, tuple[int, int, int, int]] = {}
     count: dict[tuple[int, int, int, int], int] = {}
     members: dict[tuple[int, int, int, int], int] = {}
     while mask:
@@ -177,17 +164,7 @@ def _closed(cubes: Sequence[IntCube], mask: int, z: int, flips: int) -> int:
     return closed
 
 
-def _positions(mask: int) -> list[int]:
-    """The set bits of a mask, in increasing order."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return out
-
-
-def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple[int, int]]:
+def _pair_masks(cubes: Sequence[Cube], n: int) -> dict[tuple[int, int], tuple[int, int]]:
     """The plain and the flipped pair core of every pair a < b, as position masks.
 
     The plain core of (a, b) equals ``_closed(cubes, every, 1 << a | 1 << b,
@@ -199,22 +176,21 @@ def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple
     keeps the number of ``-`` symbols, so only cubes with equal counts are
     paired.
     """
-    at: dict[IntCube, int] = {}
+    at: dict[Cube, int] = {}
     for i, cube in enumerate(cubes):
         at[cube] = at.get(cube, 0) | 1 << i
     one, zero = [0] * n, [0] * n
     for (ones, zeros), bits in at.items():
-        for j in range(n):
-            if ones >> j & 1:
-                one[j] |= bits
-            elif zeros >> j & 1:
-                zero[j] |= bits
+        for j in set_bits(ones):
+            one[j] |= bits
+        for j in set_bits(zeros):
+            zero[j] |= bits
     every = (1 << len(cubes)) - 1
     dash = [every & ~(one[j] | zero[j]) for j in range(n)]
 
     plain: dict[tuple[int, int], int] = {}
     flipped: dict[tuple[int, int], int] = {}
-    by_dashes: dict[int, list[tuple[IntCube, int]]] = {}
+    by_dashes: dict[int, list[tuple[Cube, int]]] = {}
     for (ones, zeros), bits in at.items():
         by_dashes.setdefault((ones | zeros).bit_count(), []).append(((ones, zeros), bits))
     for group in by_dashes.values():
@@ -223,8 +199,7 @@ def _pair_masks(cubes: Sequence[IntCube], n: int) -> dict[tuple[int, int], tuple
                 diff = o1 ^ o2 | z1 ^ z2
                 if diff.bit_count() != 2:
                     continue
-                a = (diff & -diff).bit_length() - 1
-                b = diff.bit_length() - 1
+                a, b = set_bits(diff)
                 # symbols as 1 -> +1, 0 -> -1, - -> 0, so complementing negates
                 s1a = (o1 >> a & 1) - (z1 >> a & 1)
                 s1b = (o1 >> b & 1) - (z1 >> b & 1)
@@ -264,9 +239,8 @@ class CoreSearch:
             raise ValueError(f"unknown core size metric {size_metric!r}")
         self.cover = cover
         self.size_metric = size_metric
-        self.cubes = _int_cubes(cover)
         n = cover.n
-        self.pairs = _pair_masks(self.cubes, n)
+        self.pairs = _pair_masks(cover.bit_cubes, n)
         self.partner = [([0] * n, [0] * n) for _ in range(n)]
         for (a, b), (plain, flipped) in self.pairs.items():
             (plain_a, flipped_a), (plain_b, flipped_b) = self.partner[a], self.partner[b]
@@ -280,7 +254,7 @@ class CoreSearch:
                     f"exact expansion capped at {DEFAULT_EXPANSION_CAP} inputs (cover has {n})"
                 )
             masks, full = assignment_masks(n), full_mask(n)
-            self.tables = [cube_mask(cube, masks, full) for cube in cover.cubes]
+            self.tables = [cube_mask(cube, masks, full) for cube in cover.bit_cubes]
             self.size = self._minterm_count
         self.cores: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.widened: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
@@ -288,7 +262,7 @@ class CoreSearch:
     def _minterm_count(self, mask: int) -> int:
         """The minterms the cubes at the positions of ``mask`` cover."""
         acc = 0
-        for i in _positions(mask):
+        for i in set_bits(mask):
             acc |= self.tables[i]
         return acc.bit_count()
 
@@ -308,11 +282,11 @@ class CoreSearch:
         if (z, flips, core) in widened:
             return widened[z, flips, core]
         n = self.cover.n
-        partner, cubes, cores, size_of = self.partner, self.cubes, self.cores, self.size
+        partner, cubes, cores, size_of = self.partner, self.cover.bit_cubes, self.cores, self.size
         # per input x outside Z: the AND of the pair cores of x and every a
         # in Z, with x plain (same) and with x inverted (other)
         same = other = [(1 << len(cubes)) - 1] * n
-        for a in _positions(z):
+        for a in set_bits(z):
             fa = flips >> a & 1
             same = list(map(and_, same, partner[a][fa]))
             other = list(map(and_, other, partner[a][fa ^ 1]))
@@ -375,7 +349,7 @@ def _scored_pairs(search: CoreSearch) -> list[tuple[tuple[int, int], bool, int, 
 
 
 def _pair_seed(cover: Cover, pair: tuple[int, int], flip: bool, mask: int) -> Core:
-    return Core(cover, _positions(mask), pair, {pair[0]} if flip else ())
+    return Core(cover, set_bits(mask), pair, {pair[0]} if flip else ())
 
 
 def best_pair_cores(search: CoreSearch) -> dict[tuple[int, int], tuple[bool, Core]]:
@@ -411,8 +385,8 @@ def expand_core(seed: Core, search: CoreSearch) -> tuple[Core, CoreScore]:
         core,
         search.size(core),
     )
-    inputs = _positions(z)
-    wide = Core(cover, _positions(core), inputs, [i for i in inputs if flips >> i & 1])
+    inputs = set_bits(z)
+    wide = Core(cover, set_bits(core), inputs, [i for i in inputs if flips >> i & 1])
     return wide, CoreScore.compute(size, wide.width)
 
 
@@ -443,7 +417,7 @@ def best_core(search: CoreSearch) -> Core | None:
         z, flips, _, end_size = search.widen(1 << a | 1 << b, int(flip) << a, mask, size)
         width = z.bit_count()
         key = _selection_key(
-            end_size * width * width, width, flips.bit_count(), tuple(_positions(z))
+            end_size * width * width, width, flips.bit_count(), tuple(set_bits(z))
         )
         if best is None or key < best[0]:
             best = key, pair, flip, mask
@@ -458,7 +432,7 @@ def dc_partition(cover: Cover) -> list[Cover]:
     concatenation is a permutation of the original cube list, so the parts
     OR back to the original function.
     """
-    groups: dict[int, list[str]] = {}
-    for cube in cover.cubes:
-        groups.setdefault(cube.count("-"), []).append(cube)
-    return [Cover(cover.input_names, tuple(cubes)) for cubes in groups.values()]
+    groups: dict[int, list[int]] = {}
+    for i, (ones, zeros) in enumerate(cover.bit_cubes):
+        groups.setdefault((ones | zeros).bit_count(), []).append(i)
+    return [Cover(cover.input_names, [cover.cubes[i] for i in group]) for group in groups.values()]

@@ -2,9 +2,10 @@
 
 Conventions used throughout the package:
 
-- A cube is a plain string over ``{'0', '1', '-'}`` with one character per
-  circuit input; character ``j`` constrains input ``j`` (the leftmost
-  character is input 0).
+- At the API and I/O edges (``Cover.cubes``, PLA text) a cube is a string
+  over ``{'0', '1', '-'}``, character ``j`` constraining input ``j`` (the
+  leftmost is input 0).  Inside the engine it is a ``Cube`` of input bit
+  masks, which ``Cover.bit_cubes`` parses once; no other module reads cube text.
 - A complete input assignment is encoded as an integer index in which input
   ``i`` maps to bit ``i`` (input 0 is the least significant bit).  The
   minterm string ``"1010"`` over inputs ``a,b,c,d`` therefore has index 5.
@@ -19,9 +20,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 CUBE_CHARS = frozenset("01-")
+_ONES = str.maketrans("10-", "100")
+_ZEROS = str.maketrans("10-", "010")
+
+#: A cube inside the engine: ``(ones, zeros)``, its 1 and 0 inputs as bit masks.
+Cube = tuple[int, int]
 
 #: Largest input count for which exact truth-table expansion is attempted by
 #: default.  A 24-input table is a 16M-bit integer, which is still desk scale.
@@ -72,6 +78,15 @@ class Cover:
     def m(self) -> int:
         return len(self.cubes)
 
+    @functools.cached_property
+    def bit_cubes(self) -> tuple[Cube, ...]:
+        """The cubes as ``Cube`` masks, parsed on first use."""
+        out = []
+        for cube in self.cubes:
+            rev = cube[::-1]  # character j becomes bit j
+            out.append((int(rev.translate(_ONES) or "0", 2), int(rev.translate(_ZEROS) or "0", 2)))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class MintermSet:
@@ -99,13 +114,9 @@ class MintermSet:
     def __contains__(self, index: int) -> bool:
         return 0 <= index < (1 << self.n) and (self.bits >> index) & 1 == 1
 
-    def members(self) -> Iterator[int]:
-        """Yield minterm indices in ascending order."""
-        v = self.bits
-        while v:
-            low = v & -v
-            yield low.bit_length() - 1
-            v ^= low
+    def members(self) -> list[int]:
+        """The minterm indices in ascending order."""
+        return set_bits(self.bits)
 
     def to_strings(self) -> tuple[str, ...]:
         return tuple(index_to_minterm(v, self.n) for v in self.members())
@@ -209,22 +220,31 @@ def full_mask(n: int) -> int:
     return (1 << (1 << n)) - 1
 
 
-def cube_mask(cube: str, masks: Sequence[int], full: int) -> int:
+def set_bits(mask: int) -> list[int]:
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def cube_mask(cube: Cube, masks: Sequence[int], full: int) -> int:
     """Truth-table mask of one cube, given per-input masks."""
-    acc = full
-    for j, ch in enumerate(cube):
-        if ch == "1":
-            acc &= masks[j]
-        elif ch == "0":
-            acc &= ~masks[j] & full
-        if not acc:
-            break
+    ones, zeros = cube
+    acc, lits = full, ones | zeros
+    while lits:
+        low = lits & -lits
+        m = masks[low.bit_length() - 1]
+        acc &= m if ones & low else ~m
+        lits ^= low
     return acc
 
 
-def cover_mask(cover: Cover, masks: Sequence[int], full: int) -> int:
+def cover_mask(cubes: Iterable[Cube], masks: Sequence[int], full: int) -> int:
     acc = 0
-    for cube in cover.cubes:
+    for cube in cubes:
         acc |= cube_mask(cube, masks, full)
     return acc
 
@@ -304,7 +324,7 @@ def cover_to_minterms(cover: Cover) -> MintermSet:
             f"exact expansion capped at {DEFAULT_EXPANSION_CAP} inputs (cover has {cover.n})"
         )
     full = full_mask(cover.n)
-    return MintermSet(cover.n, cover_mask(cover, assignment_masks(cover.n), full))
+    return MintermSet(cover.n, cover_mask(cover.bit_cubes, assignment_masks(cover.n), full))
 
 
 def phase_minterms(s: MintermSet, p: PhaseVector) -> MintermSet:
@@ -318,23 +338,39 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-def cube_dc_count(cube: str) -> int:
-    return cube.count("-")
-
-
 def literal_density(cover: Cover) -> float:
     """Percentage of non-don't-care literal positions in the whole cube table."""
     total = cover.n * cover.m
     if total == 0:
         return 0.0
-    fixed = sum(cover.n - cube_dc_count(cube) for cube in cover.cubes)
+    fixed = sum((ones | zeros).bit_count() for ones, zeros in cover.bit_cubes)
     return 100.0 * fixed / total
+
+
+def project(cover: Cover, indices: Iterable[int], inputs: Sequence[int]) -> Cover:
+    """The cubes at ``indices`` read on ``inputs`` alone, both in the order given."""
+    names = tuple(cover.input_names[j] for j in inputs)
+    return Cover(names, tuple("".join([cover.cubes[i][j] for j in inputs]) for i in indices))
+
+
+def restrict(cover: Cover) -> tuple[tuple[int, ...], Cover]:
+    """The inputs some cube reads, and the cover on them alone: the cover itself
+    if it reads every input, else one that keeps each distinct cube once, in order."""
+    live = 0
+    for ones, zeros in cover.bit_cubes:
+        live |= ones | zeros
+    inputs = tuple(set_bits(live))
+    if len(inputs) == cover.n:
+        return inputs, cover
+    # any index of equal cubes will do, and the dict keeps first-seen order
+    distinct = {cube: i for i, cube in enumerate(cover.bit_cubes)}
+    return inputs, project(cover, distinct.values(), inputs)
 
 
 # ---------------------------------------------------------------------------
 # PLA text format
 #
-# Accepted dialect (UTF-8, '#' starts a comment):
+# Accepted dialect (UTF-8, '#' starts a comment, each directive at most once):
 #
 #     .i 4            declared input count
 #     .o 1            declared output count (optional for single output)
@@ -357,6 +393,7 @@ def parse_pla_outputs(text: str) -> list[tuple[str, Cover]]:
     names: tuple[str, ...] | None = None
     out_names: tuple[str, ...] | None = None
     rows: list[tuple[str, str | None, int]] = []
+    seen: set[str] = set()
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -368,6 +405,9 @@ def parse_pla_outputs(text: str) -> list[tuple[str, Cover]]:
         if line.startswith("."):
             tok = line.split()
             key = tok[0]
+            if key in seen:
+                raise ParseError(f"repeated {key} line", lineno)
+            seen.add(key)
             if key == ".i":
                 declared_n = _parse_int(tok, lineno, ".i")
                 if declared_n <= 0:
@@ -437,6 +477,8 @@ def parse_pla_outputs(text: str) -> list[tuple[str, Cover]]:
         out_names = tuple(f"f{k}" for k in range(num_out))
     if len(out_names) != num_out:
         raise ParseError(f".ob lists {len(out_names)} names for {num_out} outputs")
+    if len(set(out_names)) != num_out:
+        raise ParseError("duplicate output names")
 
     result = []
     for k, out_name in enumerate(out_names):

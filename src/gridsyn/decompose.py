@@ -42,6 +42,9 @@ from .cubes import (
     cover_to_minterms,
     full_mask,
     popcount_class_masks,
+    project,
+    restrict,
+    set_bits,
 )
 from .netlist import Netlist, NetlistBuilder, Ref, netlist_mask
 from .spectra import FullRankSet, fullrank_set_if_symmetric
@@ -117,14 +120,14 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
     symmetric.
     """
     cover = core.base
+    if cover.n > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(f"core factoring capped at {DEFAULT_EXPANSION_CAP} inputs")
     z = core.sym_inputs
-    z_set = set(z)
-    y = tuple(j for j in range(cover.n) if j not in z_set)
-    y_mask = sum(1 << j for j in y)
     z_mask = sum(1 << j for j in z)
+    y_mask = (1 << cover.n) - 1 ^ z_mask
+    y = set_bits(y_mask)
     flips = sum(1 << j for j in core.inverted)
-    cubes = tuple(cover.cubes[i] for i in core.cube_indices)
-    int_cubes = [cores_mod._int_cube(cube) for cube in cubes]
+    cubes = [cover.bit_cubes[i] for i in core.cube_indices]
 
     # each distinct cofactor, as (ones, zeros) over Y: its kept cubes and its ranks
     groups: dict[tuple, tuple[tuple, list[int]]] = {}
@@ -136,18 +139,14 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
         raw_zero = z_mask ^ raw_one
         residual = [
             (ones & y_mask, zeros & y_mask, i)
-            for i, (ones, zeros) in enumerate(int_cubes)
+            for i, (ones, zeros) in zip(core.cube_indices, cubes)
             if not (ones & raw_zero or zeros & raw_one)
         ]
         if residual:
             kept = _prune_contained(residual)
             groups.setdefault(tuple(k[:2] for k in kept), (kept, []))[1].append(r)
-    y_names = tuple(cover.input_names[j] for j in y)
     terms = [
-        (
-            FullRankSet(len(z), frozenset(ranks)),
-            Cover(y_names, tuple("".join(cubes[i][j] for j in y) for _, _, i in kept)),
-        )
+        (FullRankSet(len(z), frozenset(ranks)), project(cover, [i for _, _, i in kept], y))
         for kept, ranks in groups.values()
     ]
 
@@ -159,8 +158,8 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
     acc = 0
     for g, h in terms:
         g_mask = sum(z_classes[r] for r in g.ranks)  # rank classes are disjoint
-        acc |= g_mask & cover_mask(h, y_masks, full)
-    if acc != cover_to_minterms(Cover(cover.input_names, cubes)).bits:
+        acc |= g_mask & cover_mask(h.bit_cubes, y_masks, full)
+    if acc != cover_mask(cubes, masks, full):
         raise DecompositionError(
             f"core cube set is not symmetric over inputs {tuple(z)}: "
             "rank-cut factors do not reconstruct it"
@@ -178,9 +177,7 @@ def decompose(cover: Cover, options: DecomposeOptions | None = None) -> Netlist:
     builder = NetlistBuilder(cover.input_names)
     all_inputs = tuple(range(cover.n))
     parts = cores_mod.dc_partition(cover) if opts.dc_partition else [cover]
-    out = builder.or_(
-        [_decompose_rec(builder, part.cubes, all_inputs, cover, opts, 0) for part in parts]
-    )
+    out = builder.or_([_decompose_rec(builder, part, all_inputs, opts, 0) for part in parts])
     nl = builder.finish(out)
     if opts.dc_partition:
         check = verify(nl, cover)
@@ -193,34 +190,25 @@ def decompose(cover: Cover, options: DecomposeOptions | None = None) -> Netlist:
 
 def _decompose_rec(
     builder: NetlistBuilder,
-    cubes: Sequence[str],
+    cover: Cover,
     inputs: tuple[int, ...],
-    root: Cover,
     opts: DecomposeOptions,
     depth: int,
 ) -> Ref:
-    """Decompose a cube list over the given global inputs; returns its output ref."""
+    """Decompose a cover whose input j is global input ``inputs[j]``; returns its output ref."""
     if depth > _DEPTH_LIMIT:
         raise DecompositionError(f"recursion guard exceeded ({_DEPTH_LIMIT})")
-    if not cubes:
+    if not cover.cubes:
         return builder.const(0)
-    if "-" * len(inputs) in cubes:
+    if (0, 0) in cover.bit_cubes:  # a cube of don't-cares only
         return builder.const(1)
 
-    # restrict to the support
-    cols = [j for j, col in enumerate(zip(*cubes)) if col.count("-") != len(col)]
-    if len(cols) != len(inputs):
-        inputs = tuple(inputs[j] for j in cols)
-        # drop the repeats that restriction creates, keeping first occurrences
-        cubes = tuple(dict.fromkeys("".join(cube[j] for j in cols) for cube in cubes))
-
-    k = len(inputs)
-    if k > DEFAULT_EXPANSION_CAP:
+    live, cover = restrict(cover)
+    inputs = tuple(inputs[j] for j in live)
+    if cover.n > DEFAULT_EXPANSION_CAP:
         raise CapacityError(f"decomposition capped at {DEFAULT_EXPANSION_CAP} live inputs")
 
-    names = tuple(root.input_names[i] for i in inputs)
-    local = Cover(names, tuple(cubes))
-    minterms = cover_to_minterms(local)
+    minterms = cover_to_minterms(cover)
 
     # every function of one input is symmetric: sym() returns the input,
     # its inverter or const(1)
@@ -228,8 +216,8 @@ def _decompose_rec(
     if ranks is not None:
         return builder.sym(ranks.ranks, [builder.input(i) for i in inputs])
 
-    # k >= 2 here, so some pair core holds a cube (see the module docstring)
-    core = cores_mod.best_core(cores_mod.CoreSearch(local, opts.core_size_metric))
+    # cover.n >= 2 here, so some pair core holds a cube (see the module docstring)
+    core = cores_mod.best_core(cores_mod.CoreSearch(cover, opts.core_size_metric))
     if core is None:
         raise DecompositionError("no pair core holds a cube of this cover")
 
@@ -242,19 +230,19 @@ def _decompose_rec(
 
     # one G*H term per distinct cofactor; a tautology cofactor decomposes to
     # const(1), which and_disjoint drops
-    y_globals = tuple(inputs[j] for j in range(k) if j not in set(core.sym_inputs))
+    y_globals = tuple(inputs[j] for j in range(cover.n) if j not in set(core.sym_inputs))
     term_refs = []
     for g, h in factor_core(core):
         g_ref = builder.sym(g.ranks, z_ops)
-        h_ref = _decompose_rec(builder, h.cubes, y_globals, root, opts, depth + 1)
+        h_ref = _decompose_rec(builder, h, y_globals, opts, depth + 1)
         term_refs.append(builder.and_disjoint([g_ref, h_ref]))
     core_ref = builder.or_(term_refs)
 
     selected = set(core.cube_indices)
-    remainder = tuple(cube for i, cube in enumerate(cubes) if i not in selected)
+    remainder = [cube for i, cube in enumerate(cover.cubes) if i not in selected]
     if not remainder:
         return core_ref
-    rem_ref = _decompose_rec(builder, remainder, inputs, root, opts, depth + 1)
+    rem_ref = _decompose_rec(builder, Cover(cover.input_names, remainder), inputs, opts, depth + 1)
     return builder.or_([core_ref, rem_ref])
 
 
@@ -297,7 +285,7 @@ def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
     for k, block in enumerate(blocks, 1):
         fixed = tuple((block >> i) & 1 for i in range(high))
         in_masks = list(base_masks) + [full if b else 0 for b in fixed]
-        diff = cover_mask(cover, in_masks, full) ^ netlist_mask(nl, in_masks, full)
+        diff = cover_mask(cover.bit_cubes, in_masks, full) ^ netlist_mask(nl, in_masks, full)
         if diff:
             idx = (diff & -diff).bit_length() - 1
             witness = tuple((idx >> i) & 1 for i in range(free)) + fixed

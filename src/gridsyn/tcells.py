@@ -76,21 +76,14 @@ class TCellLibrary:
             raise MappingError(f"no pitch cost for cell t{threshold}of{arity}") from None
 
 
-def library_inventory(
-    max_arity: int,
-    pitch_costs: Mapping[tuple[int, int], float] | None = None,
-    inverter_cost: float = 1.0,
-) -> TCellLibrary:
+def library_inventory(max_arity: int) -> TCellLibrary:
     """Complete threshold-cell inventory up to an arity, plus an inverter.
 
-    The cell count is max_arity*(max_arity+1)/2.  Default pitch costs: a
-    k-of-n cell costs n pitches, the inverter 1.
+    The cell count is max_arity*(max_arity+1)/2.  A k-of-n cell costs n
+    pitches, the inverter 1; ``library_from_pitch_table`` sets other costs.
     """
-    if pitch_costs is None:
-        pitch_costs = {
-            (n, k): float(n) for n in range(1, max_arity + 1) for k in range(1, n + 1)
-        }
-    return TCellLibrary(max_arity, dict(pitch_costs), inverter_cost)
+    costs = {(n, k): float(n) for n in range(1, max_arity + 1) for k in range(1, n + 1)}
+    return TCellLibrary(max_arity, costs)
 
 
 def scell_count(n: int) -> int:

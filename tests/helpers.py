@@ -25,7 +25,6 @@ from gridsyn.cores import (
     CoreScore,
     CoreSearch,
     _closed,
-    _int_cubes,
     _selection_key,
     best_pair_cores,
 )
@@ -293,7 +292,7 @@ def positions(mask: int) -> list[int]:
 
 def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
     """``expand_core`` without the pair-core bound or shared memos: every candidate is closed."""
-    cubes = _int_cubes(cover)
+    cubes = cover.bit_cubes
     z = sum(1 << i for i in seed.sym_inputs)
     flips = sum(1 << i for i in seed.inverted)
     indices = list(seed.cube_indices)

@@ -298,8 +298,17 @@ BAD_TABLE_ERROR = "bad.txt: line 1: expected 'name arity threshold cost'"
         (["tmap", "bad.net"], BAD_NETLIST_ERROR),
         (["tmap", "fa_carry.pla", "--pitch-table", "bad.txt"], BAD_TABLE_ERROR),
         (["synth", "fa_carry.pla", "--pitch-table", "bad.txt"], BAD_TABLE_ERROR),
+        (["synth", "dup.pla"], "dup.pla: duplicate output names"),
+        (["synth", "twice.pla"], "twice.pla: line 2: repeated .i line"),
     ],
-    ids=["verify-netlist", "tmap-netlist", "tmap-pitch-table", "synth-pitch-table"],
+    ids=[
+        "verify-netlist",
+        "tmap-netlist",
+        "tmap-pitch-table",
+        "synth-pitch-table",
+        "synth-duplicate-output-names",
+        "synth-repeated-directive",
+    ],
 )
 def test_parse_errors_name_their_file(argv, message, tmp_path, monkeypatch, capsys):
     # with two input files, a bare line number would not say which one it is in
@@ -307,6 +316,8 @@ def test_parse_errors_name_their_file(argv, message, tmp_path, monkeypatch, caps
     shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
     (tmp_path / "bad.net").write_text(MALFORMED_NETLISTS["repeated_sym_operand"])
     (tmp_path / "bad.txt").write_text("t1of2 2 1\n")
+    (tmp_path / "dup.pla").write_text(".i 2\n.o 2\n.ob f f\n11 11\n")
+    (tmp_path / "twice.pla").write_text(".i 3\n.i 2\n11\n")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"gridsyn: error: {message}\n")
@@ -319,17 +330,23 @@ def test_parse_errors_name_their_file(argv, message, tmp_path, monkeypatch, caps
         (["tmap", "nope.net"], "nope.net"),
         (["verify", "nope.net", "fa_carry.pla"], "nope.net"),
         (["synth", "nope.pla"], "nope.pla"),
+        (["tmap", "fa_carry.pla", "--pitch-table", "latin1.txt"], "latin1.txt"),
+        (["verify", "latin1.net", "fa_carry.pla"], "latin1.net"),
+        (["synth", "latin1.pla"], "latin1.pla"),
     ],
 )
 def test_unreadable_files_are_named(argv, missing, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
+    for name in ("latin1.txt", "latin1.net", "latin1.pla"):
+        (tmp_path / name).write_bytes(b"# caf\xe9\n")  # Latin-1, not UTF-8
+    if (tmp_path / missing).exists():
+        reason = "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte"
+    else:
+        reason = "No such file or directory"
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
-        "",
-        f"gridsyn: error: {missing}: No such file or directory\n",
-    )
+    assert (captured.out, captured.err) == ("", f"gridsyn: error: {missing}: {reason}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from gridsyn import (
     expand_core,
 )
 
-from gridsyn.cores import SIZE_METRICS, _closed, _int_cubes, _pair_masks, _selection_key
+from gridsyn.cores import SIZE_METRICS, _closed, _pair_masks, _selection_key
 
 from helpers import (
     oracle_closed_subset,
@@ -284,7 +284,7 @@ class TestClosure:
             z_mask = sum(1 << j for j in z)
             flips = sum(1 << j for j in inverted)
             mask = sum(1 << i for i in indices)
-            assert positions(_closed(_int_cubes(cover), mask, z_mask, flips)) == expected
+            assert positions(_closed(cover.bit_cubes, mask, z_mask, flips)) == expected
 
 
 class TestPairScan:
@@ -292,7 +292,7 @@ class TestPairScan:
 
     @staticmethod
     def by_closure(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-        cubes = _int_cubes(cover)
+        cubes = cover.bit_cubes
         every = (1 << len(cubes)) - 1
         return {
             (a, b): (
@@ -305,7 +305,7 @@ class TestPairScan:
 
     @staticmethod
     def by_scan(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-        masks = _pair_masks(_int_cubes(cover), cover.n)
+        masks = _pair_masks(cover.bit_cubes, cover.n)
         return {pair: (positions(p), positions(f)) for pair, (p, f) in masks.items()}
 
     def test_matches_closure_on_random_covers(self):
@@ -348,7 +348,7 @@ class TestPairCoreBound:
         for _ in range(400):
             n = rng.randint(3, 10)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 30))
-            cubes = _int_cubes(cover)
+            cubes = cover.bit_cubes
             every = (1 << len(cubes)) - 1
             x, *rest = rng.sample(range(n), rng.randint(2, n))
             z = sum(1 << a for a in rest)
@@ -367,7 +367,7 @@ class TestPairCoreBound:
         for _ in range(300):
             n = rng.randint(2, 9)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 20))
-            cubes = _int_cubes(cover)
+            cubes = cover.bit_cubes
             z = sum(1 << a for a in rng.sample(range(n), rng.randint(2, n)))
             f = z & rng.getrandbits(n)
             every = (1 << len(cubes)) - 1

@@ -19,9 +19,16 @@ from gridsyn import (
     transform_mask,
     write_pla,
 )
-from gridsyn.cubes import cube_dc_count, index_to_minterm
+from gridsyn.cubes import index_to_minterm, project, restrict
 
-from helpers import all_assignments, eval_cover, permute_cover, phase_cover, random_cover
+from helpers import (
+    all_assignments,
+    eval_cover,
+    permute_cover,
+    phase_cover,
+    random_cover,
+    random_cover_with_duplicates,
+)
 
 XOR_PAIR_PLA = """\
 .i 4
@@ -82,6 +89,12 @@ class TestParse:
             (".i 2\n.bogus\n", "unknown directive"),
             (".i 2\n.e\n10 1\n", "after end"),
             ("", "no inputs"),
+            (".i 3\n.i 2\n11\n", "line 2: repeated .i line"),
+            (".i 2\n.o 1\n.o 1\n11 1\n", "line 3: repeated .o line"),
+            (".i 2\n.ilb a b\n.ilb c d\n11\n", "line 3: repeated .ilb line"),
+            (".i 2\n.ob f\n.ob g\n11\n", "line 3: repeated .ob line"),
+            (".i 2\n.p 1\n11\n.p 1\n", "line 4: repeated .p line"),
+            (".i 2\n.o 2\n.ob f f\n11 11\n", "duplicate output names"),
         ],
     )
     def test_errors(self, text, match):
@@ -136,10 +149,10 @@ class TestSemantics:
     def test_size_bound_with_disjoint_equality(self):
         disjoint = Cover(("a", "b", "c"), ("1--", "01-"))
         s = cover_to_minterms(disjoint)
-        assert len(s) == sum(1 << cube_dc_count(q) for q in disjoint.cubes)
+        assert len(s) == sum(1 << q.count("-") for q in disjoint.cubes)
         overlapping = Cover(("a", "b", "c"), ("1--", "1-1"))
         s2 = cover_to_minterms(overlapping)
-        assert len(s2) < sum(1 << cube_dc_count(q) for q in overlapping.cubes)
+        assert len(s2) < sum(1 << q.count("-") for q in overlapping.cubes)
 
 
 def minterms_of(c: Cover) -> int:
@@ -231,6 +244,50 @@ class TestTransformMask:
     def test_flips_outside_the_inputs_rejected(self, flips):
         with pytest.raises(ValueError, match=f"flips {flips} outside"):
             transform_mask(6, 2, None, flips)
+
+
+class TestCodec:
+    """``Cover.bit_cubes``, ``project`` and ``restrict`` against readings of the cube strings."""
+
+    def test_masks_projection_and_restriction_match_the_strings(self):
+        import random
+
+        rng = random.Random(170)
+        seen = set()  # (a column dropped, repeats in the cover)
+        for _ in range(600):
+            n = rng.randint(0, 10)
+            drawn = random_cover_with_duplicates(rng, n, rng.randint(0, 12))
+            blank = {j for j in range(n) if rng.random() < 0.3}  # no cube reads these
+            cover = Cover(
+                drawn.input_names,
+                ["".join("-" if j in blank else ch for j, ch in enumerate(c)) for c in drawn.cubes],
+            )
+
+            assert cover.bit_cubes == tuple(
+                (
+                    sum(1 << j for j, ch in enumerate(c) if ch == "1"),
+                    sum(1 << j for j, ch in enumerate(c) if ch == "0"),
+                )
+                for c in cover.cubes
+            )
+
+            indices = [rng.randrange(cover.m) for _ in range(rng.randint(0, 2 * cover.m))]
+            inputs = rng.sample(range(n), rng.randint(0, n))
+            projected = project(cover, indices, inputs)
+            assert projected.input_names == tuple(cover.input_names[j] for j in inputs)
+            assert projected.cubes == tuple("".join(cover.cubes[i][j] for j in inputs) for i in indices)
+
+            # the decomposer's string restriction: repeats go only with a column
+            cols = [j for j, col in enumerate(zip(*cover.cubes)) if col.count("-") != len(col)]
+            expected = cover.cubes
+            if len(cols) != n:
+                expected = tuple(dict.fromkeys("".join(c[j] for j in cols) for c in cover.cubes))
+            live, restricted = restrict(cover)
+            assert live == tuple(cols)
+            assert restricted.input_names == tuple(cover.input_names[j] for j in cols)
+            assert restricted.cubes == expected
+            seen.add((len(cols) != n, len(set(cover.cubes)) != cover.m))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestMisc:
