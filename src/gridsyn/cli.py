@@ -119,8 +119,10 @@ def main(argv: list[str] | None = None) -> int:
     if ns.json:
         print(json.dumps({"command": ns.command, **record}, indent=2))
     else:
+        # input names may hold characters stdout cannot encode: escape them
+        encoding = sys.stdout.encoding or "utf-8"
         for line in lines:
-            print(line)
+            print(line.encode(encoding, "backslashreplace").decode(encoding))
     return status
 
 
@@ -206,7 +208,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
             lines.append(f"{cct}: VERIFICATION FAILED at {check.witness}")
             continue
         net_path = Path(f"{cct}.net")
-        net_path.write_text(netlist_to_text(nl))
+        net_path.write_text(netlist_to_text(nl), encoding="utf-8")
 
         # the layout search expands the whole truth table, even of dead inputs
         layout = None
@@ -275,6 +277,8 @@ def _cmd_spectrum(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_grid(ns: argparse.Namespace) -> Report:
+    if ns.minimize and (ns.order or ns.phases):
+        raise ValueError("--minimize cannot be combined with --order or --phases")
     outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     entries = []
@@ -308,7 +312,7 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
             lines.append(f"== {name}")
         if ns.render == "svg":
             path = Path(f"{stem}.svg" if len(outputs) == 1 else f"{stem}.{name}.svg")
-            path.write_text(render(dag, "svg"))
+            path.write_text(render(dag, "svg"), encoding="utf-8")
             entry["svg_file"] = str(path)
             lines += [str(m), f"svg -> {path}"]
         else:
@@ -397,7 +401,7 @@ def _cmd_tmap(ns: argparse.Namespace) -> Report:
     for cct, nl, cover in jobs:
         result = map_netlist(nl, lib)
         out_path = Path(f"{cct}.tmap.net")
-        out_path.write_text(netlist_to_text(result.netlist))
+        out_path.write_text(netlist_to_text(result.netlist), encoding="utf-8")
         lines.append(f"{cct}: mapped netlist -> {out_path}")
         for use in result.cells:
             lines.append(
@@ -430,7 +434,9 @@ def _cmd_explore(ns: argparse.Namespace) -> Report:
         ],
     }
     out_path = Path(ns.out or f"planar_bf{survey.n}.json")
-    out_path.write_text(json.dumps({"command": ns.command, **record}, indent=2) + "\n")
+    out_path.write_text(
+        json.dumps({"command": ns.command, **record}, indent=2) + "\n", encoding="utf-8"
+    )
     lines = [f"functions of {survey.n} inputs: {survey.total}", f"planar: {survey.planar}"]
     if survey.all_planar:
         lines.append("all functions planar")

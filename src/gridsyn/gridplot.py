@@ -32,24 +32,26 @@ their phases p: its classes are the distinct (rank of the phased prefix,
 cofactor of the function on that prefix), a cofactor being a full-width
 truth-table mask with the inputs of S fixed to 0, so splitting it on input
 x is two masks and a shift.  The kernel splits one level into the next.
-``_LevelTable`` memoises, per (S, p & S), the class count, and per
-(S, p & S, next input) the link count, and keeps class sets only along the
-last walked configuration, so the layout search walks one table of the
-function through thousands of configurations, each costing a few
-dictionary lookups once its levels have been seen.  The planarity decision
-(``planar.is_planar_function``) walks the same kernel over states instead
-of configurations.  ``build_grid_dag`` calls the kernel once per level of
-the word mask (``cubes.transform_mask`` puts the first input read in the
-most significant position), reading its inputs from the top down without
-phases, so every cofactor it splits is a suffix set.  Each search confirms
-the configuration it returns with one grid DAG.
+N and L are sums over the states (S, p & S) along a configuration, so the
+exact layout search (``_exact_layout``) builds each of the 3**n states'
+levels once and finds the best configuration by dynamic programming over
+them, never visiting the n! * 2**n configurations.  The greedy search
+scores configurations through ``_LevelTable``, which memoises, per
+(S, p & S), the class count, and per (S, p & S, next input) the link count,
+and keeps class sets only along the last walked configuration, so a
+configuration costs a few dictionary lookups once its levels have been
+seen.  The planarity decision (``planar.is_planar_function``) walks the
+same kernel over states.  ``build_grid_dag`` calls the kernel once per
+level of the word mask (``cubes.transform_mask`` puts the first input read
+in the most significant position), reading its inputs from the top down
+without phases, so every cofactor it splits is a suffix set.  Each search
+confirms the configuration it returns with one grid DAG.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .cubes import (
@@ -140,8 +142,9 @@ def is_planar_plot(g: GridDag) -> bool:
     return not bridge_points(g)
 
 
-#: Largest arity that ``minimize_layout`` sweeps exhaustively.
-EXHAUSTIVE_LAYOUT_CAP = 8
+#: Largest arity that ``minimize_layout`` searches exactly: about a second on
+#: a 3n-cube cover of 9 inputs, five at 10.
+EXHAUSTIVE_LAYOUT_CAP = 9
 
 
 class LayoutResult(NamedTuple):
@@ -180,6 +183,89 @@ def _split_level(
             nxt[lo] = nxt.get(lo, 0) | ranks << inv
             links += ranks.bit_count()
     return nxt, links
+
+
+def _exact_layout(s: MintermSet) -> tuple[int, int, tuple[int, ...], tuple[bool, ...]]:
+    """The smallest (N, L, order, phases) over every configuration, by
+    dynamic programming over the level states (S, q): the inputs S read so
+    far and their phases q, one state per ``S | q << n``.
+
+    N sums the class counts of levels 1..n and L the link counts out of
+    levels 0..n-1, and both depend only on the states along a path from
+    reading nothing to reading every input, so a backward pass gives each
+    state its best (N, L) still to come (Friedman and Supowit's exact BDD
+    ordering, IEEE Trans. Computers, 1990, with phases).  Each state's level
+    is built once, by ``_split_level`` from the parent that lacks its
+    largest input, and only two depths of levels are kept; a link count out
+    of a level does not depend on the next input's phase.  A forward pass
+    then fixes the order input by input, as the smallest input that some
+    optimal state reached so far reads next on an optimal path, and the
+    phases as the smallest tuple (by input index) among the optimal states
+    reached with every input read.
+    """
+    n = s.n
+    every = (1 << n) - 1
+    lows = _cofactor_lows(n)
+    ones = assignment_masks(n)
+    count: dict[int, int] = {}  # class count of each state's level below the root
+    links: dict[int, list[int]] = {}  # per state, the links out of its level per next input
+    layers = [[0]]  # the states of each depth
+    levels = {0: {s.bits: 1}}
+    for _ in range(n):
+        deeper: dict[int, dict[int, int]] = {}
+        for st, level in levels.items():
+            read = st & every
+            out = links[st] = [0] * n
+            for x in range(n):
+                if read >> x & 1:
+                    continue
+                if x < read.bit_length():  # its two next states have another parent
+                    # a class has a one-link iff its cofactor holds an
+                    # assignment with x at 1, and a zero-link iff one with x at 0
+                    one, zero = ones[x], lows[x]
+                    out[x] = sum(
+                        ranks.bit_count() * (bool(g & one) + bool(g & zero))
+                        for g, ranks in level.items()
+                    )
+                    continue
+                for b in (0, 1):
+                    nxt, out[x] = _split_level(level, lows[x], 1 << x, b)
+                    child = st | 1 << x | b << (x + n)
+                    deeper[child] = nxt
+                    count[child] = sum(ranks.bit_count() for ranks in nxt.values())
+        layers.append(list(deeper))
+        levels = deeper
+
+    best = dict.fromkeys(layers[-1], (0, 0))
+
+    def through(st: int, x: int, b: int) -> tuple[int, int]:
+        """The best (N, L) from state ``st`` on, reading x at phase b next."""
+        child = st | 1 << x | b << (x + n)
+        return count[child] + best[child][0], links[st][x] + best[child][1]
+
+    for layer in reversed(layers[:-1]):
+        for st in layer:
+            best[st] = min(
+                through(st, x, b) for x in range(n) if not st >> x & 1 for b in (0, 1)
+            )
+
+    read, live, order = 0, [0], []
+    while read != every:
+        for x in range(n):
+            if not read >> x & 1:
+                nxt_live = [
+                    q | b << x
+                    for q in live
+                    for b in (0, 1)
+                    if through(read | q << n, x, b) == best[read | q << n]
+                ]
+                if nxt_live:
+                    break
+        order.append(x)
+        read |= 1 << x
+        live = nxt_live
+    pmask = min(live, key=lambda q: [q >> i & 1 for i in range(n)])
+    return (*best[0], tuple(order), tuple(bool(pmask >> i & 1) for i in range(n)))
 
 
 class _LevelTable:
@@ -239,16 +325,11 @@ class _LevelTable:
         )
 
 
-def _phasings(n: int) -> list[tuple[tuple[bool, ...], int]]:
-    """Every phase tuple in lexicographic order, with its mask."""
-    return [(ph, PhaseVector(ph).mask) for ph in product((False, True), repeat=n)]
-
-
 def _confirmed(s: MintermSet, best: tuple) -> LayoutResult:
     """The search result for a (N, L, order, phases) key, checked against its grid DAG."""
     result = LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
     if metrics(build_grid_dag(s, result.order, result.phases)) != result.metrics:
-        raise RuntimeError(f"level table disagrees with the grid DAG at {result}")
+        raise RuntimeError(f"layout search disagrees with the grid DAG at {result}")
     return result
 
 
@@ -260,22 +341,17 @@ def minimize_layout(
     """Search input orders and phases minimizing the node count N.
 
     Ties break on smaller L, then on the lexicographically smallest
-    (order, phases) pair.  ``exhaustive`` sweeps all n! * 2**n configurations
-    (n <= ``EXHAUSTIVE_LAYOUT_CAP``); ``greedy`` hill-climbs with pairwise order swaps and single
-    phase flips from the identity plus n seeded random restarts.
+    (order, phases) pair.  ``exhaustive`` returns that minimum over all
+    n! * 2**n configurations, found by dynamic programming over the 3**n
+    level states (n <= ``EXHAUSTIVE_LAYOUT_CAP``); ``greedy`` hill-climbs
+    with pairwise order swaps and single phase flips from the identity plus
+    n seeded random restarts.
     """
     n = s.n
     if mode == "exhaustive":
         if n > EXHAUSTIVE_LAYOUT_CAP:
             raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
-        table = _LevelTable(s)
-        phasings = _phasings(n)
-        best = min(
-            (*table.metrics(order, pmask), order, ph)
-            for order in permutations(range(n))
-            for ph, pmask in phasings
-        )
-        return _confirmed(s, best)
+        return _confirmed(s, _exact_layout(s))
     if mode != "greedy":
         raise ValueError(f"unknown search mode {mode!r}")
 

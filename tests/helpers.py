@@ -28,7 +28,7 @@ from gridsyn.cores import (
     _selection_key,
     best_pair_cores,
 )
-from gridsyn.gridplot import LayoutResult, PlotMetrics
+from gridsyn.gridplot import EXHAUSTIVE_LAYOUT_CAP, LayoutResult, PlotMetrics
 from gridsyn.netlist import KIND_AND, KIND_CONST, KIND_INV, KIND_OR, KIND_SYM
 
 DEMO_PLAS = Path(__file__).resolve().parent.parent / "demos" / "pla"
@@ -352,8 +352,8 @@ def oracle_minimize_layout(s, mode="exhaustive", seed=0):
     """``minimize_layout`` as a loop that builds every configuration's grid DAG."""
     n = s.n
     if mode == "exhaustive":
-        if n > 8:
-            raise ValueError("exhaustive layout search requires n <= 8")
+        if n > EXHAUSTIVE_LAYOUT_CAP:
+            raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
         best = None
         for order in permutations(range(n)):
             for ph in product((False, True), repeat=n):

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ from gridsyn import cores, write_pla
 from gridsyn.cli import main
 
 from helpers import DEMO_PLAS, random_cover
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MALFORMED_NETLISTS = {
     "empty_and": "inputs: a b\n0 AND_DISJOINT\noutput: n0\n",
@@ -238,15 +243,67 @@ def test_synth_skips_layout_over_the_cap(tmp_path, monkeypatch, capsys):
     assert (circuit["inputs"], circuit["exhaustive"], circuit["checked"]) == (25, False, 1 << 20)
 
 
-def test_synth_rejects_exhaustive_layout_over_eight_inputs(tmp_path, monkeypatch, capsys):
+def test_synth_rejects_exhaustive_layout_over_nine_inputs(tmp_path, monkeypatch, capsys):
     # refused before decomposing, so no netlist is left behind
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "w9.pla").write_text(write_pla(random_cover(random.Random(9), 9, 12)))
-    assert main(["synth", "w9.pla", "--minimize", "exhaustive"]) == 2
+    (tmp_path / "w10.pla").write_text(write_pla(random_cover(random.Random(10), 10, 13)))
+    assert main(["synth", "w10.pla", "--minimize", "exhaustive"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "gridsyn: error: exhaustive layout search requires n <= 8\n"
+    assert captured.err == "gridsyn: error: exhaustive layout search requires n <= 9\n"
     assert list(tmp_path.glob("*.net")) == []
+
+
+def test_synth_searches_nine_inputs_exactly(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w9.pla").write_text(write_pla(random_cover(random.Random(9), 9, 12)))
+    assert main(["synth", "w9.pla", "--minimize", "exhaustive", "--json"]) == 0
+    (circuit,) = json.loads(capsys.readouterr().out)["circuits"]
+    assert circuit["inputs"] == 9
+    assert main(["synth", "w9.pla", "--json"]) == 0
+    (greedy,) = json.loads(capsys.readouterr().out)["circuits"]
+    exact, climbed = circuit["layout"], greedy["layout"]
+    assert (exact["N"], exact["L"]) <= (climbed["N"], climbed["L"])
+
+
+@pytest.mark.parametrize("flags", [["--order", "d,c,b,a"], ["--phases", "a"],
+                                   ["--order", "d,c,b,a", "--phases", "a"]])
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_grid_refuses_minimize_with_a_configuration(mode, flags, capsys):
+    argv = ["grid", str(DEMO_PLAS / "xor_pair.pla"), "--minimize", mode, *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "gridsyn: error: --minimize cannot be combined with --order or --phases\n"
+    )
+
+
+#: An environment whose locale encodes stdout and files as ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_non_ascii_names_under_an_ascii_locale(tmp_path):
+    """Artifacts are UTF-8 whatever the locale, and text reports escape what
+    stdout cannot encode instead of failing."""
+    (tmp_path / "u.pla").write_text(".i 2\n.o 1\n.ilb caf\u00e9 b\n11 1\n.e\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ASCII_LOCALE)
+
+    def run(*argv: str) -> bytes:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridsyn.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+        return proc.stdout
+
+    assert b"u: output = SYM[2](caf\\xe9, b)\n" in run("synth", "u.pla")
+    run("tmap", "u.pla")
+    for artifact in ("u.net", "u.tmap.net"):
+        assert "inputs: caf\u00e9 b\n" in (tmp_path / artifact).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("arity", ["0", "-1"])
@@ -352,7 +409,7 @@ def test_unreadable_files_are_named(argv, missing, tmp_path, monkeypatch, capsys
 # ---------------------------------------------------------------------------
 # output pin: every command's status, stdout, stderr and artifacts
 
-PIN_DIGEST = "b142a65edff1ec0dd3dd598d4530fc59c6f45e7316cec33f2c81f60821d09c53"
+PIN_DIGEST = "ff14c4d3e7438264bbb4c87d2b4cf01364652e7d6e5cb06653ab6d766d81090c"
 
 PIN_INPUTS = {
     "r5.pla": write_pla(random_cover(random.Random(1), 5, 8)),

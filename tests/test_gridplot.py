@@ -19,7 +19,7 @@ from gridsyn import (
 )
 from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import _LevelTable, _cofactor_lows, _split_level
+from gridsyn.gridplot import EXHAUSTIVE_LAYOUT_CAP, _LevelTable, _cofactor_lows, _split_level
 from gridsyn.planar import _planar_level
 
 from helpers import (
@@ -229,19 +229,26 @@ class TestMinimize:
         assert a == b
 
     def test_exhaustive_never_worse_than_greedy(self):
+        """On seeded 4-input functions, and on seeded 3n-cube covers of every
+        arity up to the exhaustive cap."""
         rng = random.Random(31)
-        for _ in range(8):
-            s = MintermSet(4, rng.getrandbits(16))
+        cases = [MintermSet(4, rng.getrandbits(16)) for _ in range(8)]
+        rng = random.Random(1990)
+        cases += [
+            cover_to_minterms(random_cover(rng, n, 3 * n))
+            for n in range(1, EXHAUSTIVE_LAYOUT_CAP + 1)
+        ]
+        for s in cases:
             ex = minimize_layout(s, mode="exhaustive")
             gr = minimize_layout(s, mode="greedy", seed=1)
             assert (ex.metrics.node_count, ex.metrics.link_count) <= (
                 gr.metrics.node_count,
                 gr.metrics.link_count,
-            )
+            ), s
 
     def test_exhaustive_arity_cap(self):
-        with pytest.raises(ValueError):
-            minimize_layout(MintermSet(9, 1), mode="exhaustive")
+        with pytest.raises(ValueError, match="requires n <= 9"):
+            minimize_layout(MintermSet(10, 1), mode="exhaustive")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -323,6 +330,35 @@ class TestSearchAgainstOracle:
         for s, mode, seed in layout_cases():
             h.update(repr(layout_key(minimize_layout(s, mode=mode, seed=seed))).encode())
         assert h.hexdigest() == PINNED_LAYOUTS
+
+
+def exact_cases():
+    """Seeded functions of 6 and 7 inputs: two dense random functions and two
+    random covers."""
+    rng = random.Random(1990)
+    yield MintermSet(6, rng.getrandbits(64) & rng.getrandbits(64))
+    yield MintermSet(6, rng.getrandbits(64) | rng.getrandbits(64))
+    yield cover_to_minterms(random_cover(rng, 6, 9))
+    yield cover_to_minterms(random_cover(rng, 7, 12))
+
+
+#: (order, inverted inputs, (N, L)) of ``exact_cases`` as
+#: ``helpers.oracle_minimize_layout`` finds them by building all n! * 2**n
+#: grid DAGs, which takes about 2.5 s per 6-input function and 38 s at 7
+#: inputs, so the results are written out here.
+ORACLE_LAYOUTS = [
+    ((0, 1, 3, 4, 5, 2), (1, 3, 5), (31, 41)),
+    ((0, 3, 5, 2, 1, 4), (2, 3, 4), (36, 57)),
+    ((0, 1, 4, 2, 3, 5), (3, 4), (36, 56)),
+    ((0, 2, 5, 3, 4, 6, 1), (2,), (33, 51)),
+]
+
+
+class TestExactSearch:
+    def test_matches_the_oracle(self):
+        got = [layout_key(minimize_layout(s, mode="exhaustive")) for s in exact_cases()]
+        assert [s.n for s in exact_cases()] == [6, 6, 6, 7]
+        assert got == ORACLE_LAYOUTS
 
 
 class TestRender:
