@@ -37,21 +37,29 @@ exact layout search (``_exact_layout``) builds each of the 3**n states'
 levels once and finds the best configuration by dynamic programming over
 them, never visiting the n! * 2**n configurations.  The greedy search
 scores configurations through ``_LevelTable``, which memoises, per
-(S, p & S), the class count, and per (S, p & S, next input) the link count,
-and keeps class sets only along the last walked configuration, so a
-configuration costs a few dictionary lookups once its levels have been
-seen.  The planarity decision (``planar.is_planar_function``) walks the
-same kernel over states.  ``build_grid_dag`` calls the kernel once per
-level of the word mask (``cubes.transform_mask`` puts the first input read
-in the most significant position), reading its inputs from the top down
-without phases, so every cofactor it splits is a suffix set.  Each search
-confirms the configuration it returns with one grid DAG.
+(S, p & S), the class count, and per (S, p & S, next input) the link count.
+It keeps the class sets of the levels used in the current and the previous
+climb step, each compact: a cofactor at depth d is a table over the n - d
+unread inputs only, and reading an input that is not at the top of the
+table first exchanges it with the top inside the kernel.  A level is split
+only from its nearest stored ancestor, and a link count whose level below
+is known takes one pass over the classes above.  A climb step scores a
+neighbour on the levels it changes: a swap of positions i < j changes
+levels i + 1..j and the links out of levels i..j, and a phase flip the
+levels below the flipped input.  The planarity decision
+(``planar.is_planar_function``) walks the same kernel over states.
+``build_grid_dag`` calls the kernel once per level of the word mask
+(``cubes.transform_mask`` puts the first input read in the most
+significant position), reading its inputs from the top down without
+phases, so every cofactor it splits is a suffix set.  Each search confirms
+the configuration it returns with one grid DAG.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .cubes import (
@@ -59,6 +67,7 @@ from .cubes import (
     DEFAULT_EXPANSION_CAP,
     MintermSet,
     PhaseVector,
+    _delta_swap,
     assignment_masks,
     full_mask,
     transform_mask,
@@ -161,7 +170,7 @@ def _cofactor_lows(n: int) -> list[int]:
 
 
 def _split_level(
-    level: dict[int, int], low: int, shift: int, inv: int
+    level: dict[int, int], low: int, shift: int, inv: int, swap: int = 0, delta: int = 0
 ) -> tuple[dict[int, int], int]:
     """The classes one level down, and the link count out of ``level``.
 
@@ -169,11 +178,16 @@ def _split_level(
     Reading the next input splits cofactor g into its 1 half
     ``(g >> shift) & low`` and its 0 half ``g & low``; the 1 half raises the
     rank unless the input is inverted (``inv`` 1), when the 0 half does.
-    Empty halves make no class and no link.
+    Empty halves make no class and no link.  A nonzero ``swap`` first
+    exchanges, in every cofactor, the bits it selects with those ``delta``
+    above them (``cubes._delta_swap``), which moves the input to read into
+    the split position.
     """
     nxt: dict[int, int] = {}
     links = 0
     for g, ranks in level.items():
+        if swap:
+            g = _delta_swap(g, swap, delta)
         hi = (g >> shift) & low
         lo = g & low
         if hi:
@@ -183,6 +197,17 @@ def _split_level(
             nxt[lo] = nxt.get(lo, 0) | ranks << inv
             links += ranks.bit_count()
     return nxt, links
+
+
+def _link_count(level: dict[int, int], one: int) -> int:
+    """The link count out of ``level`` when the next input is the one whose
+    assignments at 1 are ``one``: a class has a one-link iff its cofactor
+    holds such an assignment, and a zero-link iff it holds another."""
+    links = 0
+    for g, ranks in level.items():
+        h = g & one
+        links += ranks.bit_count() * (bool(h) + (h != g))
+    return links
 
 
 def _exact_layout(s: MintermSet) -> tuple[int, int, tuple[int, ...], tuple[bool, ...]]:
@@ -220,13 +245,7 @@ def _exact_layout(s: MintermSet) -> tuple[int, int, tuple[int, ...], tuple[bool,
                 if read >> x & 1:
                     continue
                 if x < read.bit_length():  # its two next states have another parent
-                    # a class has a one-link iff its cofactor holds an
-                    # assignment with x at 1, and a zero-link iff one with x at 0
-                    one, zero = ones[x], lows[x]
-                    out[x] = sum(
-                        ranks.bit_count() * (bool(g & one) + bool(g & zero))
-                        for g, ranks in level.items()
-                    )
+                    out[x] = _link_count(level, ones[x])
                     continue
                 for b in (0, 1):
                     nxt, out[x] = _split_level(level, lows[x], 1 << x, b)
@@ -271,11 +290,22 @@ def _exact_layout(s: MintermSet) -> tuple[int, int, tuple[int, ...], tuple[bool,
 class _LevelTable:
     """Level statistics of one function's grid plots, memoised across configurations.
 
-    A level is keyed by ``S | (p & S) << n``, with S the mask of the inputs
-    read so far and p the phase mask.  ``counts`` maps a level key to its
-    class count and ``links`` maps a level key plus the next input to the
-    level's outgoing link count.  ``path[d]`` holds the key and the classes
-    of the depth-d level walked last, as ``_split_level`` takes them.
+    A level is keyed by its state ``S | (p & S) << n``, with S the mask of the
+    inputs read so far and p the phase mask.  ``counts`` maps a state to its
+    class count and ``links`` maps a state plus the next input (``x << 2n``)
+    to the level's outgoing link count; both are kept for the whole search.
+
+    The class sets themselves live in a two-generation store, ``cur`` and
+    ``prev``, keyed by state.  A stored level is compact: at depth d each
+    cofactor is a table over the n - d unread inputs only, and the level
+    carries its layout, the input at each table position.  Reading input x
+    exchanges x with the top position (one ``cubes._delta_swap`` per class,
+    inside ``_split_level``) unless it is there already, and then splits at
+    the top, as ``build_grid_dag`` does.  ``start`` lays out the root in a
+    climb's starting order, so that configuration reads every input at the
+    top.  ``rotate`` starts a generation: ``prev`` becomes ``cur`` and
+    ``cur`` starts empty, and a level found in ``prev`` moves into ``cur``,
+    so levels not used for two generations are dropped.
     """
 
     def __init__(self, s: MintermSet):
@@ -283,45 +313,109 @@ class _LevelTable:
         if n > DEFAULT_EXPANSION_CAP:
             raise CapacityError(f"grid construction capped at {DEFAULT_EXPANSION_CAP} inputs")
         self.n = n
-        self.low = _cofactor_lows(n)
+        self.bits = s.bits
         self.counts: dict[int, int] = {0: 1}
         self.links: dict[int, int] = {}
-        self.path: list[tuple[int, dict[int, int]]] = [(0, {s.bits: 1})] + [(-1, {})] * n
+        self.cur: dict[int, tuple[dict[int, int], list[int]]] = {}
+        self.prev: dict[int, tuple[dict[int, int], list[int]]] = {}
+        # per table width w: the assignments with position t at 1, and those
+        # with t at 1 and the top position at 0, which an exchange of t with
+        # the top moves (none for t the top itself)
+        self.ones = [assignment_masks(w) for w in range(n + 1)]
+        self.swaps = [[m & ~ones[-1] for m in ones] if ones else [] for ones in self.ones]
+        self.start(tuple(range(n)))
 
-    def _keys(self, order: Sequence[int], pmask: int) -> list[int]:
-        keys = [0]
-        read = 0
-        for x in order:
-            read |= 1 << x
-            keys.append(read | (pmask & read) << self.n)
-        return keys
+    def start(self, order: Sequence[int]) -> None:
+        """Begin a climb from ``order``: a new generation, and the root laid
+        out with ``order[0]`` at the top."""
+        self.rotate()
+        layout = list(order[::-1])
+        self.root = ({transform_mask(self.bits, self.n, layout): 1}, layout)
 
-    def _split(self, d: int, keys: list[int], order: Sequence[int], pmask: int) -> None:
-        """Record level d + 1 and the links into it, walking from the deepest
-        stored level of this configuration at or above depth d."""
-        path = self.path
+    def rotate(self) -> None:
+        self.prev, self.cur = self.cur, {}
+
+    def _level(
+        self, keys: list[int], order: Sequence[int], pmask: int, d: int
+    ) -> tuple[dict[int, int], list[int]]:
+        """The depth-d level of the configuration whose states are ``keys``,
+        split from its nearest stored ancestor; every level split on the way
+        is recorded."""
+        cur, prev = self.cur, self.prev
         k = d
-        while path[k][0] != keys[k]:
+        while k:
+            found = cur.get(keys[k])
+            if found is not None:
+                break
+            found = prev.pop(keys[k], None)
+            if found is not None:
+                cur[keys[k]] = found
+                break
             k -= 1
-        for t in range(k, d + 1):
+        else:
+            found = self.root
+        level, layout = found
+        for t in range(k, d):
             x = order[t]
-            nxt, links = _split_level(path[t][1], self.low[x], 1 << x, pmask >> x & 1)
+            top = len(layout) - 1
+            pos = layout.index(x)
+            half = 1 << top
+            # no exchange (a zero swap mask) when x is at the top already
+            level, links = _split_level(
+                level, (1 << half) - 1, half, pmask >> x & 1,
+                self.swaps[top + 1][pos], half - (1 << pos),
+            )
+            below = layout[:top]
+            if pos < top:
+                below[pos] = layout[top]
+            layout = below
             self.links[keys[t] | x << 2 * self.n] = links
-            self.counts[keys[t + 1]] = sum(ranks.bit_count() for ranks in nxt.values())
-            path[t + 1] = (keys[t + 1], nxt)
+            self.counts[keys[t + 1]] = sum(map(int.bit_count, level.values()))
+            cur[keys[t + 1]] = (level, layout)
+        return level, layout
 
-    def metrics(self, order: Sequence[int], pmask: int) -> tuple[int, int]:
-        """(N, L) of the configuration, as ``metrics(build_grid_dag(...))``."""
-        keys = self._keys(order, pmask)
-        shift = 2 * self.n
-        link_keys = [keys[d] | x << shift for d, x in enumerate(order)]
+    def window(
+        self, order: Sequence[int], pmask: int, first: int, last: int, keys: list[int]
+    ) -> tuple[int, int]:
+        """The class counts of levels first + 1..last and the links out of
+        levels first..last - 1 of the configuration.  ``keys`` holds its
+        states at depths 0..first, and gets those at depths first + 1..last
+        appended."""
+        n = self.n
         counts, links = self.counts, self.links
-        for d, lk in enumerate(link_keys):
-            if lk not in links or keys[d + 1] not in counts:
-                self._split(d, keys, order, pmask)
+        key = keys[first]
+        c = lsum = 0
+        for d in range(first, last):
+            x = order[d]
+            lk = key | x << 2 * n
+            key |= 1 << x | (pmask >> x & 1) << (x + n)
+            keys.append(key)
+            cv = counts.get(key)
+            lv = links.get(lk)  # the same for either phase of x
+            if cv is None:
+                self._level(keys, order, pmask, d + 1)
+                cv, lv = counts[key], links[lk]
+            elif lv is None:
+                # only the link count is missing: one pass over the parent's classes
+                level, layout = self._level(keys, order, pmask, d)
+                lv = links[lk] = _link_count(level, self.ones[len(layout)][layout.index(x)])
+            c += cv
+            lsum += lv
+        return c, lsum
+
+    def profile(
+        self, order: Sequence[int], pmask: int
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The configuration's state and class count at each depth 0..n, and
+        the link count out of each depth 0..n - 1; the class counts are those
+        of ``build_grid_dag(...).classes``."""
+        keys = [0]
+        self.window(order, pmask, 0, self.n, keys)
+        shift = 2 * self.n
         return (
-            sum(counts[k] for k in keys) - 1,
-            sum(links[lk] for lk in link_keys),
+            keys,
+            [self.counts[k] for k in keys],
+            [self.links[k | x << shift] for k, x in zip(keys, order)],
         )
 
 
@@ -359,28 +453,50 @@ def minimize_layout(
     table = _LevelTable(s)
 
     def climb(order: tuple[int, ...], ph: tuple[bool, ...]):
+        # A neighbour differs from the configuration only on some levels: a
+        # swap of positions i < j on levels i + 1..j and the links out of
+        # levels i..j, a flip of the input at position p on the levels below
+        # p.  Each is scored from the configuration's prefix sums and the
+        # table's counts over that window (for a swap the window also holds
+        # level j + 1 and for a flip the links out of level p, which the
+        # move leaves alone).
+        table.start(order)
         pmask = PhaseVector(ph).mask
-        cur_m = table.metrics(order, pmask)
         while True:
+            keys, cnt, lnk = table.profile(order, pmask)
+            cpre = list(accumulate(cnt, initial=0))
+            lpre = list(accumulate(lnk, initial=0))
+            cur_m = (cpre[-1] - 1, lpre[-1])
             best_neighbor = None
             for i in range(n):
                 for j in range(i + 1, n):
-                    cand = list(order)
-                    cand[i], cand[j] = cand[j], cand[i]
-                    cand_t = tuple(cand)
-                    k = (*table.metrics(cand_t, pmask), cand_t, ph)
+                    cand = order[:i] + (order[j],) + order[i + 1 : j] + (order[i],) + order[j + 1 :]
+                    c, l = table.window(cand, pmask, i, j + 1, keys[: i + 1])
+                    k = (
+                        cur_m[0] - cpre[j + 2] + cpre[i + 1] + c,
+                        cur_m[1] - lpre[j + 1] + lpre[i] + l,
+                        cand,
+                        ph,
+                    )
                     if best_neighbor is None or k < best_neighbor:
                         best_neighbor = k
-            for i in range(n):
-                cand_ph = tuple(p ^ (idx == i) for idx, p in enumerate(ph))
-                k = (*table.metrics(order, pmask ^ 1 << i), order, cand_ph)
+            for x in range(n):
+                p = order.index(x)
+                c, l = table.window(order, pmask ^ 1 << x, p, n, keys[: p + 1])
+                cand_ph = ph[:x] + (not ph[x],) + ph[x + 1 :]
+                k = (
+                    cur_m[0] - cpre[n + 1] + cpre[p + 1] + c,
+                    cur_m[1] - lpre[n] + lpre[p] + l,
+                    order,
+                    cand_ph,
+                )
                 if best_neighbor is None or k < best_neighbor:
                     best_neighbor = k
             if best_neighbor is None or best_neighbor[:2] >= cur_m:
                 return (*cur_m, order, ph)
-            cur_m = best_neighbor[:2]
             order, ph = best_neighbor[2], best_neighbor[3]
             pmask = PhaseVector(ph).mask
+            table.rotate()
 
     starts = [(tuple(range(n)), (False,) * n)]
     for _ in range(n):

@@ -257,10 +257,13 @@ class TestMinimize:
 
 class TestLevelTable:
     def test_matches_the_grid_dag(self):
-        """(N, L) of 320 seeded (function, order, phases) triples, eight
-        configurations per function through one table, so later ones reuse the
-        levels and class sets of earlier ones; and per triple, the class count
-        of every level and the planarity that ``_split_level`` alone gives."""
+        """(N, L) and the class count of every level of 320 seeded (function,
+        order, phases) triples, eight configurations per function through one
+        table with a generation rotation between them, so later ones reuse,
+        rebuild or evict the levels of earlier ones.  The table lays out its
+        root in a seeded order of its own, so the configurations read inputs
+        out of table order.  Per triple also a seeded window of levels, and the
+        class counts and planarity that ``_split_level`` alone gives."""
         rng = random.Random(1990)
         triples = 0
         for k in range(40):
@@ -270,13 +273,24 @@ class TestLevelTable:
             else:
                 s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
             table = _LevelTable(s)
+            table.start(tuple(rng.sample(range(n), n)))
             lows = _cofactor_lows(n)
             for _ in range(8):
                 order = tuple(rng.sample(range(n), n))
                 pmask = rng.getrandbits(n) if n else 0
                 phases = PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n)))
                 dag = build_grid_dag(s, order, phases)
-                assert table.metrics(order, pmask) == tuple(metrics(dag)), (s, order, pmask)
+                first = rng.randint(0, n)
+                last = rng.randint(first, n)
+                states = [0]
+                for x in order[:first]:
+                    states.append(states[-1] | 1 << x | (pmask >> x & 1) << (x + n))
+                window = table.window(order, pmask, first, last, states)
+                keys, counts, links = table.profile(order, pmask)
+                assert keys[: last + 1] == states
+                assert counts == [len(level) for level in dag.classes], (s, order, pmask)
+                assert (sum(counts) - 1, sum(links)) == tuple(metrics(dag)), (s, order, pmask)
+                assert window == (sum(counts[first + 1 : last + 1]), sum(links[first:last]))
                 # the level kernel alone: class counts per level and planarity
                 level, planar = {s.bits: 1}, True
                 for d, x in enumerate(order):
@@ -284,6 +298,7 @@ class TestLevelTable:
                     assert sum(r.bit_count() for r in level.values()) == len(dag.classes[d + 1])
                     planar = planar and _planar_level(level)
                 assert planar == is_planar_plot(dag), (s, order, pmask)
+                table.rotate()
                 triples += 1
         assert triples == 320
 
@@ -352,6 +367,29 @@ ORACLE_LAYOUTS = [
     ((0, 1, 4, 2, 3, 5), (3, 4), (36, 56)),
     ((0, 2, 5, 3, 4, 6, 1), (2,), (33, 51)),
 ]
+
+
+def wide_cases():
+    """Seeded 3n-cube covers of 10, 11 and 12 inputs, above the reach of
+    ``layout_cases`` and the per-configuration oracle."""
+    rng = random.Random(2019)
+    for n in (10, 11, 12):
+        yield cover_to_minterms(random_cover(rng, n, 3 * n))
+
+
+#: (order, inverted inputs, (N, L)) of greedy searches (seed n) on
+#: ``wide_cases``, computed with full-width levels kept along the last walked
+#: configuration only.
+WIDE_GREEDY_LAYOUTS = [
+    ((0, 7, 8, 2, 9, 6, 1, 5, 3, 4), (4,), (215, 358)),
+    ((5, 6, 0, 1, 3, 10, 2, 9, 4, 7, 8), (0, 1, 3, 6, 7, 8, 10), (361, 604)),
+    ((3, 9, 11, 6, 7, 4, 8, 5, 1, 10, 0, 2), (0, 3, 4, 5, 6, 7, 8, 9, 10, 11), (538, 920)),
+]
+
+
+def test_greedy_is_pinned_above_the_oracle():
+    got = [layout_key(minimize_layout(s, mode="greedy", seed=s.n)) for s in wide_cases()]
+    assert got == WIDE_GREEDY_LAYOUTS
 
 
 class TestExactSearch:
