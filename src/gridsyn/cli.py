@@ -296,9 +296,10 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
                     raise ValueError("--order must list every input exactly once")
             phases = PhaseVector.none(cover.n)
             if ns.phases:
-                phases = PhaseVector.inverting(
-                    cover.n, _parse_name_list(ns.phases, cover.input_names, "phases")
-                )
+                inverted = _parse_name_list(ns.phases, cover.input_names, "phases")
+                if len(set(inverted)) < len(inverted):
+                    raise ValueError("--phases must list each input at most once")
+                phases = PhaseVector.inverting(cover.n, inverted)
         dag = build_grid_dag(s, order, phases)
         m = metrics(dag)
         entry = {

@@ -14,9 +14,34 @@ One round of the engine on a cover F over inputs X:
 5. recurse on the remainder (the cubes left out of the core) and OR the
    two networks together.
 
-Recursion bottoms out at constants and at covers whose minterm set is
-already a union of full ranks: one SYM node, or a literal when one input is
-live.  Any other cover has at least two live inputs, and then some pair core
+Recursion bottoms out at constants, at products of literals, and at covers
+whose minterm set is already a union of full ranks: one SYM node, or a
+literal when one input is live.
+
+A product (a cover of one distinct cube, however often repeated) is read
+straight off the cube as the one SYM node the engine would build for it.
+Every live input is a literal of the cube.  The node is ``SYM[n]`` with
+the 0-inputs inverted when the cube has more 1s than 0s, and ``SYM[0]``
+with the 1-inputs inverted when it has fewer; on a tie it takes the phase
+of local input 1, ``SYM[n]`` if that input reads 1.  Inverters are built in
+ascending input order.  This is the engine's result because:
+
+- every pair core holds the cube, plain when its two symbols are equal and
+  flipped when they differ, so every pair is a top seed;
+- every widening step keeps the cube and raises the width, so each widening
+  ends with Z = all live inputs, inverting the inputs whose symbol differs
+  from the seed's second input;
+- the selection key then prefers fewer inversions, and ties go to the first
+  seed, the pair (0, 1);
+- ``factor_core`` gives one term, the one rank whose phased assignment is
+  the cube, with a tautology cofactor that ``and_disjoint`` drops;
+- that path also interns a ``CONST 1`` node for the cofactor, which
+  nothing reaches and ``finish`` drops, so node indices do not change.
+
+A single input, or a cube of one symbol, gives the literal, inverter or SYM
+node of a full-rank cover.
+
+Any other cover has at least two live inputs, and then some pair core
 holds a cube.  Among any three live inputs of a cube two carry equal,
 complementary or two don't-care symbols, so the cube lies in that pair's
 plain or flipped core.  With exactly two live inputs a cube with both
@@ -36,6 +61,7 @@ from . import cores as cores_mod
 from .cubes import (
     CapacityError,
     Cover,
+    Cube,
     DEFAULT_EXPANSION_CAP,
     assignment_masks,
     cover_mask,
@@ -188,6 +214,20 @@ def decompose(cover: Cover, options: DecomposeOptions | None = None) -> Netlist:
     return nl
 
 
+def _product_leaf(builder: NetlistBuilder, cube: Cube, inputs: tuple[int, ...]) -> Ref:
+    """The one SYM node of a cube that reads every input: the node the core
+    search and rank cut build for it (see the module docstring)."""
+    ones, zeros = cube
+    n1, n0 = ones.bit_count(), zeros.bit_count()
+    high = n1 > n0 or (n1 == n0 and ones >> 1 & 1)  # a tie keeps the phase of local input 1
+    flipped = zeros if high else ones
+    ops = []
+    for j, g in enumerate(inputs):
+        ref = builder.input(g)
+        ops.append(builder.inv(ref) if flipped >> j & 1 else ref)
+    return builder.sym((len(inputs) if high else 0,), ops)
+
+
 def _decompose_rec(
     builder: NetlistBuilder,
     cover: Cover,
@@ -207,6 +247,9 @@ def _decompose_rec(
     inputs = tuple(inputs[j] for j in live)
     if cover.n > DEFAULT_EXPANSION_CAP:
         raise CapacityError(f"decomposition capped at {DEFAULT_EXPANSION_CAP} live inputs")
+
+    if len(set(cover.bit_cubes)) == 1:
+        return _product_leaf(builder, cover.bit_cubes[0], inputs)
 
     minterms = cover_to_minterms(cover)
 
@@ -230,7 +273,8 @@ def _decompose_rec(
 
     # one G*H term per distinct cofactor; a tautology cofactor decomposes to
     # const(1), which and_disjoint drops
-    y_globals = tuple(inputs[j] for j in range(cover.n) if j not in set(core.sym_inputs))
+    z_set = set(core.sym_inputs)
+    y_globals = tuple(inputs[j] for j in range(cover.n) if j not in z_set)
     term_refs = []
     for g, h in factor_core(core):
         g_ref = builder.sym(g.ranks, z_ops)

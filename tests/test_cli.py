@@ -279,6 +279,17 @@ def test_grid_refuses_minimize_with_a_configuration(mode, flags, capsys):
     )
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--phases", "a,a"], "--phases must list each input at most once"),
+    (["--phases", "b,c,b"], "--phases must list each input at most once"),
+    (["--order", "a,a,b,c"], "--order must list every input exactly once"),
+])
+def test_grid_refuses_a_repeated_input_name(flags, message, capsys):
+    assert main(["grid", str(DEMO_PLAS / "xor_pair.pla"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"gridsyn: error: {message}\n")
+
+
 #: An environment whose locale encodes stdout and files as ASCII.
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 

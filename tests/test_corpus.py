@@ -7,15 +7,17 @@ decomposes.
 ``VARIANT_PINNED`` holds the same corpus under ``dc_partition`` and the
 ``minterms`` core metric, plus seeded covers of 1-6 inputs with and without
 repeated cubes under all three option sets.
+``PRODUCTS_PINNED`` covers every one-cube cover on 1-7 inputs.
 A change that alters any netlist must update the pinned digest and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
-from gridsyn import DecomposeOptions, decompose, netlist_to_text, parse_pla_outputs
+from gridsyn import Cover, DecomposeOptions, decompose, netlist_to_text, parse_pla_outputs
 
 from helpers import DEMO_PLAS, random_cover, random_cover_with_duplicates
 
@@ -269,3 +271,21 @@ VARIANT_PINNED = {
 
 def test_variant_netlists_are_pinned():
     assert variant_digests() == VARIANT_PINNED
+
+
+#: sha256 of the netlists of every cube on 1-7 inputs, alone and twice,
+#: under both core metrics; computed before products became a leaf of the
+#: decomposer, when each ran the full core search.
+PRODUCTS_PINNED = "7239bb31644f0809bc7fb9783a212d61853393503ed8afcde7abec8a81e482ff"
+
+
+def test_every_product_of_up_to_seven_inputs_is_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        names = tuple(f"x{i}" for i in range(n))
+        for symbols in itertools.product("01-", repeat=n):
+            cube = "".join(symbols)
+            for cubes in ((cube,), (cube, cube)):
+                for opts in (DecomposeOptions(), VARIANTS["minterms"]):
+                    h.update(netlist_to_text(decompose(Cover(names, cubes), opts)).encode())
+    assert h.hexdigest() == PRODUCTS_PINNED

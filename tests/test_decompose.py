@@ -15,8 +15,10 @@ from gridsyn import (
     verify,
 )
 from gridsyn.cores import SIZE_METRICS, Core, CoreSearch, best_core, expand_core
+from gridsyn.cubes import restrict
 from gridsyn.netlist import (
     KIND_AND,
+    KIND_INV,
     KIND_SYM,
     NetlistBuilder,
     netlist_to_expr,
@@ -173,6 +175,65 @@ class TestWorkedDecompositions:
         nl = decompose(c)
         assert netlist_to_expr(nl) == "SYM[2](~a, b)"
         assert phased_inputs(nl) == {0}
+
+    @pytest.mark.parametrize("cube, expr", [
+        ("10", "SYM[0](~a, b)"),
+        ("01", "SYM[2](~a, b)"),
+        ("101", "SYM[3](a, ~b, c)"),
+        ("010", "SYM[0](a, ~b, c)"),
+        ("1001", "SYM[0](~a, b, c, ~d)"),
+    ])
+    def test_a_product_takes_the_phase_of_its_majority_or_of_input_one(self, cube, expr):
+        # on a tie (10, 01, 1001) the node is high exactly when input 1 reads 1
+        assert netlist_to_expr(decompose(Cover(tuple("abcd"[: len(cube)]), (cube,)))) == expr
+
+
+def product_covers():
+    """Seeded one-cube covers of 8-24 live inputs; every other one is a tie
+    of 1s and 0s, and some declare more than 24 inputs."""
+    rng = random.Random(2024)
+    for k, width in enumerate((8, 10, 12, 15, 18, 21, 24)):
+        declared = width + rng.choice((0, rng.randint(1, 8)))
+        if k % 2:
+            symbols = ["1", "0"] * (width // 2) + ["1"] * (width % 2)
+            rng.shuffle(symbols)
+        else:
+            symbols = [rng.choice("01") for _ in range(width)]
+        cube = ["-"] * declared
+        for j, sym in zip(sorted(rng.sample(range(declared), width)), symbols):
+            cube[j] = sym
+        names = tuple(f"x{i}" for i in range(declared))
+        yield Cover(names, ("".join(cube),) * rng.randint(1, 2))
+
+
+class TestProductLeaf:
+    """A one-cube cover is the SYM node the core search and rank cut give it."""
+
+    @staticmethod
+    def phased_operands(nl, node):
+        out = []
+        for ref in node.operands:
+            if ref.kind == "node":
+                inv = nl.nodes[ref.index]
+                assert inv.kind == KIND_INV
+                out.append((inv.operands[0].index, True))
+            else:
+                out.append((ref.index, False))
+        return out
+
+    def test_matches_the_core_search(self):
+        for cover in product_covers():
+            live, local = restrict(cover)
+            core = best_core(CoreSearch(local))
+            assert core.sym_inputs == tuple(range(local.n))
+            ((g, h),) = factor_core(core)
+            assert h.cubes == ("",)
+            nl = decompose(cover)
+            out = nl.nodes[nl.output.index]
+            assert out.kind == KIND_SYM and out.ranks == g.ranks
+            assert self.phased_operands(nl, out) == [
+                (live[j], j in core.inverted) for j in core.sym_inputs
+            ]
 
 
 class TestEquivalence:
@@ -358,3 +419,13 @@ class TestGuards:
 
         with pytest.raises(CapacityError):
             decompose(Cover(names, cubes))
+        with pytest.raises(CapacityError):
+            decompose(Cover(names, (cubes[0],)))  # a product is capped too
+
+    def test_a_wide_cover_reading_few_inputs_decomposes(self):
+        names = tuple(f"x{i}" for i in range(30))
+        cube = ["-"] * 30
+        for j, sym in zip((3, 9, 14, 20, 27), "10110"):
+            cube[j] = sym
+        nl = decompose(Cover(names, ("".join(cube),)))
+        assert netlist_to_expr(nl) == "SYM[5](x3, ~x9, x14, x20, ~x27)"
