@@ -62,7 +62,6 @@ from .netlist import (
     netlist_to_text,
 )
 from .decompose import (
-    DecomposeOptions,
     DecompositionError,
     VerifyResult,
     decompose,

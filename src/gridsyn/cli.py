@@ -33,7 +33,7 @@ from .cubes import (
     literal_density,
     parse_pla_outputs,
 )
-from .decompose import DecomposeOptions, decompose, verify
+from .decompose import decompose, verify
 from .gridplot import EXHAUSTIVE_LAYOUT_CAP, build_grid_dag, metrics, minimize_layout, render
 from .netlist import (
     Netlist,
@@ -70,11 +70,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="decompose, verify, and report")
     add_common(p)
     p.add_argument("--minimize", choices=("greedy", "exhaustive"), default="greedy")
-    p.add_argument("--dc-partition", action="store_true", help="split by don't-care count first")
-    p.add_argument("--core-metric", choices=cores_mod.SIZE_METRICS, default="cubes")
     p.add_argument("--max-arity", type=int, help=_ARITY_HELP)
     p.add_argument("--pitch-table", help="cell cost table file")
-    p.add_argument("--report-cores", action="store_true", help="also dump the core report")
+    p.add_argument(
+        "--report-cores", action="store_true", help="also dump the core report of the whole cover"
+    )
 
     p = sub.add_parser("spectrum", help="rank spectrum per output")
     add_common(p)
@@ -86,9 +86,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--minimize", choices=("greedy", "exhaustive"))
     p.add_argument("--render", choices=("ascii", "svg"), default="ascii")
 
-    p = sub.add_parser("cores", help="pair and expanded symmetric-core report")
+    p = sub.add_parser("cores", help="pair and expanded symmetric cores of the whole cover")
     add_common(p)
-    p.add_argument("--core-metric", choices=cores_mod.SIZE_METRICS, default="cubes")
 
     p = sub.add_parser("tmap", help="map a netlist (or PLA) onto threshold cells")
     add_common(p)
@@ -188,7 +187,6 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
     outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     lib = _load_library(ns)
-    opts = DecomposeOptions(dc_partition=ns.dc_partition, core_size_metric=ns.core_metric)
     # refuse before any netlist is written; layouts over the expansion cap are skipped
     if ns.minimize == "exhaustive" and any(
         EXHAUSTIVE_LAYOUT_CAP < cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
@@ -201,7 +199,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
     failed = False
     for name, cover in outputs:
         cct = stem if len(outputs) == 1 else f"{stem}.{name}"
-        nl = decompose(cover, opts)
+        nl = decompose(cover)
         check = verify(nl, cover, seed=ns.seed)
         if not check:
             failed = True
@@ -259,7 +257,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
             }
         )
         if ns.report_cores:
-            lines.extend(_core_report(cover, ns.core_metric)[1])
+            lines.extend(_core_report(cover)[1])
     record = {"circuits": circuits, "verified": not failed}
     return (1 if failed else 0), record, lines + _format_report(rows)
 
@@ -322,15 +320,17 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
     return 0, {"outputs": entries}, lines
 
 
-def _core_report(cover: Cover, metric: str) -> tuple[dict, list[str]]:
+def _core_report(cover: Cover) -> tuple[dict, list[str]]:
     """Pair cores, their expansions and the best core: the JSON entry and the text.
 
-    One core search serves all three, so the cover's pairs are scanned once
-    and the best core's widenings end where the report's own did.  A cover
-    with fewer than two inputs has no pair cores.
+    The report is on the whole cover, not on the don't-care parts that
+    ``decompose`` splits it into.  One core search serves all three, so the
+    cover's pairs are scanned once and the best core's widenings end where
+    the report's own did.  A cover with fewer than two inputs has no pair
+    cores.
     """
     names = cover.input_names
-    search = cores_mod.CoreSearch(cover, metric)
+    search = cores_mod.CoreSearch(cover)
     pairs = sorted(cores_mod.best_pair_cores(search).items())
     lines = ["pair cores:"]
     for (a, b), (inv_a, core) in pairs:
@@ -375,7 +375,7 @@ def _cmd_cores(ns: argparse.Namespace) -> Report:
     entries = []
     lines = []
     for name, cover in outputs:
-        entry, text = _core_report(cover, ns.core_metric)
+        entry, text = _core_report(cover)
         entries.append({"output": name, **entry})
         if len(outputs) > 1:
             lines.append(f"== {name}")

@@ -14,9 +14,7 @@ The search runs on integers.  A cube is a ``cubes.Cube`` from
 ``Cover.bit_cubes`` (its ``1`` and ``0`` columns as input bit masks), and a
 phase flip is a masked exchange of the two.  Z and its flips are input bit
 masks too, and a set of cubes is a position mask: bit i is the cover's cube
-i.  The cube count of a set is its popcount; under the ``minterms`` metric
-the search keeps one truth table per cube, and a set's size is the popcount
-of the OR of its cubes' tables.
+i.  A set's size is its cube count, the popcount of its mask.
 
 Search proceeds the way a cover is actually mined for structure: all input
 pairs are scored with both effective polarities, the best pairs seed a
@@ -48,12 +46,11 @@ of the current core, so a step stops at the first candidate that keeps the
 whole core: no later one could strictly beat it.
 
 A ``CoreSearch`` holds what the ``best_pair_cores``, ``expand_core`` and
-``best_core`` calls on one cover and size metric share: the pair scan, the
-closures, and the end of every widening state ``(Z, flips, core)`` passed
-through, so a seed that reaches a state another widening passed through
-stops there.  Both memo keys hold the core itself, since a seed that is not
-a pair core, such as part of one, closes other cubes under the same Z and
-flips.
+``best_core`` calls on one cover share: the pair scan, the closures, and
+the end of every widening state ``(Z, flips, core)`` passed through, so a
+seed that reaches a state another widening passed through stops there.
+Both memo keys hold the core itself, since a seed that is not a pair core,
+such as part of one, closes other cubes under the same Z and flips.
 """
 
 from __future__ import annotations
@@ -63,20 +60,7 @@ from math import comb
 from operator import and_
 from typing import Sequence
 
-from .cubes import (
-    DEFAULT_EXPANSION_CAP,
-    CapacityError,
-    Cover,
-    Cube,
-    assignment_masks,
-    cube_mask,
-    full_mask,
-    set_bits,
-)
-
-#: How candidate cores are sized: by cube count (default) or by the number
-#: of distinct minterms the selected cubes cover.
-SIZE_METRICS = ("cubes", "minterms")
+from .cubes import Cover, Cube, set_bits
 
 
 def _check_inputs(inputs: Sequence[int], n: int) -> None:
@@ -222,23 +206,19 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> dict[tuple[int, int], tuple[in
 
 
 class CoreSearch:
-    """The core search on one cover under one size metric.
+    """The core search on one cover.
 
     ``best_pair_cores``, ``expand_core`` and ``best_core`` take one, and
     every call on the same search shares what it holds.  ``pairs`` is the
     pair scan, and ``partner[a][f][x]`` the pair core of (a, x) in either
-    order, plain for ``f = 0`` and flipped for ``f = 1``.  ``size`` sizes a
-    position mask under the metric.  ``cores`` maps ``(core, z, flips)``,
-    with flips normalised against inverting all of Z, to the closure of the
-    core under (z, flips) and its size, and ``widened`` maps a widening
-    state ``(z, flips, core)`` to the state its widening ends in.
+    order, plain for ``f = 0`` and flipped for ``f = 1``.  ``cores`` maps
+    ``(core, z, flips)``, with flips normalised against inverting all of Z,
+    to the closure of the core under (z, flips), and ``widened`` maps a
+    widening state ``(z, flips, core)`` to the state its widening ends in.
     """
 
-    def __init__(self, cover: Cover, size_metric: str = "cubes"):
-        if size_metric not in SIZE_METRICS:
-            raise ValueError(f"unknown core size metric {size_metric!r}")
+    def __init__(self, cover: Cover):
         self.cover = cover
-        self.size_metric = size_metric
         n = cover.n
         self.pairs = _pair_masks(cover.bit_cubes, n)
         self.partner = [([0] * n, [0] * n) for _ in range(n)]
@@ -246,34 +226,17 @@ class CoreSearch:
             (plain_a, flipped_a), (plain_b, flipped_b) = self.partner[a], self.partner[b]
             plain_a[b] = plain_b[a] = plain
             flipped_a[b] = flipped_b[a] = flipped
-        if size_metric == "cubes":
-            self.size = int.bit_count
-        else:
-            if n > DEFAULT_EXPANSION_CAP:
-                raise CapacityError(
-                    f"exact expansion capped at {DEFAULT_EXPANSION_CAP} inputs (cover has {n})"
-                )
-            masks, full = assignment_masks(n), full_mask(n)
-            self.tables = [cube_mask(cube, masks, full) for cube in cover.bit_cubes]
-            self.size = self._minterm_count
-        self.cores: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self.widened: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+        self.cores: dict[tuple[int, int, int], int] = {}
+        self.widened: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
-    def _minterm_count(self, mask: int) -> int:
-        """The minterms the cubes at the positions of ``mask`` cover."""
-        acc = 0
-        for i in set_bits(mask):
-            acc |= self.tables[i]
-        return acc.bit_count()
-
-    def widen(self, z: int, flips: int, core: int, size: int) -> tuple[int, int, int, int]:
-        """Widen ``core``, of the given size under (z, flips), one input at a time.
+    def widen(self, z: int, flips: int, core: int) -> tuple[int, int, int]:
+        """Widen ``core`` under (z, flips) one input at a time.
 
         Each step tries every input x outside Z in input order, the plain
         phase of x first, and keeps the candidate whose closure scores
-        highest on ``size * width**2``, the first on ties; the widening
+        highest on ``count * width**2``, the first on ties; the widening
         ends when no candidate strictly beats the current score.  Returns
-        the end state ``(z, flips, core, size)``.  A candidate whose
+        the end state ``(z, flips, core)``.  A candidate whose
         pair-core bound (see the module docstring) times ``width**2`` is no
         more than the current score and the step's best so far is skipped
         unclosed: it could neither be accepted nor keep the whole core.
@@ -282,7 +245,8 @@ class CoreSearch:
         if (z, flips, core) in widened:
             return widened[z, flips, core]
         n = self.cover.n
-        partner, cubes, cores, size_of = self.partner, self.cover.bit_cubes, self.cores, self.size
+        partner, cubes, cores = self.partner, self.cover.bit_cubes, self.cores
+        size = core.bit_count()
         # per input x outside Z: the AND of the pair cores of x and every a
         # in Z, with x plain (same) and with x inverted (other)
         same = other = [(1 << len(cubes)) - 1] * n
@@ -303,14 +267,13 @@ class CoreSearch:
                     continue
                 cand_z = z | 1 << x
                 for cand_flips, bound in ((flips, same[x]), (flips | 1 << x, other[x])):
-                    if size_of(bound & core) * w2 <= floor:
+                    if (bound & core).bit_count() * w2 <= floor:
                         continue
                     key = (core, cand_z, min(cand_flips, cand_flips ^ cand_z))
-                    known = cores.get(key)
-                    if known is None:
-                        cand = _closed(cubes, core, cand_z, cand_flips)
-                        known = cores[key] = cand, size_of(cand)
-                    cand, cand_size = known
+                    cand = cores.get(key)
+                    if cand is None:
+                        cand = cores[key] = _closed(cubes, core, cand_z, cand_flips)
+                    cand_size = cand.bit_count()
                     cand_score = cand_size * w2
                     if best is None or cand_score > best[0]:
                         best = (cand_score, cand_size, x, cand_flips, cand)
@@ -321,7 +284,7 @@ class CoreSearch:
                     continue
                 break
             if best is None or best[0] <= score:
-                widened[z, flips, core] = (z, flips, core, size)
+                widened[z, flips, core] = (z, flips, core)
                 break
             _, size, x, flips, core = best
             z |= 1 << x
@@ -337,10 +300,9 @@ class CoreSearch:
 
 def _scored_pairs(search: CoreSearch) -> list[tuple[tuple[int, int], bool, int, int]]:
     """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
-    size = search.size
     out = []
     for pair, (plain, flipped) in search.pairs.items():
-        plain_size, flipped_size = size(plain), size(flipped)
+        plain_size, flipped_size = plain.bit_count(), flipped.bit_count()
         if flipped_size > plain_size:
             out.append((pair, True, flipped, flipped_size))
         else:
@@ -379,15 +341,12 @@ def expand_core(seed: Core, search: CoreSearch) -> tuple[Core, CoreScore]:
     if seed.base != cover:
         raise ValueError("the seed core belongs to another cover")
     core = sum(1 << i for i in set(seed.cube_indices))
-    z, flips, core, size = search.widen(
-        sum(1 << i for i in seed.sym_inputs),
-        sum(1 << i for i in seed.inverted),
-        core,
-        search.size(core),
+    z, flips, core = search.widen(
+        sum(1 << i for i in seed.sym_inputs), sum(1 << i for i in seed.inverted), core
     )
     inputs = set_bits(z)
     wide = Core(cover, set_bits(core), inputs, [i for i in inputs if flips >> i & 1])
-    return wide, CoreScore.compute(size, wide.width)
+    return wide, CoreScore.compute(wide.cube_count, wide.width)
 
 
 def _selection_key(score: int, width: int, inversions: int, sym_inputs: tuple[int, ...]):
@@ -414,10 +373,10 @@ def best_core(search: CoreSearch) -> Core | None:
         if size != top:
             continue
         a, b = pair
-        z, flips, _, end_size = search.widen(1 << a | 1 << b, int(flip) << a, mask, size)
+        z, flips, end = search.widen(1 << a | 1 << b, int(flip) << a, mask)
         width = z.bit_count()
         key = _selection_key(
-            end_size * width * width, width, flips.bit_count(), tuple(set_bits(z))
+            end.bit_count() * width * width, width, flips.bit_count(), tuple(set_bits(z))
         )
         if best is None or key < best[0]:
             best = key, pair, flip, mask

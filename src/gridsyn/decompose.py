@@ -1,5 +1,12 @@
 """Recursive decomposition of a cover into a network of symmetric components.
 
+A cover is first split by don't-care count (``cores.dc_partition``): each
+part holds the cubes with one count of ``-`` symbols, the engine decomposes
+every part on its own, and the parts' networks are ORed.  The parts
+partition the cubes, so the OR is the cover's function.  Each part's
+network is exact, as ``factor_core`` asserts every rank cut and every leaf
+is exact, so the whole network is not verified again.
+
 One round of the engine on a cover F over inputs X:
 
 1. score every input pair in both polarities (pair cores),
@@ -76,7 +83,6 @@ from .netlist import Netlist, NetlistBuilder, Ref, netlist_mask
 from .spectra import FullRankSet, fullrank_set_if_symmetric
 
 __all__ = [
-    "DecomposeOptions",
     "DecompositionError",
     "VerifyResult",
     "decompose",
@@ -87,12 +93,6 @@ __all__ = [
 
 class DecompositionError(RuntimeError):
     """Internal invariant violation or exceeded recursion guard."""
-
-
-@dataclass(frozen=True)
-class DecomposeOptions:
-    dc_partition: bool = False
-    core_size_metric: str = "cubes"
 
 
 _DEPTH_LIMIT = 400  # recursion guard; each step removes a cube or an input
@@ -197,21 +197,19 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
 # the recursive engine
 
 
-def decompose(cover: Cover, options: DecomposeOptions | None = None) -> Netlist:
-    """Decompose a cover into a verified-equivalent symmetric network."""
-    opts = options or DecomposeOptions()
+def decompose(cover: Cover) -> Netlist:
+    """Decompose a cover into an equivalent symmetric network.
+
+    1. split the cover into parts of equal don't-care count
+       (``cores.dc_partition``),
+    2. decompose each part with the recursive engine,
+    3. OR the parts' networks.
+    """
     builder = NetlistBuilder(cover.input_names)
     all_inputs = tuple(range(cover.n))
-    parts = cores_mod.dc_partition(cover) if opts.dc_partition else [cover]
-    out = builder.or_([_decompose_rec(builder, part, all_inputs, opts, 0) for part in parts])
-    nl = builder.finish(out)
-    if opts.dc_partition:
-        check = verify(nl, cover)
-        if not check:
-            raise DecompositionError(
-                f"don't-care partition broke equivalence at {check.witness}"
-            )
-    return nl
+    parts = cores_mod.dc_partition(cover)
+    out = builder.or_([_decompose_rec(builder, part, all_inputs, 0) for part in parts])
+    return builder.finish(out)
 
 
 def _product_leaf(builder: NetlistBuilder, cube: Cube, inputs: tuple[int, ...]) -> Ref:
@@ -232,7 +230,6 @@ def _decompose_rec(
     builder: NetlistBuilder,
     cover: Cover,
     inputs: tuple[int, ...],
-    opts: DecomposeOptions,
     depth: int,
 ) -> Ref:
     """Decompose a cover whose input j is global input ``inputs[j]``; returns its output ref."""
@@ -260,7 +257,7 @@ def _decompose_rec(
         return builder.sym(ranks.ranks, [builder.input(i) for i in inputs])
 
     # cover.n >= 2 here, so some pair core holds a cube (see the module docstring)
-    core = cores_mod.best_core(cores_mod.CoreSearch(cover, opts.core_size_metric))
+    core = cores_mod.best_core(cores_mod.CoreSearch(cover))
     if core is None:
         raise DecompositionError("no pair core holds a cube of this cover")
 
@@ -278,7 +275,7 @@ def _decompose_rec(
     term_refs = []
     for g, h in factor_core(core):
         g_ref = builder.sym(g.ranks, z_ops)
-        h_ref = _decompose_rec(builder, h, y_globals, opts, depth + 1)
+        h_ref = _decompose_rec(builder, h, y_globals, depth + 1)
         term_refs.append(builder.and_disjoint([g_ref, h_ref]))
     core_ref = builder.or_(term_refs)
 
@@ -286,7 +283,7 @@ def _decompose_rec(
     remainder = [cube for i, cube in enumerate(cover.cubes) if i not in selected]
     if not remainder:
         return core_ref
-    rem_ref = _decompose_rec(builder, Cover(cover.input_names, remainder), inputs, opts, depth + 1)
+    rem_ref = _decompose_rec(builder, Cover(cover.input_names, remainder), inputs, depth + 1)
     return builder.or_([core_ref, rem_ref])
 
 

@@ -16,7 +16,6 @@ from gridsyn import (
     MintermSet,
     PhaseVector,
     build_grid_dag,
-    cover_to_minterms,
     is_planar_plot,
     metrics,
 )
@@ -279,24 +278,17 @@ def pair_seed(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
 # core-search reference: the widening loop without bound or memos
 
 
-def core_size(cover: Cover, indices, size_metric: str) -> int:
-    """Cube count, or the minterm count of the cubes' own cover."""
-    if size_metric == "cubes":
-        return len(indices)
-    return len(cover_to_minterms(Cover(cover.input_names, [cover.cubes[i] for i in indices])))
-
-
 def positions(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
+def reference_expand_core(seed, cover: Cover):
     """``expand_core`` without the pair-core bound or shared memos: every candidate is closed."""
     cubes = cover.bit_cubes
     z = sum(1 << i for i in seed.sym_inputs)
     flips = sum(1 << i for i in seed.inverted)
     indices = list(seed.cube_indices)
-    size = core_size(cover, indices, size_metric)
+    size = len(indices)
     score = size * z.bit_count() ** 2
 
     while True:
@@ -310,7 +302,7 @@ def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
         )
         for cand_z, cand_flips in trials:
             cand = positions(_closed(cubes, sum(1 << i for i in indices), cand_z, cand_flips))
-            cand_size = core_size(cover, cand, size_metric)
+            cand_size = len(cand)
             cand_score = cand_size * width * width
             if best is None or cand_score > best[0]:
                 best = (cand_score, cand_size, cand_z, cand_flips, cand)
@@ -325,17 +317,17 @@ def reference_expand_core(seed, cover: Cover, size_metric: str = "cubes"):
     return core, CoreScore.compute(size, core.width)
 
 
-def reference_best_core(cover: Cover, size_metric: str = "cubes"):
+def reference_best_core(cover: Cover):
     """``best_core`` over ``reference_expand_core``: the largest pair cores, widened."""
     seeds = [
-        (core, core_size(cover, core.cube_indices, size_metric))
-        for _, core in best_pair_cores(CoreSearch(cover, size_metric)).values()
+        (core, core.cube_count)
+        for _, core in best_pair_cores(CoreSearch(cover)).values()
         if core.cube_indices
     ]
     if not seeds:
         return None
     top = max(size for _, size in seeds)
-    wide = [reference_expand_core(core, cover, size_metric) for core, size in seeds if size == top]
+    wide = [reference_expand_core(core, cover) for core, size in seeds if size == top]
     return min(
         wide,
         key=lambda cs: _selection_key(

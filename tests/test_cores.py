@@ -1,10 +1,7 @@
 import hashlib
 import random
-import sys
 
 import pytest
-
-import gridsyn.cubes as cubes_mod
 
 from gridsyn import (
     Core,
@@ -18,7 +15,7 @@ from gridsyn import (
     expand_core,
 )
 
-from gridsyn.cores import SIZE_METRICS, _closed, _pair_masks, _selection_key
+from gridsyn.cores import _closed, _pair_masks, _selection_key
 
 from helpers import (
     oracle_closed_subset,
@@ -196,26 +193,13 @@ class TestExpand:
         with pytest.raises(ValueError, match="another cover"):
             expand_core(seed, CoreSearch(CARRY))
 
-    def test_search_of_another_cover_or_metric_rejected(self):
+    def test_search_of_another_cover_rejected(self):
         seed = pair_core(CARRY, 0, 1)
         with pytest.raises(ValueError, match="another cover"):
             expand_core(seed, CoreSearch(PARITY4))
         equal = Cover(CARRY.input_names, CARRY.cubes)
         assert expand_core(seed, CoreSearch(equal)) == expand_core(seed, CoreSearch(CARRY))
-        # The metric travels with the search, so it cannot disagree with it:
-        # the same seed sizes by cubes under one search and minterms under the other.
         assert expand_core(seed, CoreSearch(CARRY))[1].cube_count == 3
-        assert expand_core(seed, CoreSearch(CARRY, "minterms"))[1].cube_count == 4
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError, match="unknown core size metric"):
-            CoreSearch(CARRY, "literals")
-
-    def test_minterm_metric_counts_minterms(self):
-        c = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
-        core, score = expand_core(pair_core(c, 0, 1), CoreSearch(c, "minterms"))
-        assert score.cube_count == 4  # the carry covers four minterms
-        assert score.score == 4 * 9
 
 
 class TestSelect:
@@ -388,73 +372,45 @@ class TestPrunedSearch:
             random_cover_with_duplicates(rng, n, rng.randint(2 * n, 4 * n)) for n in range(9, 15)
         ]
 
-    @pytest.mark.parametrize("metric", SIZE_METRICS)
-    def test_expand_core_from_every_pair_seed(self, metric):
+    def test_expand_core_from_every_pair_seed(self):
         for cover in self.covers():
-            shared = CoreSearch(cover, metric)
+            shared = CoreSearch(cover)
             for a in range(cover.n):
                 for b in range(a + 1, cover.n):
                     for invert in (False, True):
                         seed = pair_seed(cover, a, b, invert_a=invert)
-                        want = reference_expand_core(seed, cover, metric)
-                        assert expand_core(seed, CoreSearch(cover, metric)) == want
+                        want = reference_expand_core(seed, cover)
+                        assert expand_core(seed, CoreSearch(cover)) == want
                         assert expand_core(seed, shared) == want
 
-    @pytest.mark.parametrize("metric", SIZE_METRICS)
-    def test_best_core(self, metric):
+    def test_best_core(self):
         for cover in self.covers():
-            assert best_core(CoreSearch(cover, metric)) == reference_best_core(cover, metric)
-
-    def test_minterm_search_expands_no_cover(self):
-        """Under ``minterms`` the search sizes candidates from per-cube truth
-        tables: it never calls ``cover_to_minterms``, under any binding."""
-        target = cubes_mod.cover_to_minterms.__code__
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is target:
-                calls.append(1)
-
-        def search(cover):
-            found = best_core(CoreSearch(cover, "minterms"))
-            for _, seed in best_pair_cores(CoreSearch(cover, "minterms")).values():
-                expand_core(seed, CoreSearch(cover, "minterms"))
-            return found
-
-        covers = self.covers()[:3]
-        sys.setprofile(profile)
-        try:
-            found = [search(cover) for cover in covers]
-            probe = len(calls)
-            cover_to_minterms(covers[0])
-        finally:
-            sys.setprofile(None)
-        assert (probe, len(calls)) == (0, 1)  # the probe shows a call would count
-        assert found == [reference_best_core(cover, "minterms") for cover in covers]
+            assert best_core(CoreSearch(cover)) == reference_best_core(cover)
 
 
 class TestSharedSearch:
     """One search serves every seed, pair core or not, as a fresh one would."""
 
-    @pytest.mark.parametrize("metric", SIZE_METRICS)
-    def test_part_of_a_widened_pair_seed_widens_on_its_own(self, metric):
+    def test_part_of_a_widened_pair_seed_widens_on_its_own(self):
         """A seed that shares Z and flips with one widened before, but not its
         cubes, must not pick up that seed's closures or widening end."""
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(4, 7)
             cover = random_cover(rng, n, rng.randint(n, 3 * n))
-            search = CoreSearch(cover, metric)
+            search = CoreSearch(cover)
             for _, seed in best_pair_cores(search).values():
                 if not seed.cube_indices:
                     continue
                 expand_core(seed, search)
                 part = Core(cover, seed.cube_indices[:-1], seed.sym_inputs, seed.inverted)
-                assert expand_core(part, search) == reference_expand_core(part, cover, metric)
+                assert expand_core(part, search) == reference_expand_core(part, cover)
 
 
-#: sha256 of the search results below, computed with the string-based search.
-PINNED_BEST_CORE = "8bab626e7ca6516f591e619fa55493e7501dac6499c5947d663ff5c724e24584"
+#: sha256 of the search results below.  First computed with the string-based
+#: search, on cube counts and minterm counts together; recomputed on cube
+#: counts alone when the minterm metric went, by the search the first pin held.
+PINNED_BEST_CORE = "6c5ade6263e6d04b38ca17a2677b3f23193d3b866cb47fffd0fd5b26626b2783"
 
 
 class TestSearchIsPinned:
@@ -467,20 +423,21 @@ class TestSearchIsPinned:
         for _ in range(count):
             n = rng.randint(2, 8)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
-            for metric in SIZE_METRICS:
-                core = best_core(CoreSearch(cover, metric))
-                if core is not None:
-                    core = (core.cube_indices, core.sym_inputs, sorted(core.inverted))
-                h.update(repr(core).encode())
+            core = best_core(CoreSearch(cover))
+            if core is not None:
+                core = (core.cube_indices, core.sym_inputs, sorted(core.inverted))
+            h.update(repr(core).encode())
         return h.hexdigest()
 
     def test_best_core_on_random_covers(self):
         assert self.best_core_digest(600) == PINNED_BEST_CORE
 
 
-#: sha256 of the ``gridsyn cores`` results below, computed before the
-#: one-pass pair scan replaced per-pair closure.
-PINNED_PAIR_SCAN = "9db37132ac4ec6d70e55e53f64896f42df8bfa70e9980db6cd21251fa35879c6"
+#: sha256 of the ``gridsyn cores`` results below.  First computed before the
+#: one-pass pair scan replaced per-pair closure, on both size metrics;
+#: recomputed on cube counts alone when the minterm metric went, by the
+#: search the first pin held.
+PINNED_PAIR_SCAN = "9bcfcaaa41442713b42dc12641d0f7ed3394add0b6b078c57efcc4e906f8d3e7"
 
 
 class TestCoresCommandIsPinned:
@@ -497,14 +454,13 @@ class TestCoresCommandIsPinned:
         for _ in range(count):
             n = rng.randint(2, 8)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
-            for metric in SIZE_METRICS:
-                search = CoreSearch(cover, metric)
-                for pair, (flip, core) in sorted(best_pair_cores(search).items()):
-                    h.update(repr((pair, flip, core.cube_indices)).encode())
-                    if core.cube_indices:
-                        wide, score = expand_core(core, search)
-                        result = (wide.cube_indices, wide.sym_inputs, sorted(wide.inverted))
-                        h.update(repr((result, score)).encode())
+            search = CoreSearch(cover)
+            for pair, (flip, core) in sorted(best_pair_cores(search).items()):
+                h.update(repr((pair, flip, core.cube_indices)).encode())
+                if core.cube_indices:
+                    wide, score = expand_core(core, search)
+                    result = (wide.cube_indices, wide.sym_inputs, sorted(wide.inverted))
+                    h.update(repr((result, score)).encode())
         return h.hexdigest()
 
     def test_pair_cores_and_widenings_on_random_covers(self):

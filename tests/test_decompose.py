@@ -6,7 +6,6 @@ import pytest
 
 from gridsyn import (
     Cover,
-    DecomposeOptions,
     DecompositionError,
     FullRankSet,
     MintermSet,
@@ -14,7 +13,7 @@ from gridsyn import (
     factor_core,
     verify,
 )
-from gridsyn.cores import SIZE_METRICS, Core, CoreSearch, best_core, expand_core
+from gridsyn.cores import Core, CoreSearch, best_core, expand_core
 from gridsyn.cubes import restrict
 from gridsyn.netlist import (
     KIND_AND,
@@ -257,19 +256,11 @@ class TestEquivalence:
         c = Cover(("a", "b", "c"), ("11-", "11-", "111", "---", "000"))
         assert verify(decompose(c), c)
 
-    def test_dc_partition_preserves_equivalence(self):
+    def test_split_by_dont_care_count_preserves_equivalence(self):
         rng = random.Random(9)
-        opts = DecomposeOptions(dc_partition=True)
         for _ in range(20):
             c = random_cover(rng, rng.randint(2, 7), rng.randint(1, 16))
-            assert verify(decompose(c, opts), c)
-
-    def test_minterm_metric_preserves_equivalence(self):
-        rng = random.Random(10)
-        opts = DecomposeOptions(core_size_metric="minterms")
-        for _ in range(15):
-            c = random_cover(rng, rng.randint(2, 6), rng.randint(1, 12))
-            assert verify(decompose(c, opts), c)
+            assert verify(decompose(c), c)
 
 
 class TestNetlistInvariants:
@@ -401,14 +392,13 @@ class TestGuards:
         with pytest.raises(DecompositionError, match="guard"):
             decompose(XOR_PAIR)
 
-    @pytest.mark.parametrize("metric", SIZE_METRICS)
-    def test_every_cover_with_two_live_inputs_has_a_pair_core(self, metric):
+    def test_every_cover_with_two_live_inputs_has_a_pair_core(self):
         # the invariant that lets the decomposer recurse without a fallback
         rng_covers = live_input_covers()
         covers = list(two_input_covers()) + [next(rng_covers) for _ in range(150)]
         assert len(covers) == 249 + 150
         for cover in covers:
-            core = best_core(CoreSearch(cover, metric))
+            core = best_core(CoreSearch(cover))
             assert core is not None and core.cube_indices, cover
 
     def test_expansion_cap(self):
