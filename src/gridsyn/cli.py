@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Commands: synth, spectrum, grid, cores, tmap, explore-planar, verify.
-Artifacts (netlist files, SVG, JSON summaries) are written to files named
-from the input stem, in the current directory unless --out overrides the
-stem.  Each command handler writes its artifacts and returns its exit
-status, its record and its text report; ``main`` alone prints, the text
-report or, with --json, the record as one JSON object whose first key is
-"command".  Exit status: 0 on success, 1 on a failed equivalence check, 2
-on usage or parse errors.  All randomized steps take --seed, so identical
-inputs and flags give byte-identical output.
+Commands: synth, spectrum, grid, cores, tmap, explore-planar, verify.  Each
+command takes only the options its handler reads.  Artifacts (netlist files,
+SVG, JSON summaries) are written to files named from the input stem, in the
+current directory; --out overrides the stem on synth, grid (its --render svg
+file) and tmap, and names the summary file of explore-planar.  spectrum and
+cores write no file.  Each command handler writes its artifacts and returns
+its exit status, its record and its text report; ``main`` alone prints, the
+text report or, with --json, the record as one JSON object whose first key
+is "command".  Exit status: 0 on success, 1 on a failed equivalence check, 2
+on usage or parse errors.  The commands with randomized steps, synth, grid
+(its layout search) and verify (its sampled assignments), take --seed, so
+identical inputs and flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -60,50 +63,41 @@ def _parser() -> argparse.ArgumentParser:
         "analyze their grid plots, and map them onto threshold cells.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    p = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (
+            ("synth", "decompose, verify, and report"),
+            ("spectrum", "rank spectrum per output"),
+            ("grid", "grid plot metrics and rendering"),
+            ("cores", "pair and expanded symmetric cores of the whole cover"),
+            ("tmap", "map a netlist (or PLA) onto threshold cells"),
+            ("explore-planar", "exhaustive planarity survey"),
+            ("verify", "check a netlist file against a PLA"),
+        )
+    }
+    # each command takes only the options its handler reads
+    p["verify"].add_argument("netlist", help="netlist file")
+    for name in ("synth", "spectrum", "grid", "cores", "verify"):
+        p[name].add_argument("input", help="PLA file")
+    p["tmap"].add_argument("input", help="netlist (.net) or PLA file")
+    p["explore-planar"].add_argument("-n", type=int, required=True, choices=(0, 1, 2, 3, 4))
+    for name, what in (("synth", "netlist"), ("grid", "--render svg"), ("tmap", "mapped netlist")):
+        p[name].add_argument("--out", help=f"stem of the {what} file (default: the input's)")
+    p["explore-planar"].add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")
+    for name, what in (("synth", "the greedy layout and a sampled verify"),
+                       ("grid", "--minimize greedy"), ("verify", "a sampled check")):
+        p[name].add_argument("--seed", type=int, default=0, help=f"seed for {what}")
+    for cmd in p.values():
+        cmd.add_argument("--json", action="store_true", help="machine-readable stdout")
 
-    def add_common(p):
-        p.add_argument("input", help="PLA file")
-        p.add_argument("--out", help="artifact stem (default: input stem in the cwd)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-        p.add_argument("--json", action="store_true", help="machine-readable stdout")
-
-    p = sub.add_parser("synth", help="decompose, verify, and report")
-    add_common(p)
-    p.add_argument("--minimize", choices=("greedy", "exhaustive"), default="greedy")
-    p.add_argument("--max-arity", type=int, help=_ARITY_HELP)
-    p.add_argument("--pitch-table", help="cell cost table file")
-    p.add_argument(
-        "--report-cores", action="store_true", help="also dump the core report of the whole cover"
-    )
-
-    p = sub.add_parser("spectrum", help="rank spectrum per output")
-    add_common(p)
-
-    p = sub.add_parser("grid", help="grid plot metrics and rendering")
-    add_common(p)
-    p.add_argument("--order", help="comma-separated input order, e.g. a,c,b,d")
-    p.add_argument("--phases", help="comma-separated inputs to invert")
-    p.add_argument("--minimize", choices=("greedy", "exhaustive"))
-    p.add_argument("--render", choices=("ascii", "svg"), default="ascii")
-
-    p = sub.add_parser("cores", help="pair and expanded symmetric cores of the whole cover")
-    add_common(p)
-
-    p = sub.add_parser("tmap", help="map a netlist (or PLA) onto threshold cells")
-    add_common(p)
-    p.add_argument("--max-arity", type=int, help=_ARITY_HELP)
-    p.add_argument("--pitch-table")
-
-    p = sub.add_parser("explore-planar", help="exhaustive planarity survey")
-    p.add_argument("-n", type=int, required=True, choices=(0, 1, 2, 3, 4))
-    p.add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="check a netlist file against a PLA")
-    p.add_argument("netlist", help="netlist file")
-    p.add_argument("input", help="PLA file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+    p["synth"].add_argument("--minimize", choices=("greedy", "exhaustive"), default="greedy")
+    for name in ("synth", "tmap"):
+        p[name].add_argument("--max-arity", type=int, help=_ARITY_HELP)
+        p[name].add_argument("--pitch-table", help="cell cost table file")
+    p["grid"].add_argument("--order", help="comma-separated input order, e.g. a,c,b,d")
+    p["grid"].add_argument("--phases", help="comma-separated inputs to invert")
+    p["grid"].add_argument("--minimize", choices=("greedy", "exhaustive"))
+    p["grid"].add_argument("--render", choices=("ascii", "svg"), default="ascii")
     return ap
 
 
@@ -169,13 +163,15 @@ def _parse_name_list(spec: str, names: tuple[str, ...], what: str) -> list[int]:
 
 
 def _format_report(rows: list[tuple]) -> list[str]:
-    """The standard report table over (cct, inp, cub, dens, pitches) rows; none if no rows."""
+    """The report table over (cct, inp, cub, dens, pitches) rows, None as "-"; none if no rows."""
     if not rows:
         return []
     lines = [f"{'cct':<12} {'inp':>4} {'cub':>4} {'dens':>5} {'pitches':>8}"]
     for cct, inp, cub, dens, pitches in rows:
-        pitches_s = f"{pitches:g}" if pitches is not None else "-"
-        lines.append(f"{cct:<12} {inp:>4} {cub:>4} {dens:>5.0f} {pitches_s:>8}")
+        cub_s = "-" if cub is None else cub
+        dens_s = "-" if dens is None else f"{dens:.0f}"
+        pitches_s = "-" if pitches is None else f"{pitches:g}"
+        lines.append(f"{cct:<12} {inp:>4} {cub_s:>4} {dens_s:>5} {pitches_s:>8}")
     return lines
 
 
@@ -256,8 +252,6 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
                 "pitches": area,
             }
         )
-        if ns.report_cores:
-            lines.extend(_core_report(cover)[1])
     record = {"circuits": circuits, "verified": not failed}
     return (1 if failed else 0), record, lines + _format_report(rows)
 
@@ -409,8 +403,9 @@ def _cmd_tmap(ns: argparse.Namespace) -> Report:
                 f"  {use.name:<8} x{use.count:<3} {use.unit_cost:g} pitches each"
             )
         lines.append(f"  total: {result.total_pitches:g} pitches")
-        density = literal_density(cover) if cover else 0.0
-        rows.append((cct, nl.n, cover.m if cover else 0, density, result.total_pitches))
+        # a netlist has no cube table
+        cubes, density = (cover.m, literal_density(cover)) if cover else (None, None)
+        rows.append((cct, nl.n, cubes, density, result.total_pitches))
         circuits.append(
             {
                 "circuit": cct,

@@ -160,22 +160,12 @@ def test_cores_on_one_input(tmp_path, monkeypatch, capsys):
     assert entry == {"output": "f", "pair_cores": [], "best": None}
 
 
-def test_synth_reports_cores_on_one_input(tmp_path, monkeypatch, capsys):
+def test_synth_on_one_input(tmp_path, monkeypatch, capsys):
+    """A cover with no pair cores still synthesises."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "one.pla").write_text(ONE_INPUT_PLA)
-    assert main(["synth", "one.pla", "--report-cores"]) == 0
-    out = capsys.readouterr().out
-    assert "one: output = ~a\n" in out
-    assert EMPTY_CORE_REPORT in out
-
-
-def test_synth_core_report_matches_the_cores_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "r.pla").write_text(write_pla(random_cover(random.Random(0), 5, 8)))
-    assert main(["cores", "r.pla"]) == 0
-    report = capsys.readouterr().out
-    assert main(["synth", "r.pla", "--report-cores"]) == 0
-    assert report in capsys.readouterr().out
+    assert main(["synth", "one.pla"]) == 0
+    assert "one: output = ~a\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -184,12 +174,20 @@ def test_synth_core_report_matches_the_cores_command(tmp_path, monkeypatch, caps
         ["synth", "--dc-partition"],
         ["synth", "--core-metric", "cubes"],
         ["cores", "--core-metric", "minterms"],
+        ["synth", "--report-cores"],
+        ["spectrum", "--seed", "1"],
+        ["spectrum", "--out", "s"],
+        ["cores", "--seed", "1"],
+        ["cores", "--out", "c"],
+        ["tmap", "--seed", "1"],
     ],
-    ids=["synth-dc-partition", "synth-core-metric", "cores-core-metric"],
+    ids=["synth-dc-partition", "synth-core-metric", "cores-core-metric", "synth-report-cores",
+         "spectrum-seed", "spectrum-out", "cores-seed", "cores-out", "tmap-seed"],
 )
-def test_removed_decomposer_options_are_refused(tmp_path, argv):
-    """The options that chose among decomposer paths are gone: argparse
-    refuses them with status 2 and a usage message, not a traceback."""
+def test_unread_and_removed_options_are_refused(tmp_path, argv):
+    """A command takes only the options it reads: argparse refuses the
+    others, and the removed decomposer options, with status 2 and a usage
+    message, not a traceback, before any file is written."""
     (tmp_path / "r.pla").write_text(write_pla(random_cover(random.Random(0), 5, 8)))
     command, *options = argv
     proc = subprocess.run(
@@ -204,7 +202,7 @@ def test_removed_decomposer_options_are_refused(tmp_path, argv):
     assert proc.stderr.startswith("usage: gridsyn ")
     assert proc.stderr.endswith(f"gridsyn: error: unrecognized arguments: {' '.join(options)}\n")
     assert "Traceback" not in proc.stderr
-    assert not (tmp_path / "r.net").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["r.pla"]
 
 
 def test_synth_is_deterministic(tmp_path, monkeypatch, capsys):
@@ -358,6 +356,18 @@ def test_max_arity_below_one_is_refused(command, table, arity, tmp_path, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["costs.txt", "fa_carry.pla"]
 
 
+def test_tmap_row_of_a_netlist_has_no_cube_table(tmp_path, monkeypatch, capsys):
+    """A netlist has no cubes or density: its report row prints "-" there, not 0."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
+    assert main(["tmap", "fa_carry.pla"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["fa_carry", "3", "3", "67", "3"]
+    assert main(["synth", "fa_carry.pla"]) == 0
+    capsys.readouterr()
+    assert main(["tmap", "fa_carry.net"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["fa_carry", "3", "-", "-", "3"]
+
+
 SIX_INPUT_TABLE = "".join(f"t{k}of{n} {n} {k} {n}\n" for n in range(1, 7) for k in range(1, n + 1))
 ALL_OR_NONE6 = ".i 6\n.o 1\n111111 1\n000000 1\n.e\n"
 
@@ -446,7 +456,7 @@ def test_unreadable_files_are_named(argv, missing, tmp_path, monkeypatch, capsys
 # ---------------------------------------------------------------------------
 # output pin: every command's status, stdout, stderr and artifacts
 
-PIN_DIGEST = "e799e2d4138705a476d7eb0e25525c442919720dd5c7e357c55444494243da00"
+PIN_DIGEST = "f5d60bcc54c6a18d758a9f355a4aafc25c708a36420a235d7e2432a97e6588c6"
 
 PIN_INPUTS = {
     "r5.pla": write_pla(random_cover(random.Random(1), 5, 8)),
