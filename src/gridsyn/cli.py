@@ -11,7 +11,9 @@ text report or, with --json, the record as one JSON object whose first key
 is "command".  Exit status: 0 on success, 1 on a failed equivalence check, 2
 on usage or parse errors.  The commands with randomized steps, synth, grid
 (its layout search) and verify (its sampled assignments), take --seed, so
-identical inputs and flags give byte-identical output.
+identical inputs and flags give byte-identical output.  grid refuses the
+options it would ignore: --out without --render svg, --seed without
+--minimize greedy.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def _parser() -> argparse.ArgumentParser:
         p[name].add_argument("--out", help=f"stem of the {what} file (default: the input's)")
     p["explore-planar"].add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")
     for name, what in (("synth", "the greedy layout and a sampled verify"),
-                       ("grid", "--minimize greedy"), ("verify", "a sampled check")):
+                       ("verify", "a sampled check")):
         p[name].add_argument("--seed", type=int, default=0, help=f"seed for {what}")
+    p["grid"].add_argument("--seed", type=int, help="seed for --minimize greedy (default 0)")
     for cmd in p.values():
         cmd.add_argument("--json", action="store_true", help="machine-readable stdout")
 
@@ -271,6 +274,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> Report:
 def _cmd_grid(ns: argparse.Namespace) -> Report:
     if ns.minimize and (ns.order or ns.phases):
         raise ValueError("--minimize cannot be combined with --order or --phases")
+    if ns.out is not None and ns.render != "svg":
+        raise ValueError("--out names the --render svg file and needs --render svg")
+    if ns.seed is not None and ns.minimize != "greedy":
+        raise ValueError("--seed seeds the greedy layout search and needs --minimize greedy")
     outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     entries = []
@@ -278,7 +285,7 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
     for name, cover in outputs:
         s = cover_to_minterms(cover)
         if ns.minimize:
-            layout = minimize_layout(s, mode=ns.minimize, seed=ns.seed)
+            layout = minimize_layout(s, mode=ns.minimize, seed=ns.seed or 0)
             order, phases = layout.order, layout.phases
         else:
             order = tuple(range(cover.n))

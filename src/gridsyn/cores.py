@@ -60,7 +60,7 @@ from math import comb
 from operator import and_
 from typing import Sequence
 
-from .cubes import Cover, Cube, set_bits
+from .cubes import Cover, Cube, set_bits, subcover
 
 
 def _check_inputs(inputs: Sequence[int], n: int) -> None:
@@ -394,4 +394,4 @@ def dc_partition(cover: Cover) -> list[Cover]:
     groups: dict[int, list[int]] = {}
     for i, (ones, zeros) in enumerate(cover.bit_cubes):
         groups.setdefault((ones | zeros).bit_count(), []).append(i)
-    return [Cover(cover.input_names, [cover.cubes[i] for i in group]) for group in groups.values()]
+    return [subcover(cover, group) for group in groups.values()]

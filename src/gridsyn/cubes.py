@@ -353,6 +353,16 @@ def project(cover: Cover, indices: Iterable[int], inputs: Sequence[int]) -> Cove
     return Cover(names, tuple("".join([cover.cubes[i][j] for j in inputs]) for i in indices))
 
 
+def subcover(cover: Cover, indices: Iterable[int]) -> Cover:
+    """The cubes at ``indices``, in the order given, as a cover that already
+    holds their ``bit_cubes``, so that a part of a parsed cover is not parsed again."""
+    indices = list(indices)
+    sub = Cover(cover.input_names, [cover.cubes[i] for i in indices])
+    bits = cover.bit_cubes
+    sub.__dict__["bit_cubes"] = tuple([bits[i] for i in indices])  # presets the cached property
+    return sub
+
+
 def restrict(cover: Cover) -> tuple[tuple[int, ...], Cover]:
     """The inputs some cube reads, and the cover on them alone: the cover itself
     if it reads every input, else one that keeps each distinct cube once, in order."""

@@ -78,6 +78,7 @@ from .cubes import (
     project,
     restrict,
     set_bits,
+    subcover,
 )
 from .netlist import Netlist, NetlistBuilder, Ref, netlist_mask
 from .spectra import FullRankSet, fullrank_set_if_symmetric
@@ -280,10 +281,10 @@ def _decompose_rec(
     core_ref = builder.or_(term_refs)
 
     selected = set(core.cube_indices)
-    remainder = [cube for i, cube in enumerate(cover.cubes) if i not in selected]
+    remainder = [i for i in range(cover.m) if i not in selected]
     if not remainder:
         return core_ref
-    rem_ref = _decompose_rec(builder, Cover(cover.input_names, remainder), inputs, depth + 1)
+    rem_ref = _decompose_rec(builder, subcover(cover, remainder), inputs, depth + 1)
     return builder.or_([core_ref, rem_ref])
 
 

@@ -19,12 +19,19 @@ rank sets, no constant operands, no nested ORs or ANDs, no double
 inverters, and no duplicate or unreachable nodes.  The builder is the one
 rulebook: the text reader replays every node through it and accepts only
 the form the writer emits.
+
+A node (``NetNode``) and a reference (``Ref``) are named tuples, so
+building, hashing and comparing them are tuple operations in C: the
+decomposer, the mapper and the reader build, intern and compare hundreds of
+thousands of them per run.  A node is its own interning key.  As tuples
+they also equal plain tuples with the same fields, unpack and sort.  Each
+node's input support is kept as an int bit mask, input ``i`` at bit ``i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cubes import ParseError, popcount_class_masks
 
@@ -41,8 +48,7 @@ class NetlistError(ValueError):
     """Structural violation while building or reading a netlist."""
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     """Reference to a node (kind 'node') or a circuit input (kind 'input')."""
 
     kind: str
@@ -61,8 +67,7 @@ def input_ref(index: int) -> Ref:
     return Ref("input", index)
 
 
-@dataclass(frozen=True)
-class NetNode:
+class NetNode(NamedTuple):
     kind: str
     operands: tuple[Ref, ...] = ()
     ranks: frozenset[int] | None = None
@@ -85,21 +90,23 @@ class Netlist:
         return [node for node in self.nodes if node.kind == KIND_SYM]
 
 
-def _support(operands: Sequence[Ref], supports: Sequence[frozenset[int]]) -> frozenset[int]:
+def _support(operands: Sequence[Ref], supports: Sequence[int]) -> int:
     """Union of the operands' input supports, given the supports of earlier nodes."""
-    acc: set[int] = set()
-    for ref in operands:
-        if ref.kind == "input":
-            acc.add(ref.index)
-        else:
-            acc |= supports[ref.index]
-    return frozenset(acc)
+    acc = 0
+    for kind, index in operands:
+        acc |= 1 << index if kind == "input" else supports[index]
+    return acc
 
 
-def _overlapping(operands: Sequence[Ref], supports: Sequence[frozenset[int]]) -> bool:
+def _overlapping(operands: Sequence[Ref], supports: Sequence[int]) -> bool:
     """True iff two operands share an input."""
-    parts = [_support((ref,), supports) for ref in operands]
-    return sum(map(len, parts)) != len(frozenset().union(*parts))
+    acc = 0
+    for kind, index in operands:
+        part = 1 << index if kind == "input" else supports[index]
+        if acc & part:
+            return True
+        acc |= part
+    return False
 
 
 class NetlistBuilder:
@@ -108,8 +115,8 @@ class NetlistBuilder:
     def __init__(self, input_names: Sequence[str]):
         self.input_names = tuple(input_names)
         self._nodes: list[NetNode] = []
-        self._intern: dict[tuple, int] = {}
-        self._supports: list[frozenset[int]] = []
+        self._intern: dict[NetNode, Ref] = {}
+        self._supports: list[int] = []
 
     # -- reference constructors
 
@@ -236,14 +243,12 @@ class NetlistBuilder:
         return self._nodes[ref.index] if ref.kind == "node" else None
 
     def _add(self, node: NetNode) -> Ref:
-        key = (node.kind, node.operands, node.ranks, node.value)
-        idx = self._intern.get(key)
-        if idx is None:
-            idx = len(self._nodes)
+        ref = self._intern.get(node)
+        if ref is None:
+            ref = self._intern[node] = node_ref(len(self._nodes))
             self._nodes.append(node)
             self._supports.append(_support(node.operands, self._supports))
-            self._intern[key] = idx
-        return node_ref(idx)
+        return ref
 
 
 def _reachable(nodes: Sequence[NetNode], output: Ref) -> list[bool]:

@@ -314,6 +314,48 @@ def test_grid_refuses_a_repeated_input_name(flags, message, capsys):
     assert (captured.out, captured.err) == ("", f"gridsyn: error: {message}\n")
 
 
+GRID_OUT_MESSAGE = "--out names the --render svg file and needs --render svg"
+GRID_SEED_MESSAGE = "--seed seeds the greedy layout search and needs --minimize greedy"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--out", "foo"], GRID_OUT_MESSAGE),
+    (["--out", "foo", "--render", "ascii"], GRID_OUT_MESSAGE),
+    (["--out", "foo", "--seed", "5"], GRID_OUT_MESSAGE),
+    (["--seed", "5"], GRID_SEED_MESSAGE),
+    (["--seed", "0", "--render", "svg"], GRID_SEED_MESSAGE),
+    (["--seed", "5", "--minimize", "exhaustive"], GRID_SEED_MESSAGE),
+], ids=["out", "out-ascii", "out-seed", "seed", "seed-svg", "seed-exhaustive"])
+def test_grid_refuses_the_options_it_would_ignore(tmp_path, flags, message):
+    """``grid`` writes to ``--out`` only under ``--render svg`` and reads
+    ``--seed`` only under ``--minimize greedy``; elsewhere either option
+    exits 2 with one error line, before any file is written."""
+    shutil.copy(DEMO_PLAS / "xor_pair.pla", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsyn.cli", "grid", "xor_pair.pla", *flags],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"gridsyn: error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["xor_pair.pla"]
+
+
+def test_grid_reads_out_under_svg_and_seed_under_greedy(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    pla = str(DEMO_PLAS / "xor_pair.pla")
+    assert main(["grid", pla, "--render", "svg", "--out", "foo"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["foo.svg"]
+    assert capsys.readouterr().out.endswith("svg -> foo.svg\n")
+    reports = []
+    for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert main(["grid", pla, "--minimize", "greedy", "--json", *seed]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 #: An environment whose locale encodes stdout and files as ASCII.
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 

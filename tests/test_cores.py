@@ -253,6 +253,20 @@ class TestDcPartition:
             assert union == cover_to_minterms(c).bits
 
 
+    def test_parts_are_the_cube_strings_grouped_and_parsed(self):
+        rng = random.Random(231)
+        for _ in range(100):
+            c = random_cover_with_duplicates(rng, rng.randint(1, 10), rng.randint(1, 16))
+            groups: dict[int, list[str]] = {}
+            for cube in c.cubes:
+                groups.setdefault(cube.count("-"), []).append(cube)
+            parts = dc_partition(c)
+            assert parts == [Cover(c.input_names, g) for g in groups.values()]
+            for part in parts:
+                assert "bit_cubes" in vars(part)  # the parent's masks, not parsed again
+                assert part.bit_cubes == Cover(part.input_names, part.cubes).bit_cubes
+
+
 class TestClosure:
     def test_class_count_matches_orbit_search(self):
         rng = random.Random(2000)

@@ -19,7 +19,7 @@ from gridsyn import (
     transform_mask,
     write_pla,
 )
-from gridsyn.cubes import index_to_minterm, project, restrict
+from gridsyn.cubes import index_to_minterm, project, restrict, subcover
 
 from helpers import (
     all_assignments,
@@ -288,6 +288,19 @@ class TestCodec:
             assert restricted.cubes == expected
             seen.add((len(cols) != n, len(set(cover.cubes)) != cover.m))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_subcover_holds_the_masks_a_fresh_parse_gives(self):
+        import random
+
+        rng = random.Random(230)
+        for _ in range(300):
+            cover = random_cover(rng, rng.randint(0, 12), rng.randint(1, 16))
+            indices = [rng.randrange(cover.m) for _ in range(rng.randint(0, 2 * cover.m))]
+            sub = subcover(cover, iter(indices))
+            fresh = Cover(cover.input_names, [cover.cubes[i] for i in indices])
+            assert sub == fresh
+            assert "bit_cubes" in vars(sub)  # carried over, not parsed on first use
+            assert sub.bit_cubes == fresh.bit_cubes
 
 
 class TestMisc:

@@ -13,11 +13,17 @@ from gridsyn.cubes import assignment_masks, full_mask
 from gridsyn.netlist import (
     KIND_AND,
     KIND_CONST,
+    KIND_INV,
     KIND_OR,
     KIND_SYM,
+    Netlist,
     NetlistBuilder,
     NetlistError,
+    NetNode,
+    Ref,
+    input_ref,
     netlist_mask,
+    node_ref,
 )
 
 from helpers import all_assignments, evaluate_netlist, phased_inputs, supports
@@ -78,6 +84,26 @@ class TestBuilder:
         with pytest.raises(NetlistError, match="overlapping"):
             b.and_disjoint([x, s])
 
+    def test_and_disjoint_sees_inputs_shared_through_nested_nodes(self):
+        b = NetlistBuilder(tuple("abcdef"))
+        i = b.input
+        left = b.sym({1}, (b.inv(i(0)), b.sym({2}, (i(1), i(2)))))  # reads a, b, c
+        pair = b.and_disjoint([i(3), i(4)])  # flattened into its operands d, e
+        for operands in (
+            [left, b.or_([b.sym({1}, (i(3), i(4))), b.inv(i(2))])],  # c, two levels down
+            [i(5), left, b.inv(i(1))],  # b, the first operand disjoint from both
+            [pair, b.sym({1}, (i(4), i(5)))],  # e, through the nested AND
+            [b.inv(i(5)), pair, i(5)],  # f, as an inverter and a bare input
+        ):
+            with pytest.raises(NetlistError, match="overlapping"):
+                b.and_disjoint(operands)
+        ok = b.and_disjoint([left, pair, b.inv(i(5))])
+        assert len(b._nodes[ok.index].operands) == 4
+        nl = Netlist(b.input_names, tuple(b._nodes), ok)
+        # the builder's support masks are the helper's support sets
+        assert b._supports == [sum(1 << j for j in s) for s in supports(nl)]
+        assert b._supports[ok.index] == 0b111111
+
     def test_and_flatten_and_const(self):
         b = fresh()
         inner = b.and_disjoint([b.input(0), b.input(1)])
@@ -125,6 +151,59 @@ class TestBuilder:
         s = b.sym({1, 2}, (b.input(1), b.inv(b.input(3))))
         nl = b.finish(s)
         assert supports(nl)[nl.output.index] == {1, 3}
+
+
+class TestValueTypes:
+    def test_fields_defaults_and_token(self):
+        assert Ref._fields == ("kind", "index")
+        assert NetNode._fields == ("kind", "operands", "ranks", "value")
+        assert NetNode(KIND_INV) == NetNode(KIND_INV, (), None, None)
+        assert (node_ref(3).token, input_ref(0).token, input_ref(12).token) == ("n3", "i0", "i12")
+
+    def test_equal_and_hash_equal_exactly_when_the_fields_match(self):
+        refs = [Ref(kind, index) for kind in ("input", "node") for index in (0, 1, 2)]
+        nodes = [NetNode(KIND_CONST, value=v) for v in (0, 1)]
+        nodes += [NetNode(KIND_INV, (ref,)) for ref in refs]
+        nodes += [
+            NetNode(kind, ops, ranks)
+            for kind in (KIND_SYM, KIND_OR)
+            for ops in ((refs[0], refs[4]), (refs[4], refs[0]), (refs[1], refs[2], refs[5]))
+            for ranks in (None, frozenset({1}), frozenset({0, 2}))
+        ]
+        for values in (refs, nodes):
+            for a in values:
+                for b in values:
+                    same = tuple(getattr(a, f) for f in a._fields) == tuple(
+                        getattr(b, f) for f in b._fields
+                    )
+                    assert (a == b) is same
+                    assert (a != b) is not same
+                    if same:
+                        assert hash(a) == hash(b)
+            assert len(set(values)) == len(values)
+        # built again from fresh parts, each value is its own equal twin
+        twins = [
+            NetNode(n.kind, tuple(Ref(r.kind, r.index) for r in n.operands), n.ranks, n.value)
+            for n in nodes
+        ]
+        assert twins == nodes and set(twins) == set(nodes)
+
+    def test_immutable(self):
+        ref = node_ref(1)
+        node = NetNode(KIND_SYM, (input_ref(0), ref), frozenset({1}))
+        for value, field in ((ref, "index"), (ref, "kind"), (node, "ranks"), (node, "operands")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        assert (ref, node) == (node_ref(1), NetNode(KIND_SYM, (input_ref(0), ref), frozenset({1})))
+
+    def test_a_value_is_the_tuple_of_its_fields(self):
+        # the interface of a named tuple: equal to the plain tuple, unpacked, sorted
+        assert node_ref(3) == ("node", 3) and hash(node_ref(3)) == hash(("node", 3))
+        kind, index = input_ref(7)
+        assert (kind, index) == ("input", 7)
+        refs = [node_ref(2), input_ref(5), node_ref(0), input_ref(1)]
+        assert sorted(refs) == [input_ref(1), input_ref(5), node_ref(0), node_ref(2)]
+        assert NetNode(KIND_CONST, value=1) == ("CONST", (), None, 1)
 
 
 class TestEvaluate:
