@@ -13,7 +13,8 @@ on usage or parse errors.  The commands with randomized steps, synth, grid
 (its layout search) and verify (its sampled assignments), take --seed, so
 identical inputs and flags give byte-identical output.  grid refuses the
 options it would ignore: --out without --render svg, --seed without
---minimize greedy.
+--minimize greedy; synth refuses --seed under --minimize exhaustive when
+no output is wide enough for a sampled verify.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ def _parser() -> argparse.ArgumentParser:
     for name, what in (("synth", "netlist"), ("grid", "--render svg"), ("tmap", "mapped netlist")):
         p[name].add_argument("--out", help=f"stem of the {what} file (default: the input's)")
     p["explore-planar"].add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")
-    for name, what in (("synth", "the greedy layout and a sampled verify"),
-                       ("verify", "a sampled check")):
-        p[name].add_argument("--seed", type=int, default=0, help=f"seed for {what}")
+    p["synth"].add_argument(
+        "--seed", type=int, help="seed for the greedy layout and a sampled verify (default 0)"
+    )
+    p["verify"].add_argument("--seed", type=int, default=0, help="seed for a sampled check")
     p["grid"].add_argument("--seed", type=int, help="seed for --minimize greedy (default 0)")
     for cmd in p.values():
         cmd.add_argument("--json", action="store_true", help="machine-readable stdout")
@@ -191,6 +193,15 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
         EXHAUSTIVE_LAYOUT_CAP < cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
     ):
         raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
+    # under exhaustive search only the sampled verify of a wider output reads the seed
+    if ns.seed is not None and ns.minimize == "exhaustive" and all(
+        cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
+    ):
+        raise ValueError(
+            "--seed seeds the greedy layout search and the sampled verify above "
+            f"{DEFAULT_EXPANSION_CAP} inputs, and no output here reads it"
+        )
+    seed = ns.seed or 0
 
     circuits = []
     rows = []
@@ -199,7 +210,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
     for name, cover in outputs:
         cct = stem if len(outputs) == 1 else f"{stem}.{name}"
         nl = decompose(cover)
-        check = verify(nl, cover, seed=ns.seed)
+        check = verify(nl, cover, seed=seed)
         if not check:
             failed = True
             lines.append(f"{cct}: VERIFICATION FAILED at {check.witness}")
@@ -210,7 +221,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
         # the layout search expands the whole truth table, even of dead inputs
         layout = None
         if cover.n <= DEFAULT_EXPANSION_CAP:
-            layout = minimize_layout(cover_to_minterms(cover), mode=ns.minimize, seed=ns.seed)
+            layout = minimize_layout(cover_to_minterms(cover), mode=ns.minimize, seed=seed)
         try:
             area = map_netlist(nl, lib).total_pitches
         except MappingError as exc:

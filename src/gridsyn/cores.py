@@ -51,6 +51,12 @@ the end of every widening state ``(Z, flips, core)`` passed through, so a
 seed that reaches a state another widening passed through stops there.
 Both memo keys hold the core itself, since a seed that is not a pair core,
 such as part of one, closes other cubes under the same Z and flips.
+
+A cover of two cube positions needs none of this: ``two_cube_core`` reads
+the core ``best_core`` would choose straight off the two cubes' symbols,
+with no pair scan and no widening (its docstring has the argument).  The
+decomposer calls it for every two-cube cover; covers of three or more
+cubes, and the ``gridsyn cores`` report, run the search.
 """
 
 from __future__ import annotations
@@ -382,6 +388,159 @@ def best_core(search: CoreSearch) -> Core | None:
             best = key, pair, flip, mask
     _, pair, flip, mask = best
     return expand_core(_pair_seed(search.cover, pair, flip, mask), search)[0]
+
+
+def _symbol(cube: Cube, x: int) -> int:
+    """Input x's symbol in a cube: +1 for ``1``, -1 for ``0``, 0 for ``-``."""
+    ones, zeros = cube
+    return (ones >> x & 1) - (zeros >> x & 1)
+
+
+def two_cube_core(cover: Cover) -> Core | None:
+    """``best_core(CoreSearch(cover))`` for a cover of two cube positions, in closed form.
+
+    Cube A is position 0 and cube B position 1.  Read a symbol as +1 for
+    ``1``, -1 for ``0`` and 0 for ``-``, so complementing negates it.  Give
+    each input x the vector ``v(x) = (s_A(x), s_B(x))`` of its two symbols,
+    and put x and y in one class when ``v(x) = +-v(y)``: nine vectors, five
+    classes.
+
+    *Pair cores.*  A cube lies in the plain core of (a, b) iff its symbols
+    there are equal, and in the flipped core iff they are complementary.
+    Swap partners add both cubes to at most one pair, the two inputs where
+    the cubes differ, and then neither cube lies in that phase's core by
+    itself.  So a pair core holds both cubes iff a and b share a class or
+    the cubes are partners across (a, b).  A pair in a class takes the
+    phase that holds both (plain when ``v(a) = v(b)``), except the plain
+    partners with ``v(b) = -v(a)``: both phases hold both cubes, and plain
+    wins the tie.
+
+    *A seed holding both cubes as partners* ends at once: they share a class
+    under every wider Z, a class of w >= 3 inputs needs
+    ``C(w, c1) * C(w - c1, c0)`` cubes, never 2, and neither cube is closed
+    alone.  Its end is the pair itself, score 8.
+
+    *A seed (a, b) holding both cubes, each uniform on the pair.*  Their
+    phased symbols are ``v(b)``, as b is never flipped.  Under a wider Z a
+    cube is closed iff it is uniform on Z, since a class of two cubes never
+    closes and a class of one closes only when it is uniform.
+
+    - A step keeps both cubes at x iff x lies in the pair's class: plain
+      when ``v(x) = v(b)``, else inverted.  The plain phase is tried first.
+      At width 3 or more a single cube never beats two, as
+      ``(w + 1)**2 <= 2 * w**2``, so Z grows to the whole class K and
+      inverts the inputs of vector ``-v(b)``.  Every pair of K is a seed, so
+      the fewest inversions invert the smaller half of K; on a tie the first
+      seed, the two lowest inputs of K, picks the half not holding its b.
+    - If K is the pair itself, the step from width 2 to 3 takes one cube,
+      as 9 > 8: the first x in ascending order where the plain phase keeps
+      a cube, else the flipped one, and the cube that phase keeps.  The
+      single-cube rule below continues.  With no such x the end is the
+      pair, score 8.
+
+    *A seed holding one cube c with phased symbol s.*  Each step keeps c
+    iff c is uniform on the wider Z, and any such step raises the score.
+    If s is ``-``, Z gains every dash input of c, and the only inversion is
+    the seed's own.
+    Otherwise Z gains every literal of c, and an input is inverted iff its
+    symbol is -s.  One-cube seeds are top seeds only when no pair holds
+    both cubes, so when every class holds at most one input: at most five
+    inputs, and the pairs are scanned one by one.
+
+    *Selection.*  The smallest ``_selection_key`` over the top seeds' ends
+    wins, the first seed on ties.  Ends of two-cube seeds never tie any
+    other (``2 * k**2`` is no square), so Z tuples are compared only when
+    score, width and inversions tie.  Two equal cubes act as one cube on
+    both positions: every input's vector is in the class of ``(0, 0)`` or
+    ``(1, 1)``, and no single-cube step exists.
+    """
+    cubes = cover.bit_cubes
+    every = (1 << cover.n) - 1
+    # at[c][s]: the inputs where cube c has symbol s
+    at = [{1: ones, -1: zeros, 0: every & ~(ones | zeros)} for ones, zeros in cubes]
+    ends = []  # (-score, -width, inversions, z, seed, flips, core)
+
+    def add(z: int, flips: int, core: int, seed: tuple[int, int]) -> None:
+        width = z.bit_count()
+        score = core.bit_count() * width * width
+        ends.append((-score, -width, flips.bit_count(), z, seed, flips, core))
+
+    def add_one(c: int, a: int, b: int, flip: int) -> None:
+        """The end of seed (a, b), a flipped when ``flip``, widened on cube c alone."""
+        sigma = _symbol(cubes[c], b)
+        if sigma:
+            add(at[c][1] | at[c][-1], at[c][-sigma], 1 << c, (a, b))
+        else:
+            add(at[c][0], flip << a, 1 << c, (a, b))
+
+    # swap partners seed their pair, unless the pair's plain core holds both as uniform
+    partner = None
+    diff = cubes[0][0] ^ cubes[1][0] | cubes[0][1] ^ cubes[1][1]
+    if diff.bit_count() == 2:
+        p, q = set_bits(diff)
+        (ap, bp), (aq, bq) = [(_symbol(cubes[0], x), _symbol(cubes[1], x)) for x in (p, q)]
+        if (bp, bq) == (aq, ap):
+            partner = (p, q)
+            add(diff, 0, 3, partner)
+        elif (bp, bq) == (-aq, -ap) and (ap, bp) != (aq, bq):
+            partner = (p, q)
+            add(diff, 1 << p, 3, partner)
+
+    # the five classes: every pair inside one seeds both cubes, each uniform
+    for va, vb in ((0, 0), (1, 1), (1, -1), (1, 0), (0, 1)):
+        pos = at[0][va] & at[1][vb]
+        neg = at[0][-va] & at[1][-vb] if va or vb else 0
+        k = pos | neg
+        size = k.bit_count()
+        if size < 2:
+            continue
+        low = k & -k
+        a = low.bit_length() - 1
+        if size >= 3:
+            # both cubes widen to all of K; the half holding b stays plain
+            second = (k ^ low) & -(k ^ low)
+            n_pos, n_neg = pos.bit_count(), neg.bit_count()
+            half = pos if n_pos > n_neg or (n_pos == n_neg and second & pos) else neg
+            b = ((half & ~low) & -(half & ~low)).bit_length() - 1
+            add(k, k ^ half, 3, (a, b))
+            continue
+        # K is the pair (a, b) alone: at most a step to one cube
+        b = (k ^ low).bit_length() - 1
+        if partner == (a, b):
+            continue
+        flip = int(bool(pos and neg))
+        sa, sb = (va, vb) if pos >> b & 1 else (-va, -vb)
+        plain, flipped = at[0][sa] | at[1][sb], at[0][-sa] | at[1][-sb]
+        rest = (plain | flipped) & ~k
+        if not rest:
+            add(k, flip << a, 3, (a, b))
+            continue
+        x = rest & -rest
+        kept_a = at[0][sa] if x & plain else at[0][-sa]
+        add_one(0 if x & kept_a else 1, a, b, flip)
+
+    if not ends:  # no pair holds both cubes: the top seeds hold one
+        for a in range(cover.n):
+            for b in range(a + 1, cover.n):
+                held = [
+                    (c, sign)
+                    for sign in (1, -1)
+                    for c in (0, 1)
+                    if _symbol(cubes[c], a) == sign * _symbol(cubes[c], b)
+                ]
+                if held:
+                    c, sign = held[0]
+                    add_one(c, a, b, int(sign < 0))
+        if not ends:
+            return None
+
+    top = min(end[:3] for end in ends)
+    tied = [end for end in ends if end[:3] == top]
+    if len(tied) > 1:
+        tied.sort(key=lambda end: (set_bits(end[3]), end[4]))
+    _, _, _, z, _, flips, core = tied[0]
+    inputs = set_bits(z)
+    return Core(cover, set_bits(core), inputs, [i for i in inputs if flips >> i & 1])
 
 
 def dc_partition(cover: Cover) -> list[Cover]:

@@ -48,8 +48,13 @@ ascending input order.  This is the engine's result because:
 A single input, or a cube of one symbol, gives the literal, inverter or SYM
 node of a full-rank cover.
 
-Any other cover has at least two live inputs, and then some pair core
-holds a cube.  Among any three live inputs of a cube two carry equal,
+A cover of two distinct cubes that is not full-rank takes its core from
+``cores.two_cube_core``, the search's choice read off the two cubes in
+closed form, instead of building a ``CoreSearch``; the rank cut and the
+recursion below it are the same.  Other non-leaf covers run the search.
+
+Every cover that is not a leaf has at least two live inputs, and then some
+pair core holds a cube.  Among any three live inputs of a cube two carry equal,
 complementary or two don't-care symbols, so the cube lies in that pair's
 plain or flipped core.  With exactly two live inputs a cube with both
 symbols set lies in one of them the same way, and in a cover of mixed cubes
@@ -258,7 +263,10 @@ def _decompose_rec(
         return builder.sym(ranks.ranks, [builder.input(i) for i in inputs])
 
     # cover.n >= 2 here, so some pair core holds a cube (see the module docstring)
-    core = cores_mod.best_core(cores_mod.CoreSearch(cover))
+    if cover.m == 2:
+        core = cores_mod.two_cube_core(cover)
+    else:
+        core = cores_mod.best_core(cores_mod.CoreSearch(cover))
     if core is None:
         raise DecompositionError("no pair core holds a cube of this cover")
 

@@ -31,7 +31,8 @@ node's input support is kept as an int bit mask, input ``i`` at bit ``i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cubes import ParseError, popcount_class_masks
 
@@ -322,20 +323,25 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
 # their rank set; CONST nodes carry their value.
 
 
-def _node_text(node: NetNode) -> str:
-    """A node line without its index."""
+def _node_text(node: NetNode, token: Callable[[Ref], str]) -> str:
+    """A node line without its index; ``token`` spells an operand."""
     parts = [node.kind]
     if node.kind == KIND_SYM:
         parts.append("[" + ",".join(map(str, sorted(node.ranks))) + "]")
     if node.kind == KIND_CONST:
         parts.append(str(node.value))
-    parts.extend(op.token for op in node.operands)
+    parts.extend(map(token, node.operands))
     return " ".join(parts)
 
 
 def netlist_to_text(nl: Netlist) -> str:
+    """The netlist in the text format above; each operand token is spelled once."""
+    # a Ref equals and hashes as the tuple of its fields, so plain tuples key the tokens
+    tokens = {("input", i): f"i{i}" for i in range(nl.n)}
     lines = ["inputs: " + " ".join(nl.input_names)]
-    lines.extend(f"{i} {_node_text(node)}" for i, node in enumerate(nl.nodes))
+    for i, node in enumerate(nl.nodes):
+        lines.append(f"{i} {_node_text(node, tokens.__getitem__)}")
+        tokens["node", i] = f"n{i}"
     lines.append("output: " + nl.output.token)
     return "\n".join(lines) + "\n"
 
@@ -437,7 +443,7 @@ def netlist_from_text(text: str) -> Netlist:
             raise ParseError(str(exc), lineno) from None
         fresh = ref.kind == "node" and ref.index == idx
         if not fresh or nodes[idx].kind != kind or nodes[idx].operands != operands:
-            made = _node_text(nodes[idx]) if fresh else ref.token
+            made = _node_text(nodes[idx], attrgetter("token")) if fresh else ref.token
             raise ParseError(f"{kind} node is not canonical: it builds as {made}", lineno)
         linenos.append(lineno)
     if builder is None:

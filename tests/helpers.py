@@ -223,6 +223,17 @@ def random_cover_with_duplicates(rng: random.Random, n: int, m: int) -> Cover:
     return Cover(tuple(f"x{i}" for i in range(n)), tuple(cubes))
 
 
+def random_cube_pair(rng: random.Random, n: int) -> Cover:
+    """Two cubes over n inputs, the second a copy of the first with 1 to n
+    symbols redrawn, so that near cubes and swap partners are common."""
+    dc = rng.random()
+    first = ["-" if rng.random() < dc else rng.choice("01") for _ in range(n)]
+    second = list(first)
+    for j in rng.sample(range(n), rng.randint(1, n)):
+        second[j] = rng.choice("01-")
+    return Cover(tuple(f"x{i}" for i in range(n)), ("".join(first), "".join(second)))
+
+
 # ---------------------------------------------------------------------------
 # symmetric-core oracle: closure by breadth-first search over cube strings
 

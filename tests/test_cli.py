@@ -343,6 +343,49 @@ def test_grid_refuses_the_options_it_would_ignore(tmp_path, flags, message):
     assert [p.name for p in tmp_path.iterdir()] == ["xor_pair.pla"]
 
 
+SYNTH_SEED_MESSAGE = (
+    "--seed seeds the greedy layout search and the sampled verify above 24 inputs, "
+    "and no output here reads it"
+)
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_synth_refuses_a_seed_no_output_reads(tmp_path, seed):
+    """Under ``--minimize exhaustive`` ``synth`` reads ``--seed`` only in the
+    sampled verify of an output over the expansion cap; with none, the option
+    exits 2 with one error line, before any netlist is written."""
+    shutil.copy(DEMO_PLAS / "xor_pair.pla", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsyn.cli", "synth", "xor_pair.pla",
+         "--minimize", "exhaustive", "--seed", seed],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"gridsyn: error: {SYNTH_SEED_MESSAGE}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["xor_pair.pla"]
+
+
+def test_synth_reads_seed_under_greedy_or_a_wide_output(tmp_path, monkeypatch, capsys):
+    """``--seed`` stays valid where a step reads it: the greedy layout search,
+    and under exhaustive search the sampled verify of a 25-input output."""
+    monkeypatch.chdir(tmp_path)
+    pla = str(DEMO_PLAS / "xor_pair.pla")
+    reports = []
+    for seed in ([], ["--seed", "0"]):
+        assert main(["synth", pla, "--json", *seed]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    wide = tmp_path / "wide.pla"
+    wide.write_text(".i 25\n.o 1\n11" + "-" * 23 + " 1\n.e\n", encoding="utf-8")
+    assert main(["synth", str(wide), "--minimize", "exhaustive", "--seed", "5"]) == 0
+    assert "on 1048576 sampled assignments" in capsys.readouterr().out
+
+
 def test_grid_reads_out_under_svg_and_seed_under_greedy(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     pla = str(DEMO_PLAS / "xor_pair.pla")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from gridsyn import (
     expand_core,
 )
 
-from gridsyn.cores import _closed, _pair_masks, _selection_key
+from gridsyn.cores import _closed, _pair_masks, _selection_key, two_cube_core
 
 from helpers import (
     oracle_closed_subset,
@@ -24,6 +25,7 @@ from helpers import (
     phase_cover,
     phase_cube,
     random_cover,
+    random_cube_pair,
     positions,
     random_cover_with_duplicates,
     reference_best_core,
@@ -479,3 +481,67 @@ class TestCoresCommandIsPinned:
 
     def test_pair_cores_and_widenings_on_random_covers(self):
         assert self.pair_scan_digest(300) == PINNED_PAIR_SCAN
+
+
+#: (inputs, cubes, expected (cube_indices, sym_inputs, inverted) or None),
+#: one per case of the closed form in ``two_cube_core``'s docstring.
+TWO_CUBE_CASES = {
+    # plain partners across (a, b); the flipped phase holds both too, plain wins the tie
+    "plain-partners": ("abcd", ("10-1", "01-1"), ((0, 1), (0, 1), ())),
+    "flipped-partners": ("ab", ("1-", "-0"), ((0, 1), (0, 1), (0,))),
+    # the class of (a, c, e) holds both cubes; its smaller half (c) is inverted
+    "both-uniform-widened": ("abcde", ("1-0-1", "0-1-0"), ((0, 1), (0, 2, 4), (2,))),
+    # halves of two inputs each: the first seed (a, b) keeps its half plain
+    "both-uniform-halves-tie": ("abcd", ("1100", "0011"), ((0, 1), (0, 1, 2, 3), (2, 3))),
+    # the class (b, c) steps to width 3 at a, keeping cube A flipped
+    "step-to-one-cube": ("abcd", ("110-", "-011"), ((0,), (0, 1, 2), (0, 1))),
+    "one-cube-on-dashes": ("abcd", ("00--", "1---"), ((1,), (1, 2, 3), ())),
+    # the seed (a, b) is flipped for cube A; the dash cube B keeps that flip
+    "one-cube-on-dashes-keeps-the-seed-flip": ("abc", ("01-", "---"), ((1,), (0, 1, 2), (0,))),
+    # two seeds end on cube A with two inversions each; the first, (a, b), wins
+    "one-cube-on-literals-tie": ("abcd", ("0011", "00--"), ((0,), (0, 1, 2, 3), (2, 3))),
+    # no class holds two inputs: the pairs are scanned one by one
+    "one-cube-seeds-only": ("abc", ("01-", "1-0"), ((0,), (0, 1), (0,))),
+    "no-pair-core": ("ab", ("1-", "0-"), None),
+}
+
+
+class TestTwoCubeCore:
+    """``two_cube_core`` returns ``best_core(CoreSearch(cover))`` on two cubes."""
+
+    @pytest.mark.parametrize("case", sorted(TWO_CUBE_CASES))
+    def test_case_of_the_closed_form(self, case):
+        names, cubes, want = TWO_CUBE_CASES[case]
+        cover = Cover(tuple(names), cubes)
+        got = two_cube_core(cover)
+        if got is not None:
+            got = (got.cube_indices, got.sym_inputs, tuple(sorted(got.inverted)))
+        assert got == want
+        assert two_cube_core(cover) == best_core(CoreSearch(cover))
+
+    def test_every_pair_of_distinct_cubes_over_two_to_four_inputs(self):
+        count = 0
+        for n in range(2, 5):
+            names = tuple(f"x{i}" for i in range(n))
+            words = ["".join(w) for w in itertools.product("01-", repeat=n)]
+            for pair in itertools.permutations(words, 2):
+                cover = Cover(names, pair)
+                assert two_cube_core(cover) == best_core(CoreSearch(cover)), pair
+                count += 1
+        assert count == 7254
+
+    def test_a_repeated_cube_over_zero_to_four_inputs(self):
+        for n in range(5):
+            names = tuple(f"x{i}" for i in range(n))
+            for w in itertools.product("01-", repeat=n):
+                cover = Cover(names, ("".join(w),) * 2)
+                assert two_cube_core(cover) == best_core(CoreSearch(cover)), cover.cubes
+
+    def test_seeded_pairs_over_five_to_fourteen_inputs(self):
+        rng = random.Random(2024)
+        for k in range(3000):
+            cover = random_cube_pair(rng, rng.randint(5, 14))
+            got = two_cube_core(cover)
+            assert got == best_core(CoreSearch(cover)), cover.cubes
+            if k % 20 == 0:
+                assert got == reference_best_core(cover), cover.cubes

@@ -13,6 +13,7 @@ from gridsyn import (
     factor_core,
     verify,
 )
+from gridsyn import cores
 from gridsyn.cores import Core, CoreSearch, best_core, expand_core
 from gridsyn.cubes import restrict
 from gridsyn.netlist import (
@@ -185,6 +186,20 @@ class TestWorkedDecompositions:
     def test_a_product_takes_the_phase_of_its_majority_or_of_input_one(self, cube, expr):
         # on a tie (10, 01, 1001) the node is high exactly when input 1 reads 1
         assert netlist_to_expr(decompose(Cover(tuple("abcd"[: len(cube)]), (cube,)))) == expr
+
+    # pinned before two-cube covers took their core in closed form
+    @pytest.mark.parametrize("cubes, expr", [
+        (("1100", "0011"), "SYM[0,4](a, b, ~c, ~d)"),
+        (("110-", "-011"), "(SYM[0](~a, ~b, c) + SYM[3](~b, c, d))"),
+        (("10-1", "01-1"), "(SYM[1](a, b) & d)"),
+        (("11--", "--00"), "((SYM[0,1](a, b) & SYM[0](c, d)) + SYM[2](a, b))"),
+        (("1-0-1", "0-1-0"), "SYM[0,3](a, ~c, e)"),
+    ])
+    def test_two_cube_covers(self, cubes, expr, monkeypatch):
+        # the closed form serves every two-cube cover: no core search is built
+        monkeypatch.setattr(cores, "CoreSearch", None)
+        names = tuple("abcde"[: len(cubes[0])])
+        assert netlist_to_expr(decompose(Cover(names, cubes))) == expr
 
 
 def product_covers():
