@@ -90,15 +90,22 @@ class Core:
     inverted: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "cube_indices", tuple(self.cube_indices))
-        object.__setattr__(self, "sym_inputs", tuple(sorted(self.sym_inputs)))
-        object.__setattr__(self, "inverted", frozenset(self.inverted))
-        _check_inputs(self.sym_inputs, self.base.n)
-        m = self.base.m
-        for i in self.cube_indices:
+        indices, z = tuple(self.cube_indices), tuple(sorted(self.sym_inputs))
+        inverted, z_set = frozenset(self.inverted), frozenset(z)
+        object.__setattr__(self, "cube_indices", indices)
+        object.__setattr__(self, "sym_inputs", z)
+        object.__setattr__(self, "inverted", inverted)
+        # Z is checked once as a whole: sorted, its ends are its min and max,
+        # and one set serves the repeat and the inverted-input checks, so the
+        # loop of ``_check_inputs`` runs only to name the offender.  The index
+        # loop stays: on short tuples it beats ``min`` and ``max``.
+        n, m = self.base.n, self.base.m
+        if z and (z[0] < 0 or z[-1] >= n) or len(z_set) < len(z):
+            _check_inputs(z, n)
+        for i in indices:
             if not 0 <= i < m:
                 raise ValueError(f"cube index {i!r} outside range({m})")
-        if not self.inverted.issubset(self.sym_inputs):
+        if not inverted <= z_set:
             raise ValueError("inverted inputs must lie inside the symmetric set")
 
     @property

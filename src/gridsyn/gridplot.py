@@ -42,14 +42,15 @@ It keeps the class sets of the levels used in the current and the previous
 climb step, each compact: a cofactor at depth d is a table over the n - d
 unread inputs only, and reading an input that is not at the top of the
 table first exchanges it with the top inside the kernel.  A level is split
-only from its nearest stored ancestor, and a link count whose level below
-is known takes one pass over the classes above.  A climb step scores a
-neighbour on the levels it changes: a swap of positions i < j changes
-levels i + 1..j and the links out of levels i..j, and a phase flip the
-levels below the flipped input.  The planarity decision
-(``planar.is_planar_function``) walks the same kernel over states.
-``build_grid_dag`` calls the kernel once per level of the word mask
-(``cubes.transform_mask`` puts the first input read in the most
+only from its nearest stored ancestor, normally its parent, and a link
+count whose level below is known takes one pass over the classes above.  A
+climb step scores a neighbour on the levels it changes: a swap of
+positions i < j changes levels i + 1..j and the links out of levels i..j,
+and a phase flip the levels below the flipped input.  L is computed only
+for a neighbour whose N ties or beats the best of the step so far.  The
+planarity decision (``planar.is_planar_function``) walks the same kernel
+over states.  ``build_grid_dag`` calls the kernel once per level of the
+word mask (``cubes.transform_mask`` puts the first input read in the most
 significant position), reading its inputs from the top down without
 phases, so every cofactor it splits is a suffix set.  Each search confirms
 the configuration it returns with one grid DAG.
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .cubes import (
@@ -306,6 +307,11 @@ class _LevelTable:
     top.  ``rotate`` starts a generation: ``prev`` becomes ``cur`` and
     ``cur`` starts empty, and a level found in ``prev`` moves into ``cur``,
     so levels not used for two generations are dropped.
+
+    ``count_window`` sums class counts over some levels of a configuration
+    and ``link_window`` their links, which the climb asks for only where N
+    ties or beats the step's best.  A missing level is split from its
+    parent's, or from an older ancestor's when the parent was evicted.
     """
 
     def __init__(self, s: MintermSet):
@@ -339,8 +345,8 @@ class _LevelTable:
         self, keys: list[int], order: Sequence[int], pmask: int, d: int
     ) -> tuple[dict[int, int], list[int]]:
         """The depth-d level of the configuration whose states are ``keys``,
-        split from its nearest stored ancestor; every level split on the way
-        is recorded."""
+        split from its nearest stored ancestor (the parent, unless evicted);
+        every level split on the way is recorded."""
         cur, prev = self.cur, self.prev
         k = d
         while k:
@@ -374,34 +380,44 @@ class _LevelTable:
             cur[keys[t + 1]] = (level, layout)
         return level, layout
 
-    def window(
+    def count_window(
         self, order: Sequence[int], pmask: int, first: int, last: int, keys: list[int]
-    ) -> tuple[int, int]:
-        """The class counts of levels first + 1..last and the links out of
-        levels first..last - 1 of the configuration.  ``keys`` holds its
-        states at depths 0..first, and gets those at depths first + 1..last
-        appended."""
-        n = self.n
-        counts, links = self.counts, self.links
+    ) -> int:
+        """The class counts of levels first + 1..last of the configuration.
+        ``keys`` holds its states at depths 0..first, and gets those at
+        depths first + 1..last appended.  A missing count is split from the
+        parent level, which also records the links between them."""
+        n, counts = self.n, self.counts
         key = keys[first]
-        c = lsum = 0
+        c = 0
         for d in range(first, last):
             x = order[d]
-            lk = key | x << 2 * n
             key |= 1 << x | (pmask >> x & 1) << (x + n)
             keys.append(key)
             cv = counts.get(key)
-            lv = links.get(lk)  # the same for either phase of x
             if cv is None:
                 self._level(keys, order, pmask, d + 1)
-                cv, lv = counts[key], links[lk]
-            elif lv is None:
-                # only the link count is missing: one pass over the parent's classes
+                cv = counts[key]
+            c += cv
+        return c
+
+    def link_window(
+        self, order: Sequence[int], pmask: int, first: int, last: int, keys: list[int]
+    ) -> int:
+        """The links out of levels first..last - 1 of the configuration whose
+        states at depths 0..last are ``keys``.  A missing one takes one pass
+        over the classes of the level above."""
+        shift, links = 2 * self.n, self.links
+        total = 0
+        for d in range(first, last):
+            x = order[d]
+            lk = keys[d] | x << shift  # the same for either phase of x
+            lv = links.get(lk)
+            if lv is None:
                 level, layout = self._level(keys, order, pmask, d)
                 lv = links[lk] = _link_count(level, self.ones[len(layout)][layout.index(x)])
-            c += cv
-            lsum += lv
-        return c, lsum
+            total += lv
+        return total
 
     def profile(
         self, order: Sequence[int], pmask: int
@@ -410,7 +426,8 @@ class _LevelTable:
         the link count out of each depth 0..n - 1; the class counts are those
         of ``build_grid_dag(...).classes``."""
         keys = [0]
-        self.window(order, pmask, 0, self.n, keys)
+        self.count_window(order, pmask, 0, self.n, keys)
+        self.link_window(order, pmask, 0, self.n, keys)
         shift = 2 * self.n
         return (
             keys,
@@ -439,7 +456,9 @@ def minimize_layout(
     n! * 2**n configurations, found by dynamic programming over the 3**n
     level states (n <= ``EXHAUSTIVE_LAYOUT_CAP``); ``greedy`` hill-climbs
     with pairwise order swaps and single phase flips from the identity plus
-    n seeded random restarts.
+    n seeded random restarts.  A greedy step compares neighbours on that
+    same key, but computes a neighbour's L only when its N ties or beats the
+    best N of the step so far.
     """
     n = s.n
     if mode == "exhaustive":
@@ -457,9 +476,11 @@ def minimize_layout(
         # swap of positions i < j on levels i + 1..j and the links out of
         # levels i..j, a flip of the input at position p on the levels below
         # p.  Each is scored from the configuration's prefix sums and the
-        # table's counts over that window (for a swap the window also holds
-        # level j + 1 and for a flip the links out of level p, which the
-        # move leaves alone).
+        # table's windows from ``first`` = i or p to ``last`` = j + 1 or n
+        # (for a swap the window also holds level j + 1 and for a flip the
+        # links out of level p, which the move leaves alone).  L is counted
+        # only when N is no worse than the best of the step so far, the
+        # configuration's own included, since a larger N is never taken.
         table.start(order)
         pmask = PhaseVector(ph).mask
         while True:
@@ -467,31 +488,26 @@ def minimize_layout(
             cpre = list(accumulate(cnt, initial=0))
             lpre = list(accumulate(lnk, initial=0))
             cur_m = (cpre[-1] - 1, lpre[-1])
-            best_neighbor = None
-            for i in range(n):
-                for j in range(i + 1, n):
-                    cand = order[:i] + (order[j],) + order[i + 1 : j] + (order[i],) + order[j + 1 :]
-                    c, l = table.window(cand, pmask, i, j + 1, keys[: i + 1])
-                    k = (
-                        cur_m[0] - cpre[j + 2] + cpre[i + 1] + c,
-                        cur_m[1] - lpre[j + 1] + lpre[i] + l,
-                        cand,
-                        ph,
-                    )
-                    if best_neighbor is None or k < best_neighbor:
-                        best_neighbor = k
-            for x in range(n):
-                p = order.index(x)
-                c, l = table.window(order, pmask ^ 1 << x, p, n, keys[: p + 1])
-                cand_ph = ph[:x] + (not ph[x],) + ph[x + 1 :]
-                k = (
-                    cur_m[0] - cpre[n + 1] + cpre[p + 1] + c,
-                    cur_m[1] - lpre[n] + lpre[p] + l,
-                    order,
-                    cand_ph,
-                )
+            best_n, best_neighbor = cur_m[0], None
+            swaps = (
+                (order[:i] + (order[j],) + order[i + 1 : j] + (order[i],) + order[j + 1 :],
+                 ph, pmask, i, j + 1)
+                for i in range(n) for j in range(i + 1, n)
+            )
+            flips = (
+                (order, ph[:x] + (not ph[x],) + ph[x + 1 :], pmask ^ 1 << x, order.index(x), n)
+                for x in range(n)
+            )
+            for cand, cand_ph, cand_mask, first, last in chain(swaps, flips):
+                ks = keys[: first + 1]
+                c = table.count_window(cand, cand_mask, first, last, ks)
+                nn = cur_m[0] - cpre[last + 1] + cpre[first + 1] + c
+                if nn > best_n:
+                    continue
+                l = table.link_window(cand, cand_mask, first, last, ks)
+                k = (nn, cur_m[1] - lpre[last] + lpre[first] + l, cand, cand_ph)
                 if best_neighbor is None or k < best_neighbor:
-                    best_neighbor = k
+                    best_n, best_neighbor = nn, k
             if best_neighbor is None or best_neighbor[:2] >= cur_m:
                 return (*cur_m, order, ph)
             order, ph = best_neighbor[2], best_neighbor[3]

@@ -19,7 +19,13 @@ from gridsyn import (
 )
 from gridsyn import cover_to_minterms, transform_mask
 from gridsyn.cubes import CapacityError
-from gridsyn.gridplot import EXHAUSTIVE_LAYOUT_CAP, _LevelTable, _cofactor_lows, _split_level
+from gridsyn.gridplot import (
+    EXHAUSTIVE_LAYOUT_CAP,
+    _LevelTable,
+    _class_links,
+    _cofactor_lows,
+    _split_level,
+)
 from gridsyn.planar import _planar_level
 
 from helpers import (
@@ -255,52 +261,120 @@ class TestMinimize:
             minimize_layout(ms("1"), mode="annealing")
 
 
+def level_table_triples():
+    """320 seeded (function, order, phases) triples, eight configurations per
+    function through one table with a generation rotation after each, so
+    later ones reuse, rebuild or evict the levels of earlier ones.  The table
+    lays out its root in a seeded order of its own, so the configurations
+    read inputs out of table order.  Yields (s, table, order, pmask, grid
+    DAG, first, last), with first <= last a seeded window of levels."""
+    rng = random.Random(1990)
+    for k in range(40):
+        n = k % 8
+        if k < 8:
+            s = MintermSet(n, 0) if k % 2 else MintermSet.universe(n)
+        else:
+            s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
+        table = _LevelTable(s)
+        table.start(tuple(rng.sample(range(n), n)))
+        for _ in range(8):
+            order = tuple(rng.sample(range(n), n))
+            pmask = rng.getrandbits(n) if n else 0
+            phases = PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n)))
+            dag = build_grid_dag(s, order, phases)
+            first = rng.randint(0, n)
+            last = rng.randint(first, n)
+            yield s, table, order, pmask, dag, first, last
+            table.rotate()
+
+
+def dag_level_links(dag) -> list[int]:
+    """The links out of each depth 0..n - 1 of a grid DAG."""
+    links = [0] * dag.n
+    for _, depth, one, zero in _class_links(dag):
+        if depth < dag.n:
+            links[depth] += one + zero
+    return links
+
+
+def states_of(order, pmask: int) -> list[int]:
+    """A configuration's level keys at depths 0..n."""
+    n, states = len(order), [0]
+    for x in order:
+        states.append(states[-1] | 1 << x | (pmask >> x & 1) << (x + n))
+    return states
+
+
 class TestLevelTable:
     def test_matches_the_grid_dag(self):
-        """(N, L) and the class count of every level of 320 seeded (function,
-        order, phases) triples, eight configurations per function through one
-        table with a generation rotation between them, so later ones reuse,
-        rebuild or evict the levels of earlier ones.  The table lays out its
-        root in a seeded order of its own, so the configurations read inputs
-        out of table order.  Per triple also a seeded window of levels, and the
-        class counts and planarity that ``_split_level`` alone gives."""
-        rng = random.Random(1990)
+        """(N, L) and the class count of every level of ``level_table_triples``
+        after a window of levels, and the class counts and planarity that
+        ``_split_level`` alone gives."""
         triples = 0
-        for k in range(40):
-            n = k % 8
-            if k < 8:
-                s = MintermSet(n, 0) if k % 2 else MintermSet.universe(n)
-            else:
-                s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
-            table = _LevelTable(s)
-            table.start(tuple(rng.sample(range(n), n)))
+        for s, table, order, pmask, dag, first, last in level_table_triples():
+            n = s.n
+            states = states_of(order, pmask)[: first + 1]
+            table.count_window(order, pmask, first, last, states)
+            keys, counts, links = table.profile(order, pmask)
+            assert keys[: last + 1] == states
+            assert counts == [len(level) for level in dag.classes], (s, order, pmask)
+            assert (sum(counts) - 1, sum(links)) == tuple(metrics(dag)), (s, order, pmask)
+            # the level kernel alone: class counts per level and planarity
             lows = _cofactor_lows(n)
-            for _ in range(8):
-                order = tuple(rng.sample(range(n), n))
-                pmask = rng.getrandbits(n) if n else 0
-                phases = PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n)))
-                dag = build_grid_dag(s, order, phases)
-                first = rng.randint(0, n)
-                last = rng.randint(first, n)
-                states = [0]
-                for x in order[:first]:
-                    states.append(states[-1] | 1 << x | (pmask >> x & 1) << (x + n))
-                window = table.window(order, pmask, first, last, states)
-                keys, counts, links = table.profile(order, pmask)
-                assert keys[: last + 1] == states
-                assert counts == [len(level) for level in dag.classes], (s, order, pmask)
-                assert (sum(counts) - 1, sum(links)) == tuple(metrics(dag)), (s, order, pmask)
-                assert window == (sum(counts[first + 1 : last + 1]), sum(links[first:last]))
-                # the level kernel alone: class counts per level and planarity
-                level, planar = {s.bits: 1}, True
-                for d, x in enumerate(order):
-                    level, _ = _split_level(level, lows[x], 1 << x, pmask >> x & 1)
-                    assert sum(r.bit_count() for r in level.values()) == len(dag.classes[d + 1])
-                    planar = planar and _planar_level(level)
-                assert planar == is_planar_plot(dag), (s, order, pmask)
-                table.rotate()
-                triples += 1
+            level, planar = {s.bits: 1}, True
+            for d, x in enumerate(order):
+                level, _ = _split_level(level, lows[x], 1 << x, pmask >> x & 1)
+                assert sum(r.bit_count() for r in level.values()) == len(dag.classes[d + 1])
+                planar = planar and _planar_level(level)
+            assert planar == is_planar_plot(dag), (s, order, pmask)
+            triples += 1
         assert triples == 320
+
+    def test_windows_match_the_grid_dag(self):
+        """On ``level_table_triples``, the count window over levels
+        first + 1..last and then the link window over levels first..last - 1
+        equal the grid DAG's class counts and links there, and over the whole
+        configuration they give its (N, L)."""
+        triples = 0
+        for s, table, order, pmask, dag, first, last in level_table_triples():
+            n = s.n
+            dag_links = dag_level_links(dag)
+            assert sum(dag_links) == dag.link_count
+            keys = states_of(order, pmask)[: first + 1]
+            c = table.count_window(order, pmask, first, last, keys)
+            assert keys == states_of(order, pmask)[: last + 1]
+            assert c == sum(map(len, dag.classes[first + 1 : last + 1])), (s, order, pmask)
+            l = table.link_window(order, pmask, first, last, keys)
+            assert l == sum(dag_links[first:last]), (s, order, pmask, first, last)
+            keys = [0]
+            c = table.count_window(order, pmask, 0, n, keys)
+            assert (c, table.link_window(order, pmask, 0, n, keys)) == tuple(metrics(dag))
+            triples += 1
+        assert triples == 320
+
+    def test_link_window_fills_a_link_whose_count_is_known(self):
+        """After the identity configuration, the state that has read x0 has
+        its class count memoised but not its links when x2 is read next: the
+        link window counts them, from the stored level or, after two
+        rotations have evicted it, from one rebuilt from the root."""
+        rng = random.Random(25)
+        for n in (3, 5, 7):
+            s = cover_to_minterms(random_cover(rng, n, 2 * n))
+            pmask = rng.getrandbits(n)
+            order = (0, 2, 1, *range(3, n))
+            dag = build_grid_dag(s, order, PhaseVector(tuple(bool(pmask >> i & 1) for i in range(n))))
+            keys = states_of(order, pmask)
+            for rotations in (0, 2):
+                table = _LevelTable(s)
+                table.profile(tuple(range(n)), pmask)
+                for _ in range(rotations):
+                    table.rotate()
+                assert (keys[1] in table.cur) == (rotations == 0)
+                lk = keys[1] | 2 << 2 * n
+                assert keys[1] in table.counts and lk not in table.links
+                assert table.link_window(order, pmask, 1, 2, keys) == dag_level_links(dag)[1]
+                assert lk in table.links
+                assert table.link_window(order, pmask, 0, n, keys) == dag.link_count
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
