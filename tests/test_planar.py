@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from itertools import permutations
@@ -17,7 +18,8 @@ from gridsyn import (
     survey_planarity,
     transform_mask,
 )
-from gridsyn.planar import _orbits
+from gridsyn import planar
+from gridsyn.planar import _image_tables, _orbit, _planar_marks, _template_words
 
 from helpers import ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
 
@@ -221,6 +223,7 @@ def survey4():
     return survey_planarity(4)
 
 
+@functools.cache
 def group_sweep_orbits(n):
     """(smallest member, members) of every orbit, from ``transform_mask`` over the whole group."""
     group = [(perm, flips) for perm in permutations(range(n)) for flips in range(1 << n)]
@@ -285,7 +288,37 @@ class TestSurvey:
 
     @pytest.mark.parametrize("n", range(5))
     def test_table_orbits_match_the_group_sweep(self, n):
-        assert list(_orbits(n)) == group_sweep_orbits(n)
+        tables = _image_tables(n)
+        for f, orbit in group_sweep_orbits(n):
+            assert set(_orbit(f, n, tables)) == orbit
+            assert set(_orbit(max(orbit), n, tables)) == orbit
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_template_words_are_the_link_deletion_images(self, n):
+        """Every deletion set of the template, read in the reversed input
+        order the survey confirms them in; at n = 0 there is no link to
+        delete, yet the empty function is planar."""
+        t = full_template(n)
+        links = sorted(t.links)
+        images = {0}
+        for k in range(1 << len(links)):
+            images.add(derive_pf(t, [link for i, link in enumerate(links) if k >> i & 1]).bits)
+        reverse = tuple(range(n - 1, -1, -1))
+        assert _template_words(n) == sorted(transform_mask(f, n, reverse) for f in images)
+
+    def test_four_input_verdicts_match_the_decision_on_every_orbit(self):
+        marks = _planar_marks(4)
+        orbits = group_sweep_orbits(4)
+        assert len(orbits) == 402
+        assert sum(marks[f] for f, _ in orbits) == 287
+        for f, orbit in orbits:
+            decided = is_planar_function(MintermSet(4, f)) is not None
+            assert all(marks[g] == decided for g in orbit), f
+
+    def test_a_template_word_the_grid_dag_rejects_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(planar, "is_planar_plot", lambda dag: False)
+        with pytest.raises(RuntimeError):
+            survey_planarity(2)
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
