@@ -14,7 +14,8 @@ on usage or parse errors.  The commands with randomized steps, synth, grid
 identical inputs and flags give byte-identical output.  grid refuses the
 options it would ignore: --out without --render svg, --seed without
 --minimize greedy; synth refuses --seed under --minimize exhaustive when
-no output is wide enough for a sampled verify.
+no output is wide enough for a sampled verify, and verify refuses it when
+its PLA is not.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def _parser() -> argparse.ArgumentParser:
     p["synth"].add_argument(
         "--seed", type=int, help="seed for the greedy layout and a sampled verify (default 0)"
     )
-    p["verify"].add_argument("--seed", type=int, default=0, help="seed for a sampled check")
+    p["verify"].add_argument(
+        "--seed", type=int, help="seed for the sampled check above 24 inputs (default 0)"
+    )
     p["grid"].add_argument("--seed", type=int, help="seed for --minimize greedy (default 0)")
     for cmd in p.values():
         cmd.add_argument("--json", action="store_true", help="machine-readable stdout")
@@ -467,7 +470,12 @@ def _cmd_verify(ns: argparse.Namespace) -> Report:
     if len(outputs) != 1:
         raise ValueError("verify expects a single-output PLA")
     cover = outputs[0][1]
-    result = verify(nl, cover, seed=ns.seed)
+    if ns.seed is not None and cover.n <= DEFAULT_EXPANSION_CAP:
+        raise ValueError(
+            f"--seed seeds the sampled verify above {DEFAULT_EXPANSION_CAP} inputs, "
+            f"and this PLA has {cover.n}"
+        )
+    result = verify(nl, cover, seed=ns.seed or 0)
     record = {
         "equivalent": result.equivalent,
         "exhaustive": result.exhaustive,

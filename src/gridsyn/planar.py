@@ -21,10 +21,15 @@ link-deletion image of the template, and those images are enumerated
 directly, bottom-up over the template's levels.  Planarity is invariant
 under input permutation and input complementation, which merely relabel
 the configuration space, so the planar functions are the union of the
-orbits (the NP classes) of those images: the survey confirms one image per
-orbit on its grid DAG and marks the orbit, from per-call lookup tables of
-every permutation's image of each byte of a truth table.  At n = 4 the
-4,288 images fall into 287 of the 402 orbits.
+orbits (the NP classes) of those images.  The survey confirms the first
+image of each orbit by walking its levels with ``_split_level`` and the
+decision's bridge test, then marks each distinct image of the orbit once.
+An orbit is gathered from per-call lookup tables over the byte chunks of a
+truth table: each chunk value under every complementation of the inputs
+within a chunk (complementing a higher input only moves chunks), and each
+chunk value's images under every permutation, ORed chunk by chunk into one
+set.  At n = 4 the 4,288 images fall into 287 of the 402 orbits, which hold
+42,244 functions.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask, transform_mask
+from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask
 from .gridplot import (
     _class_links,
     _cofactor_lows,
@@ -247,22 +252,49 @@ def _image_tables(n: int) -> list[list[tuple[int, ...]]]:
     return tables
 
 
-def _orbit(f: int, n: int, tables: list[list[tuple[int, ...]]]) -> Iterator[int]:
-    """Every image of the n-input function f under input complementation and
-    permutation, with repeats, given ``_image_tables(n)``.
+def _chunk_flips(n: int) -> list[list[int]]:
+    """Per complementation of the low ``min(3, n)`` inputs (a mask), the
+    complemented value of every value of a byte chunk of an n-input truth table.
 
-    Each of the 2**n complementations of f is one ``transform_mask`` call;
-    its images under the n! permutations are the ORs of its chunks' table
-    entries.
+    Those inputs index the bits within a chunk, so complementing them
+    permutes each chunk's bits alike.  A value's complement is that of the
+    value without its lowest set bit, plus that minterm's.
+    """
+    inputs = min(3, n)
+    width = 1 << inputs  # the bits of a chunk
+    tables = []
+    for low in range(1 << inputs):
+        table = [0]
+        for value in range(1, 1 << width):
+            bit = value & -value
+            table.append(table[value ^ bit] | 1 << ((bit.bit_length() - 1) ^ low))
+        tables.append(table)
+    return tables
+
+
+def _orbit(
+    f: int, n: int, tables: list[list[tuple[int, ...]]], flips: list[list[int]]
+) -> set[int]:
+    """The images of the n-input function f under input complementation and
+    permutation, given ``_image_tables(n)`` and ``_chunk_flips(n)``.
+
+    A complementation of the low inputs maps each chunk through its flip
+    table; complementing the higher inputs ``high`` only moves chunk c to
+    chunk c ^ high.  The images of each complementation under the n!
+    permutations are the ORs of its chunks' table entries.
     """
     width = min(8, 1 << n)
     byte = (1 << width) - 1
-    for flips in range(1 << n):
-        g = transform_mask(f, n, None, flips)
-        images = tables[0][g & byte]
-        for c in range(1, len(tables)):
-            images = map(or_, images, tables[c][g >> c * width & byte])
-        yield from images
+    chunks = [f >> c * width & byte for c in range(len(tables))]
+    orbit: set[int] = set()
+    for table in flips:  # one complementation of the low inputs
+        flipped = [table[value] for value in chunks]
+        for high in range(len(tables)):  # and one of the higher inputs
+            images = tables[0][flipped[high]]
+            for c in range(1, len(tables)):
+                images = map(or_, images, tables[c][flipped[c ^ high]])
+            orbit.update(images)
+    return orbit
 
 
 def _template_words(n: int) -> list[int]:
@@ -275,10 +307,14 @@ def _template_words(n: int) -> list[int]:
     at depth n a node accepts or is absent, and the node at (r, d) is
     ``hi << half | lo`` with ``hi`` either 0 or the node at (r + 1, d + 1),
     and ``lo`` either 0 or the node at (r, d + 1), one choice per kept or
-    deleted link.  Each depth is a set, so equal tuples merge.
+    deleted link.  Each depth is a set, so equal tuples merge.  The root
+    reads one rank, so each depth-1 tuple ``(lo, hi)`` gives the roots
+    ``{0, lo, hi << half, hi << half | lo}`` directly.
     """
+    if n == 0:  # the root is a diagonal node
+        return [0, 1]
     level = set(product((0, 1), repeat=n + 1))
-    for d in range(n - 1, -1, -1):
+    for d in range(n - 1, 0, -1):
         half = 1 << (n - 1 - d)  # the width of a cofactor at depth d + 1
         nxt = set()
         for nodes in level:
@@ -288,24 +324,35 @@ def _template_words(n: int) -> list[int]:
             )
             nxt.update(product(*choices))
         level = nxt
-    return sorted(root for (root,) in level)
+    half = 1 << (n - 1)
+    roots = {0}
+    for lo, hi in level:
+        hi <<= half
+        roots.update((lo, hi, hi | lo))
+    return sorted(roots)
 
 
 def _planar_marks(n: int) -> bytearray:
     """One byte per n-input function, indexed by truth table: 1 iff planar.
 
-    The orbit of each template word is marked once; the first word of each
-    orbit is confirmed on its grid DAG in the configuration it was built in.
+    The first template word of each orbit is confirmed by walking its levels
+    with ``_split_level`` in the configuration it was built in, the most
+    significant input first, and ``_planar_level`` must find no bridge on
+    any of them; then each distinct image in its orbit is marked once.
     """
     tables = _image_tables(n)
-    reverse = tuple(range(n - 1, -1, -1))
+    flips = _chunk_flips(n)
     marks = bytearray(1 << (1 << n))
     for f in _template_words(n):
         if marks[f]:
             continue
-        if not is_planar_plot(build_grid_dag(MintermSet(n, f), reverse)):
-            raise RuntimeError(f"template word {f:#x} is not planar in order {reverse}")
-        for g in _orbit(f, n, tables):
+        level = {f: 1}
+        for d in range(n):
+            half = 1 << (n - 1 - d)  # completions left after this input
+            level, _ = _split_level(level, (1 << half) - 1, half, 0)
+            if not _planar_level(level):
+                raise RuntimeError(f"template word {f:#x} is not planar read from its top input")
+        for g in _orbit(f, n, tables, flips):
             marks[g] = 1
     return marks
 

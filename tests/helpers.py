@@ -16,7 +16,6 @@ from gridsyn import (
     MintermSet,
     PhaseVector,
     build_grid_dag,
-    is_planar_plot,
     metrics,
 )
 from gridsyn.cores import (
@@ -348,7 +347,7 @@ def reference_best_core(cover: Cover):
 
 
 # ---------------------------------------------------------------------------
-# layout-search and planarity oracles: one full grid DAG per configuration
+# layout-search oracle: one full grid DAG per configuration
 
 
 def oracle_minimize_layout(s, mode="exhaustive", seed=0):
@@ -408,6 +407,10 @@ def oracle_minimize_layout(s, mode="exhaustive", seed=0):
     return LayoutResult(best[2], PhaseVector(best[3]), PlotMetrics(best[0], best[1]))
 
 
+# ---------------------------------------------------------------------------
+# template and planarity oracles: walks of assignments and of prefix classes
+
+
 def oracle_derive_pf(t, deleted) -> MintermSet:
     """``derive_pf`` as a walk of every assignment along the template's links."""
     alive = t.links - frozenset(deleted)
@@ -426,14 +429,39 @@ def oracle_derive_pf(t, deleted) -> MintermSet:
     return MintermSet(t.n, bits)
 
 
+def _bridged(words, read: int) -> bool:
+    """True iff two prefix classes of the level that has read the inputs in
+    ``read`` share a grid point.  A word is a minterm index with the phases
+    applied; its prefix is its bits on ``read`` and its rank their count, and
+    a class is a (rank, suffix set) pair."""
+    suffixes: dict[int, set[int]] = {}
+    for w in words:
+        suffixes.setdefault(w & read, set()).add(w & ~read)
+    at_rank: dict[int, set[int]] = {}
+    for prefix, suffix_set in suffixes.items():
+        if at_rank.setdefault(prefix.bit_count(), suffix_set) != suffix_set:
+            return True
+    return False
+
+
 def oracle_planar_witness(s, cap=6):
-    """``is_planar_function`` as a loop that builds every configuration's grid DAG."""
+    """``is_planar_function`` as a sweep of every configuration in turn, in
+    its order: orders lexicographic, then phase tuples lexicographic.
+
+    Each configuration's levels are walked from the definition, over the
+    minterm indices with its phases applied, and it is abandoned at its
+    first bridged level.  Levels 0, 1 and n have one class per rank, so only
+    levels 2 to n - 1 are walked.
+    """
     n = s.n
     if n > cap:
         raise ValueError(f"exhaustive planarity search capped at {cap} inputs")
+    members = list(s.members())
+    phasings = [(ph, PhaseVector(ph).mask) for ph in product((False, True), repeat=n)]
     for order in permutations(range(n)):
-        for ph in product((False, True), repeat=n):
-            phases = PhaseVector(ph)
-            if is_planar_plot(build_grid_dag(s, order, phases)):
-                return (order, phases)
+        reads = [sum(1 << x for x in order[:d]) for d in range(2, n)]
+        for ph, q in phasings:
+            words = [v ^ q for v in members]
+            if not any(_bridged(words, read) for read in reads):
+                return (order, PhaseVector(ph))
     return None

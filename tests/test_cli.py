@@ -370,6 +370,37 @@ def test_synth_refuses_a_seed_no_output_reads(tmp_path, seed):
     assert [p.name for p in tmp_path.iterdir()] == ["xor_pair.pla"]
 
 
+VERIFY_SEED_MESSAGE = "--seed seeds the sampled verify above 24 inputs, and this PLA has {n}"
+
+
+@pytest.mark.parametrize("n", [3, 24])
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_verify_refuses_a_seed_it_does_not_read(tmp_path, n, seed):
+    """``verify`` reads ``--seed`` only to sample a PLA over the expansion
+    cap; at 24 inputs or fewer the option exits 2 with one error line."""
+    _wide_files(tmp_path, n)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridsyn.cli", "verify", "wide.net", "wide.pla", "--seed", seed],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"gridsyn: error: {VERIFY_SEED_MESSAGE.format(n=n)}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.net", "wide.pla"]
+
+
+def test_verify_reads_seed_above_the_cap(tmp_path, monkeypatch, capsys):
+    """At 25 inputs ``verify`` samples, and ``--seed`` draws the sample."""
+    monkeypatch.chdir(tmp_path)
+    _wide_files(tmp_path, 25)
+    assert main(["verify", "wide.net", "wide.pla", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == "equivalent on 1048576 sampled assignments\n"
+
+
 def test_synth_reads_seed_under_greedy_or_a_wide_output(tmp_path, monkeypatch, capsys):
     """``--seed`` stays valid where a step reads it: the greedy layout search,
     and under exhaustive search the sampled verify of a 25-input output."""

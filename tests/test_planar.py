@@ -19,7 +19,7 @@ from gridsyn import (
     transform_mask,
 )
 from gridsyn import planar
-from gridsyn.planar import _image_tables, _orbit, _planar_marks, _template_words
+from gridsyn.planar import _chunk_flips, _image_tables, _orbit, _planar_marks, _template_words
 
 from helpers import ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
 
@@ -288,10 +288,18 @@ class TestSurvey:
 
     @pytest.mark.parametrize("n", range(5))
     def test_table_orbits_match_the_group_sweep(self, n):
-        tables = _image_tables(n)
+        tables, flips = _image_tables(n), _chunk_flips(n)
         for f, orbit in group_sweep_orbits(n):
-            assert set(_orbit(f, n, tables)) == orbit
-            assert set(_orbit(max(orbit), n, tables)) == orbit
+            assert _orbit(f, n, tables, flips) == orbit
+            assert _orbit(max(orbit), n, tables, flips) == orbit
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_chunk_flips_complement_the_inputs_within_a_chunk(self, n):
+        k = min(3, n)
+        flips = _chunk_flips(n)
+        assert len(flips) == 1 << k
+        for low, table in enumerate(flips):
+            assert table == [transform_mask(v, k, None, low) for v in range(1 << (1 << k))]
 
     @pytest.mark.parametrize("n", range(4))
     def test_template_words_are_the_link_deletion_images(self, n):
@@ -306,6 +314,15 @@ class TestSurvey:
         reverse = tuple(range(n - 1, -1, -1))
         assert _template_words(n) == sorted(transform_mask(f, n, reverse) for f in images)
 
+    def test_four_input_template_words_are_pinned(self):
+        """At n = 4 the 2**20 deletion sets are too many to sweep in the
+        suite, so the words are pinned: their count and the sha256 of their
+        decimal list, which a sweep of every deletion set reproduces."""
+        words = _template_words(4)
+        assert len(words) == 4288
+        digest = hashlib.sha256(",".join(map(str, words)).encode()).hexdigest()
+        assert digest == "9a249b4db53d4905a20b2b62206cfc5884996aaf8a0e3e27daa4b4fb335d0f4a"
+
     def test_four_input_verdicts_match_the_decision_on_every_orbit(self):
         marks = _planar_marks(4)
         orbits = group_sweep_orbits(4)
@@ -316,9 +333,17 @@ class TestSurvey:
             assert all(marks[g] == decided for g in orbit), f
 
     def test_a_template_word_the_grid_dag_rejects_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(planar, "is_planar_plot", lambda dag: False)
+        monkeypatch.setattr(planar, "_planar_level", lambda level: False)
         with pytest.raises(RuntimeError):
             survey_planarity(2)
+
+    def test_a_non_planar_template_word_is_an_error(self, monkeypatch):
+        """The confirmation rejects a word whose plot really has a bridge:
+        0x358, the first non-planar function of 4 inputs."""
+        words = _template_words
+        monkeypatch.setattr(planar, "_template_words", lambda n: sorted(words(n) + [0x358]))
+        with pytest.raises(RuntimeError, match="0x358"):
+            survey_planarity(4)
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
