@@ -62,7 +62,11 @@ class Cover:
         object.__setattr__(self, "cubes", tuple(self.cubes))
         if len(set(self.input_names)) != len(self.input_names):
             raise ValueError("duplicate input names")
+        # the whole table is checked at once, its widths as a set and its
+        # characters joined; the loop runs only to name the first offender
         n = len(self.input_names)
+        if set(map(len, self.cubes)) <= {n} and CUBE_CHARS.issuperset("".join(self.cubes)):
+            return
         for cube in self.cubes:
             if len(cube) != n:
                 raise ValueError(f"cube {cube!r} has width {len(cube)}, expected {n}")

@@ -23,15 +23,30 @@ the form the writer emits.
 A node (``NetNode``) and a reference (``Ref``) are named tuples, so
 building, hashing and comparing them are tuple operations in C: the
 decomposer, the mapper and the reader build, intern and compare hundreds of
-thousands of them per run.  A node is its own interning key.  As tuples
-they also equal plain tuples with the same fields, unpack and sort.  Each
-node's input support is kept as an int bit mask, input ``i`` at bit ``i``.
+thousands of them per run.  They are built through ``tuple.__new__``, not
+the named tuple's Python-level constructor.  A node is its own interning
+key.  As tuples they also equal plain tuples with the same fields, unpack
+and sort.  Each node's input support is kept as an int bit mask, input
+``i`` at bit ``i``.
+
+Every stage pays once per distinct value.  A builder makes its input refs
+once and one ref per new node; ``sym``, ``inv``, ``and_disjoint`` and ``or_``
+look the requested node up before checking it, which is exact because a
+node is interned only after passing every check and no simplification
+applies to an interned node.  The reader registers each valid operand token
+as it becomes valid and parses only a token it is about to reject; it
+parses each rank spelling once, and the writer spells each rank set once.
+All memo state is local to one call or one builder, so no run warms the
+next.  The evaluator reads a SYM node whose rank set is {k}, k its arity,
+as the AND of its operands and one whose rank set is {0} as their NOR: k
+big-integer operations instead of the popcount partition's k(k+1)/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import partial, reduce
+from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cubes import ParseError, popcount_class_masks
@@ -60,12 +75,16 @@ class Ref(NamedTuple):
         return ("n" if self.kind == "node" else "i") + str(self.index)
 
 
+# a value from the tuple of its fields, built in C
+_new_ref = partial(tuple.__new__, Ref)
+
+
 def node_ref(index: int) -> Ref:
-    return Ref("node", index)
+    return _new_ref(("node", index))
 
 
 def input_ref(index: int) -> Ref:
-    return Ref("input", index)
+    return _new_ref(("input", index))
 
 
 class NetNode(NamedTuple):
@@ -73,6 +92,10 @@ class NetNode(NamedTuple):
     operands: tuple[Ref, ...] = ()
     ranks: frozenset[int] | None = None
     value: int | None = None
+
+
+_new_node = partial(tuple.__new__, NetNode)
+_RANK0 = frozenset({0})
 
 
 @dataclass(frozen=True)
@@ -115,6 +138,7 @@ class NetlistBuilder:
 
     def __init__(self, input_names: Sequence[str]):
         self.input_names = tuple(input_names)
+        self._inputs = tuple(map(input_ref, range(len(self.input_names))))
         self._nodes: list[NetNode] = []
         self._intern: dict[NetNode, Ref] = {}
         self._supports: list[int] = []
@@ -122,26 +146,39 @@ class NetlistBuilder:
     # -- reference constructors
 
     def input(self, index: int) -> Ref:
-        if not 0 <= index < len(self.input_names):
+        if not 0 <= index < len(self._inputs):
             raise NetlistError(f"input index {index} out of range")
-        return input_ref(index)
+        return self._inputs[index]
 
     def const(self, value: int) -> Ref:
         if value not in (0, 1):
             raise NetlistError("constants must be 0 or 1")
-        return self._add(NetNode(KIND_CONST, value=value))
+        return self._add(_new_node((KIND_CONST, (), None, value)))
+
+    # Each request looks its node up first: a node is interned only after
+    # passing every check below, and none of the simplifications applies to
+    # it, so a hit is exactly what the full path would return.
 
     def inv(self, ref: Ref) -> Ref:
-        node = self._resolve(ref)
-        if node is not None:
-            if node.kind == KIND_CONST:
-                return self.const(1 - node.value)
-            if node.kind == KIND_INV:
-                return node.operands[0]
-        return self._add(NetNode(KIND_INV, (ref,)))
+        node = _new_node((KIND_INV, (ref,), None, None))
+        hit = self._intern.get(node)
+        if hit is not None:
+            return hit
+        operand = self._resolve(ref)
+        if operand is not None:
+            if operand.kind == KIND_CONST:
+                return self.const(1 - operand.value)
+            if operand.kind == KIND_INV:
+                return operand.operands[0]
+        return self._insert(node)
 
     def sym(self, ranks: Iterable[int], operands: Sequence[Ref]) -> Ref:
         operands = tuple(operands)
+        ranks = frozenset(ranks)
+        node = _new_node((KIND_SYM, operands, ranks, None))
+        hit = self._intern.get(node)
+        if hit is not None:
+            return hit
         if not operands:
             raise NetlistError("SYM needs operands")
         for ref in operands:
@@ -151,7 +188,6 @@ class NetlistBuilder:
         if len(set(operands)) < k:
             dup = next(ref for j, ref in enumerate(operands) if ref in operands[:j])
             raise NetlistError(f"SYM operand {dup.token} repeats")
-        ranks = frozenset(ranks)
         if not ranks.issubset(range(k + 1)):
             raise NetlistError(f"SYM rank set {sorted(ranks)} out of range for its arity {k}")
         if not ranks:
@@ -160,9 +196,13 @@ class NetlistBuilder:
             return self.const(1)
         if k == 1:
             return operands[0] if ranks == {1} else self.inv(operands[0])
-        return self._add(NetNode(KIND_SYM, operands, ranks=ranks))
+        return self._insert(node)
 
     def and_disjoint(self, operands: Sequence[Ref]) -> Ref:
+        operands = tuple(operands)
+        hit = self._intern.get(_new_node((KIND_AND, operands, None, None)))
+        if hit is not None:
+            return hit
         flat: list[Ref] = []
         for ref in operands:
             node = self._resolve(ref)
@@ -180,9 +220,13 @@ class NetlistBuilder:
             return flat[0]
         if _overlapping(flat, self._supports):
             raise NetlistError("disjoint product with overlapping operand supports")
-        return self._add(NetNode(KIND_AND, tuple(flat)))
+        return self._add(_new_node((KIND_AND, tuple(flat), None, None)))
 
     def or_(self, operands: Sequence[Ref]) -> Ref:
+        operands = tuple(operands)
+        hit = self._intern.get(_new_node((KIND_OR, operands, None, None)))
+        if hit is not None:
+            return hit
         flat: list[Ref] = []
         seen: set[Ref] = set()
         for ref in operands:
@@ -200,7 +244,7 @@ class NetlistBuilder:
             return self.const(0)
         if len(flat) == 1:
             return flat[0]
-        return self._add(NetNode(KIND_OR, tuple(flat)))
+        return self._add(_new_node((KIND_OR, tuple(flat), None, None)))
 
     # -- assembly
 
@@ -210,21 +254,12 @@ class NetlistBuilder:
         if all(reachable):
             return Netlist(self.input_names, tuple(self._nodes), output)
         keep = [i for i, live in enumerate(reachable) if live]
-        remap = {old: new for new, old in enumerate(keep)}
-
-        def remap_ref(ref: Ref) -> Ref:
-            return node_ref(remap[ref.index]) if ref.kind == "node" else ref
-
+        remap = {("node", old): node_ref(new) for new, old in enumerate(keep)}
         nodes = tuple(
-            NetNode(
-                self._nodes[old].kind,
-                tuple(remap_ref(op) for op in self._nodes[old].operands),
-                ranks=self._nodes[old].ranks,
-                value=self._nodes[old].value,
-            )
-            for old in keep
+            _new_node((kind, tuple([remap.get(op, op) for op in operands]), ranks, value))
+            for kind, operands, ranks, value in map(self._nodes.__getitem__, keep)
         )
-        return Netlist(self.input_names, nodes, remap_ref(output))
+        return Netlist(self.input_names, nodes, remap.get(output, output))
 
     def replay(self, kind: str, operands: tuple[Ref, ...], ranks, value) -> Ref:
         """Build one node given as its fields, the way the text format lists it."""
@@ -245,10 +280,13 @@ class NetlistBuilder:
 
     def _add(self, node: NetNode) -> Ref:
         ref = self._intern.get(node)
-        if ref is None:
-            ref = self._intern[node] = node_ref(len(self._nodes))
-            self._nodes.append(node)
-            self._supports.append(_support(node.operands, self._supports))
+        return self._insert(node) if ref is None else ref
+
+    def _insert(self, node: NetNode) -> Ref:
+        """Append and intern a node known not to be interned yet."""
+        ref = self._intern[node] = _new_ref(("node", len(self._nodes)))
+        self._nodes.append(node)
+        self._supports.append(_support(node.operands, self._supports))
         return ref
 
 
@@ -274,38 +312,36 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
     """Evaluate the netlist on every assignment at once.
 
     ``input_masks[i]`` is the truth-table mask of input ``i`` over the
-    assignment space described by ``full``.  Symmetric nodes use a running
-    popcount partition, so the whole netlist costs O(nodes * arity**2)
-    big-integer operations.
+    assignment space described by ``full``.  A SYM node of rank set {k}, k
+    its arity, is the AND of its operands and one of rank set {0} their
+    NOR; other symmetric nodes use a running popcount partition, so the
+    whole netlist costs O(nodes * arity**2) big-integer operations.
     """
-    masks: list[int] = []
-
-    def val(ref: Ref) -> int:
-        return input_masks[ref.index] if ref.kind == "input" else masks[ref.index]
-
-    for node in nl.nodes:
-        if node.kind == KIND_CONST:
-            masks.append(full if node.value else 0)
-        elif node.kind == KIND_INV:
-            masks.append(~val(node.operands[0]) & full)
-        elif node.kind == KIND_AND:
-            acc = full
-            for op in node.operands:
-                acc &= val(op)
-            masks.append(acc)
-        elif node.kind == KIND_OR:
-            acc = 0
-            for op in node.operands:
-                acc |= val(op)
-            masks.append(acc)
-        elif node.kind == KIND_SYM:
-            classes = popcount_class_masks([val(op) for op in node.operands], full)
-            acc = 0
-            for r in node.ranks:
-                acc |= classes[r]
-            masks.append(acc)
+    # a Ref equals and hashes as the tuple of its fields, so plain tuples key the masks
+    masks = {("input", i): mask for i, mask in enumerate(input_masks)}
+    val = masks.__getitem__
+    for i, (kind, operands, ranks, value) in enumerate(nl.nodes):
+        if kind == KIND_SYM:
+            if len(ranks) == 1 and len(operands) in ranks:
+                acc = reduce(and_, map(val, operands), full)
+            elif ranks == _RANK0:
+                acc = ~reduce(or_, map(val, operands), 0) & full
+            else:
+                classes = popcount_class_masks(list(map(val, operands)), full)
+                acc = 0
+                for r in ranks:
+                    acc |= classes[r]
+        elif kind == KIND_INV:
+            acc = ~val(operands[0]) & full
+        elif kind == KIND_AND:
+            acc = reduce(and_, map(val, operands), full)
+        elif kind == KIND_OR:
+            acc = reduce(or_, map(val, operands), 0)
+        elif kind == KIND_CONST:
+            acc = full if value else 0
         else:  # pragma: no cover
-            raise NetlistError(f"unknown node kind {node.kind!r}")
+            raise NetlistError(f"unknown node kind {kind!r}")
+        masks["node", i] = acc
     return val(nl.output)
 
 
@@ -323,24 +359,27 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
 # their rank set; CONST nodes carry their value.
 
 
-def _node_text(node: NetNode, token: Callable[[Ref], str]) -> str:
-    """A node line without its index; ``token`` spells an operand."""
-    parts = [node.kind]
-    if node.kind == KIND_SYM:
-        parts.append("[" + ",".join(map(str, sorted(node.ranks))) + "]")
-    if node.kind == KIND_CONST:
-        parts.append(str(node.value))
-    parts.extend(map(token, node.operands))
-    return " ".join(parts)
+def _node_text(node: NetNode, token: Callable[[Ref], str], spelled: dict) -> str:
+    """A node line without its index; ``token`` spells an operand, ``spelled`` keeps rank sets."""
+    kind, operands, ranks, value = node
+    if kind == KIND_SYM:
+        text = spelled.get(ranks)
+        if text is None:
+            text = spelled[ranks] = "[" + ",".join(map(str, sorted(ranks))) + "]"
+        kind += " " + text
+    elif kind == KIND_CONST:
+        kind += " " + str(value)
+    return " ".join([kind, *map(token, operands)])
 
 
 def netlist_to_text(nl: Netlist) -> str:
-    """The netlist in the text format above; each operand token is spelled once."""
+    """The netlist in the text format above; each token and rank set is spelled once."""
     # a Ref equals and hashes as the tuple of its fields, so plain tuples key the tokens
     tokens = {("input", i): f"i{i}" for i in range(nl.n)}
+    spelled: dict[frozenset[int], str] = {}
     lines = ["inputs: " + " ".join(nl.input_names)]
     for i, node in enumerate(nl.nodes):
-        lines.append(f"{i} {_node_text(node, tokens.__getitem__)}")
+        lines.append(f"{i} {_node_text(node, tokens.__getitem__, spelled)}")
         tokens["node", i] = f"n{i}"
     lines.append("output: " + nl.output.token)
     return "\n".join(lines) + "\n"
@@ -366,17 +405,32 @@ def _parse_ref(token: str, num_nodes: int, num_inputs: int, lineno: int) -> Ref:
     return node_ref(idx)
 
 
+def _parse_ranks(spelling: str, lineno: int) -> frozenset[int]:
+    """A SYM rank set as the writer spells it: ``[r,...]``, increasing, no repeats."""
+    if not (spelling.startswith("[") and spelling.endswith("]")):
+        raise ParseError("SYM node needs a [rank,...] set", lineno)
+    listed = [
+        _parse_number(tok, f"bad rank {tok!r}", lineno) for tok in spelling[1:-1].split(",")
+    ]
+    if listed != sorted(set(listed)):
+        raise ParseError("SYM ranks must be listed in increasing order", lineno)
+    return frozenset(listed)
+
+
 def netlist_from_text(text: str) -> Netlist:
     """Read the text format, accepting only what the writer emits.
 
     Each node line is replayed through a ``NetlistBuilder``.  A node the
     builder rejects, rewrites, merges with an earlier node, or drops as
     unreachable from the output raises ``ParseError`` naming its line.
+    Each valid operand token is registered as it becomes valid, so a token
+    is parsed only to be rejected; each rank spelling is parsed once.
     """
     builder: NetlistBuilder | None = None
     nodes: list[NetNode] = []
     linenos: list[int] = []
     refs: dict[str, Ref] = {}
+    rank_sets: dict[str, frozenset[int]] = {}
     output: Ref | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -390,6 +444,7 @@ def netlist_from_text(text: str) -> Netlist:
                 raise ParseError("duplicate input names", lineno)
             builder = NetlistBuilder(input_names)
             nodes = builder._nodes
+            refs = {ref.token: ref for ref in builder._inputs}
             continue
         if line.startswith("output:"):
             if builder is None:
@@ -397,16 +452,17 @@ def netlist_from_text(text: str) -> Netlist:
             if output is not None:
                 raise ParseError("repeated output line", lineno)
             token = line[len("output:"):].strip()
-            output = _parse_ref(token, len(nodes), len(input_names), lineno)
+            output = refs.get(token) or _parse_ref(token, len(nodes), len(input_names), lineno)
             continue
         if builder is None:
             raise ParseError("node line before inputs", lineno)
         if output is not None:
             raise ParseError("node line after output", lineno)
         parts = line.split()
-        idx = _parse_number(parts[0], f"expected node index, got {parts[0]!r}", lineno)
-        if idx != len(nodes):
-            raise ParseError(f"node index {idx} out of sequence", lineno)
+        idx = len(nodes)
+        if parts[0] != str(idx):
+            number = _parse_number(parts[0], f"expected node index, got {parts[0]!r}", lineno)
+            raise ParseError(f"node index {number} out of sequence", lineno)
         if len(parts) < 2 or parts[1] not in _KINDS:
             raise ParseError("expected a node kind", lineno)
         kind = parts[1]
@@ -414,15 +470,10 @@ def netlist_from_text(text: str) -> Netlist:
         ranks = None
         value = None
         if kind == KIND_SYM:
-            if not rest or not (rest[0].startswith("[") and rest[0].endswith("]")):
-                raise ParseError("SYM node needs a [rank,...] set", lineno)
-            listed = [
-                _parse_number(tok, f"bad rank {tok!r}", lineno)
-                for tok in rest[0][1:-1].split(",")
-            ]
-            if listed != sorted(set(listed)):
-                raise ParseError("SYM ranks must be listed in increasing order", lineno)
-            ranks = listed
+            spelling = rest[0] if rest else ""
+            ranks = rank_sets.get(spelling)
+            if ranks is None:
+                ranks = rank_sets[spelling] = _parse_ranks(spelling, lineno)
             rest = rest[1:]
         if kind == KIND_CONST:
             if len(rest) != 1 or rest[0] not in ("0", "1"):
@@ -430,7 +481,7 @@ def netlist_from_text(text: str) -> Netlist:
             value = int(rest[0])
             rest = []
         for tok in rest:
-            if tok not in refs:  # a token once valid stays valid: nodes only grow
+            if tok not in refs:  # every valid token is registered: this one is rejected
                 refs[tok] = _parse_ref(tok, idx, len(input_names), lineno)
         operands = tuple(map(refs.__getitem__, rest))
         if kind == KIND_INV and len(operands) != 1:
@@ -443,9 +494,10 @@ def netlist_from_text(text: str) -> Netlist:
             raise ParseError(str(exc), lineno) from None
         fresh = ref.kind == "node" and ref.index == idx
         if not fresh or nodes[idx].kind != kind or nodes[idx].operands != operands:
-            made = _node_text(nodes[idx], attrgetter("token")) if fresh else ref.token
+            made = _node_text(nodes[idx], attrgetter("token"), {}) if fresh else ref.token
             raise ParseError(f"{kind} node is not canonical: it builds as {made}", lineno)
         linenos.append(lineno)
+        refs[f"n{idx}"] = ref
     if builder is None:
         raise ParseError("missing inputs line")
     if output is None:

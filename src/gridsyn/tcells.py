@@ -16,6 +16,7 @@ the inverter 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -145,6 +146,18 @@ def _is_threshold_ranks(ranks: frozenset[int], arity: int) -> int | None:
     return k if ranks == frozenset(range(k, arity + 1)) else None
 
 
+_AND2 = frozenset({2})
+_OR2 = frozenset({1, 2})
+
+
+def _sf_plan(arity: int, ranks: frozenset[int]) -> tuple:
+    """``map_sf``'s terms as the rank sets of their threshold cells, None for a missing factor."""
+    return tuple(
+        tuple(None if t is None else frozenset(range(t, arity + 1)) for t in term)
+        for term in map_sf(FullRankSet(arity, ranks)).terms
+    )
+
+
 @dataclass(frozen=True)
 class CellUse:
     name: str
@@ -174,16 +187,15 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
     Shared nodes are counted once.
     """
     b = NetlistBuilder(nl.input_names)
-    mapped: list[Ref] = []
-
-    def res(ref: Ref) -> Ref:
-        return ref if ref.kind == "input" else mapped[ref.index]
+    # operand ref -> mapped ref; a Ref equals and hashes as the tuple of its fields
+    res: dict[tuple, Ref] = dict(zip(b._inputs, b._inputs))
+    plans: dict[tuple, tuple] = {}  # (arity, rank set) -> _sf_plan, once per call
 
     def and2(x: Ref, y: Ref) -> Ref:
-        return b.sym({2}, (x, y))
+        return b.sym(_AND2, (x, y))
 
     def or2(x: Ref, y: Ref) -> Ref:
-        return b.sym({1, 2}, (x, y))
+        return b.sym(_OR2, (x, y))
 
     def chain(refs: Sequence[Ref], gate) -> Ref:
         acc = refs[0]
@@ -192,7 +204,7 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
         return acc
 
     for i, node in enumerate(nl.nodes):
-        ops = tuple(res(op) for op in node.operands)
+        ops = tuple(map(res.__getitem__, node.operands))
         if len(set(ops)) < len(ops):
             j = next(j for j, ref in enumerate(ops) if ref in ops[:j])
             first, second = node.operands[ops.index(ops[j])], node.operands[j]
@@ -200,42 +212,45 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
                 f"node n{i}: operands {first.token} and {second.token} map to one signal"
             )
         if node.kind == KIND_CONST:
-            mapped.append(b.const(node.value))
+            ref = b.const(node.value)
         elif node.kind == KIND_INV:
-            mapped.append(b.inv(ops[0]))
+            ref = b.inv(ops[0])
         elif node.kind == KIND_OR:
-            mapped.append(chain(ops, or2))
+            ref = chain(ops, or2)
         elif node.kind == KIND_AND:
-            mapped.append(chain(ops, and2))
+            ref = chain(ops, and2)
         elif node.kind == KIND_SYM:
             k = len(ops)
             if k > lib.max_arity:
                 raise MappingError(
                     f"symmetric component of {k} inputs exceeds library arity {lib.max_arity}"
                 )
+            plan = plans.get((k, node.ranks))
+            if plan is None:
+                plan = plans[k, node.ranks] = _sf_plan(k, node.ranks)
             terms: list[Ref] = []
-            for lower, upper in map_sf(FullRankSet(k, node.ranks)).terms:
-                factors = [b.sym(range(lower, k + 1), ops)] if lower is not None else []
+            for lower, upper in plan:
+                factors = [b.sym(lower, ops)] if lower is not None else []
                 if upper is not None:
-                    factors.append(b.inv(b.sym(range(upper, k + 1), ops)))
+                    factors.append(b.inv(b.sym(upper, ops)))
                 terms.append(chain(factors, and2) if factors else b.const(1))
-            mapped.append(chain(terms, or2) if terms else b.const(0))
+            ref = chain(terms, or2) if terms else b.const(0)
         else:  # pragma: no cover
             raise MappingError(f"unmappable node kind {node.kind!r}")
+        res["node", i] = ref
 
-    out = nl.output if nl.output.kind == "input" else mapped[nl.output.index]
-    result = b.finish(out)
+    result = b.finish(res[nl.output])
 
     counts: dict[tuple[int, int] | None, int] = {}
-    for node in result.nodes:
-        if node.kind == KIND_SYM:
-            k = len(node.operands)
-            t = _is_threshold_ranks(node.ranks, k)
+    shapes = Counter((node.kind, len(node.operands), node.ranks) for node in result.nodes)
+    for (kind, k, ranks), count in shapes.items():
+        if kind == KIND_SYM:
+            t = _is_threshold_ranks(ranks, k)
             if t is None:  # pragma: no cover - mapping only emits threshold shapes
                 raise MappingError("mapped netlist contains a non-threshold component")
-            counts[(k, t)] = counts.get((k, t), 0) + 1
-        elif node.kind == KIND_INV:
-            counts[None] = counts.get(None, 0) + 1
+            counts[(k, t)] = counts.get((k, t), 0) + count
+        elif kind == KIND_INV:
+            counts[None] = count
 
     uses = []
     total = 0.0

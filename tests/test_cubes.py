@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -324,3 +325,29 @@ class TestMisc:
             Cover(("a", "b"), ("1",))
         with pytest.raises(ValueError, match="invalid cube"):
             Cover(("a",), ("2",))
+
+    def test_cover_validation_names_the_first_offender(self):
+        # a cube's width is checked before its characters, cubes in order
+        def first_offence(cubes):
+            for cube in cubes:
+                if len(cube) != 3:
+                    return f"cube {cube!r} has width {len(cube)}, expected 3"
+                for ch in cube:
+                    if ch not in "01-":
+                        return f"invalid cube character {ch!r} in {cube!r}"
+            return None
+
+        kinds = ("1-0", "", "1-", "1-01", "12x", "-0 ", "x")
+        assert Cover(("a", "b", "c"), ()).cubes == ()
+        for m in range(4):
+            for cubes in itertools.product(kinds, repeat=m):
+                expected = first_offence(cubes)
+                if expected is None:
+                    assert Cover(("a", "b", "c"), cubes).cubes == cubes
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    Cover(("a", "b", "c"), cubes)
+                assert str(exc.value) == expected
+        assert Cover((), ("", "")).m == 2
+        with pytest.raises(ValueError, match="width 1, expected 0"):
+            Cover((), ("", "-"))

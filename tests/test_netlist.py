@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsyn import (
     ParseError,
@@ -153,6 +155,105 @@ class TestBuilder:
         assert supports(nl)[nl.output.index] == {1, 3}
 
 
+class TestInternFirst:
+    """Looking a node up before checking it returns what the full path returns."""
+
+    def test_a_repeated_request_returns_its_ref_and_adds_no_node(self):
+        b = fresh()
+        i = b.input
+        requests = [
+            lambda: b.sym({1, 2}, (i(0), b.inv(i(1)))),
+            lambda: b.inv(i(2)),
+            lambda: b.inv(b.sym({1}, (i(0), i(3)))),
+            lambda: b.and_disjoint([b.sym({1}, (i(0), i(1))), i(2), b.inv(i(3))]),
+            lambda: b.and_disjoint([b.and_disjoint([i(0), i(1)]), i(2)]),
+            lambda: b.or_([i(0), b.inv(i(2)), b.sym({2}, (i(1), i(3)))]),
+            lambda: b.or_([b.or_([i(0), i(1)]), i(1), i(2)]),
+        ]
+        firsts = []
+        for request in requests:
+            firsts.append(request())
+            size = len(b._nodes)
+            for _ in range(2):
+                assert request() == firsts[-1]
+                assert len(b._nodes) == size
+        # asked once each, a fresh builder builds the same nodes and refs
+        warm, b = b, fresh()
+        i = b.input
+        assert [request() for request in requests] == firsts
+        assert b._nodes == warm._nodes and b._supports == warm._supports
+
+    def test_a_request_in_another_operand_order_is_another_node(self):
+        b = fresh()
+        i = b.input
+        for build in (lambda ops: b.sym({1}, ops), b.and_disjoint, b.or_):
+            ab = build([i(0), b.inv(i(1))])
+            ba = build([b.inv(i(1)), i(0)])
+            assert ab != ba
+            assert b._nodes[ab.index].operands == b._nodes[ba.index].operands[::-1]
+
+    @pytest.mark.parametrize(
+        "related,request_,message",
+        [
+            (
+                lambda b, i: [b.sym({1}, (i(0), i(1))), b.const(1), b.sym({1}, (i(0), i(2)))],
+                lambda b, i: b.sym({1}, (i(0), b.const(1))),
+                "SYM operand n1 is a constant",
+            ),
+            (
+                lambda b, i: [b.sym({1}, (i(0), i(1))), b.sym({1}, (i(1), i(0)))],
+                lambda b, i: b.sym({1}, (i(0), i(0))),
+                "SYM operand i0 repeats",
+            ),
+            (
+                lambda b, i: [b.sym({2}, (i(0), i(1))), b.sym({0, 2}, (i(0), i(1)))],
+                lambda b, i: b.sym({3}, (i(0), i(1))),
+                "SYM rank set [3] out of range for its arity 2",
+            ),
+            (
+                lambda b, i: [b.and_disjoint([i(0), i(1)]), b.and_disjoint([i(1), i(2)])],
+                lambda b, i: b.and_disjoint([b.and_disjoint([i(0), i(1)]), i(1)]),
+                "disjoint product with overlapping operand supports",
+            ),
+            (
+                lambda b, i: [b.and_disjoint([i(0), b.inv(i(1))])],
+                lambda b, i: b.and_disjoint([i(0), b.inv(i(1)), i(1)]),
+                "disjoint product with overlapping operand supports",
+            ),
+            (
+                lambda b, i: [b.and_disjoint([i(0), i(1)])],
+                lambda b, i: b.and_disjoint([i(0), i(0)]),
+                "disjoint product with overlapping operand supports",
+            ),
+        ],
+    )
+    def test_a_rejected_request_raises_the_same_error_after_related_nodes(
+        self, related, request_, message
+    ):
+        b = fresh()
+        related(b, b.input)
+        nodes = list(b._nodes)
+        for _ in range(2):  # a rejected request is rejected again, and interns nothing
+            with pytest.raises(NetlistError) as exc:
+                request_(b, b.input)
+            assert str(exc.value) == message
+            assert b._nodes == nodes
+
+    def test_inv_of_inv_still_cancels(self):
+        b = fresh()
+        x, s = b.input(1), b.sym({1}, (b.input(0), b.input(2)))
+        for ref in (x, s):
+            once = b.inv(ref)
+            size = len(b._nodes)
+            for _ in range(2):
+                assert b.inv(once) == ref
+                assert b.inv(ref) == once
+            assert len(b._nodes) == size
+            assert b.sym({0}, (once,)) == ref
+        zero = b.const(0)
+        assert b.inv(b.inv(zero)) == zero
+
+
 class TestValueTypes:
     def test_fields_defaults_and_token(self):
         assert Ref._fields == ("kind", "index")
@@ -249,6 +350,43 @@ class TestEvaluate:
                 assert ((mask >> idx) & 1) == evaluate_netlist(nl, a)
 
 
+class TestSymEvaluation:
+    """SYM[k] evaluates as an AND, SYM[0] as a NOR, every other rank set by popcount."""
+
+    @staticmethod
+    def check(n, operands, ranks):
+        b = NetlistBuilder(tuple(f"x{i}" for i in range(n)))
+        refs = [b.inv(b.input(j)) if inv else b.input(j) for j, inv in operands]
+        nodes = tuple(b._nodes) + (NetNode(KIND_SYM, tuple(refs), frozenset(ranks)),)
+        nl = Netlist(b.input_names, nodes, node_ref(len(nodes) - 1))
+        mask = netlist_mask(nl, assignment_masks(n), full_mask(n))
+        for a in all_assignments(n):
+            idx = sum(bit << i for i, bit in enumerate(a))
+            assert (mask >> idx) & 1 == evaluate_netlist(nl, a)
+
+    def test_every_rank_set_up_to_four_operands(self):
+        for k in range(1, 5):
+            for subset in range(1 << (k + 1)):
+                ranks = {r for r in range(k + 1) if subset >> r & 1}
+                self.check(k, [(j, j % 2) for j in range(k)], ranks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_nodes_of_up_to_eight_operands(self, data):
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, n))
+        picked = data.draw(st.permutations(range(n)))[:k]
+        inverted = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        ranks = data.draw(
+            st.one_of(
+                st.just({0}),
+                st.just({k}),
+                st.sets(st.integers(0, k), max_size=k + 1),
+            )
+        )
+        self.check(n, list(zip(picked, inverted)), ranks)
+
+
 class TestSerialization:
     def build_sample(self):
         b = NetlistBuilder(("a", "b", "c", "d"))
@@ -321,6 +459,71 @@ class TestSerialization:
     def test_parse_errors(self, text, match):
         with pytest.raises(ParseError, match=match):
             netlist_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a rank spelling parsed once per call is looked up by its spelling
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n1 SYM [01] i0 i1\n2 OR n0 n1\noutput: n2\n",
+                "line 3: bad rank '01'",
+            ),
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n1 SYM [+1] i0 i1\n2 OR n0 n1\noutput: n2\n",
+                "line 3: bad rank '+1'",
+            ),
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n1 SYM [1,1] i0 i1\n2 OR n0 n1\noutput: n2\n",
+                "line 3: SYM ranks must be listed in increasing order",
+            ),
+            (
+                "inputs: a b\n0 SYM [0,2] i0 i1\n1 SYM [2,0] i0 i1\n2 OR n0 n1\noutput: n2\n",
+                "line 3: SYM ranks must be listed in increasing order",
+            ),
+            # an operand token registered as valid does not let its other spellings through
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n1 SYM [2] i01 i0\n2 OR n0 n1\noutput: n2\n",
+                "line 3: bad operand token 'i01'",
+            ),
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n1 SYM [2] i+1 i0\n2 OR n0 n1\noutput: n2\n",
+                "line 3: bad operand token 'i+1'",
+            ),
+            (
+                "inputs: a b\n0 INV i0\n1 INV i1\n2 SYM [1] n0 n1\n3 OR n01 n2\noutput: n3\n",
+                "line 5: bad operand token 'n01'",
+            ),
+            (
+                "inputs: a b\n0 INV i0\n1 SYM [1] n0 i1\noutput: n+1\n",
+                "line 4: bad operand token 'n+1'",
+            ),
+            (
+                "inputs: a b\n0 INV i0\n1 SYM [1] n0 i1\noutput: n01\n",
+                "line 4: bad operand token 'n01'",
+            ),
+            # a node index is the exact spelling of its position
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n01 INV n0\noutput: n1\n",
+                "line 3: expected node index, got '01'",
+            ),
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n+1 INV n0\noutput: n1\n",
+                "line 3: expected node index, got '+1'",
+            ),
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n+0 INV n0\noutput: n1\n",
+                "line 3: expected node index, got '+0'",
+            ),
+            (
+                "inputs: a b\n0 SYM [1] i0 i1\n0 INV n0\noutput: n1\n",
+                "line 3: node index 0 out of sequence",
+            ),
+        ],
+    )
+    def test_an_earlier_valid_spelling_lets_no_other_spelling_through(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            netlist_from_text(text)
+        assert str(exc.value) == message
 
     def test_json_dict(self):
         nl = self.build_sample()
