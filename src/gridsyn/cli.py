@@ -49,7 +49,7 @@ from .netlist import (
     netlist_to_json_dict,
     netlist_to_text,
 )
-from .planar import survey_planarity
+from .planar import _SURVEY_CAP, survey_planarity
 from .spectra import format_spectrum, spectrum_of
 from .tcells import MappingError, library_from_pitch_table, library_inventory, map_netlist
 
@@ -84,7 +84,9 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("synth", "spectrum", "grid", "cores", "verify"):
         p[name].add_argument("input", help="PLA file")
     p["tmap"].add_argument("input", help="netlist (.net) or PLA file")
-    p["explore-planar"].add_argument("-n", type=int, required=True, choices=(0, 1, 2, 3, 4))
+    p["explore-planar"].add_argument(
+        "-n", type=int, required=True, choices=range(_SURVEY_CAP + 1)
+    )
     for name, what in (("synth", "netlist"), ("grid", "--render svg"), ("tmap", "mapped netlist")):
         p[name].add_argument("--out", help=f"stem of the {what} file (default: the input's)")
     p["explore-planar"].add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")

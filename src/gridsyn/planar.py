@@ -15,31 +15,27 @@ phases, in the manner of Friedman and Supowit's exact BDD ordering (IEEE
 Trans. Computers, 1990).  Each state's level comes from its parent's with
 one call of the grid level kernel, ``gridplot._split_level``.
 
-The survey classifies every function of a small arity without deciding
-any.  A function is planar in one fixed configuration exactly when it is a
-link-deletion image of the template, and those images are enumerated
-directly, bottom-up over the template's levels.  Planarity is invariant
-under input permutation and input complementation, which merely relabel
-the configuration space, so the planar functions are the union of the
-orbits (the NP classes) of those images.  The survey confirms the first
-image of each orbit by walking its levels with ``_split_level`` and the
-decision's bridge test, then marks each distinct image of the orbit once.
-An orbit is gathered from per-call lookup tables over the byte chunks of a
-truth table: each chunk value under every complementation of the inputs
-within a chunk (complementing a higher input only moves chunks), and each
-chunk value's images under every permutation, ORed chunk by chunk into one
-set.  At n = 4 the 4,288 images fall into 287 of the 402 orbits, which hold
-42,244 functions.
+The survey classifies every function of a small arity as bitmap algebra
+over one integer, the bitmap of all 2**(2**n) n-input functions, which is
+itself a truth table over the 2**n table positions of a function.  Pass 1
+builds the functions with no bridge in one fixed configuration, the most
+significant input read first and none inverted: those are exactly the
+link-deletion images of the template, and each depth's bridge constraint is
+a few big-integer operations on the positions' variables.  Planarity is
+invariant under input permutation and input complementation, which merely
+relabel the configuration space and permute the table positions, so pass 2
+closes the bitmap under both (the NP classes; Harrison, 1963) with ``transform_mask`` over
+those positions, moving every function at once.  At n = 4 the 4,288
+bridge-free functions fall into 287 of the 402 orbits, which hold 42,244
+functions.  The survey decides only the non-planar witnesses it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from operator import or_
 from typing import Iterable
 
-from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask
+from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask, transform_mask
 from .gridplot import (
     _class_links,
     _cofactor_lows,
@@ -226,135 +222,67 @@ class PlanarSurvey:
         return self.planar == self.total
 
 
-def _image_tables(n: int) -> list[list[tuple[int, ...]]]:
-    """Per byte chunk of an n-input truth table, per value of the chunk, its
-    images under the n! input permutations.
+def _bridge_free(n: int) -> int:
+    """Bitmap of the n-input functions whose plot has no bridge when the
+    inputs are read from the most significant down, none inverted: bit f is
+    set iff truth table f qualifies.
 
-    The image of a truth table under ``transform_mask(bits, n, perm)`` is the
-    OR of its chunks' images.  A chunk value's images are those of the value
-    without its lowest set bit, plus that minterm's.
+    The bitmap is a truth table over the 2**n table positions of a
+    function, so ``assignment_masks(2**n)[p]`` is the set of functions whose
+    bit p is 1.  At depth d the cofactor of the prefix a (the top d inputs)
+    is the table's chunk of positions ``a * 2**(n - d)`` upwards, and its
+    grid point is the rank ``popcount(a)``.  The plot has no bridge iff at
+    every depth 2 <= d < n no two prefixes of equal rank have distinct
+    nonzero cofactors: shallower depths have one prefix per rank, and
+    at depth n every nonzero cofactor is the same accepting node.
     """
     size = 1 << n
-    width = min(8, size)
-    moves = [  # per permutation, the image of each minterm
-        [sum((v >> p & 1) << j for j, p in enumerate(perm)) for v in range(size)]
-        for perm in permutations(range(n))
-    ]
-    tables = []
-    for base in range(0, size, width):
-        table = [(0,) * len(moves)]
-        for value in range(1, 1 << width):
-            low = value & -value
-            v = base + low.bit_length() - 1  # the minterm of the lowest set bit
-            prev = table[value ^ low]
-            table.append(tuple(image | 1 << move[v] for image, move in zip(prev, moves)))
-        tables.append(table)
-    return tables
+    var = assignment_masks(size)
+    free = full_mask(size)
+    for d in range(2, n):
+        width = 1 << (n - d)  # the table positions of a cofactor at depth d
+        chunks = [range(a, a + width) for a in range(0, size, width)]
+        nonzero = []
+        for chunk in chunks:
+            m = 0
+            for p in chunk:
+                m |= var[p]
+            nonzero.append(m)
+        for a in range(1 << d):
+            for b in range(a + 1, 1 << d):
+                if a.bit_count() == b.bit_count():  # one grid point
+                    differ = 0
+                    for p, q in zip(chunks[a], chunks[b]):
+                        differ |= var[p] ^ var[q]
+                    free &= ~(nonzero[a] & nonzero[b] & differ)
+    return free
 
 
-def _chunk_flips(n: int) -> list[list[int]]:
-    """Per complementation of the low ``min(3, n)`` inputs (a mask), the
-    complemented value of every value of a byte chunk of an n-input truth table.
+def _np_closure(fns: int, n: int) -> int:
+    """The bitmap of every image of the bitmap's n-input functions under
+    input complementation and permutation.
 
-    Those inputs index the bits within a chunk, so complementing them
-    permutes each chunk's bits alike.  A value's complement is that of the
-    value without its lowest set bit, plus that minterm's.
+    Both permute a function's table positions, which are the bitmap's
+    inputs, so ``transform_mask`` with that permutation of the positions
+    moves every function at once; each permutation used is an involution,
+    so its direction does not matter.  Complementing each input in turn
+    closes the bitmap under complementation.  The permutations of inputs
+    0 .. k are those of inputs 0 .. k - 1 (S_k) and their cosets (j k) S_k
+    for j < k, so k = 1 .. n - 1 then closes it under permutation, and it
+    stays closed under complementation, which a transposition conjugates
+    into another complementation.
     """
-    inputs = min(3, n)
-    width = 1 << inputs  # the bits of a chunk
-    tables = []
-    for low in range(1 << inputs):
-        table = [0]
-        for value in range(1, 1 << width):
-            bit = value & -value
-            table.append(table[value ^ bit] | 1 << ((bit.bit_length() - 1) ^ low))
-        tables.append(table)
-    return tables
-
-
-def _orbit(
-    f: int, n: int, tables: list[list[tuple[int, ...]]], flips: list[list[int]]
-) -> set[int]:
-    """The images of the n-input function f under input complementation and
-    permutation, given ``_image_tables(n)`` and ``_chunk_flips(n)``.
-
-    A complementation of the low inputs maps each chunk through its flip
-    table; complementing the higher inputs ``high`` only moves chunk c to
-    chunk c ^ high.  The images of each complementation under the n!
-    permutations are the ORs of its chunks' table entries.
-    """
-    width = min(8, 1 << n)
-    byte = (1 << width) - 1
-    chunks = [f >> c * width & byte for c in range(len(tables))]
-    orbit: set[int] = set()
-    for table in flips:  # one complementation of the low inputs
-        flipped = [table[value] for value in chunks]
-        for high in range(len(tables)):  # and one of the higher inputs
-            images = tables[0][flipped[high]]
-            for c in range(1, len(tables)):
-                images = map(or_, images, tables[c][flipped[c ^ high]])
-            orbit.update(images)
-    return orbit
-
-
-def _template_words(n: int) -> list[int]:
-    """Every n-input truth table, ascending, whose plot is planar when the
-    inputs are read from the most significant down, none inverted.
-
-    In ``MintermSet``'s convention that configuration is the reversed input
-    order.  Such a plot is the template with links deleted, so the tables
-    are built bottom-up, one tuple of node cofactors per rank at each depth:
-    at depth n a node accepts or is absent, and the node at (r, d) is
-    ``hi << half | lo`` with ``hi`` either 0 or the node at (r + 1, d + 1),
-    and ``lo`` either 0 or the node at (r, d + 1), one choice per kept or
-    deleted link.  Each depth is a set, so equal tuples merge.  The root
-    reads one rank, so each depth-1 tuple ``(lo, hi)`` gives the roots
-    ``{0, lo, hi << half, hi << half | lo}`` directly.
-    """
-    if n == 0:  # the root is a diagonal node
-        return [0, 1]
-    level = set(product((0, 1), repeat=n + 1))
-    for d in range(n - 1, 0, -1):
-        half = 1 << (n - 1 - d)  # the width of a cofactor at depth d + 1
-        nxt = set()
-        for nodes in level:
-            choices = (
-                {0, nodes[r], nodes[r + 1] << half, nodes[r + 1] << half | nodes[r]}
-                for r in range(d + 1)
-            )
-            nxt.update(product(*choices))
-        level = nxt
-    half = 1 << (n - 1)
-    roots = {0}
-    for lo, hi in level:
-        hi <<= half
-        roots.update((lo, hi, hi | lo))
-    return sorted(roots)
-
-
-def _planar_marks(n: int) -> bytearray:
-    """One byte per n-input function, indexed by truth table: 1 iff planar.
-
-    The first template word of each orbit is confirmed by walking its levels
-    with ``_split_level`` in the configuration it was built in, the most
-    significant input first, and ``_planar_level`` must find no bridge on
-    any of them; then each distinct image in its orbit is marked once.
-    """
-    tables = _image_tables(n)
-    flips = _chunk_flips(n)
-    marks = bytearray(1 << (1 << n))
-    for f in _template_words(n):
-        if marks[f]:
-            continue
-        level = {f: 1}
-        for d in range(n):
-            half = 1 << (n - 1 - d)  # completions left after this input
-            level, _ = _split_level(level, (1 << half) - 1, half, 0)
-            if not _planar_level(level):
-                raise RuntimeError(f"template word {f:#x} is not planar read from its top input")
-        for g in _orbit(f, n, tables, flips):
-            marks[g] = 1
-    return marks
+    size = 1 << n
+    for i in range(n):
+        fns |= transform_mask(fns, size, [p ^ 1 << i for p in range(size)])
+    for k in range(1, n):
+        images = fns
+        for j in range(k):
+            pair = 1 << j | 1 << k
+            swap = [p ^ pair if (p >> j ^ p >> k) & 1 else p for p in range(size)]
+            images |= transform_mask(fns, size, swap)
+        fns = images
+    return fns
 
 
 def survey_planarity(n: int) -> PlanarSurvey:
@@ -362,15 +290,21 @@ def survey_planarity(n: int) -> PlanarSurvey:
 
     Deterministic; reports the total, the planar count, and up to ten
     non-planar truth tables (as minterm masks, ascending).  A function is
-    planar iff it lies in the orbit of a template word (``_template_words``),
-    so no function needs a planarity decision.
+    planar iff it lies in the orbit of a function with no bridge in one
+    fixed configuration, so the planar functions are ``_np_closure`` of
+    ``_bridge_free``, and only the reported witnesses are decided: each
+    must have no planar configuration, or the survey raises RuntimeError.
     """
     if not 0 <= n <= _SURVEY_CAP:
         raise ValueError(f"exhaustive survey capped at {_SURVEY_CAP} inputs")
-    marks = _planar_marks(n)
+    planar = _np_closure(_bridge_free(n), n)
+    missing = full_mask(1 << n) & ~planar
     nonplanar: list[int] = []
-    f = marks.find(0)
-    while f != -1 and len(nonplanar) < _MAX_WITNESSES:
+    while missing and len(nonplanar) < _MAX_WITNESSES:
+        low = missing & -missing
+        f = low.bit_length() - 1
+        if is_planar_function(MintermSet(n, f)) is not None:
+            raise RuntimeError(f"survey witness {f:#x} has a planar configuration")
         nonplanar.append(f)
-        f = marks.find(0, f + 1)
-    return PlanarSurvey(n, len(marks), marks.count(1), tuple(nonplanar))
+        missing ^= low
+    return PlanarSurvey(n, 1 << (1 << n), planar.bit_count(), tuple(nonplanar))

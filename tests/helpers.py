@@ -429,6 +429,41 @@ def oracle_derive_pf(t, deleted) -> MintermSet:
     return MintermSet(t.n, bits)
 
 
+def _template_words(n: int) -> list[int]:
+    """Every n-input truth table, ascending, whose plot is planar when the
+    inputs are read from the most significant down, none inverted.
+
+    In ``MintermSet``'s convention that configuration is the reversed input
+    order.  Such a plot is the template with links deleted, so the tables
+    are built bottom-up, one tuple of node cofactors per rank at each depth:
+    at depth n a node accepts or is absent, and the node at (r, d) is
+    ``hi << half | lo`` with ``hi`` either 0 or the node at (r + 1, d + 1),
+    and ``lo`` either 0 or the node at (r, d + 1), one choice per kept or
+    deleted link.  Each depth is a set, so equal tuples merge.  The root
+    reads one rank, so each depth-1 tuple ``(lo, hi)`` gives the roots
+    ``{0, lo, hi << half, hi << half | lo}`` directly.
+    """
+    if n == 0:  # the root is a diagonal node
+        return [0, 1]
+    level = set(product((0, 1), repeat=n + 1))
+    for d in range(n - 1, 0, -1):
+        half = 1 << (n - 1 - d)  # the width of a cofactor at depth d + 1
+        nxt = set()
+        for nodes in level:
+            choices = (
+                {0, nodes[r], nodes[r + 1] << half, nodes[r + 1] << half | nodes[r]}
+                for r in range(d + 1)
+            )
+            nxt.update(product(*choices))
+        level = nxt
+    half = 1 << (n - 1)
+    roots = {0}
+    for lo, hi in level:
+        hi <<= half
+        roots.update((lo, hi, hi | lo))
+    return sorted(roots)
+
+
 def _bridged(words, read: int) -> bool:
     """True iff two prefix classes of the level that has read the inputs in
     ``read`` share a grid point.  A word is a minterm index with the phases

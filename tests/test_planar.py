@@ -19,9 +19,9 @@ from gridsyn import (
     transform_mask,
 )
 from gridsyn import planar
-from gridsyn.planar import _chunk_flips, _image_tables, _orbit, _planar_marks, _template_words
+from gridsyn.planar import _bridge_free, _np_closure
 
-from helpers import ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
+from helpers import _template_words, ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
 
 
 class TestTemplate:
@@ -286,25 +286,20 @@ class TestSurvey:
         assert len(w) <= 10
         assert list(w) == sorted(w)
 
-    @pytest.mark.parametrize("n", range(5))
-    def test_table_orbits_match_the_group_sweep(self, n):
-        tables, flips = _image_tables(n), _chunk_flips(n)
-        for f, orbit in group_sweep_orbits(n):
-            assert _orbit(f, n, tables, flips) == orbit
-            assert _orbit(max(orbit), n, tables, flips) == orbit
+    @staticmethod
+    def words(bitmap):
+        """The set bits of a bitmap of functions, ascending: their truth tables."""
+        return [f for f, bit in enumerate(reversed(bin(bitmap))) if bit == "1"]
 
-    @pytest.mark.parametrize("n", range(5))
-    def test_chunk_flips_complement_the_inputs_within_a_chunk(self, n):
-        k = min(3, n)
-        flips = _chunk_flips(n)
-        assert len(flips) == 1 << k
-        for low, table in enumerate(flips):
-            assert table == [transform_mask(v, k, None, low) for v in range(1 << (1 << k))]
+    @staticmethod
+    def bitmap(words):
+        """The bitmap of a set of truth tables."""
+        return sum(1 << f for f in words)
 
     @pytest.mark.parametrize("n", range(4))
     def test_template_words_are_the_link_deletion_images(self, n):
         """Every deletion set of the template, read in the reversed input
-        order the survey confirms them in; at n = 0 there is no link to
+        order of the bridge-free bitmap; at n = 0 there is no link to
         delete, yet the empty function is planar."""
         t = full_template(n)
         links = sorted(t.links)
@@ -312,38 +307,71 @@ class TestSurvey:
         for k in range(1 << len(links)):
             images.add(derive_pf(t, [link for i, link in enumerate(links) if k >> i & 1]).bits)
         reverse = tuple(range(n - 1, -1, -1))
-        assert _template_words(n) == sorted(transform_mask(f, n, reverse) for f in images)
+        expected = sorted(transform_mask(f, n, reverse) for f in images)
+        assert self.words(_bridge_free(n)) == expected
+        assert _template_words(n) == expected
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_bridge_free_bitmap_is_the_reference_enumeration(self, n):
+        assert self.words(_bridge_free(n)) == _template_words(n)
 
     def test_four_input_template_words_are_pinned(self):
         """At n = 4 the 2**20 deletion sets are too many to sweep in the
         suite, so the words are pinned: their count and the sha256 of their
         decimal list, which a sweep of every deletion set reproduces."""
-        words = _template_words(4)
+        words = self.words(_bridge_free(4))
         assert len(words) == 4288
         digest = hashlib.sha256(",".join(map(str, words)).encode()).hexdigest()
         assert digest == "9a249b4db53d4905a20b2b62206cfc5884996aaf8a0e3e27daa4b4fb335d0f4a"
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_closure_of_one_function_is_its_orbit(self, n):
+        """Every function up to 3 inputs; at n = 4, the smallest and the
+        largest member of each of the 402 orbits."""
+        for f, orbit in group_sweep_orbits(n):
+            expected = self.bitmap(orbit)
+            for g in (f, max(orbit)) if n == 4 else orbit:
+                assert _np_closure(1 << g, n) == expected, g
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_closure_is_the_union_of_the_orbits(self, n):
+        free = _bridge_free(n)
+        expected = 0
+        for _, orbit in group_sweep_orbits(n):
+            if any(free >> g & 1 for g in orbit):
+                expected |= self.bitmap(orbit)
+        assert _np_closure(free, n) == expected
+
     def test_four_input_verdicts_match_the_decision_on_every_orbit(self):
-        marks = _planar_marks(4)
+        planar_fns = _np_closure(_bridge_free(4), 4)
         orbits = group_sweep_orbits(4)
         assert len(orbits) == 402
-        assert sum(marks[f] for f, _ in orbits) == 287
+        assert sum(planar_fns >> f & 1 for f, _ in orbits) == 287
         for f, orbit in orbits:
             decided = is_planar_function(MintermSet(4, f)) is not None
-            assert all(marks[g] == decided for g in orbit), f
+            assert all(planar_fns >> g & 1 == decided for g in orbit), f
 
-    def test_a_template_word_the_grid_dag_rejects_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(planar, "_planar_level", lambda level: False)
-        with pytest.raises(RuntimeError):
-            survey_planarity(2)
-
-    def test_a_non_planar_template_word_is_an_error(self, monkeypatch):
-        """The confirmation rejects a word whose plot really has a bridge:
-        0x358, the first non-planar function of 4 inputs."""
-        words = _template_words
-        monkeypatch.setattr(planar, "_template_words", lambda n: sorted(words(n) + [0x358]))
+    def test_a_witness_the_decision_finds_planar_is_an_error(self, monkeypatch):
+        """The survey decides each non-planar witness it reports; a planar
+        verdict on 0x358, the first of them, must stop it."""
+        witness = ((0, 1, 2, 3), PhaseVector((False,) * 4))
+        monkeypatch.setattr(
+            planar, "is_planar_function", lambda s: witness if s.bits == 0x358 else None
+        )
         with pytest.raises(RuntimeError, match="0x358"):
             survey_planarity(4)
+
+    def test_the_survey_decides_only_its_witnesses(self, monkeypatch):
+        decided = []
+        decide = planar.is_planar_function
+        monkeypatch.setattr(
+            planar, "is_planar_function", lambda s: decided.append(s.bits) or decide(s)
+        )
+        survey = survey_planarity(4)
+        assert tuple(decided) == survey.nonplanar_witnesses
+        decided.clear()
+        survey_planarity(3)
+        assert decided == []
 
     def test_arity_cap(self):
         with pytest.raises(ValueError):
