@@ -9,13 +9,10 @@ cores write no file.  Each command handler writes its artifacts and returns
 its exit status, its record and its text report; ``main`` alone prints, the
 text report or, with --json, the record as one JSON object whose first key
 is "command".  Exit status: 0 on success, 1 on a failed equivalence check, 2
-on usage or parse errors.  The commands with randomized steps, synth, grid
-(its layout search) and verify (its sampled assignments), take --seed, so
-identical inputs and flags give byte-identical output.  grid refuses the
-options it would ignore: --out without --render svg, --seed without
---minimize greedy; synth refuses --seed under --minimize exhaustive when
-no output is wide enough for a sampled verify, and verify refuses it when
-its PLA is not.
+on usage or parse errors.  The commands with a layout search, synth and
+grid, take --seed for its greedy mode, so identical inputs and flags give
+byte-identical output.  grid refuses the options it would ignore: --out
+without --render svg, and, like synth, --seed without --minimize greedy.
 """
 
 from __future__ import annotations
@@ -90,13 +87,8 @@ def _parser() -> argparse.ArgumentParser:
     for name, what in (("synth", "netlist"), ("grid", "--render svg"), ("tmap", "mapped netlist")):
         p[name].add_argument("--out", help=f"stem of the {what} file (default: the input's)")
     p["explore-planar"].add_argument("--out", help="summary JSON path (default planar_bf<n>.json)")
-    p["synth"].add_argument(
-        "--seed", type=int, help="seed for the greedy layout and a sampled verify (default 0)"
-    )
-    p["verify"].add_argument(
-        "--seed", type=int, help="seed for the sampled check above 24 inputs (default 0)"
-    )
-    p["grid"].add_argument("--seed", type=int, help="seed for --minimize greedy (default 0)")
+    for name in ("synth", "grid"):
+        p[name].add_argument("--seed", type=int, help="seed for --minimize greedy (default 0)")
     for cmd in p.values():
         cmd.add_argument("--json", action="store_true", help="machine-readable stdout")
 
@@ -156,6 +148,13 @@ def _stem(ns: argparse.Namespace) -> str:
     return ns.out or Path(ns.input).stem
 
 
+def _greedy_seed(ns: argparse.Namespace) -> int:
+    """The layout search's seed: ``--seed``, which needs ``--minimize greedy``, else 0."""
+    if ns.seed is not None and ns.minimize != "greedy":
+        raise ValueError("--seed seeds the greedy layout search and needs --minimize greedy")
+    return ns.seed or 0
+
+
 def _load_library(ns: argparse.Namespace):
     if ns.pitch_table:
         return _read(ns.pitch_table, lambda text: library_from_pitch_table(text, ns.max_arity))
@@ -190,6 +189,7 @@ def _format_report(rows: list[tuple]) -> list[str]:
 
 
 def _cmd_synth(ns: argparse.Namespace) -> Report:
+    seed = _greedy_seed(ns)
     outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     lib = _load_library(ns)
@@ -198,15 +198,6 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
         EXHAUSTIVE_LAYOUT_CAP < cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
     ):
         raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
-    # under exhaustive search only the sampled verify of a wider output reads the seed
-    if ns.seed is not None and ns.minimize == "exhaustive" and all(
-        cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
-    ):
-        raise ValueError(
-            "--seed seeds the greedy layout search and the sampled verify above "
-            f"{DEFAULT_EXPANSION_CAP} inputs, and no output here reads it"
-        )
-    seed = ns.seed or 0
 
     circuits = []
     rows = []
@@ -215,7 +206,7 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
     for name, cover in outputs:
         cct = stem if len(outputs) == 1 else f"{stem}.{name}"
         nl = decompose(cover)
-        check = verify(nl, cover, seed=seed)
+        check = verify(nl, cover)
         if not check:
             failed = True
             lines.append(f"{cct}: VERIFICATION FAILED at {check.witness}")
@@ -292,8 +283,7 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
         raise ValueError("--minimize cannot be combined with --order or --phases")
     if ns.out is not None and ns.render != "svg":
         raise ValueError("--out names the --render svg file and needs --render svg")
-    if ns.seed is not None and ns.minimize != "greedy":
-        raise ValueError("--seed seeds the greedy layout search and needs --minimize greedy")
+    seed = _greedy_seed(ns)
     outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     entries = []
@@ -301,7 +291,7 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
     for name, cover in outputs:
         s = cover_to_minterms(cover)
         if ns.minimize:
-            layout = minimize_layout(s, mode=ns.minimize, seed=ns.seed or 0)
+            layout = minimize_layout(s, mode=ns.minimize, seed=seed)
             order, phases = layout.order, layout.phases
         else:
             order = tuple(range(cover.n))
@@ -471,13 +461,7 @@ def _cmd_verify(ns: argparse.Namespace) -> Report:
     outputs = _read(ns.input, parse_pla_outputs)
     if len(outputs) != 1:
         raise ValueError("verify expects a single-output PLA")
-    cover = outputs[0][1]
-    if ns.seed is not None and cover.n <= DEFAULT_EXPANSION_CAP:
-        raise ValueError(
-            f"--seed seeds the sampled verify above {DEFAULT_EXPANSION_CAP} inputs, "
-            f"and this PLA has {cover.n}"
-        )
-    result = verify(nl, cover, seed=ns.seed or 0)
+    result = verify(nl, outputs[0][1])
     record = {
         "equivalent": result.equivalent,
         "exhaustive": result.exhaustive,

@@ -29,8 +29,8 @@ _ZEROS = str.maketrans("10-", "010")
 #: A cube inside the engine: ``(ones, zeros)``, its 1 and 0 inputs as bit masks.
 Cube = tuple[int, int]
 
-#: Largest input count for which exact truth-table expansion is attempted by
-#: default.  A 24-input table is a 16M-bit integer, which is still desk scale.
+#: Largest input count for which a truth table is built.  A 24-input table is
+#: a 16M-bit integer, which is still desk scale.
 DEFAULT_EXPANSION_CAP = 24
 
 
@@ -43,7 +43,7 @@ class ParseError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exact expansion would exceed the configured input-count cap."""
+    """A truth table over more than ``DEFAULT_EXPANSION_CAP`` inputs was asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class MintermSet:
 
     @classmethod
     def universe(cls, n: int) -> "MintermSet":
-        return cls(n, (1 << (1 << n)) - 1)
+        return cls(n, full_mask(n))
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,9 @@ def assignment_masks(n: int) -> tuple[int, ...]:
     """Truth-table mask of each input variable over all ``2**n`` assignments.
 
     ``assignment_masks(n)[i]`` has bit ``v`` set iff bit ``i`` of ``v`` is 1.
+    Over the cap it refuses before building any mask, as ``full_mask`` does.
     """
+    full_mask(n)
     size = 1 << n
     masks = []
     for i in range(n):
@@ -221,6 +223,12 @@ def assignment_masks(n: int) -> tuple[int, ...]:
 
 
 def full_mask(n: int) -> int:
+    """The truth table of the constant 1; every truth table over more than
+    ``DEFAULT_EXPANSION_CAP`` inputs is refused here."""
+    if n > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(
+            f"truth table of {n} inputs exceeds the {DEFAULT_EXPANSION_CAP}-input cap"
+        )
     return (1 << (1 << n)) - 1
 
 
@@ -323,10 +331,6 @@ def transform_mask(
 
 def cover_to_minterms(cover: Cover) -> MintermSet:
     """Exact union of all minterms covered by any cube."""
-    if cover.n > DEFAULT_EXPANSION_CAP:
-        raise CapacityError(
-            f"exact expansion capped at {DEFAULT_EXPANSION_CAP} inputs (cover has {cover.n})"
-        )
     full = full_mask(cover.n)
     return MintermSet(cover.n, cover_mask(cover.bit_cubes, assignment_masks(cover.n), full))
 

@@ -31,7 +31,10 @@ Every live input is a literal of the cube.  The node is ``SYM[n]`` with
 the 0-inputs inverted when the cube has more 1s than 0s, and ``SYM[0]``
 with the 1-inputs inverted when it has fewer; on a tie it takes the phase
 of local input 1, ``SYM[n]`` if that input reads 1.  Inverters are built in
-ascending input order.  This is the engine's result because:
+ascending input order.  The leaf builds no truth table, so a product of
+more than ``DEFAULT_EXPANSION_CAP`` live inputs decomposes too, where any
+other cover that wide is refused by ``cover_to_minterms``.  This is the
+engine's result because:
 
 - every pair core holds the cube, plain when its two symbols are equal and
   flipped when they differ, so every pair is a top seed;
@@ -71,7 +74,6 @@ from typing import Sequence
 
 from . import cores as cores_mod
 from .cubes import (
-    CapacityError,
     Cover,
     Cube,
     DEFAULT_EXPANSION_CAP,
@@ -107,7 +109,7 @@ _DEPTH_LIMIT = 400  # recursion guard; each step removes a cube or an input
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of ``verify``: ``checked`` assignments were compared, all of
-    them when ``exhaustive``, else a seeded sample."""
+    them when ``exhaustive``, else a fixed sample."""
 
     equivalent: bool
     witness: tuple[int, ...] | None = None
@@ -152,8 +154,8 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
     symmetric.
     """
     cover = core.base
-    if cover.n > DEFAULT_EXPANSION_CAP:
-        raise CapacityError(f"core factoring capped at {DEFAULT_EXPANSION_CAP} inputs")
+    masks = assignment_masks(cover.n)  # refuses a core over the cap before any work
+    full = full_mask(cover.n)
     z = core.sym_inputs
     z_mask = sum(1 << j for j in z)
     y_mask = (1 << cover.n) - 1 ^ z_mask
@@ -182,8 +184,6 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
         for kept, ranks in groups.values()
     ]
 
-    masks = assignment_masks(cover.n)
-    full = full_mask(cover.n)
     z_masks = [masks[j] ^ full if j in core.inverted else masks[j] for j in z]
     z_classes = popcount_class_masks(z_masks, full)
     y_masks = [masks[j] for j in y]
@@ -248,8 +248,6 @@ def _decompose_rec(
 
     live, cover = restrict(cover)
     inputs = tuple(inputs[j] for j in live)
-    if cover.n > DEFAULT_EXPANSION_CAP:
-        raise CapacityError(f"decomposition capped at {DEFAULT_EXPANSION_CAP} live inputs")
 
     if len(set(cover.bit_cubes)) == 1:
         return _product_leaf(builder, cover.bit_cubes[0], inputs)
@@ -302,19 +300,20 @@ def _decompose_rec(
 
 _EXHAUSTIVE_LIMIT = 20  # one truth table up to 2**20 assignments
 _BLOCK = 16  # free inputs per block above that
-_SAMPLE_BLOCKS = 16  # distinct seeded blocks beyond the expansion cap
+_SAMPLE_BLOCKS = 16  # distinct blocks drawn beyond the expansion cap
 
 
-def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
+def verify(nl: Netlist, cover: Cover) -> VerifyResult:
     """Compare a netlist against a cover on every assignment up to the expansion cap.
 
     Up to 2**20 assignments both sides are compared as one truth table, a
     single block with no input fixed.  Above that the inputs past the first
     16 are frozen block by block and each 16-input subspace is compared as
     one truth table: all ``2**(n - 16)`` blocks up to
-    ``DEFAULT_EXPANSION_CAP`` inputs, and 16 distinct blocks drawn with
-    ``seed`` (2**20 sampled assignments, not exhaustive) beyond it.  On a
-    mismatch the witness assignment is returned.
+    ``DEFAULT_EXPANSION_CAP`` inputs, and beyond it a fixed sample of 16
+    distinct blocks, drawn by ``random.Random(0)`` (2**20 assignments, not
+    exhaustive, the same for every call).  On a mismatch the witness
+    assignment is returned.
     """
     if nl.input_names != cover.input_names:
         raise ValueError("netlist and cover have different input sets")
@@ -325,7 +324,7 @@ def verify(nl: Netlist, cover: Cover, seed: int = 0) -> VerifyResult:
     if exhaustive:
         blocks: Sequence[int] = range(1 << high)
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         drawn: dict[int, None] = {}
         while len(drawn) < _SAMPLE_BLOCKS:
             drawn[rng.getrandbits(high)] = None

@@ -64,8 +64,6 @@ from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .cubes import (
-    CapacityError,
-    DEFAULT_EXPANSION_CAP,
     MintermSet,
     PhaseVector,
     _delta_swap,
@@ -109,8 +107,6 @@ def build_grid_dag(
     merge iff they share depth, rank, and suffix set.
     """
     n = s.n
-    if n > DEFAULT_EXPANSION_CAP:
-        raise CapacityError(f"grid construction capped at {DEFAULT_EXPANSION_CAP} inputs")
     order = tuple(order) if order is not None else tuple(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the inputs")
@@ -316,8 +312,6 @@ class _LevelTable:
 
     def __init__(self, s: MintermSet):
         n = s.n
-        if n > DEFAULT_EXPANSION_CAP:
-            raise CapacityError(f"grid construction capped at {DEFAULT_EXPANSION_CAP} inputs")
         self.n = n
         self.bits = s.bits
         self.counts: dict[int, int] = {0: 1}
@@ -326,8 +320,9 @@ class _LevelTable:
         self.prev: dict[int, tuple[dict[int, int], list[int]]] = {}
         # per table width w: the assignments with position t at 1, and those
         # with t at 1 and the top position at 0, which an exchange of t with
-        # the top moves (none for t the top itself)
-        self.ones = [assignment_masks(w) for w in range(n + 1)]
+        # the top moves (none for t the top itself); width n comes first, so
+        # that a width over the cap refuses before a narrower table is built
+        self.ones = [assignment_masks(w) for w in range(n, -1, -1)][::-1]
         self.swaps = [[m & ~ones[-1] for m in ones] if ones else [] for ones in self.ones]
         self.start(tuple(range(n)))
 

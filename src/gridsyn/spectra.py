@@ -15,7 +15,6 @@ from math import comb
 from typing import Iterable
 
 from .cubes import (
-    CapacityError,
     DEFAULT_EXPANSION_CAP,
     MintermSet,
     assignment_masks,
@@ -96,7 +95,5 @@ def fullrank_set_if_symmetric(s: MintermSet) -> FullRankSet | None:
 @functools.lru_cache(maxsize=None)
 def rank_index_masks(n: int) -> tuple[int, ...]:
     """Truth-table mask of each rank class: ``masks[r]`` covers popcount-r indices."""
-    if n > DEFAULT_EXPANSION_CAP:
-        raise CapacityError(f"rank masks capped at {DEFAULT_EXPANSION_CAP} inputs")
     return tuple(popcount_class_masks(assignment_masks(n), full_mask(n)))
 

@@ -343,20 +343,15 @@ def test_grid_refuses_the_options_it_would_ignore(tmp_path, flags, message):
     assert [p.name for p in tmp_path.iterdir()] == ["xor_pair.pla"]
 
 
-SYNTH_SEED_MESSAGE = (
-    "--seed seeds the greedy layout search and the sampled verify above 24 inputs, "
-    "and no output here reads it"
-)
-
-
+@pytest.mark.parametrize("n", [8, 25])
 @pytest.mark.parametrize("seed", ["0", "5"])
-def test_synth_refuses_a_seed_no_output_reads(tmp_path, seed):
-    """Under ``--minimize exhaustive`` ``synth`` reads ``--seed`` only in the
-    sampled verify of an output over the expansion cap; with none, the option
-    exits 2 with one error line, before any netlist is written."""
-    shutil.copy(DEMO_PLAS / "xor_pair.pla", tmp_path)
+def test_synth_refuses_a_seed_without_greedy_search(tmp_path, n, seed):
+    """``synth`` reads ``--seed`` only in the greedy layout search, as
+    ``grid`` does: under ``--minimize exhaustive`` the option exits 2 with
+    grid's error line at any input width, before any netlist is written."""
+    _wide_files(tmp_path, n)
     proc = subprocess.run(
-        [sys.executable, "-m", "gridsyn.cli", "synth", "xor_pair.pla",
+        [sys.executable, "-m", "gridsyn.cli", "synth", "wide.pla",
          "--minimize", "exhaustive", "--seed", seed],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -365,45 +360,35 @@ def test_synth_refuses_a_seed_no_output_reads(tmp_path, seed):
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"gridsyn: error: {SYNTH_SEED_MESSAGE}\n"
+        2, "", f"gridsyn: error: {GRID_SEED_MESSAGE}\n"
     )
-    assert [p.name for p in tmp_path.iterdir()] == ["xor_pair.pla"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.net", "wide.pla"]
 
 
-VERIFY_SEED_MESSAGE = "--seed seeds the sampled verify above 24 inputs, and this PLA has {n}"
-
-
-@pytest.mark.parametrize("n", [3, 24])
-@pytest.mark.parametrize("seed", ["0", "5"])
-def test_verify_refuses_a_seed_it_does_not_read(tmp_path, n, seed):
-    """``verify`` reads ``--seed`` only to sample a PLA over the expansion
-    cap; at 24 inputs or fewer the option exits 2 with one error line."""
+@pytest.mark.parametrize("n", [3, 24, 25])
+def test_verify_takes_no_seed(tmp_path, n):
+    """``verify`` has no ``--seed`` at any input width: its sample over the
+    expansion cap is fixed, so the option is a usage error with one error line."""
     _wide_files(tmp_path, n)
     proc = subprocess.run(
-        [sys.executable, "-m", "gridsyn.cli", "verify", "wide.net", "wide.pla", "--seed", seed],
+        [sys.executable, "-m", "gridsyn.cli", "verify", "wide.net", "wide.pla", "--seed", "5"],
         cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"gridsyn: error: {VERIFY_SEED_MESSAGE.format(n=n)}\n"
-    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: gridsyn ")
+    assert [line for line in proc.stderr.splitlines() if "error" in line] == [
+        "gridsyn: error: unrecognized arguments: --seed 5"
+    ]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.net", "wide.pla"]
 
 
-def test_verify_reads_seed_above_the_cap(tmp_path, monkeypatch, capsys):
-    """At 25 inputs ``verify`` samples, and ``--seed`` draws the sample."""
-    monkeypatch.chdir(tmp_path)
-    _wide_files(tmp_path, 25)
-    assert main(["verify", "wide.net", "wide.pla", "--seed", "5"]) == 0
-    assert capsys.readouterr().out == "equivalent on 1048576 sampled assignments\n"
-
-
-def test_synth_reads_seed_under_greedy_or_a_wide_output(tmp_path, monkeypatch, capsys):
-    """``--seed`` stays valid where a step reads it: the greedy layout search,
-    and under exhaustive search the sampled verify of a 25-input output."""
+def test_synth_reads_seed_under_greedy(tmp_path, monkeypatch, capsys):
+    """``--seed`` stays valid where the greedy layout search reads it, at any
+    input width; at 25 inputs the search is skipped and the check sampled."""
     monkeypatch.chdir(tmp_path)
     pla = str(DEMO_PLAS / "xor_pair.pla")
     reports = []
@@ -413,8 +398,44 @@ def test_synth_reads_seed_under_greedy_or_a_wide_output(tmp_path, monkeypatch, c
     assert reports[0] == reports[1]
     wide = tmp_path / "wide.pla"
     wide.write_text(".i 25\n.o 1\n11" + "-" * 23 + " 1\n.e\n", encoding="utf-8")
-    assert main(["synth", str(wide), "--minimize", "exhaustive", "--seed", "5"]) == 0
+    assert main(["synth", str(wide), "--seed", "5"]) == 0
     assert "on 1048576 sampled assignments" in capsys.readouterr().out
+
+
+def _seeded_wide_pla() -> str:
+    """A seeded 25-input PLA whose parts of equal don't-care count
+    (``cores.dc_partition``) read at most 24 inputs each."""
+    rng = random.Random(25)
+    cubes = []
+    for dead, count in ((1, 1), (13, 3), (16, 2), (20, 4)):
+        skip = set(rng.sample(range(25), dead))
+        for _ in range(count):
+            cubes.append("".join("-" if j in skip else rng.choice("01") for j in range(25)))
+    return ".i 25\n.o 1\n" + "".join(c + " 1\n" for c in cubes) + ".e\n"
+
+
+#: sha256 of the ``--json`` reports of ``synth wide.pla`` and ``verify wide.net
+#: wide.pla`` on ``_seeded_wide_pla``, as written when the sample had a seed, at its default 0.
+WIDE_REPORT_SHA256 = {
+    "synth": "778e0f42717332c2a15d78f6f60bba8d4522a6b2f1ceb5503790f1c4ae8461d5",
+    "verify": "2468449e970958e68ee2c0a4cc10f1d23d8b43c653caf8f5017054cb19966c89",
+}
+
+
+def test_sampled_check_keeps_its_sample(tmp_path, monkeypatch, capsys):
+    """Over the cap ``verify`` compares a fixed sample of 2**20 assignments,
+    the blocks the default seed drew, so the reports keep their bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.pla").write_text(_seeded_wide_pla(), encoding="utf-8")
+    digests = {}
+    for argv in (["synth", "wide.pla"], ["verify", "wide.net", "wide.pla"]):
+        assert main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        digests[argv[0]] = hashlib.sha256(out.encode()).hexdigest()
+        report = json.loads(out)
+        check = report["circuits"][0] if argv[0] == "synth" else report
+        assert (check["exhaustive"], check["checked"]) == (False, 1 << 20)
+    assert digests == WIDE_REPORT_SHA256
 
 
 def test_grid_reads_out_under_svg_and_seed_under_greedy(tmp_path, monkeypatch, capsys):

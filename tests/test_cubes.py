@@ -351,3 +351,52 @@ class TestMisc:
         assert Cover((), ("", "")).m == 2
         with pytest.raises(ValueError, match="width 1, expected 0"):
             Cover((), ("", "-"))
+
+
+def _over_the_cap(n):
+    """Each entry point that builds a truth table, called at width n."""
+    from gridsyn.cores import Core
+    from gridsyn.decompose import factor_core
+    from gridsyn.gridplot import build_grid_dag, minimize_layout
+    from gridsyn.planar import derive_pf, full_template
+    from gridsyn.spectra import rank_index_masks
+
+    names = tuple(f"x{i}" for i in range(n))
+    wide = Cover(names, ("11" + "-" * (n - 2),))
+    return {
+        "cover_to_minterms": lambda: cover_to_minterms(wide),
+        "rank_index_masks": lambda: rank_index_masks(n),
+        "build_grid_dag": lambda: build_grid_dag(MintermSet(n, 0)),
+        "minimize_layout": lambda: minimize_layout(MintermSet(n, 0), "greedy"),
+        "factor_core": lambda: factor_core(Core(wide, (0,), (0, 1), ())),
+        "transform_mask": lambda: transform_mask(0, n),
+        "derive_pf": lambda: derive_pf(full_template(n), ()),
+        "universe": lambda: MintermSet.universe(n),
+    }
+
+
+@pytest.mark.parametrize("n", [25, 60])
+def test_truth_tables_refuse_over_the_cap_before_allocating(n):
+    """Every truth table over 24 inputs is refused with one message, and
+    before any table is built: none of these entry points builds a narrower
+    table first, so each peaks far below the 2 MB of a 24-input table."""
+    import tracemalloc
+
+    for name, call in _over_the_cap(n).items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as exc:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"truth table of {n} inputs exceeds the 24-input cap", name
+        assert peak < 1 << 20, (name, peak)
+
+
+def test_spectrum_over_the_cap_counts_members():
+    """Over the cap a rank spectrum counts the members and builds no table."""
+    from gridsyn.spectra import spectrum_of
+
+    sp = spectrum_of(MintermSet.from_indices(60, [0, 0b11, 0b101, (1 << 20) - 1]))
+    assert sp == (1, 0, 2) + (0,) * 17 + (1,) + (0,) * 40

@@ -417,15 +417,23 @@ class TestGuards:
             assert core is not None and core.cube_indices, cover
 
     def test_expansion_cap(self):
+        """Over the cap a cover that needs a truth table is refused, but a
+        product needs none and decomposes to its one SYM node."""
         n = 26
         names = tuple(f"x{i}" for i in range(n))
         cubes = ("10" * (n // 2), "01" * (n // 2))
         from gridsyn import CapacityError
 
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="of 26 inputs exceeds the 24-input cap"):
             decompose(Cover(names, cubes))
-        with pytest.raises(CapacityError):
-            decompose(Cover(names, (cubes[0],)))  # a product is capped too
+        product = Cover(names, (cubes[0],))
+        nl = decompose(product)
+        assert len(nl.sym_nodes()) == 1
+        assert netlist_to_expr(nl) == "SYM[0](" + ", ".join(
+            f"~x{i}" if i % 2 == 0 else f"x{i}" for i in range(n)
+        ) + ")"
+        check = verify(nl, product)
+        assert check and not check.exhaustive
 
     def test_a_wide_cover_reading_few_inputs_decomposes(self):
         names = tuple(f"x{i}" for i in range(30))
