@@ -193,10 +193,9 @@ def _cmd_synth(ns: argparse.Namespace) -> Report:
     outputs = _read(ns.input, parse_pla_outputs)
     stem = _stem(ns)
     lib = _load_library(ns)
-    # refuse before any netlist is written; layouts over the expansion cap are skipped
-    if ns.minimize == "exhaustive" and any(
-        EXHAUSTIVE_LAYOUT_CAP < cover.n <= DEFAULT_EXPANSION_CAP for _, cover in outputs
-    ):
+    # refuse before any netlist is written
+    wide = any(cover.n > EXHAUSTIVE_LAYOUT_CAP for _, cover in outputs)
+    if ns.minimize == "exhaustive" and wide:
         raise ValueError(f"exhaustive layout search requires n <= {EXHAUSTIVE_LAYOUT_CAP}")
 
     circuits = []

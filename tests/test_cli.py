@@ -278,6 +278,18 @@ def test_synth_rejects_exhaustive_layout_over_nine_inputs(tmp_path, monkeypatch,
     assert list(tmp_path.glob("*.net")) == []
 
 
+def test_synth_rejects_exhaustive_layout_over_the_cap(tmp_path, monkeypatch, capsys):
+    # over 24 inputs too: --minimize exhaustive is refused, not skipped, and
+    # before any netlist is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w25.pla").write_text(f".i 25\n.o 1\n{'11' + '-' * 23} 1\n.e\n")
+    assert main(["synth", "w25.pla", "--minimize", "exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridsyn: error: exhaustive layout search requires n <= 9\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["w25.pla"]
+
+
 def test_synth_searches_nine_inputs_exactly(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "w9.pla").write_text(write_pla(random_cover(random.Random(9), 9, 12)))
@@ -349,7 +361,9 @@ def test_synth_refuses_a_seed_without_greedy_search(tmp_path, n, seed):
     """``synth`` reads ``--seed`` only in the greedy layout search, as
     ``grid`` does: under ``--minimize exhaustive`` the option exits 2 with
     grid's error line at any input width, before any netlist is written."""
-    _wide_files(tmp_path, n)
+    (tmp_path / "wide.pla").write_text(
+        f".i {n}\n.o 1\n{'1' + '-' * (n - 1)} 1\n.e\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "gridsyn.cli", "synth", "wide.pla",
          "--minimize", "exhaustive", "--seed", seed],
@@ -362,7 +376,7 @@ def test_synth_refuses_a_seed_without_greedy_search(tmp_path, n, seed):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"gridsyn: error: {GRID_SEED_MESSAGE}\n"
     )
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.net", "wide.pla"]
+    assert [p.name for p in tmp_path.iterdir()] == ["wide.pla"]
 
 
 @pytest.mark.parametrize("n", [3, 24, 25])
