@@ -1,13 +1,13 @@
-"""Recursive decomposition of a cover into a network of symmetric components.
+"""Decomposition of a cover into a network of symmetric components.
 
 A cover is first split by don't-care count (``cores.dc_partition``): each
 part holds the cubes with one count of ``-`` symbols, the engine decomposes
-every part on its own, and the parts' networks are ORed.  The parts
+every part on its own, and the terms of all parts are ORed once.  The parts
 partition the cubes, so the OR is the cover's function.  Each part's
-network is exact, as ``factor_core`` asserts every rank cut and every leaf
+terms are exact, as ``factor_core`` asserts every rank cut and every leaf
 is exact, so the whole network is not verified again.
 
-One round of the engine on a cover F over inputs X:
+One pass of the engine on a cover F over inputs X:
 
 1. score every input pair in both polarities (pair cores),
 2. widen the best-scoring cores greedily and pick the overall best core,
@@ -17,13 +17,12 @@ One round of the engine on a cover F over inputs X:
    any rank-r assignment to the phased Z (they all agree because the core
    is symmetric over Z) and G the full symmetric function of every rank r
    with that cofactor,
-4. recurse on each cofactor H,
-5. recurse on the remainder (the cubes left out of the core) and OR the
-   two networks together.
+4. recurse on each cofactor H, and add one term G * H per cofactor,
+5. take the remainder (the cubes left out of the core) to the next pass.
 
-Recursion bottoms out at constants, at products of literals, and at covers
-whose minterm set is already a union of full ranks: one SYM node, or a
-literal when one input is live.
+A pass stops at a leaf: a constant, a product of literals, or a cover whose
+minterm set is already a union of full ranks (one SYM node, or a literal
+when one input is live).  The terms of all passes and the leaf are ORed once.
 
 A product (a cover of one distinct cube, however often repeated) is read
 straight off the cube as the one SYM node the engine would build for it.
@@ -62,8 +61,9 @@ complementary or two don't-care symbols, so the cube lies in that pair's
 plain or flipped core.  With exactly two live inputs a cube with both
 symbols set lies in one of them the same way, and in a cover of mixed cubes
 only (``1-``, ``0-``, ``-1``, ``-0``) each cube has a plain or flipped swap
-partner.  Every step strictly reduces either the cube count or the input
-count, so the engine terminates; a depth guard backs that argument.
+partner.  So a pass stops at a leaf or peels a core of at least one cube, or
+raises.  A cofactor drops the two or more inputs of its Z, so the recursion
+is at most n // 2 deep on n live inputs; a depth guard backs both arguments.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class DecompositionError(RuntimeError):
     """Internal invariant violation or exceeded recursion guard."""
 
 
-_DEPTH_LIMIT = 400  # recursion guard; each step removes a cube or an input
+_DEPTH_LIMIT = 400  # recursion guard; each cofactor drops two or more inputs
 
 
 @dataclass(frozen=True)
@@ -208,14 +208,15 @@ def decompose(cover: Cover) -> Netlist:
 
     1. split the cover into parts of equal don't-care count
        (``cores.dc_partition``),
-    2. decompose each part with the recursive engine,
-    3. OR the parts' networks.
+    2. decompose each part into terms with the engine,
+    3. OR the terms of all parts once.
     """
     builder = NetlistBuilder(cover.input_names)
     all_inputs = tuple(range(cover.n))
-    parts = cores_mod.dc_partition(cover)
-    out = builder.or_([_decompose_rec(builder, part, all_inputs, 0) for part in parts])
-    return builder.finish(out)
+    terms = []
+    for part in cores_mod.dc_partition(cover):
+        terms += _decompose_rec(builder, part, all_inputs, 0)
+    return builder.finish(builder.or_(terms))
 
 
 def _product_leaf(builder: NetlistBuilder, cube: Cube, inputs: tuple[int, ...]) -> Ref:
@@ -237,61 +238,59 @@ def _decompose_rec(
     cover: Cover,
     inputs: tuple[int, ...],
     depth: int,
-) -> Ref:
-    """Decompose a cover whose input j is global input ``inputs[j]``; returns its output ref."""
+) -> list[Ref]:
+    """Decompose a cover whose input j is global input ``inputs[j]`` pass by
+    pass; returns the terms of every pass and the leaf, whose OR is its function."""
     if depth > _DEPTH_LIMIT:
         raise DecompositionError(f"recursion guard exceeded ({_DEPTH_LIMIT})")
     if not cover.cubes:
-        return builder.const(0)
+        return [builder.const(0)]
     if (0, 0) in cover.bit_cubes:  # a cube of don't-cares only
-        return builder.const(1)
+        return [builder.const(1)]
 
-    live, cover = restrict(cover)
-    inputs = tuple(inputs[j] for j in live)
+    terms: list[Ref] = []  # no remainder is empty or holds a cube of don't-cares only
+    while True:
+        live, cover = restrict(cover)
+        inputs = tuple(inputs[j] for j in live)
 
-    if len(set(cover.bit_cubes)) == 1:
-        return _product_leaf(builder, cover.bit_cubes[0], inputs)
+        if len(set(cover.bit_cubes)) == 1:
+            return [*terms, _product_leaf(builder, cover.bit_cubes[0], inputs)]
 
-    minterms = cover_to_minterms(cover)
+        # every function of one input is symmetric: sym() returns the input,
+        # its inverter or const(1)
+        ranks = fullrank_set_if_symmetric(cover_to_minterms(cover))
+        if ranks is not None:
+            return [*terms, builder.sym(ranks.ranks, [builder.input(i) for i in inputs])]
 
-    # every function of one input is symmetric: sym() returns the input,
-    # its inverter or const(1)
-    ranks = fullrank_set_if_symmetric(minterms)
-    if ranks is not None:
-        return builder.sym(ranks.ranks, [builder.input(i) for i in inputs])
+        # cover.n >= 2 here, so some pair core holds a cube (see the module docstring)
+        if cover.m == 2:
+            core = cores_mod.two_cube_core(cover)
+        else:
+            core = cores_mod.best_core(cores_mod.CoreSearch(cover))
+        if core is None or not core.cube_indices:
+            raise DecompositionError("no pair core holds a cube of this cover")
 
-    # cover.n >= 2 here, so some pair core holds a cube (see the module docstring)
-    if cover.m == 2:
-        core = cores_mod.two_cube_core(cover)
-    else:
-        core = cores_mod.best_core(cores_mod.CoreSearch(cover))
-    if core is None:
-        raise DecompositionError("no pair core holds a cube of this cover")
+        z_ops = []
+        for local_idx in core.sym_inputs:
+            ref = builder.input(inputs[local_idx])
+            if local_idx in core.inverted:
+                ref = builder.inv(ref)
+            z_ops.append(ref)
 
-    z_ops = []
-    for local_idx in core.sym_inputs:
-        ref = builder.input(inputs[local_idx])
-        if local_idx in core.inverted:
-            ref = builder.inv(ref)
-        z_ops.append(ref)
+        # one G*H term per distinct cofactor; a tautology cofactor decomposes to
+        # const(1), which and_disjoint drops
+        z_set = set(core.sym_inputs)
+        y_globals = tuple(inputs[j] for j in range(cover.n) if j not in z_set)
+        for g, h in factor_core(core):
+            g_ref = builder.sym(g.ranks, z_ops)
+            h_ref = builder.or_(_decompose_rec(builder, h, y_globals, depth + 1))
+            terms.append(builder.and_disjoint([g_ref, h_ref]))
 
-    # one G*H term per distinct cofactor; a tautology cofactor decomposes to
-    # const(1), which and_disjoint drops
-    z_set = set(core.sym_inputs)
-    y_globals = tuple(inputs[j] for j in range(cover.n) if j not in z_set)
-    term_refs = []
-    for g, h in factor_core(core):
-        g_ref = builder.sym(g.ranks, z_ops)
-        h_ref = _decompose_rec(builder, h, y_globals, depth + 1)
-        term_refs.append(builder.and_disjoint([g_ref, h_ref]))
-    core_ref = builder.or_(term_refs)
-
-    selected = set(core.cube_indices)
-    remainder = [i for i in range(cover.m) if i not in selected]
-    if not remainder:
-        return core_ref
-    rem_ref = _decompose_rec(builder, subcover(cover, remainder), inputs, depth + 1)
-    return builder.or_([core_ref, rem_ref])
+        selected = set(core.cube_indices)
+        remainder = [i for i in range(cover.m) if i not in selected]
+        if not remainder:
+            return terms
+        cover = subcover(cover, remainder)
 
 
 # ---------------------------------------------------------------------------

@@ -318,12 +318,12 @@ class _LevelTable:
         self.links: dict[int, int] = {}
         self.cur: dict[int, tuple[dict[int, int], list[int]]] = {}
         self.prev: dict[int, tuple[dict[int, int], list[int]]] = {}
-        # per table width w: the assignments with position t at 1, and those
-        # with t at 1 and the top position at 0, which an exchange of t with
-        # the top moves (none for t the top itself); width n comes first, so
-        # that a width over the cap refuses before a narrower table is built
-        self.ones = [assignment_masks(w) for w in range(n, -1, -1)][::-1]
-        self.swaps = [[m & ~ones[-1] for m in ones] if ones else [] for ones in self.ones]
+        # the assignments with position t at 1, which serve a table of any width
+        # w as they are (it has no bits above 2**w), and per width those with t
+        # at 1 and the top at 0, which an exchange of t with the top moves; width
+        # n comes first, so that a width over the cap refuses before anything else
+        self.ones = ones = assignment_masks(n)
+        self.swaps = [[m & ~ones[w - 1] & full_mask(w) for m in ones[:w]] for w in range(n + 1)]
         self.start(tuple(range(n)))
 
     def start(self, order: Sequence[int]) -> None:
@@ -410,7 +410,7 @@ class _LevelTable:
             lv = links.get(lk)
             if lv is None:
                 level, layout = self._level(keys, order, pmask, d)
-                lv = links[lk] = _link_count(level, self.ones[len(layout)][layout.index(x)])
+                lv = links[lk] = _link_count(level, self.ones[layout.index(x)])
             total += lv
         return total
 

@@ -407,6 +407,23 @@ class TestGuards:
         with pytest.raises(DecompositionError, match="guard"):
             decompose(XOR_PAIR)
 
+    def test_a_core_without_cubes_raises(self, monkeypatch):
+        # such a core would leave the remainder unchanged, pass after pass
+        monkeypatch.setattr(
+            cores, "best_core", lambda search: Core(search.cover, (), (0, 1), ())
+        )
+        with pytest.raises(DecompositionError, match="no pair core"):
+            decompose(XOR_PAIR)
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_recursion_depth_follows_the_inputs_not_the_cores(self, monkeypatch, n):
+        # only cofactors recurse, and each drops the two or more inputs of
+        # its core, so a depth over n // 2 would mean the remainder recursed
+        monkeypatch.setattr(sys.modules["gridsyn.decompose"], "_DEPTH_LIMIT", n // 2)
+        for s in range(3):
+            cover = random_cover(random.Random(100 * n + s), n, 20 * n)
+            assert verify(decompose(cover), cover)
+
     def test_every_cover_with_two_live_inputs_has_a_pair_core(self):
         # the invariant that lets the decomposer recurse without a fallback
         rng_covers = live_input_covers()

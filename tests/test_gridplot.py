@@ -18,7 +18,7 @@ from gridsyn import (
     render,
 )
 from gridsyn import cover_to_minterms, transform_mask
-from gridsyn.cubes import CapacityError
+from gridsyn.cubes import CapacityError, assignment_masks
 from gridsyn.gridplot import (
     EXHAUSTIVE_LAYOUT_CAP,
     _LevelTable,
@@ -379,6 +379,13 @@ class TestLevelTable:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             minimize_layout(MintermSet(25, 0), mode="greedy")
+
+    def test_a_greedy_search_caches_one_mask_width(self):
+        # every narrower table's masks are cut from the width-n masks
+        s = cover_to_minterms(random_cover(random.Random(10), 10, 30))
+        assignment_masks.cache_clear()
+        minimize_layout(s, mode="greedy")
+        assert assignment_masks.cache_info().currsize == 1
 
 
 def layout_cases():
