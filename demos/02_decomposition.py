@@ -30,9 +30,9 @@ for name in ("fa_carry", "fa_sum", "xor_pair", "mixed5", "majority5"):
 print()
 print("pair-core scores for the xor pair (the seeds of the decomposition):")
 cover = parse_pla((PLA_DIR / "xor_pair.pla").read_text())
-for (a, b), (inv_a, core) in sorted(best_pair_cores(CoreSearch(cover)).items()):
+for (a, b), core in sorted(best_pair_cores(CoreSearch(cover)).items()):
     names = cover.input_names
-    phase = f"~{names[a]}" if inv_a else "plain"
+    phase = f"~{names[a]}" if core.flips else "plain"
     print(f"  ({names[a]},{names[b]})  {phase:>6}  {core.cube_count} cubes")
 
 print()

@@ -44,7 +44,6 @@ from .gridplot import (
 )
 from .cores import (
     Core,
-    CoreScore,
     CoreSearch,
     best_core,
     best_pair_cores,

@@ -339,19 +339,19 @@ def _core_report(cover: Cover) -> tuple[dict, list[str]]:
     search = cores_mod.CoreSearch(cover)
     pairs = sorted(cores_mod.best_pair_cores(search).items())
     lines = ["pair cores:"]
-    for (a, b), (inv_a, core) in pairs:
-        phase = f"~{names[a]}" if inv_a else "plain"
+    for (a, b), core in pairs:
+        phase = f"~{names[a]}" if core.flips else "plain"
         lines.append(f"  ({names[a]},{names[b]})  {phase:>8}  {core.cube_count} cubes")
     lines.append("expanded cores:")
-    for (a, b), (inv_a, core) in pairs:
-        if not core.cube_indices:
+    for (a, b), core in pairs:
+        if not core.cubes:
             continue
-        expanded, score = cores_mod.expand_core(core, search)
+        expanded = cores_mod.expand_core(core, search)
         z = ",".join(names[i] for i in expanded.sym_inputs)
         inv = ",".join(names[i] for i in sorted(expanded.inverted))
         lines.append(
             f"  seed=({names[a]},{names[b]}) Z=({z}) inverted=({inv}) "
-            f"count={score.cube_count} score={score.score}"
+            f"count={expanded.cube_count} score={expanded.score}"
         )
     best = cores_mod.best_core(search)
     if best is None:
@@ -362,8 +362,8 @@ def _core_report(cover: Cover) -> tuple[dict, list[str]]:
         lines.append(f"best core: Z=({z}) inverted=({inv}) cubes={best.cube_count}")
     entry = {
         "pair_cores": [
-            {"pair": [a, b], "invert_first": inv_a, "cubes": core.cube_count}
-            for (a, b), (inv_a, core) in pairs
+            {"pair": [a, b], "invert_first": bool(core.flips), "cubes": core.cube_count}
+            for (a, b), core in pairs
         ],
         "best": None
         if best is None

@@ -14,7 +14,9 @@ The search runs on integers.  A cube is a ``cubes.Cube`` from
 ``Cover.bit_cubes`` (its ``1`` and ``0`` columns as input bit masks), and a
 phase flip is a masked exchange of the two.  Z and its flips are input bit
 masks too, and a set of cubes is a position mask: bit i is the cover's cube
-i.  A set's size is its cube count, the popcount of its mask.
+i.  A set's size is its cube count, the popcount of its mask.  A ``Core``
+is these three masks over its cover: its cube positions, Z and the flips,
+which lie inside Z; the search builds and reads cores as masks.
 
 Search proceeds the way a cover is actually mined for structure: all input
 pairs are scored with both effective polarities, the best pairs seed a
@@ -69,63 +71,52 @@ from typing import Sequence
 from .cubes import Cover, Cube, set_bits, subcover
 
 
-def _check_inputs(inputs: Sequence[int], n: int) -> None:
-    """Reject an input list with a repeat or an input outside ``range(n)``."""
-    seen = set()
-    for j in inputs:
-        if not 0 <= j < n:
-            raise ValueError(f"input {j!r} outside range({n})")
-        if j in seen:
-            raise ValueError(f"input {j!r} repeated")
-        seen.add(j)
-
-
 @dataclass(frozen=True)
 class Core:
-    """A phased, permutation-closed cube subset of a cover."""
+    """A phased, permutation-closed cube subset of a cover, as three bit masks.
+
+    ``cubes`` holds its cube positions in ``base``, ``z`` its symmetric
+    inputs and ``flips`` its inverted inputs, which lie inside Z.  The
+    other views, and the score, are read off the masks.
+    """
 
     base: Cover
-    cube_indices: tuple[int, ...]
-    sym_inputs: tuple[int, ...]
-    inverted: frozenset[int]
+    cubes: int
+    z: int
+    flips: int
 
     def __post_init__(self):
-        indices, z = tuple(self.cube_indices), tuple(sorted(self.sym_inputs))
-        inverted, z_set = frozenset(self.inverted), frozenset(z)
-        object.__setattr__(self, "cube_indices", indices)
-        object.__setattr__(self, "sym_inputs", z)
-        object.__setattr__(self, "inverted", inverted)
-        # Z is checked once as a whole: sorted, its ends are its min and max,
-        # and one set serves the repeat and the inverted-input checks, so the
-        # loop of ``_check_inputs`` runs only to name the offender.  The index
-        # loop stays: on short tuples it beats ``min`` and ``max``.
-        n, m = self.base.n, self.base.m
-        if z and (z[0] < 0 or z[-1] >= n) or len(z_set) < len(z):
-            _check_inputs(z, n)
-        for i in indices:
-            if not 0 <= i < m:
-                raise ValueError(f"cube index {i!r} outside range({m})")
-        if not inverted <= z_set:
+        if not 0 <= self.cubes < 1 << self.base.m:
+            raise ValueError(f"cube mask {self.cubes:#x} outside the cover's {self.base.m} cubes")
+        if not 0 <= self.z < 1 << self.base.n:
+            raise ValueError(f"input mask {self.z:#x} outside the cover's {self.base.n} inputs")
+        if self.flips & ~self.z:
             raise ValueError("inverted inputs must lie inside the symmetric set")
 
     @property
-    def width(self) -> int:
-        return len(self.sym_inputs)
+    def cube_indices(self) -> tuple[int, ...]:
+        return tuple(set_bits(self.cubes))
+
+    @property
+    def sym_inputs(self) -> tuple[int, ...]:
+        return tuple(set_bits(self.z))
+
+    @property
+    def inverted(self) -> frozenset[int]:
+        return frozenset(set_bits(self.flips))
 
     @property
     def cube_count(self) -> int:
-        return len(self.cube_indices)
+        return self.cubes.bit_count()
 
+    @property
+    def width(self) -> int:
+        return self.z.bit_count()
 
-@dataclass(frozen=True)
-class CoreScore:
-    cube_count: int
-    width: int
-    score: int
-
-    @classmethod
-    def compute(cls, count: int, width: int) -> "CoreScore":
-        return cls(count, width, count * width * width)
+    @property
+    def score(self) -> int:
+        """``count * width**2``, the quantity the widening raises."""
+        return self.cube_count * self.width**2
 
 
 def _closed(cubes: Sequence[Cube], mask: int, z: int, flips: int) -> int:
@@ -161,10 +152,12 @@ def _closed(cubes: Sequence[Cube], mask: int, z: int, flips: int) -> int:
     return closed
 
 
-def _pair_masks(cubes: Sequence[Cube], n: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """The plain and the flipped pair core of every pair a < b, as position masks.
+def _pair_masks(cubes: Sequence[Cube], n: int) -> list[tuple[list[int], list[int]]]:
+    """The plain and the flipped pair core of every pair, as position masks.
 
-    The plain core of (a, b) equals ``_closed(cubes, every, 1 << a | 1 << b,
+    Row ``a`` holds, at index x, the plain and the flipped pair core of
+    (a, x) in either order; the entry at x = a is 0.  For a < b the plain
+    core of (a, b) equals ``_closed(cubes, every, 1 << a | 1 << b,
     0)``, with ``every`` the mask of all positions, and the flipped one the
     same with ``flips = 1 << a``.  Partners are found in one pass over the
     pairs of distinct cubes: two cubes that differ in exactly inputs a < b
@@ -207,23 +200,27 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> dict[tuple[int, int], tuple[in
                 elif s2a == -s1b and s2b == -s1a:
                     flipped[a, b] = flipped.get((a, b), 0) | bits1 | bits2
 
-    masks = {}
+    partner = [([0] * n, [0] * n) for _ in range(n)]
     for a in range(n):
+        plain_a, flipped_a = partner[a]
         for b in range(a + 1, n):
+            plain_b, flipped_b = partner[b]
             both_dash = dash[a] & dash[b]
-            masks[a, b] = (
-                one[a] & one[b] | zero[a] & zero[b] | both_dash | plain.get((a, b), 0),
-                one[a] & zero[b] | zero[a] & one[b] | both_dash | flipped.get((a, b), 0),
+            plain_a[b] = plain_b[a] = (
+                one[a] & one[b] | zero[a] & zero[b] | both_dash | plain.get((a, b), 0)
             )
-    return masks
+            flipped_a[b] = flipped_b[a] = (
+                one[a] & zero[b] | zero[a] & one[b] | both_dash | flipped.get((a, b), 0)
+            )
+    return partner
 
 
 class CoreSearch:
     """The core search on one cover.
 
     ``best_pair_cores``, ``expand_core`` and ``best_core`` take one, and
-    every call on the same search shares what it holds.  ``pairs`` is the
-    pair scan, and ``partner[a][f][x]`` the pair core of (a, x) in either
+    every call on the same search shares what it holds.  ``partner`` is the
+    pair scan: ``partner[a][f][x]`` is the pair core of (a, x) in either
     order, plain for ``f = 0`` and flipped for ``f = 1``.  ``cores`` maps
     ``(core, z, flips)``, with flips normalised against inverting all of Z,
     to the closure of the core under (z, flips), and ``widened`` maps a
@@ -232,13 +229,7 @@ class CoreSearch:
 
     def __init__(self, cover: Cover):
         self.cover = cover
-        n = cover.n
-        self.pairs = _pair_masks(cover.bit_cubes, n)
-        self.partner = [([0] * n, [0] * n) for _ in range(n)]
-        for (a, b), (plain, flipped) in self.pairs.items():
-            (plain_a, flipped_a), (plain_b, flipped_b) = self.partner[a], self.partner[b]
-            plain_a[b] = plain_b[a] = plain
-            flipped_a[b] = flipped_b[a] = flipped
+        self.partner = _pair_masks(cover.bit_cubes, cover.n)
         self.cores: dict[tuple[int, int, int], int] = {}
         self.widened: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
@@ -311,55 +302,50 @@ class CoreSearch:
         return end
 
 
-def _scored_pairs(search: CoreSearch) -> list[tuple[tuple[int, int], bool, int, int]]:
-    """``(pair, flip, mask, size)`` per pair in pair order; ties keep the plain phase."""
+def _scored_pairs(search: CoreSearch) -> list[tuple[int, int, int, int]]:
+    """``(z, flips, cubes, size)`` of each pair a < b in pair order; ties keep the plain phase."""
     out = []
-    for pair, (plain, flipped) in search.pairs.items():
-        plain_size, flipped_size = plain.bit_count(), flipped.bit_count()
-        if flipped_size > plain_size:
-            out.append((pair, True, flipped, flipped_size))
-        else:
-            out.append((pair, False, plain, plain_size))
+    for a, (plain_a, flipped_a) in enumerate(search.partner):
+        for b in range(a + 1, len(plain_a)):
+            plain, flipped = plain_a[b], flipped_a[b]
+            plain_size, flipped_size = plain.bit_count(), flipped.bit_count()
+            if flipped_size > plain_size:
+                out.append((1 << a | 1 << b, 1 << a, flipped, flipped_size))
+            else:
+                out.append((1 << a | 1 << b, 0, plain, plain_size))
     return out
 
 
-def _pair_seed(cover: Cover, pair: tuple[int, int], flip: bool, mask: int) -> Core:
-    return Core(cover, set_bits(mask), pair, {pair[0]} if flip else ())
-
-
-def best_pair_cores(search: CoreSearch) -> dict[tuple[int, int], tuple[bool, Core]]:
-    """Best polarity choice per unordered input pair; ties keep the plain phase.
+def best_pair_cores(search: CoreSearch) -> dict[tuple[int, int], Core]:
+    """The core of each unordered input pair in its better polarity; ties keep the plain phase.
 
     A pair's core is the largest cube sub-list closed under swapping its two
-    columns, with the first column complemented when the flag is set
-    (flipping both is flipping neither, and flipping the second mirrors
-    flipping the first).  A cover with fewer than two inputs has none.
+    columns, with the first column complemented when the core's ``flips``
+    is set (flipping both is flipping neither, and flipping the second
+    mirrors flipping the first).  A cover with fewer than two inputs has
+    none.
     """
     return {
-        pair: (flip, _pair_seed(search.cover, pair, flip, mask))
-        for pair, flip, mask, _ in _scored_pairs(search)
+        tuple(set_bits(z)): Core(search.cover, cubes, z, flips)
+        for z, flips, cubes, _ in _scored_pairs(search)
     }
 
 
-def expand_core(seed: Core, search: CoreSearch) -> tuple[Core, CoreScore]:
-    """Greedily widen a core one input at a time while the score improves.
+def expand_core(seed: Core, search: CoreSearch) -> Core:
+    """Greedily widen a core one input at a time while its score improves.
 
     Each step tries every remaining input in both polarities, keeps the
     largest cube sub-list closed under all permutations of the widened input
-    set, and accepts the candidate only if ``count * width**2`` strictly
-    increases.  Polarities fixed in earlier steps are not revisited.  A seed
-    of a cover other than the search's is a ``ValueError``.
+    set, and accepts the candidate only if ``score`` (``count * width**2``)
+    strictly increases.  Polarities fixed in earlier steps are not
+    revisited.  A seed of a cover other than the search's is a
+    ``ValueError``.
     """
     cover = search.cover
     if seed.base != cover:
         raise ValueError("the seed core belongs to another cover")
-    core = sum(1 << i for i in set(seed.cube_indices))
-    z, flips, core = search.widen(
-        sum(1 << i for i in seed.sym_inputs), sum(1 << i for i in seed.inverted), core
-    )
-    inputs = set_bits(z)
-    wide = Core(cover, set_bits(core), inputs, [i for i in inputs if flips >> i & 1])
-    return wide, CoreScore.compute(wide.cube_count, wide.width)
+    z, flips, cubes = search.widen(seed.z, seed.flips, seed.cubes)
+    return Core(cover, cubes, z, flips)
 
 
 def _selection_key(score: int, width: int, inversions: int, sym_inputs: tuple[int, ...]):
@@ -374,27 +360,26 @@ def best_core(search: CoreSearch) -> Core | None:
     widening step; smaller pair cores are subsets of weaker symmetries and
     expanding them tends to splinter a clean disjoint factorization.  Each
     top seed is widened once, on masks, and the widening with the smallest
-    ``_selection_key`` wins, the first on ties; its seed is rebuilt by
-    ``expand_core``, which the widening memo answers at once.
+    ``_selection_key`` wins, the first on ties; ``expand_core`` widens its
+    seed again, and the widening memo answers at once.
     """
     seeds = _scored_pairs(search)
     top = max((size for *_, size in seeds), default=0)
     if not top:
         return None
-    best = None  # (key, pair, flip, mask)
-    for pair, flip, mask, size in seeds:
+    best = None  # (key, z, flips, cubes)
+    for seed_z, seed_flips, cubes, size in seeds:
         if size != top:
             continue
-        a, b = pair
-        z, flips, end = search.widen(1 << a | 1 << b, int(flip) << a, mask)
+        z, flips, end = search.widen(seed_z, seed_flips, cubes)
         width = z.bit_count()
         key = _selection_key(
             end.bit_count() * width * width, width, flips.bit_count(), tuple(set_bits(z))
         )
         if best is None or key < best[0]:
-            best = key, pair, flip, mask
-    _, pair, flip, mask = best
-    return expand_core(_pair_seed(search.cover, pair, flip, mask), search)[0]
+            best = key, seed_z, seed_flips, cubes
+    _, z, flips, cubes = best
+    return expand_core(Core(search.cover, cubes, z, flips), search)
 
 
 def _symbol(cube: Cube, x: int) -> int:
@@ -546,8 +531,7 @@ def two_cube_core(cover: Cover) -> Core | None:
     if len(tied) > 1:
         tied.sort(key=lambda end: (set_bits(end[3]), end[4]))
     _, _, _, z, _, flips, core = tied[0]
-    inputs = set_bits(z)
-    return Core(cover, set_bits(core), inputs, [i for i in inputs if flips >> i & 1])
+    return Core(cover, core, z, flips)
 
 
 def dc_partition(cover: Cover) -> list[Cover]:

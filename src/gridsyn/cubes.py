@@ -143,11 +143,6 @@ class MintermSet:
             n = len(strings[0])
         return cls.from_indices(n, (minterm_index(s) for s in strings))
 
-    @classmethod
-    def universe(cls, n: int) -> "MintermSet":
-        return cls(n, full_mask(n))
-
-
 @dataclass(frozen=True)
 class PhaseVector:
     """Per-input polarity choice; ``True`` means the input is inverted."""

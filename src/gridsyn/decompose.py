@@ -156,11 +156,9 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
     cover = core.base
     masks = assignment_masks(cover.n)  # refuses a core over the cap before any work
     full = full_mask(cover.n)
-    z = core.sym_inputs
-    z_mask = sum(1 << j for j in z)
+    z, z_mask, flips = core.sym_inputs, core.z, core.flips
     y_mask = (1 << cover.n) - 1 ^ z_mask
     y = set_bits(y_mask)
-    flips = sum(1 << j for j in core.inverted)
     cubes = [cover.bit_cubes[i] for i in core.cube_indices]
 
     # each distinct cofactor, as (ones, zeros) over Y: its kept cubes and its ranks
@@ -184,7 +182,7 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
         for kept, ranks in groups.values()
     ]
 
-    z_masks = [masks[j] ^ full if j in core.inverted else masks[j] for j in z]
+    z_masks = [masks[j] ^ full if flips >> j & 1 else masks[j] for j in z]
     z_classes = popcount_class_masks(z_masks, full)
     y_masks = [masks[j] for j in y]
     acc = 0
@@ -267,27 +265,25 @@ def _decompose_rec(
             core = cores_mod.two_cube_core(cover)
         else:
             core = cores_mod.best_core(cores_mod.CoreSearch(cover))
-        if core is None or not core.cube_indices:
+        if core is None or not core.cubes:
             raise DecompositionError("no pair core holds a cube of this cover")
 
         z_ops = []
         for local_idx in core.sym_inputs:
             ref = builder.input(inputs[local_idx])
-            if local_idx in core.inverted:
+            if core.flips >> local_idx & 1:
                 ref = builder.inv(ref)
             z_ops.append(ref)
 
         # one G*H term per distinct cofactor; a tautology cofactor decomposes to
         # const(1), which and_disjoint drops
-        z_set = set(core.sym_inputs)
-        y_globals = tuple(inputs[j] for j in range(cover.n) if j not in z_set)
+        y_globals = tuple(inputs[j] for j in range(cover.n) if not core.z >> j & 1)
         for g, h in factor_core(core):
             g_ref = builder.sym(g.ranks, z_ops)
             h_ref = builder.or_(_decompose_rec(builder, h, y_globals, depth + 1))
             terms.append(builder.and_disjoint([g_ref, h_ref]))
 
-        selected = set(core.cube_indices)
-        remainder = [i for i in range(cover.m) if i not in selected]
+        remainder = [i for i in range(cover.m) if not core.cubes >> i & 1]
         if not remainder:
             return terms
         cover = subcover(cover, remainder)
@@ -297,27 +293,28 @@ def _decompose_rec(
 # equivalence checking
 
 
-_EXHAUSTIVE_LIMIT = 20  # one truth table up to 2**20 assignments
-_BLOCK = 16  # free inputs per block above that
+_BLOCK = 16  # free inputs per block
 _SAMPLE_BLOCKS = 16  # distinct blocks drawn beyond the expansion cap
 
 
 def verify(nl: Netlist, cover: Cover) -> VerifyResult:
     """Compare a netlist against a cover on every assignment up to the expansion cap.
 
-    Up to 2**20 assignments both sides are compared as one truth table, a
-    single block with no input fixed.  Above that the inputs past the first
-    16 are frozen block by block and each 16-input subspace is compared as
-    one truth table: all ``2**(n - 16)`` blocks up to
-    ``DEFAULT_EXPANSION_CAP`` inputs, and beyond it a fixed sample of 16
-    distinct blocks, drawn by ``random.Random(0)`` (2**20 assignments, not
-    exhaustive, the same for every call).  On a mismatch the witness
-    assignment is returned.
+    The inputs past the first 16 are frozen block by block, and each
+    subspace of the first ``min(n, 16)`` inputs is compared as one truth
+    table, so up to 16 inputs there is a single block with no input fixed.
+    Up to ``DEFAULT_EXPANSION_CAP`` inputs all ``2**(n - 16)`` blocks run in
+    ascending order of the fixed inputs, so a mismatch returns the lowest
+    assignment on which the two sides differ as the witness, and
+    ``checked`` counts the assignments of the blocks compared.  Beyond the
+    cap a fixed sample of 16 distinct blocks is compared, drawn by
+    ``random.Random(0)`` (2**20 assignments, not exhaustive, the same for
+    every call).
     """
     if nl.input_names != cover.input_names:
         raise ValueError("netlist and cover have different input sets")
     n = cover.n
-    free = n if n <= _EXHAUSTIVE_LIMIT else _BLOCK
+    free = min(n, _BLOCK)
     high = n - free
     exhaustive = n <= DEFAULT_EXPANSION_CAP
     if exhaustive:

@@ -20,7 +20,6 @@ from gridsyn import (
 )
 from gridsyn.cores import (
     Core,
-    CoreScore,
     CoreSearch,
     _closed,
     _selection_key,
@@ -280,8 +279,8 @@ def pair_seed(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     """The pair core of (a, b): the cubes whose phased swap orbit lies in the cover."""
     phased = [phase_cube(cube, {a} if invert_a else set()) for cube in cover.cubes]
     closed = oracle_closed_subset(set(phased), [(a, b)])
-    indices = [i for i, cube in enumerate(phased) if cube in closed]
-    return Core(cover, indices, (a, b), {a} if invert_a else ())
+    cubes = sum(1 << i for i, cube in enumerate(phased) if cube in closed)
+    return Core(cover, cubes, 1 << a | 1 << b, invert_a << a)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +294,7 @@ def positions(mask: int) -> list[int]:
 def reference_expand_core(seed, cover: Cover):
     """``expand_core`` without the pair-core bound or shared memos: every candidate is closed."""
     cubes = cover.bit_cubes
-    z = sum(1 << i for i in seed.sym_inputs)
-    flips = sum(1 << i for i in seed.inverted)
-    indices = list(seed.cube_indices)
+    z, flips, indices = seed.z, seed.flips, positions(seed.cubes)
     size = len(indices)
     score = size * z.bit_count() ** 2
 
@@ -322,28 +319,22 @@ def reference_expand_core(seed, cover: Cover):
             break
         score, size, z, flips, indices = best
 
-    inputs = [i for i in range(cover.n) if z >> i & 1]
-    core = Core(cover, indices, inputs, {i for i in inputs if flips >> i & 1})
-    return core, CoreScore.compute(size, core.width)
+    return Core(cover, sum(1 << i for i in indices), z, flips)
 
 
 def reference_best_core(cover: Cover):
     """``best_core`` over ``reference_expand_core``: the largest pair cores, widened."""
-    seeds = [
-        (core, core.cube_count)
-        for _, core in best_pair_cores(CoreSearch(cover)).values()
-        if core.cube_indices
-    ]
+    seeds = [core for core in best_pair_cores(CoreSearch(cover)).values() if core.cubes]
     if not seeds:
         return None
-    top = max(size for _, size in seeds)
-    wide = [reference_expand_core(core, cover) for core, size in seeds if size == top]
+    top = max(core.cube_count for core in seeds)
+    wide = [reference_expand_core(core, cover) for core in seeds if core.cube_count == top]
     return min(
         wide,
-        key=lambda cs: _selection_key(
-            cs[1].score, cs[1].width, len(cs[0].inverted), cs[0].sym_inputs
+        key=lambda core: _selection_key(
+            core.score, core.width, len(core.inverted), core.sym_inputs
         ),
-    )[0]
+    )
 
 
 # ---------------------------------------------------------------------------

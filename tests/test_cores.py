@@ -6,7 +6,6 @@ import pytest
 
 from gridsyn import (
     Core,
-    CoreScore,
     CoreSearch,
     Cover,
     best_core,
@@ -58,8 +57,8 @@ def core_is_symmetric(core: Core) -> bool:
 
 def pair_core(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     """The search's pair core of (a, b), with ``a`` complemented when asked."""
-    masks = CoreSearch(cover).pairs[min(a, b), max(a, b)]
-    return Core(cover, positions(masks[invert_a]), (a, b), {a} if invert_a else ())
+    cubes = CoreSearch(cover).partner[a][invert_a][b]
+    return Core(cover, cubes, 1 << a | 1 << b, invert_a << a)
 
 
 class TestPairCore:
@@ -100,45 +99,53 @@ class TestPairCore:
 
 
 class TestCoreValidation:
-    def test_repeated_sym_input_rejected(self):
-        with pytest.raises(ValueError, match="input 1 repeated"):
-            Core(CARRY, (0,), (1, 0, 1), ())
+    @pytest.mark.parametrize("z", [-1, -0b10, 0b1000, 0b1011])
+    def test_sym_inputs_outside_the_cover_rejected(self, z):
+        with pytest.raises(ValueError, match="input mask .* outside the cover's 3 inputs"):
+            Core(CARRY, 0b1, z, 0)
 
-    @pytest.mark.parametrize("z, bad", [((0, 3), "3"), ((-1, 2), "-1")])
-    def test_sym_input_outside_the_cover_rejected(self, z, bad):
-        with pytest.raises(ValueError, match=f"input {bad} outside range"):
-            Core(CARRY, (0,), z, ())
+    @pytest.mark.parametrize("cubes", [-1, -0b100, 0b1000, 0b1001])
+    def test_cubes_outside_the_cover_rejected(self, cubes):
+        with pytest.raises(ValueError, match="cube mask .* outside the cover's 3 cubes"):
+            Core(CARRY, cubes, 0b11, 0)
 
-    @pytest.mark.parametrize("index", [3, 7, -1])
-    def test_cube_index_outside_the_cover_rejected(self, index):
-        with pytest.raises(ValueError, match=f"cube index {index} outside range"):
-            Core(CARRY, (0, index), (0, 1), ())
-
-    def test_inverted_outside_z_rejected(self):
+    @pytest.mark.parametrize("flips", [0b100, 0b111, -1])
+    def test_inverted_outside_z_rejected(self, flips):
         with pytest.raises(ValueError, match="inverted"):
-            Core(CARRY, (0,), (0, 1), (2,))
+            Core(CARRY, 0b1, 0b11, flips)
 
-    def test_valid_core_keeps_its_fields(self):
-        core = Core(CARRY, [2, 0], (2, 0), [0])
-        assert (core.cube_indices, core.sym_inputs, core.inverted) == ((2, 0), (0, 2), {0})
+    def test_valid_core_reads_its_masks(self):
+        core = Core(CARRY, 0b101, 0b101, 0b1)
+        assert (core.cube_indices, core.sym_inputs, core.inverted) == ((0, 2), (0, 2), {0})
+        assert (core.cube_count, core.width, core.score) == (2, 2, 8)
 
 
 class TestBestPairCores:
     def test_carry_every_pair_full_and_plain(self):
-        for (a, b), (inv, core) in best_pair_cores(CoreSearch(CARRY)).items():
-            assert not inv
+        for core in best_pair_cores(CoreSearch(CARRY)).values():
+            assert not core.flips
             assert core.cube_count == 3
 
     def test_pair_product_favors_the_paired_inputs(self):
         cores = best_pair_cores(CoreSearch(XOR_PAIR))
-        sizes = {pair: core.cube_count for pair, (_, core) in cores.items()}
+        sizes = {pair: core.cube_count for pair, core in cores.items()}
         assert sizes[(0, 1)] == 4 and sizes[(2, 3)] == 4
         assert all(size < 4 for pair, size in sizes.items() if pair not in ((0, 1), (2, 3)))
 
     def test_single_cube_prefers_inverted_when_larger(self):
         c = Cover(("a", "b"), ("10",))
-        inv, core = best_pair_cores(CoreSearch(c))[(0, 1)]
-        assert inv and core.cube_count == 1
+        core = best_pair_cores(CoreSearch(c))[(0, 1)]
+        assert core.flips == 0b1 and core.cube_count == 1
+
+    def test_a_pair_core_is_over_its_pair_and_flips_at_most_the_first(self):
+        rng = random.Random(2032)
+        for _ in range(60):
+            c = random_cover_with_duplicates(rng, rng.randint(2, 8), rng.randint(1, 16))
+            search = CoreSearch(c)
+            for (a, b), core in best_pair_cores(search).items():
+                assert a < b and core.z == 1 << a | 1 << b
+                assert core.flips in (0, 1 << a)
+                assert core.cubes == search.partner[a][bool(core.flips)][b]
 
     def test_needs_two_inputs(self):
         assert best_pair_cores(CoreSearch(Cover(("a",), ("1",)))) == {}
@@ -148,33 +155,33 @@ class TestBestPairCores:
 class TestExpand:
     def test_carry_expands_to_full_width(self):
         seed = pair_core(CARRY, 0, 1)
-        core, score = expand_core(seed, CoreSearch(CARRY))
+        core = expand_core(seed, CoreSearch(CARRY))
         assert core.sym_inputs == (0, 1, 2)
-        assert score == CoreScore(3, 3, 27)
+        assert (core.cube_count, core.width, core.score) == (3, 3, 27)
 
     def test_pair_product_does_not_widen(self):
         seed = pair_core(XOR_PAIR, 0, 1)
-        core, score = expand_core(seed, CoreSearch(XOR_PAIR))
+        core = expand_core(seed, CoreSearch(XOR_PAIR))
         assert core.sym_inputs == (0, 1)
-        assert score == CoreScore(4, 2, 16)
+        assert (core.cube_count, core.width, core.score) == (4, 2, 16)
 
     def test_parity_expands_to_all_inputs(self):
         seed = pair_core(PARITY4, 0, 1)
-        core, score = expand_core(seed, CoreSearch(PARITY4))
+        core = expand_core(seed, CoreSearch(PARITY4))
         assert core.sym_inputs == (0, 1, 2, 3)
-        assert score == CoreScore(8, 4, 128)
+        assert (core.cube_count, core.width, core.score) == (8, 4, 128)
 
     def test_expansion_never_lowers_the_score(self):
         rng = random.Random(5)
         for _ in range(30):
             c = random_cover(rng, rng.randint(2, 7), rng.randint(1, 16))
             search = CoreSearch(c)
-            for _, core in best_pair_cores(search).values():
-                if not core.cube_indices:
+            for core in best_pair_cores(search).values():
+                if not core.cubes:
                     continue
-                seed_score = core.cube_count * core.width**2
-                _, score = expand_core(core, search)
-                assert score.score >= seed_score
+                wide = expand_core(core, search)
+                assert wide.score == wide.cube_count * wide.width**2
+                assert wide.score >= core.cube_count * core.width**2
 
     def test_expanded_cores_stay_symmetric(self):
         rng = random.Random(6)
@@ -186,8 +193,8 @@ class TestExpand:
 
     def test_zero_input_cover_keeps_the_seed(self):
         c = Cover((), ("",))
-        core, score = expand_core(Core(c, (), (), ()), CoreSearch(c))
-        assert (core.cube_indices, core.sym_inputs, score.score) == ((), (), 0)
+        core = expand_core(Core(c, 0, 0, 0), CoreSearch(c))
+        assert (core.cube_indices, core.sym_inputs, core.score) == ((), (), 0)
 
     def test_seed_of_another_cover_rejected(self):
         four = Cover(("a", "b", "c", "d"), ("1-1-", "-11-", "11--"))
@@ -201,7 +208,7 @@ class TestExpand:
             expand_core(seed, CoreSearch(PARITY4))
         equal = Cover(CARRY.input_names, CARRY.cubes)
         assert expand_core(seed, CoreSearch(equal)) == expand_core(seed, CoreSearch(CARRY))
-        assert expand_core(seed, CoreSearch(CARRY))[1].cube_count == 3
+        assert expand_core(seed, CoreSearch(CARRY)).cube_count == 3
 
 
 class TestSelect:
@@ -210,8 +217,7 @@ class TestSelect:
     @staticmethod
     def key(count, width, inverted=(), z=None):
         z = tuple(range(width)) if z is None else z
-        score = CoreScore.compute(count, width)
-        return _selection_key(score.score, score.width, len(inverted), z)
+        return _selection_key(count * width * width, width, len(inverted), z)
 
     def test_highest_score_wins(self):
         assert self.key(3, 3) < self.key(4, 2)
@@ -305,8 +311,12 @@ class TestPairScan:
 
     @staticmethod
     def by_scan(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-        masks = _pair_masks(cover.bit_cubes, cover.n)
-        return {pair: (positions(p), positions(f)) for pair, (p, f) in masks.items()}
+        partner = _pair_masks(cover.bit_cubes, cover.n)
+        return {
+            (a, b): (positions(partner[a][0][b]), positions(partner[a][1][b]))
+            for a in range(cover.n)
+            for b in range(a + 1, cover.n)
+        }
 
     def test_matches_closure_on_random_covers(self):
         rng = random.Random(2003)
@@ -317,7 +327,7 @@ class TestPairScan:
     def test_empty_cover(self):
         cover = Cover(("a", "b", "c"), ())
         assert self.by_scan(cover) == self.by_closure(cover)
-        assert all(masks == (0, 0) for masks in _pair_masks([], 3).values())
+        assert _pair_masks([], 3) == [([0] * 3, [0] * 3)] * 3
 
     def test_one_cube(self):
         cover = Cover(("a", "b", "c"), ("10-",))
@@ -354,11 +364,10 @@ class TestPairCoreBound:
             z = sum(1 << a for a in rest)
             f = sum(1 << a for a in [x, *rest] if rng.random() < 0.4)
             wide = _closed(cubes, every, z | 1 << x, f)
-            pairs = _pair_masks(cubes, n)
+            partner = _pair_masks(cubes, n)
             bound = (1 << len(cubes)) - 1
             for a in rest:
-                plain, flipped = pairs[min(a, x), max(a, x)]
-                bound &= flipped if (f >> a ^ f >> x) & 1 else plain
+                bound &= partner[a][(f >> a ^ f >> x) & 1][x]
             assert wide & ~bound == 0
             assert _closed(cubes, _closed(cubes, every, z, f & z), z | 1 << x, f) == wide
 
@@ -415,11 +424,12 @@ class TestSharedSearch:
             n = rng.randint(4, 7)
             cover = random_cover(rng, n, rng.randint(n, 3 * n))
             search = CoreSearch(cover)
-            for _, seed in best_pair_cores(search).values():
-                if not seed.cube_indices:
+            for seed in best_pair_cores(search).values():
+                if not seed.cubes:
                     continue
                 expand_core(seed, search)
-                part = Core(cover, seed.cube_indices[:-1], seed.sym_inputs, seed.inverted)
+                last = 1 << seed.cubes.bit_length() - 1
+                part = Core(cover, seed.cubes ^ last, seed.z, seed.flips)
                 assert expand_core(part, search) == reference_expand_core(part, cover)
 
 
@@ -471,12 +481,17 @@ class TestCoresCommandIsPinned:
             n = rng.randint(2, 8)
             cover = random_cover_with_duplicates(rng, n, rng.randint(1, 14))
             search = CoreSearch(cover)
-            for pair, (flip, core) in sorted(best_pair_cores(search).items()):
-                h.update(repr((pair, flip, core.cube_indices)).encode())
-                if core.cube_indices:
-                    wide, score = expand_core(core, search)
+            for pair, core in sorted(best_pair_cores(search).items()):
+                h.update(repr((pair, bool(core.flips), core.cube_indices)).encode())
+                if core.cubes:
+                    wide = expand_core(core, search)
                     result = (wide.cube_indices, wide.sym_inputs, sorted(wide.inverted))
-                    h.update(repr((result, score)).encode())
+                    # the bytes ``repr((result, score))`` had when a CoreScore held the score
+                    score = (
+                        f"CoreScore(cube_count={wide.cube_count}, "
+                        f"width={wide.width}, score={wide.score})"
+                    )
+                    h.update(f"({result!r}, {score})".encode())
         return h.hexdigest()
 
     def test_pair_cores_and_widenings_on_random_covers(self):

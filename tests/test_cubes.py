@@ -368,10 +368,9 @@ def _over_the_cap(n):
         "rank_index_masks": lambda: rank_index_masks(n),
         "build_grid_dag": lambda: build_grid_dag(MintermSet(n, 0)),
         "minimize_layout": lambda: minimize_layout(MintermSet(n, 0), "greedy"),
-        "factor_core": lambda: factor_core(Core(wide, (0,), (0, 1), ())),
+        "factor_core": lambda: factor_core(Core(wide, 1, 0b11, 0)),
         "transform_mask": lambda: transform_mask(0, n),
         "derive_pf": lambda: derive_pf(full_template(n), ()),
-        "universe": lambda: MintermSet.universe(n),
     }
 
 

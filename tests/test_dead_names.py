@@ -1,6 +1,6 @@
 """Dead-name check over the package source, using only ``ast``.
 
-Four rules, for every module of ``src/gridsyn`` except ``__init__.py``:
+Five rules, for every module of ``src/gridsyn`` except ``__init__.py``:
 
 - a module-level function, class or constant must be referenced somewhere
   in ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` other than at its
@@ -11,7 +11,11 @@ Four rules, for every module of ``src/gridsyn`` except ``__init__.py``:
   (not counting the re-exports of ``__init__.py``), ``demos/`` or
   ``perfbench/``, so tests alone cannot keep public API alive either;
 - every module-level import must be used by the module itself, or listed
-  in its ``__all__``.
+  in its ``__all__``;
+- a method or property of a module-level class must be referenced outside
+  its own definition: a public one in ``src/`` (not counting
+  ``__init__.py``), ``demos/`` or ``perfbench/``, a private one in
+  ``src/``.
 
 References are matched by bare identifier (a load of the name, an
 attribute of that name, or a ``from ... import`` of it), so two
@@ -77,6 +81,16 @@ def _modules() -> dict[str, ast.Module]:
     return {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
 
 
+def _uses(tree_dirs: tuple[str, ...]) -> Counter:
+    """Identifiers read by the trees, ``__init__.py``'s re-exports excepted."""
+    used: Counter = Counter()
+    for tree_dir in tree_dirs:
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            if path != PACKAGE / "__init__.py":
+                used.update(_loads(_parse(path)))
+    return used
+
+
 def dead_names() -> list[str]:
     """``module.name`` for every definition nothing references."""
     used: Counter = Counter()
@@ -93,9 +107,7 @@ def dead_names() -> list[str]:
 
 def private_names_unused_by_src() -> list[str]:
     """``module.name`` for every private definition ``src/`` references only inside itself."""
-    used: Counter = Counter()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        used.update(_loads(_parse(path)))
+    used = _uses(("src",))
     return [
         f"{stem}.{name}"
         for stem, tree in _modules().items()
@@ -106,11 +118,7 @@ def private_names_unused_by_src() -> list[str]:
 
 def public_names_used_only_by_tests() -> list[str]:
     """``module.name`` for every public definition only ``tests/`` and re-exports reference."""
-    used: Counter = Counter()
-    for tree_dir in ("src", "demos", "perfbench"):
-        for path in sorted((ROOT / tree_dir).rglob("*.py")):
-            if path != PACKAGE / "__init__.py":
-                used.update(_loads(_parse(path)))
+    used = _uses(("src", "demos", "perfbench"))
     return [
         f"{stem}.{name}"
         for stem, tree in _modules().items()
@@ -139,6 +147,30 @@ def unused_imports() -> list[str]:
     return out
 
 
+def _members(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """``(class name, definition)`` for the methods and properties of module-level classes."""
+    return [
+        (node.name, item)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
+def members_unused_outside_the_tests() -> list[str]:
+    """``module.Class.member`` for every member that only tests, or nothing, reference."""
+    public, private = _uses(("src", "demos", "perfbench")), _uses(("src",))
+    return [
+        f"{stem}.{cls}.{node.name}"
+        for stem, tree in _modules().items()
+        for cls, node in _members(tree)
+        if (private if node.name.startswith("_") else public)[node.name]
+        <= _loads(node)[node.name]
+    ]
+
+
 def test_no_dead_names():
     assert dead_names() == []
 
@@ -153,3 +185,7 @@ def test_public_names_are_used_outside_the_tests():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_class_members_are_used_outside_the_tests():
+    assert members_unused_outside_the_tests() == []

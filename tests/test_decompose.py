@@ -81,7 +81,7 @@ class TestFactorCore:
             c = random_cover(rng, rng.randint(2, 8), rng.randint(1, 24))
             a, b = rng.sample(range(c.n), 2)
             seeds = [pair_seed(c, a, b, invert_a=inv) for inv in (False, True)]
-            for core in seeds + [expand_core(seed, CoreSearch(c))[0] for seed in seeds]:
+            for core in seeds + [expand_core(seed, CoreSearch(c)) for seed in seeds]:
                 if core.cube_indices:
                     shaped = [(g.ranks, h.cubes) for g, h in factor_core(core)]
                     assert shaped == string_rank_cut(core)
@@ -93,7 +93,7 @@ class TestFactorCore:
         assert shaped == [(frozenset({1}), ("1",)), (frozenset({2}), ("-",))]
 
     def test_fully_symmetric_core_has_trivial_cofactors(self):
-        core, _ = expand_core(pair_seed(CARRY, 0, 1), CoreSearch(CARRY))
+        core = expand_core(pair_seed(CARRY, 0, 1), CoreSearch(CARRY))
         assert core.sym_inputs == (0, 1, 2)
         terms = factor_core(core)
         assert [(g.ranks, h.cubes) for g, h in terms] == [(frozenset({2, 3}), ("",))]
@@ -133,9 +133,7 @@ class TestFactorCore:
             assert len(set(cofactors)) == len(cofactors)
 
     def test_asymmetric_core_rejected(self):
-        bogus = Core(
-            base=XOR_PAIR, cube_indices=(0, 1, 2), sym_inputs=(0, 2), inverted=frozenset()
-        )
+        bogus = Core(base=XOR_PAIR, cubes=0b111, z=0b101, flips=0)
         with pytest.raises(DecompositionError, match="not symmetric"):
             factor_core(bogus)
 
@@ -369,6 +367,49 @@ class TestVerify:
         assert result.witness == (0,) * n
         assert result.exhaustive
 
+    @staticmethod
+    def product_netlist(cover: Cover):
+        """The cover as an OR of one AND-like SYM node per cube, built independently."""
+        b = NetlistBuilder(cover.input_names)
+        terms = []
+        for cube in cover.cubes:
+            ops = [
+                b.inv(b.input(j)) if s == "0" else b.input(j)
+                for j, s in enumerate(cube)
+                if s != "-"
+            ]
+            terms.append(b.sym((len(ops),), ops))
+        return b.finish(b.or_(terms))
+
+    def test_twenty_inputs_are_checked_in_blocks_of_small_tables(self):
+        import tracemalloc
+
+        cover = random_cover(random.Random(20), 20, 60)
+        nl = self.product_netlist(cover)
+        tracemalloc.start()
+        try:
+            result = verify(nl, cover)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.equivalent and result.exhaustive
+        assert result.checked == 1 << 20
+        assert peak < 8 << 20, peak
+
+    def test_a_mismatch_over_sixteen_inputs_returns_the_lowest_differing_assignment(self):
+        # x0 against x0 + ~x0 x10 x16 ~x17 + ~x0 x2 x17: the sides differ in
+        # block x16 x17 = 10 from x10 up, and in blocks 01 and 11 from x2 up;
+        # the lowest assignment sets x10 and x16 alone
+        n = 18
+        names = tuple(f"x{i}" for i in range(n))
+        cubes = ("1" + "-" * 17, "0" + "-" * 9 + "1" + "-" * 5 + "10", "0-1" + "-" * 14 + "1")
+        cover = Cover(names, cubes)
+        b = NetlistBuilder(names)
+        result = verify(b.finish(b.input(0)), cover)
+        assert not result.equivalent and result.exhaustive
+        assert result.witness == tuple(int(j in (10, 16)) for j in range(n))
+        assert result.checked == 2 << 16  # two blocks compared, the second differs
+
     @pytest.mark.parametrize(
         "n, exhaustive, checked",
         [(3, True, 8), (20, True, 1 << 20), (22, True, 1 << 22), (26, False, 1 << 20)],
@@ -410,7 +451,7 @@ class TestGuards:
     def test_a_core_without_cubes_raises(self, monkeypatch):
         # such a core would leave the remainder unchanged, pass after pass
         monkeypatch.setattr(
-            cores, "best_core", lambda search: Core(search.cover, (), (0, 1), ())
+            cores, "best_core", lambda search: Core(search.cover, 0, 0b11, 0)
         )
         with pytest.raises(DecompositionError, match="no pair core"):
             decompose(XOR_PAIR)

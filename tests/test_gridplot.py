@@ -18,7 +18,7 @@ from gridsyn import (
     render,
 )
 from gridsyn import cover_to_minterms, transform_mask
-from gridsyn.cubes import CapacityError, assignment_masks
+from gridsyn.cubes import CapacityError, assignment_masks, full_mask
 from gridsyn.gridplot import (
     EXHAUSTIVE_LAYOUT_CAP,
     _LevelTable,
@@ -51,8 +51,8 @@ class TestMetrics:
 
     def test_full_two_input_function(self):
         # all prefixes of equal rank merge, so level d holds d+1 nodes
-        assert metrics(build_grid_dag(MintermSet.universe(2))) == (5, 6)
-        assert oracle_metrics(words_of(MintermSet.universe(2)), 2) == (5, 6)
+        assert metrics(build_grid_dag(MintermSet(2, full_mask(2)))) == (5, 6)
+        assert oracle_metrics(words_of(MintermSet(2, full_mask(2))), 2) == (5, 6)
 
     def test_single_minterm(self):
         assert metrics(build_grid_dag(ms("1"))) == (1, 1)
@@ -134,7 +134,7 @@ class TestMetrics:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tautology_attains_link_bound(self, n):
-        assert metrics(build_grid_dag(MintermSet.universe(n))).link_count == n * (n + 1)
+        assert metrics(build_grid_dag(MintermSet(n, full_mask(n)))).link_count == n * (n + 1)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -272,7 +272,7 @@ def level_table_triples():
     for k in range(40):
         n = k % 8
         if k < 8:
-            s = MintermSet(n, 0) if k % 2 else MintermSet.universe(n)
+            s = MintermSet(n, 0) if k % 2 else MintermSet(n, full_mask(n))
         else:
             s = MintermSet(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))
         table = _LevelTable(s)
@@ -396,7 +396,7 @@ def layout_cases():
     for n in range(10):
         sets = [
             MintermSet(n, 0),
-            MintermSet.universe(n),
+            MintermSet(n, full_mask(n)),
             MintermSet(n, rng.getrandbits(1 << n)),
             cover_to_minterms(random_cover(rng, n, rng.randint(1, 2 * n + 1))),
         ]
@@ -528,7 +528,7 @@ def render_cases():
                 yield build_grid_dag(s, order, PhaseVector.inverting(n, inverted))
     for n in range(3):
         yield build_grid_dag(MintermSet(n, 0))
-        yield build_grid_dag(MintermSet.universe(n))
+        yield build_grid_dag(MintermSet(n, full_mask(n)))
 
 
 #: sha256 of the ASCII and SVG drawings and the sorted template links of

@@ -19,6 +19,7 @@ from gridsyn import (
     transform_mask,
 )
 from gridsyn import planar
+from gridsyn.cubes import full_mask
 from gridsyn.planar import _bridge_free, _np_closure
 
 from helpers import _template_words, ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
@@ -30,7 +31,7 @@ class TestTemplate:
         assert len(full_template(n).links) == n * (n + 1)
 
     def test_no_deletion_gives_the_tautology(self):
-        assert derive_pf(full_template(2), ()) == MintermSet.universe(2)
+        assert derive_pf(full_template(2), ()) == MintermSet(2, full_mask(2))
 
     def test_cutting_the_origin_gives_constant_zero(self):
         t = full_template(3)
@@ -157,7 +158,7 @@ def planarity_cases():
     rng = random.Random(1993)
     for n in range(6):
         yield MintermSet(n, 0)
-        yield MintermSet.universe(n)
+        yield MintermSet(n, full_mask(n))
         for _ in range(3):
             yield MintermSet(n, rng.getrandbits(1 << n))
         for _ in range(3):
@@ -171,7 +172,7 @@ def wider_planarity_cases(ns):
     rng = random.Random(2001)
     for n in ns:
         yield MintermSet(n, 0)
-        yield MintermSet.universe(n)
+        yield MintermSet(n, full_mask(n))
         yield MintermSet(n, rng.getrandbits(1 << n))
         for _ in range(2):
             yield disguised(rng, built(rng, n))

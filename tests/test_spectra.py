@@ -15,6 +15,7 @@ from gridsyn import (
     spectrum_of,
     transform_mask,
 )
+from gridsyn.cubes import full_mask
 
 from helpers import ms, sf_minterms
 
@@ -24,7 +25,7 @@ class TestSpectrum:
         assert spectrum_of(ms("1010", "1001", "0110", "0101")) == (0, 0, 4, 0, 0)
 
     def test_full_function_spectrum_is_binomial(self):
-        assert spectrum_of(MintermSet.universe(4)) == (1, 4, 6, 4, 1)
+        assert spectrum_of(MintermSet(4, full_mask(4))) == (1, 4, 6, 4, 1)
 
     def test_phased_pair_product_spectrum(self):
         assert spectrum_of(ms("0000", "0011", "1100", "1111")) == (1, 0, 2, 0, 1)
@@ -70,8 +71,8 @@ class TestConvolve:
     def test_two_single_input_tautologies(self):
         # brute force: the product of two independent 1-input tautologies is
         # the full 2-input function, whose spectrum is the binomial row
-        g = MintermSet.universe(1)
-        h = MintermSet.universe(1)
+        g = MintermSet(1, full_mask(1))
+        h = MintermSet(1, full_mask(1))
         product_bits = 0
         for gv in g.members():
             for hv in h.members():
