@@ -366,18 +366,17 @@ def subcover(cover: Cover, indices: Iterable[int]) -> Cover:
     return sub
 
 
-def restrict(cover: Cover) -> tuple[tuple[int, ...], Cover]:
-    """The inputs some cube reads, and the cover on them alone: the cover itself
+def restrict(cover: Cover) -> Cover:
+    """The cover on the inputs some cube reads, named as in ``cover``: the cover itself
     if it reads every input, else one that keeps each distinct cube once, in order."""
     live = 0
     for ones, zeros in cover.bit_cubes:
         live |= ones | zeros
-    inputs = tuple(set_bits(live))
-    if len(inputs) == cover.n:
-        return inputs, cover
+    if live == (1 << cover.n) - 1:
+        return cover
     # any index of equal cubes will do, and the dict keeps first-seen order
     distinct = {cube: i for i, cube in enumerate(cover.bit_cubes)}
-    return inputs, project(cover, distinct.values(), inputs)
+    return project(cover, distinct.values(), set_bits(live))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,15 @@ One pass of the engine on a cover F over inputs X:
    any rank-r assignment to the phased Z (they all agree because the core
    is symmetric over Z) and G the full symmetric function of every rank r
    with that cofactor,
-4. recurse on each cofactor H, and add one term G * H per cofactor,
+4. recurse on each cofactor H, and add one term G * H per cofactor (when G
+   holds every rank it is constant 1, and the term is H's own terms),
 5. take the remainder (the cubes left out of the core) to the next pass.
 
 A pass stops at a leaf: a constant, a product of literals, or a cover whose
 minterm set is already a union of full ranks (one SYM node, or a literal
 when one input is live).  The terms of all passes and the leaf are ORed once.
+A sub-cover keeps the names of the inputs it reads (``cubes.restrict``,
+``factor_core``), and the engine looks each input's ref up by name.
 
 A product (a cover of one distinct cube, however often repeated) is read
 straight off the cube as the one SYM node the engine would build for it.
@@ -149,17 +152,19 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
     The rank-r cofactor is read from the core's own cubes where the first r
     inputs of Z are phased 1 (raw ``0`` on an inverted input): a cube
     belongs when it has no ``1`` where the assignment is 0 and no ``0`` where
-    it is 1.  The reconstruction Core = sum of G * H is asserted exactly;
-    the sum is symmetric over the phased Z, so this also proves the core
-    symmetric.
+    it is 1.  Each cofactor is projected onto the inputs of Y that its kept
+    cubes read, so it reads every one of its inputs (a tautology cofactor
+    reads none and is the one empty cube).  The reconstruction Core = sum of
+    G * H is asserted exactly; the sum is symmetric over the phased Z, so
+    this also proves the core symmetric.
     """
     cover = core.base
     masks = assignment_masks(cover.n)  # refuses a core over the cap before any work
     full = full_mask(cover.n)
     z, z_mask, flips = core.sym_inputs, core.z, core.flips
     y_mask = (1 << cover.n) - 1 ^ z_mask
-    y = set_bits(y_mask)
-    cubes = [cover.bit_cubes[i] for i in core.cube_indices]
+    indices = core.cube_indices
+    cubes = [cover.bit_cubes[i] for i in indices]
 
     # each distinct cofactor, as (ones, zeros) over Y: its kept cubes and its ranks
     groups: dict[tuple, tuple[tuple, list[int]]] = {}
@@ -171,24 +176,26 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
         raw_zero = z_mask ^ raw_one
         residual = [
             (ones & y_mask, zeros & y_mask, i)
-            for i, (ones, zeros) in zip(core.cube_indices, cubes)
+            for i, (ones, zeros) in zip(indices, cubes)
             if not (ones & raw_zero or zeros & raw_one)
         ]
         if residual:
             kept = _prune_contained(residual)
             groups.setdefault(tuple(k[:2] for k in kept), (kept, []))[1].append(r)
-    terms = [
-        (FullRankSet(len(z), frozenset(ranks)), project(cover, [i for _, _, i in kept], y))
-        for kept, ranks in groups.values()
-    ]
 
     z_masks = [masks[j] ^ full if flips >> j & 1 else masks[j] for j in z]
     z_classes = popcount_class_masks(z_masks, full)
-    y_masks = [masks[j] for j in y]
+    terms = []
     acc = 0
-    for g, h in terms:
-        g_mask = sum(z_classes[r] for r in g.ranks)  # rank classes are disjoint
-        acc |= g_mask & cover_mask(h.bit_cubes, y_masks, full)
+    for kept, ranks in groups.values():
+        read = 0
+        for ones, zeros, _ in kept:
+            read |= ones | zeros
+        y = set_bits(read)
+        h = project(cover, [i for _, _, i in kept], y)
+        terms.append((FullRankSet(len(z), frozenset(ranks)), h))
+        g_mask = sum(z_classes[r] for r in ranks)  # rank classes are disjoint
+        acc |= g_mask & cover_mask(h.bit_cubes, [masks[j] for j in y], full)
     if acc != cover_mask(cubes, masks, full):
         raise DecompositionError(
             f"core cube set is not symmetric over inputs {tuple(z)}: "
@@ -210,55 +217,51 @@ def decompose(cover: Cover) -> Netlist:
     3. OR the terms of all parts once.
     """
     builder = NetlistBuilder(cover.input_names)
-    all_inputs = tuple(range(cover.n))
+    refs = {name: builder.input(j) for j, name in enumerate(cover.input_names)}
     terms = []
     for part in cores_mod.dc_partition(cover):
-        terms += _decompose_rec(builder, part, all_inputs, 0)
+        terms += _decompose_rec(builder, part, refs, 0)
     return builder.finish(builder.or_(terms))
 
 
-def _product_leaf(builder: NetlistBuilder, cube: Cube, inputs: tuple[int, ...]) -> Ref:
-    """The one SYM node of a cube that reads every input: the node the core
-    search and rank cut build for it (see the module docstring)."""
+def _product_leaf(builder: NetlistBuilder, cube: Cube, ops: list[Ref]) -> Ref:
+    """The one SYM node of a cube that reads every input, given as ``ops``: the
+    node the core search and rank cut build for it (see the module docstring)."""
     ones, zeros = cube
     n1, n0 = ones.bit_count(), zeros.bit_count()
     high = n1 > n0 or (n1 == n0 and ones >> 1 & 1)  # a tie keeps the phase of local input 1
     flipped = zeros if high else ones
-    ops = []
-    for j, g in enumerate(inputs):
-        ref = builder.input(g)
-        ops.append(builder.inv(ref) if flipped >> j & 1 else ref)
-    return builder.sym((len(inputs) if high else 0,), ops)
+    phased = [builder.inv(ref) if flipped >> j & 1 else ref for j, ref in enumerate(ops)]
+    return builder.sym((len(ops) if high else 0,), phased)
 
 
 def _decompose_rec(
-    builder: NetlistBuilder,
-    cover: Cover,
-    inputs: tuple[int, ...],
-    depth: int,
+    builder: NetlistBuilder, cover: Cover, refs: dict[str, Ref], depth: int
 ) -> list[Ref]:
-    """Decompose a cover whose input j is global input ``inputs[j]`` pass by
-    pass; returns the terms of every pass and the leaf, whose OR is its function."""
+    """Decompose a cover pass by pass into the terms of every pass and the leaf,
+    whose OR is its function; ``refs`` maps every input name to its input ref.
+
+    The cover is never empty: ``dc_partition`` yields only non-empty parts, a
+    cofactor holds at least one kept cube, and a pass returns before an empty
+    remainder."""
     if depth > _DEPTH_LIMIT:
         raise DecompositionError(f"recursion guard exceeded ({_DEPTH_LIMIT})")
-    if not cover.cubes:
-        return [builder.const(0)]
     if (0, 0) in cover.bit_cubes:  # a cube of don't-cares only
         return [builder.const(1)]
 
-    terms: list[Ref] = []  # no remainder is empty or holds a cube of don't-cares only
+    terms: list[Ref] = []  # no remainder holds a cube of don't-cares only
     while True:
-        live, cover = restrict(cover)
-        inputs = tuple(inputs[j] for j in live)
+        cover = restrict(cover)
+        ops = [refs[name] for name in cover.input_names]
 
         if len(set(cover.bit_cubes)) == 1:
-            return [*terms, _product_leaf(builder, cover.bit_cubes[0], inputs)]
+            return [*terms, _product_leaf(builder, cover.bit_cubes[0], ops)]
 
         # every function of one input is symmetric: sym() returns the input,
         # its inverter or const(1)
         ranks = fullrank_set_if_symmetric(cover_to_minterms(cover))
         if ranks is not None:
-            return [*terms, builder.sym(ranks.ranks, [builder.input(i) for i in inputs])]
+            return [*terms, builder.sym(ranks.ranks, ops)]
 
         # cover.n >= 2 here, so some pair core holds a cube (see the module docstring)
         if cover.m == 2:
@@ -268,19 +271,17 @@ def _decompose_rec(
         if core is None or not core.cubes:
             raise DecompositionError("no pair core holds a cube of this cover")
 
-        z_ops = []
-        for local_idx in core.sym_inputs:
-            ref = builder.input(inputs[local_idx])
-            if core.flips >> local_idx & 1:
-                ref = builder.inv(ref)
-            z_ops.append(ref)
+        z_ops = [builder.inv(ops[j]) if core.flips >> j & 1 else ops[j] for j in core.sym_inputs]
 
-        # one G*H term per distinct cofactor; a tautology cofactor decomposes to
-        # const(1), which and_disjoint drops
-        y_globals = tuple(inputs[j] for j in range(cover.n) if not core.z >> j & 1)
+        # one G*H term per distinct cofactor; a G of every rank is constant 1,
+        # so its term is the cofactor's own terms, and a tautology cofactor
+        # decomposes to const(1), which and_disjoint drops
         for g, h in factor_core(core):
-            g_ref = builder.sym(g.ranks, z_ops)
-            h_ref = builder.or_(_decompose_rec(builder, h, y_globals, depth + 1))
+            if len(g.ranks) == g.n + 1:
+                terms += _decompose_rec(builder, h, refs, depth + 1)
+                continue
+            g_ref = builder.sym(g.ranks, z_ops)  # G before H: the pinned netlists fix that order
+            h_ref = builder.or_(_decompose_rec(builder, h, refs, depth + 1))
             terms.append(builder.and_disjoint([g_ref, h_ref]))
 
         remainder = [i for i in range(cover.m) if not core.cubes >> i & 1]

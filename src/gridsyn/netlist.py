@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_, attrgetter, or_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from .cubes import ParseError, popcount_class_masks
 
@@ -392,17 +392,15 @@ def _parse_number(digits: str, message: str, lineno: int) -> int:
     return int(digits)
 
 
-def _parse_ref(token: str, num_nodes: int, num_inputs: int, lineno: int) -> Ref:
+def _reject_ref(token: str, lineno: int) -> NoReturn:
+    """Name what is wrong with an operand token that is not registered: every
+    input and every earlier node is, so a well-spelled one is out of range."""
     if len(token) < 2 or token[0] not in "ni":
         raise ParseError(f"bad operand token {token!r}", lineno)
-    idx = _parse_number(token[1:], f"bad operand token {token!r}", lineno)
+    _parse_number(token[1:], f"bad operand token {token!r}", lineno)
     if token[0] == "i":
-        if not 0 <= idx < num_inputs:
-            raise ParseError(f"input reference {token} out of range", lineno)
-        return input_ref(idx)
-    if not 0 <= idx < num_nodes:
-        raise ParseError(f"node reference {token} must point to an earlier node", lineno)
-    return node_ref(idx)
+        raise ParseError(f"input reference {token} out of range", lineno)
+    raise ParseError(f"node reference {token} must point to an earlier node", lineno)
 
 
 def _parse_ranks(spelling: str, lineno: int) -> frozenset[int]:
@@ -452,7 +450,7 @@ def netlist_from_text(text: str) -> Netlist:
             if output is not None:
                 raise ParseError("repeated output line", lineno)
             token = line[len("output:"):].strip()
-            output = refs.get(token) or _parse_ref(token, len(nodes), len(input_names), lineno)
+            output = refs[token] if token in refs else _reject_ref(token, lineno)
             continue
         if builder is None:
             raise ParseError("node line before inputs", lineno)
@@ -482,7 +480,7 @@ def netlist_from_text(text: str) -> Netlist:
             rest = []
         for tok in rest:
             if tok not in refs:  # every valid token is registered: this one is rejected
-                refs[tok] = _parse_ref(tok, idx, len(input_names), lineno)
+                _reject_ref(tok, lineno)
         operands = tuple(map(refs.__getitem__, rest))
         if kind == KIND_INV and len(operands) != 1:
             raise ParseError("INV takes exactly one operand", lineno)

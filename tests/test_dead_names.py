@@ -1,6 +1,6 @@
 """Dead-name check over the package source, using only ``ast``.
 
-Five rules, for every module of ``src/gridsyn`` except ``__init__.py``:
+Six rules, for every module of ``src/gridsyn`` except ``__init__.py``:
 
 - a module-level function, class or constant must be referenced somewhere
   in ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` other than at its
@@ -15,7 +15,10 @@ Five rules, for every module of ``src/gridsyn`` except ``__init__.py``:
 - a method or property of a module-level class must be referenced outside
   its own definition: a public one in ``src/`` (not counting
   ``__init__.py``), ``demos/`` or ``perfbench/``, a private one in
-  ``src/``.
+  ``src/``;
+- every parameter of a function or lambda must be read in its body
+  (``self`` and ``cls`` are exempt), so a parameter a change stopped using
+  goes with it.
 
 References are matched by bare identifier (a load of the name, an
 attribute of that name, or a ``from ... import`` of it), so two
@@ -171,6 +174,32 @@ def members_unused_outside_the_tests() -> list[str]:
     ]
 
 
+def unread_parameters() -> list[str]:
+    """``module.function.parameter`` for every parameter its body never loads."""
+    out = []
+    for stem, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            out += [
+                f"{stem}.{name}.{a.arg}"
+                for a in params
+                if a.arg not in ("self", "cls") and a.arg not in read
+            ]
+    return out
+
+
 def test_no_dead_names():
     assert dead_names() == []
 
@@ -189,3 +218,7 @@ def test_no_unused_imports():
 
 def test_class_members_are_used_outside_the_tests():
     assert members_unused_outside_the_tests() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

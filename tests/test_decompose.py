@@ -18,7 +18,9 @@ from gridsyn.cores import Core, CoreSearch, best_core, expand_core
 from gridsyn.cubes import restrict
 from gridsyn.netlist import (
     KIND_AND,
+    KIND_CONST,
     KIND_INV,
+    KIND_OR,
     KIND_SYM,
     NetlistBuilder,
     netlist_to_expr,
@@ -74,8 +76,14 @@ def string_rank_cut(core) -> list[tuple[frozenset, tuple[str, ...]]]:
     return [(frozenset(ranks), h) for h, ranks in groups.items()]
 
 
+def read_columns(cubes: tuple[str, ...]) -> list[int]:
+    """The columns that some cube string reads."""
+    return [j for j, col in enumerate(zip(*cubes)) if set(col) != {"-"}]
+
+
 class TestFactorCore:
     def test_cofactors_match_the_string_reading(self):
+        # the reference keeps every column of Y; factor_core keeps the ones its cubes read
         rng = random.Random(15)
         for _ in range(120):
             c = random_cover(rng, rng.randint(2, 8), rng.randint(1, 24))
@@ -83,14 +91,33 @@ class TestFactorCore:
             seeds = [pair_seed(c, a, b, invert_a=inv) for inv in (False, True)]
             for core in seeds + [expand_core(seed, CoreSearch(c)) for seed in seeds]:
                 if core.cube_indices:
-                    shaped = [(g.ranks, h.cubes) for g, h in factor_core(core)]
-                    assert shaped == string_rank_cut(core)
+                    y = [c.input_names[j] for j in range(c.n) if j not in core.sym_inputs]
+                    expected = []
+                    for ranks, h in string_rank_cut(core):
+                        cols = read_columns(h)
+                        cubes = tuple("".join(cube[j] for j in cols) for cube in h)
+                        expected.append((ranks, tuple(y[j] for j in cols), cubes))
+                    shaped = [(g.ranks, h.input_names, h.cubes) for g, h in factor_core(core)]
+                    assert shaped == expected
+
+    def test_every_cofactor_reads_each_of_its_inputs(self):
+        rng = random.Random(33)
+        seen = set()  # the cofactor widths met, to show unread inputs were dropped
+        for _ in range(150):
+            c = random_cover(rng, rng.randint(2, 9), rng.randint(1, 24))
+            core = best_core(CoreSearch(c))
+            if core is None or not core.cube_indices:
+                continue
+            for _, h in factor_core(core):
+                assert read_columns(h.cubes) == list(range(h.n)), h
+                seen.add(h.n < c.n - core.width)
+        assert seen == {False, True}
 
     def test_carry_partial_core(self):
         core = pair_seed(CARRY, 0, 1)
         terms = factor_core(core)
         shaped = [(g.ranks, h.cubes) for g, h in terms]
-        assert shaped == [(frozenset({1}), ("1",)), (frozenset({2}), ("-",))]
+        assert shaped == [(frozenset({1}), ("1",)), (frozenset({2}), ("",))]
 
     def test_fully_symmetric_core_has_trivial_cofactors(self):
         core = expand_core(pair_seed(CARRY, 0, 1), CoreSearch(CARRY))
@@ -235,7 +262,7 @@ class TestProductLeaf:
 
     def test_matches_the_core_search(self):
         for cover in product_covers():
-            live, local = restrict(cover)
+            local = restrict(cover)
             core = best_core(CoreSearch(local))
             assert core.sym_inputs == tuple(range(local.n))
             ((g, h),) = factor_core(core)
@@ -244,7 +271,8 @@ class TestProductLeaf:
             out = nl.nodes[nl.output.index]
             assert out.kind == KIND_SYM and out.ranks == g.ranks
             assert self.phased_operands(nl, out) == [
-                (live[j], j in core.inverted) for j in core.sym_inputs
+                (cover.input_names.index(local.input_names[j]), j in core.inverted)
+                for j in core.sym_inputs
             ]
 
 
@@ -308,6 +336,27 @@ class TestNetlistInvariants:
                     k = len(node.operands)
                     assert k >= 2
                     assert frozenset() < node.ranks < frozenset(range(k + 1))
+
+    def test_finish_drops_no_or_node(self, monkeypatch):
+        # a term whose G holds every rank is its cofactor's own terms, so the
+        # engine builds no OR that the caller's OR flattens and leaves dead; a
+        # constant output leaves every node dead, so its covers are skipped
+        finish = NetlistBuilder.finish
+        dropped = []
+
+        def counting(builder, output):
+            nl = finish(builder, output)
+            if output.kind == "input" or builder._nodes[output.index].kind != KIND_CONST:
+                ors = [node.kind == KIND_OR for node in builder._nodes]
+                dropped.append(sum(ors) - sum(node.kind == KIND_OR for node in nl.nodes))
+            return nl
+
+        monkeypatch.setattr(NetlistBuilder, "finish", counting)
+        rng = random.Random(61)
+        for _ in range(80):
+            n = rng.randint(5, 11)
+            decompose(random_cover(rng, n, rng.randint(n, 4 * n)))
+        assert len(dropped) > 70 and not any(dropped)
 
     def test_netlists_are_acyclic_and_pruned(self):
         for nl in self.sample_netlists():
