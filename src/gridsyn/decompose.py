@@ -215,8 +215,13 @@ def decompose(cover: Cover) -> Netlist:
        (``cores.dc_partition``),
     2. decompose each part into terms with the engine,
     3. OR the terms of all parts once.
+
+    A cover holding a cube of don't-cares only is the one node ``CONST 1``,
+    which that OR would return, and no part is decomposed.
     """
     builder = NetlistBuilder(cover.input_names)
+    if (0, 0) in cover.bit_cubes:
+        return builder.finish(builder.const(1))
     refs = {name: builder.input(j) for j, name in enumerate(cover.input_names)}
     terms = []
     for part in cores_mod.dc_partition(cover):

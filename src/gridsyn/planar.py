@@ -13,7 +13,11 @@ is a path from reading nothing to reading everything through states whose
 levels have no bridge: a reachability question over subsets of inputs with
 phases, in the manner of Friedman and Supowit's exact BDD ordering (IEEE
 Trans. Computers, 1990).  Each state's level comes from its parent's with
-one call of the grid level kernel, ``gridplot._split_level``.
+one call of the grid level kernel, ``gridplot._split_level``.  Inverting
+every input read maps a state to its mirror, each rank r to |S| - r, which
+moves no bridge, so a state and its mirror are both good or both bad; at
+the root the two phases of the first input read are mirrors, and phase 1
+is tried only when phase 0 is good.
 
 The survey classifies every function of a small arity as bitmap algebra
 over one integer, the bitmap of all 2**(2**n) n-input functions, which is
@@ -140,10 +144,17 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
     its level has no bridge and some successor, reading one more input in
     either phase, is good (or S holds every input), so a witness is a path
     of good states.  Whether a state is good depends only on S and its level
-    up to a uniform rank shift, which is the memo key.  The order is fixed
-    input by input, as the smallest input with a good successor from some
-    state reached so far; the phases are then the smallest tuple among the
-    states reached with every input read.
+    up to a uniform rank shift, which is the memo key.  The mirror of a
+    state, (S, q ^ S) with every input of S inverted, has the same
+    cofactors, each at rank |S| - r for its rank r, so the same bridges, and
+    its successors are the mirrors of the state's, so it is good iff the
+    state is.  Reading x first at phase 1 is the mirror of reading it at
+    phase 0, so phase 1 is tried only when phase 0 is good, and a
+    non-planar function searches only the phase-0 half of the root's
+    successors.  The order is fixed input by input, as the
+    smallest input with a good successor from some state reached so far;
+    the phases are then the smallest tuple among the states reached with
+    every input read.
     """
     n = s.n
     if n > _EXHAUSTIVE_WITNESS_CAP:
@@ -186,11 +197,14 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
             for q, level in live:
                 for b in (0, 1):
                     nxt = step(read, level, x, b)
-                    if nxt is not None:
-                        q_next = q | b << x
-                        key = _level_key(read, nxt)
-                        if key not in reached or phase_tuple(q_next) < phase_tuple(reached[key][0]):
-                            reached[key] = (q_next, nxt)
+                    if nxt is None:
+                        if not read:  # the root's phase-1 state is the mirror of this one
+                            break
+                        continue
+                    q_next = q | b << x
+                    key = _level_key(read, nxt)
+                    if key not in reached or phase_tuple(q_next) < phase_tuple(reached[key][0]):
+                        reached[key] = (q_next, nxt)
             if reached:
                 break
         else:

@@ -188,6 +188,21 @@ class TestWorkedDecompositions:
         taut = Cover(("a", "b"), ("--",))
         assert evaluate_netlist(decompose(taut), (0, 1)) == 1
 
+    def test_a_cube_of_dont_cares_only_builds_one_node(self, monkeypatch):
+        # the other parts would build nodes that the constant OR leaves dead
+        insert = NetlistBuilder._insert
+        inserted = []
+
+        def counting(builder, node):
+            inserted.append(node)
+            return insert(builder, node)
+
+        monkeypatch.setattr(NetlistBuilder, "_insert", counting)
+        cover = Cover(("a", "b", "c", "d"), ("1100", "0-11", "----", "11-0"))
+        nl = decompose(cover)
+        assert [node.kind for node in inserted] == [KIND_CONST]
+        assert [(node.kind, node.value) for node in nl.nodes] == [(KIND_CONST, 1)]
+
     def test_literal_covers(self):
         lit = Cover(("a", "b"), ("1-",))
         nl = decompose(lit)

@@ -17,13 +17,14 @@ from gridsyn import (
     parse_pla_outputs,
     render,
 )
-from gridsyn import cover_to_minterms, transform_mask
+from gridsyn import cover_to_minterms, gridplot, transform_mask
 from gridsyn.cubes import CapacityError, assignment_masks, full_mask
 from gridsyn.gridplot import (
     EXHAUSTIVE_LAYOUT_CAP,
     _LevelTable,
     _class_links,
     _cofactor_lows,
+    _exact_layout,
     _split_level,
 )
 from gridsyn.planar import _planar_level
@@ -478,6 +479,20 @@ class TestExactSearch:
         got = [layout_key(minimize_layout(s, mode="exhaustive")) for s in exact_cases()]
         assert [s.n for s in exact_cases()] == [6, 6, 6, 7]
         assert got == ORACLE_LAYOUTS
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_builds_one_level_per_mirror_pair(self, monkeypatch, n):
+        # a state and its mirror, every read input inverted, share one level,
+        # so only the states whose lowest read input is not inverted are split
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _split_level(*args)
+
+        monkeypatch.setattr(gridplot, "_split_level", counting)
+        _exact_layout(MintermSet(n, random.Random(n).getrandbits(1 << n)))
+        assert len(calls) == (3**n - 1) // 2
 
 
 class TestRender:

@@ -10,11 +10,13 @@ from gridsyn import (
     MintermSet,
     PhaseVector,
     build_grid_dag,
+    cover_to_minterms,
     derive_pf,
     full_template,
     is_planar_function,
     is_planar_plot,
     links_of,
+    minimize_layout,
     survey_planarity,
     transform_mask,
 )
@@ -22,7 +24,14 @@ from gridsyn import planar
 from gridsyn.cubes import full_mask
 from gridsyn.planar import _bridge_free, _np_closure
 
-from helpers import _template_words, ms, oracle_derive_pf, oracle_planar_witness, sf_minterms
+from helpers import (
+    _template_words,
+    ms,
+    oracle_derive_pf,
+    oracle_planar_witness,
+    random_cover,
+    sf_minterms,
+)
 
 
 class TestTemplate:
@@ -217,6 +226,53 @@ class TestDecisionAgainstOracle:
 
     def test_seven_and_eight_input_witnesses_are_pinned(self):
         assert witness_digest(wider_planarity_cases([7, 8])) == PINNED_WIDEST_WITNESSES
+
+
+def mirror_cases():
+    """``planarity_cases`` and 60 seeded functions of 1-7 inputs: random
+    functions, random covers and disguised planar functions in turn."""
+    yield from planarity_cases()
+    rng = random.Random(1990)
+    for i in range(60):
+        n = 1 + i % 7
+        kind = i // 7 % 3
+        if kind == 0:
+            yield MintermSet(n, rng.getrandbits(1 << n))
+        elif kind == 1:
+            yield cover_to_minterms(random_cover(rng, n, rng.randint(1, 3 * n)))
+        else:
+            yield disguised(rng, built(rng, n))
+
+
+class TestMirror:
+    """A state (S, q) and its mirror (S, q ^ S) have the same cofactors at
+    mirrored ranks, so the searches decide only one of each root pair."""
+
+    def test_complementing_every_input_changes_no_witness_or_layout(self):
+        # (order, p) on f draws the plot of (order, ~p) on f with every input
+        # complemented, each level's ranks mirrored: the planar configurations
+        # and the (N, L) of every configuration are closed under the mirror
+        for s in mirror_cases():
+            mirrored = MintermSet(s.n, transform_mask(s.bits, s.n, flips=(1 << s.n) - 1))
+            assert is_planar_function(mirrored) == is_planar_function(s), s
+            assert minimize_layout(mirrored, "exhaustive") == minimize_layout(s, "exhaustive"), s
+
+    def test_a_non_planar_decision_never_splits_the_root_at_phase_1(self, monkeypatch, survey4):
+        split = planar._split_level
+        for f in survey4.nonplanar_witnesses:
+            # a non-planar function has every input at 1 in some minterm, so
+            # no level below the root is the whole function at rank 0
+            root = {f: 1}
+            phases = []
+
+            def recording(level, low, shift, inv, *rest):
+                if level == root:
+                    phases.append(inv)
+                return split(level, low, shift, inv, *rest)
+
+            monkeypatch.setattr(planar, "_split_level", recording)
+            assert is_planar_function(MintermSet(4, f)) is None
+            assert phases == [0] * 4, hex(f)
 
 
 @pytest.fixture(scope="module")
