@@ -2,13 +2,11 @@
 
 A core is a sub-list of a cover's cubes that, after an optional polarity
 flip on some of the inputs, is closed under every permutation of a chosen
-input subset Z.  Membership is syntactic on cubes and decided by counting:
-the orbit of a cube under the permutations of Z is every cube with the same
-part outside Z and the same counts of ``0``, ``1`` and ``-`` on Z, so a cube
-belongs iff its class holds all ``C(w, c1) * C(w - c1, c0)`` of those cubes
-(``w = |Z|``).  Syntactic closure implies that the minterm set of the
-selected cubes is genuinely symmetric over Z, since permuting inputs maps
-cubes to cubes.
+input subset Z.  Membership is syntactic on cubes: a cube belongs iff its
+orbit under the permutations of Z, in phased coordinates, lies in the
+sub-list.  Syntactic closure implies that the minterm set of the selected
+cubes is genuinely symmetric over Z, since permuting inputs maps cubes to
+cubes.
 
 The search runs on integers.  A cube is a ``cubes.Cube`` from
 ``Cover.bit_cubes`` (its ``1`` and ``0`` columns as input bit masks), and a
@@ -29,21 +27,34 @@ closed by itself; any other cube needs its swap partner, the cube that
 differs from it in exactly a and b, with the two symbols exchanged (or
 exchanged and complemented).  So per-input masks of cube positions holding
 ``1``, ``0`` and ``-``, plus one scan of the cube pairs for partners, give
-every pair core as a few mask operations.
+every pair core as a few mask operations, and the scan keeps the partners
+it found.
+
+Wider closures are built from that relation.  The closure of a cube set
+under (Z, flips), its largest closed subset, is the union of the orbits
+that lie in it.  With a the lowest input of Z, the transpositions (a, b)
+for every other b in Z generate all permutations of Z, and in phased
+coordinates each is a pair swap: plain when a and b have equal flips,
+exchanged and complemented when they differ.  So the closure is a
+fixpoint: drop every cube whose image under a generator is missing, until
+no generator drops one.  A cube of an orbit inside the set is never
+dropped, and what is left is closed under every generator, hence under Z.
 
 One engine, ``CoreSearch.widen``, does every widening, and three facts
-make it cheap.  First, inverting all of Z changes no class, so a closure
-depends only on the cubes closed, Z and the flips up to inverting all of Z;
-closures are memoised on that key.  Second, take Z inside Z' and flips f'
-that agree with f on Z: every Sym(Z') class, in phased coordinates, is a
-union of Sym(Z) classes, so the closure under (Z', f') of any cube list
-lies inside its closure under (Z, f).  So the closure of Z + {x} lies
-inside the pair core of (a, x) for every a in Z, with polarity f'(a) xor
-f'(x).  The engine keeps, for each input x outside Z and each phase of x,
-the AND of those pair cores, and updates it with one AND per input when an
-input joins Z; that AND with the current core bounds a candidate's size,
-and a candidate whose bound cannot beat the best score so far, nor keep the
-whole core, is never closed.  Third, every candidate of a step is a subset
+make it cheap.  First, a generator's phase is the difference of two flips
+inside Z, so inverting all of Z changes no generator and no closure: a
+closure depends only on the cubes closed, Z and the flips up to inverting
+all of Z, and closures are memoised on that key.  Second, take Z inside Z'
+and flips f' that agree with f on Z: every Sym(Z') orbit, in phased
+coordinates, is a union of Sym(Z) orbits, so the closure under (Z', f')
+of any cube list lies inside its closure under (Z, f).  So the closure of
+Z + {x} lies inside the pair core of (a, x) for every a in Z, with polarity
+f'(a) xor f'(x).  The engine keeps, for each input x outside Z and each
+phase of x, the AND of those pair cores, and updates it with one AND per
+input when an input joins Z; that AND with the current core bounds a
+candidate's size, a candidate whose bound cannot beat the best score so
+far, nor keep the whole core, is never closed, and the fixpoint of any
+other starts from the bound.  Third, every candidate of a step is a subset
 of the current core, so a step stops at the first candidate that keeps the
 whole core: no later one could strictly beat it.
 
@@ -64,7 +75,6 @@ cubes, and the ``gridsyn cores`` report, run the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from operator import and_
 from typing import Sequence
 
@@ -119,52 +129,19 @@ class Core:
         return self.cube_count * self.width**2
 
 
-def _closed(cubes: Sequence[Cube], mask: int, z: int, flips: int) -> int:
-    """The positions in ``mask`` whose cube lies in a class closed under every permutation of Z.
+def _pair_masks(cubes: Sequence[Cube], n: int) -> tuple[list[tuple[list[int], list[int]]], dict]:
+    """The pair cores of every pair, and the swap partners that put cubes in them.
 
-    ``mask`` and the result are position masks, ``z`` and ``flips`` input
-    bit masks.  A cube's class key is its part outside Z and its counts of
-    1 and 0 on Z after the flips (a flip outside Z maps every class onto
-    another, so it cannot change the result).  A class is closed when it
-    holds all ``C(w, c1) * C(w - c1, c0)`` distinct cubes of its key.
-    """
-    w = z.bit_count()
-    out, keep, swap = ~z, z & ~flips, z & flips
-    key_of: dict[Cube, tuple[int, int, int, int]] = {}
-    count: dict[tuple[int, int, int, int], int] = {}
-    members: dict[tuple[int, int, int, int], int] = {}
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        cube = cubes[bit.bit_length() - 1]
-        key = key_of.get(cube)
-        if key is None:
-            ones, zeros = cube
-            c1 = (ones & keep | zeros & swap).bit_count()
-            c0 = (zeros & keep | ones & swap).bit_count()
-            key = key_of[cube] = (ones & out, zeros & out, c1, c0)
-            count[key] = count.get(key, 0) + 1
-        members[key] = members.get(key, 0) | bit
-    closed = 0
-    for key, c in count.items():
-        if c == comb(w, key[2]) * comb(w - key[2], key[3]):
-            closed |= members[key]
-    return closed
-
-
-def _pair_masks(cubes: Sequence[Cube], n: int) -> list[tuple[list[int], list[int]]]:
-    """The plain and the flipped pair core of every pair, as position masks.
-
-    Row ``a`` holds, at index x, the plain and the flipped pair core of
-    (a, x) in either order; the entry at x = a is 0.  For a < b the plain
-    core of (a, b) equals ``_closed(cubes, every, 1 << a | 1 << b,
-    0)``, with ``every`` the mask of all positions, and the flipped one the
-    same with ``flips = 1 << a``.  Partners are found in one pass over the
-    pairs of distinct cubes: two cubes that differ in exactly inputs a < b
-    are plain partners when their symbols there are exchanged, and flip
-    partners when they are exchanged and complemented.  Either exchange
-    keeps the number of ``-`` symbols, so only cubes with equal counts are
-    paired.
+    Returns ``(partner, links)``.  Row ``a`` of ``partner`` holds, at index
+    x, the plain and the flipped pair core of (a, x) in either order, as
+    position masks; the entry at x = a is 0.  ``links`` maps ``(a, b, f)``,
+    for a < b and f 0 for the plain swap or 1 for the flipped one, to its
+    partner pairs ``(p, q)``: the position masks of two distinct cubes, each
+    the other's image.  A pair core is the OR of the cubes the swap fixes,
+    whose symbols at a and b are equal (plain) or complementary (flipped),
+    and of its partner pairs.  An image that is not the cube itself differs
+    from it in exactly a and b and has as many ``-`` symbols, so partners
+    are found in one pass over the pairs of distinct cubes with equal counts.
     """
     at: dict[Cube, int] = {}
     for i, cube in enumerate(cubes):
@@ -178,8 +155,7 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> list[tuple[list[int], list[int
     every = (1 << len(cubes)) - 1
     dash = [every & ~(one[j] | zero[j]) for j in range(n)]
 
-    plain: dict[tuple[int, int], int] = {}
-    flipped: dict[tuple[int, int], int] = {}
+    links: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     by_dashes: dict[int, list[tuple[Cube, int]]] = {}
     for (ones, zeros), bits in at.items():
         by_dashes.setdefault((ones | zeros).bit_count(), []).append(((ones, zeros), bits))
@@ -196,9 +172,9 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> list[tuple[list[int], list[int
                 s2a = (o2 >> a & 1) - (z2 >> a & 1)
                 s2b = (o2 >> b & 1) - (z2 >> b & 1)
                 if s2a == s1b and s2b == s1a:
-                    plain[a, b] = plain.get((a, b), 0) | bits1 | bits2
+                    links.setdefault((a, b, 0), []).append((bits1, bits2))
                 elif s2a == -s1b and s2b == -s1a:
-                    flipped[a, b] = flipped.get((a, b), 0) | bits1 | bits2
+                    links.setdefault((a, b, 1), []).append((bits1, bits2))
 
     partner = [([0] * n, [0] * n) for _ in range(n)]
     for a in range(n):
@@ -206,22 +182,24 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> list[tuple[list[int], list[int
         for b in range(a + 1, n):
             plain_b, flipped_b = partner[b]
             both_dash = dash[a] & dash[b]
-            plain_a[b] = plain_b[a] = (
-                one[a] & one[b] | zero[a] & zero[b] | both_dash | plain.get((a, b), 0)
-            )
-            flipped_a[b] = flipped_b[a] = (
-                one[a] & zero[b] | zero[a] & one[b] | both_dash | flipped.get((a, b), 0)
-            )
-    return partner
+            plain_a[b] = plain_b[a] = one[a] & one[b] | zero[a] & zero[b] | both_dash
+            flipped_a[b] = flipped_b[a] = one[a] & zero[b] | zero[a] & one[b] | both_dash
+    for (a, b, f), pairs in links.items():
+        for p, q in pairs:
+            partner[a][f][b] |= p | q
+        partner[b][f][a] = partner[a][f][b]
+    return partner, links
 
 
 class CoreSearch:
     """The core search on one cover.
 
     ``best_pair_cores``, ``expand_core`` and ``best_core`` take one, and
-    every call on the same search shares what it holds.  ``partner`` is the
-    pair scan: ``partner[a][f][x]`` is the pair core of (a, x) in either
-    order, plain for ``f = 0`` and flipped for ``f = 1``.  ``cores`` maps
+    every call on the same search shares what it holds.  ``partner`` and
+    ``links`` are the pair scan (see ``_pair_masks``): ``partner[a][f][x]``
+    is the pair core of (a, x) in either order, plain for ``f = 0`` and
+    flipped for ``f = 1``, and ``links`` the swap partners that put cubes in
+    it, the relation every wider closure is a fixpoint of.  ``cores`` maps
     ``(core, z, flips)``, with flips normalised against inverting all of Z,
     to the closure of the core under (z, flips), and ``widened`` maps a
     widening state ``(z, flips, core)`` to the state its widening ends in.
@@ -229,9 +207,36 @@ class CoreSearch:
 
     def __init__(self, cover: Cover):
         self.cover = cover
-        self.partner = _pair_masks(cover.bit_cubes, cover.n)
+        self.partner, self.links = _pair_masks(cover.bit_cubes, cover.n)
         self.cores: dict[tuple[int, int, int], int] = {}
         self.widened: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+
+    def _close(self, start: int, z: int, flips: int) -> int:
+        """The largest subset of ``start`` closed under every permutation of Z, phased by ``flips``.
+
+        The fixpoint of the module docstring.  Each generator (a, b), a the
+        lowest input of Z, keeps the cubes of its pair core, and then the
+        partner pairs it links are checked until a round drops no cube: a
+        pair not wholly kept loses both cubes.
+        """
+        a = (z & -z).bit_length() - 1
+        fa = flips >> a & 1
+        rows, links = self.partner[a], self.links
+        kept, gens = start, []
+        for b in set_bits(z & z - 1):
+            f = fa ^ flips >> b & 1
+            kept &= rows[f][b]
+            pairs = links.get((a, b, f))
+            if pairs:
+                gens.append(pairs)
+        while True:
+            before = kept
+            for pairs in gens:
+                for p, q in pairs:
+                    if not (p & kept and q & kept):
+                        kept &= ~(p | q)
+            if kept == before:
+                return kept
 
     def widen(self, z: int, flips: int, core: int) -> tuple[int, int, int]:
         """Widen ``core`` under (z, flips) one input at a time.
@@ -249,11 +254,11 @@ class CoreSearch:
         if (z, flips, core) in widened:
             return widened[z, flips, core]
         n = self.cover.n
-        partner, cubes, cores = self.partner, self.cover.bit_cubes, self.cores
+        partner, cores = self.partner, self.cores
         size = core.bit_count()
         # per input x outside Z: the AND of the pair cores of x and every a
         # in Z, with x plain (same) and with x inverted (other)
-        same = other = [(1 << len(cubes)) - 1] * n
+        same = other = [(1 << self.cover.m) - 1] * n
         for a in set_bits(z):
             fa = flips >> a & 1
             same = list(map(and_, same, partner[a][fa]))
@@ -271,12 +276,13 @@ class CoreSearch:
                     continue
                 cand_z = z | 1 << x
                 for cand_flips, bound in ((flips, same[x]), (flips | 1 << x, other[x])):
-                    if (bound & core).bit_count() * w2 <= floor:
+                    bound &= core
+                    if bound.bit_count() * w2 <= floor:
                         continue
                     key = (core, cand_z, min(cand_flips, cand_flips ^ cand_z))
                     cand = cores.get(key)
                     if cand is None:
-                        cand = cores[key] = _closed(cubes, core, cand_z, cand_flips)
+                        cand = cores[key] = self._close(bound, cand_z, cand_flips)
                     cand_size = cand.bit_count()
                     cand_score = cand_size * w2
                     if best is None or cand_score > best[0]:

@@ -8,7 +8,8 @@ agreement is meaningful.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from math import comb
 from pathlib import Path
 
 from gridsyn import (
@@ -18,13 +19,7 @@ from gridsyn import (
     build_grid_dag,
     metrics,
 )
-from gridsyn.cores import (
-    Core,
-    CoreSearch,
-    _closed,
-    _selection_key,
-    best_pair_cores,
-)
+from gridsyn.cores import Core, CoreSearch, _selection_key, best_pair_cores
 from gridsyn.gridplot import EXHAUSTIVE_LAYOUT_CAP, LayoutResult, PlotMetrics
 from gridsyn.netlist import KIND_AND, KIND_CONST, KIND_INV, KIND_OR, KIND_SYM
 
@@ -232,6 +227,39 @@ def random_cube_pair(rng: random.Random, n: int) -> Cover:
     return Cover(tuple(f"x{i}" for i in range(n)), ("".join(first), "".join(second)))
 
 
+def threshold_products(rng: random.Random, n: int) -> Cover:
+    """An OR of products of two threshold blocks on disjoint, randomly phased inputs.
+
+    The shuffled inputs are dealt out a product at a time while two are
+    left: two blocks of two to four inputs each, or fewer when fewer are
+    left; an input left over is unused.  A block of k inputs is a
+    majority: it holds when t of its literals hold, for t half of k rounded
+    up or, for even k, either that or one more.  It is the OR of its
+    t-literal products, each input read plain or complemented, and a
+    product of two blocks pairs every cube of one with every cube of the
+    other.  The cubes are listed in random order.
+    """
+    inputs = list(range(n))
+    rng.shuffle(inputs)
+
+    def block(size: int) -> list[dict[int, str]]:
+        members = [inputs.pop() for _ in range(size)]
+        symbol = {x: rng.choice("01") for x in members}
+        t = rng.choice(((size + 1) // 2, size // 2 + 1))
+        return [{x: symbol[x] for x in chosen} for chosen in combinations(members, t)]
+
+    cubes = []
+    while len(inputs) >= 2:
+        left = block(rng.randint(min(2, len(inputs) - 1), min(4, len(inputs) - 1)))
+        right = block(rng.randint(min(2, len(inputs)), min(4, len(inputs))))
+        for x in left:
+            for y in right:
+                literals = {**x, **y}
+                cubes.append("".join(literals.get(i, "-") for i in range(n)))
+    rng.shuffle(cubes)
+    return Cover(tuple(f"x{i}" for i in range(n)), tuple(cubes))
+
+
 # ---------------------------------------------------------------------------
 # symmetric-core oracle: closure by breadth-first search over cube strings
 
@@ -245,6 +273,11 @@ def _swap_cols(cube: str, i: int, j: int) -> str:
     chars = list(cube)
     chars[i], chars[j] = chars[j], chars[i]
     return "".join(chars)
+
+
+def swap_image(cube: str, a: int, b: int, flipped: int) -> str:
+    """The cube with columns a and b exchanged, and complemented too when ``flipped``."""
+    return _swap_cols(phase_cube(cube, {a, b} if flipped else set()), a, b)
 
 
 def _orbit(cube: str, gens) -> set[str]:
@@ -281,6 +314,35 @@ def pair_seed(cover: Cover, a: int, b: int, invert_a: bool = False) -> Core:
     closed = oracle_closed_subset(set(phased), [(a, b)])
     cubes = sum(1 << i for i, cube in enumerate(phased) if cube in closed)
     return Core(cover, cubes, 1 << a | 1 << b, invert_a << a)
+
+
+def _closed(cubes, mask: int, z: int, flips: int) -> int:
+    """The positions in ``mask`` whose cube lies in a class closed under every permutation of Z.
+
+    The reference closure, by counting.  ``cubes`` are ``Cover.bit_cubes``,
+    ``mask`` and the result position masks, ``z`` and ``flips`` input bit
+    masks.  The orbit of a cube under the permutations of Z is every cube
+    with the same part outside Z and the same counts of 1 and 0 on Z after
+    the flips, so a class is keyed by those and is closed when it holds all
+    ``C(w, c1) * C(w - c1, c0)`` distinct cubes of its key (``w = |Z|``).
+    """
+    w = z.bit_count()
+    out, keep, swap = ~z, z & ~flips, z & flips
+    count: dict[tuple[int, int, int, int], set] = {}
+    members: dict[tuple[int, int, int, int], int] = {}
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            ones, zeros = cubes[i]
+            c1 = (ones & keep | zeros & swap).bit_count()
+            c0 = (zeros & keep | ones & swap).bit_count()
+            key = (ones & out, zeros & out, c1, c0)
+            count.setdefault(key, set()).add(cubes[i])
+            members[key] = members.get(key, 0) | 1 << i
+    closed = 0
+    for key, distinct in count.items():
+        if len(distinct) == comb(w, key[2]) * comb(w - key[2], key[3]):
+            closed |= members[key]
+    return closed
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from gridsyn import (
     expand_core,
 )
 
-from gridsyn.cores import _closed, _pair_masks, _selection_key, two_cube_core
+from gridsyn.cores import _pair_masks, _selection_key, two_cube_core
 
 from helpers import (
+    _closed,
     oracle_closed_subset,
     pair_seed,
     permute_cover,
@@ -29,6 +30,8 @@ from helpers import (
     random_cover_with_duplicates,
     reference_best_core,
     reference_expand_core,
+    swap_image,
+    threshold_products,
 )
 
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
@@ -293,6 +296,79 @@ class TestClosure:
             assert positions(_closed(cover.bit_cubes, mask, z_mask, flips)) == expected
 
 
+class TestSearchClosure:
+    """The search's closure, a fixpoint over the pair scan's swap partners,
+    equals the reference closure by class counting."""
+
+    @staticmethod
+    def starts(search: CoreSearch, z: int, flips: int, rng: random.Random):
+        """The whole cover, a random part of it, a pair core inside Z, and
+        ``bound & core`` as the widening forms it."""
+        every = (1 << search.cover.m) - 1
+        a, b = rng.sample(positions(z), 2)
+        yield every
+        yield every & rng.getrandbits(search.cover.m)
+        yield search.partner[a][(flips >> a ^ flips >> b) & 1][b]
+        x, rest = b, z & ~(1 << b)
+        core = _closed(search.cover.bit_cubes, every, rest, flips & rest)
+        bound = every
+        for c in positions(rest):
+            bound &= search.partner[c][(flips >> c ^ flips >> x) & 1][x]
+        yield bound & core
+
+    def test_matches_the_reference_on_covers_with_repeated_cubes(self):
+        rng = random.Random(2035)
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            cover = random_cover_with_duplicates(rng, n, rng.randint(1, 30))
+            search = CoreSearch(cover)
+            cubes = cover.bit_cubes
+            z = sum(1 << j for j in rng.sample(range(n), rng.randint(2, n)))
+            flips = z & rng.getrandbits(n)
+            for start in self.starts(search, z, flips, rng):
+                assert search._close(start, z, flips) == _closed(cubes, start, z, flips)
+
+    def test_matches_the_reference_on_threshold_products(self):
+        """Block products have many swap partners, so the fixpoint drops cubes through them."""
+        rng = random.Random(2036)
+        for _ in range(40):
+            cover = threshold_products(rng, rng.randint(4, 10))
+            search = CoreSearch(cover)
+            for _ in range(10):
+                z = sum(1 << j for j in rng.sample(range(cover.n), rng.randint(2, cover.n)))
+                flips = z & rng.getrandbits(cover.n)
+                for start in self.starts(search, z, flips, rng):
+                    want = _closed(cover.bit_cubes, start, z, flips)
+                    assert search._close(start, z, flips) == want
+
+    def test_a_drop_under_one_generator_breaks_a_pair_of_another(self):
+        """Under (0 1) "100" and "010" are partners, and "010" is fixed by
+        (0 2); "100" needs "001" under (0 2), so it goes, and then "010",
+        its partner under (0 1), goes on the next pass."""
+        cover = Cover(("a", "b", "c"), ("100", "010"))
+        assert CoreSearch(cover)._close(0b11, 0b111, 0) == 0
+        assert _closed(cover.bit_cubes, 0b11, 0b111, 0) == 0
+        assert CoreSearch(cover)._close(0b11, 0b011, 0) == 0b11
+
+    def test_empty_mask(self):
+        search = CoreSearch(CARRY)
+        assert search._close(0, 0b111, 0) == 0
+        assert search._close(0, 0b011, 0b001) == 0
+
+    def test_cube_of_dont_cares_is_closed_under_any_z(self):
+        cover = Cover(("a", "b", "c", "d"), ("----", "1-0-", "----", "10--"))
+        search = CoreSearch(cover)
+        every = (1 << cover.m) - 1
+        for z in range(1, 1 << cover.n):
+            if z.bit_count() < 2:
+                continue
+            for flips in range(1 << cover.n):
+                flips &= z
+                got = search._close(every, z, flips)
+                assert got == _closed(cover.bit_cubes, every, z, flips)
+                assert got & 0b0101 == 0b0101
+
+
 class TestPairScan:
     """The one-pass pair masks equal per-pair closure."""
 
@@ -311,12 +387,39 @@ class TestPairScan:
 
     @staticmethod
     def by_scan(cover: Cover) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-        partner = _pair_masks(cover.bit_cubes, cover.n)
+        partner, _ = _pair_masks(cover.bit_cubes, cover.n)
         return {
             (a, b): (positions(partner[a][0][b]), positions(partner[a][1][b]))
             for a in range(cover.n)
             for b in range(a + 1, cover.n)
         }
+
+    def test_rows_are_the_self_closed_cubes_and_the_partner_pairs(self):
+        rng = random.Random(2034)
+        covers = [
+            random_cover_with_duplicates(rng, rng.randint(2, 9), rng.randint(0, 20))
+            for _ in range(100)
+        ] + [threshold_products(rng, rng.randint(2, 10)) for _ in range(100)]
+        for cover in covers:
+            partner, links = _pair_masks(cover.bit_cubes, cover.n)
+            assert all(a < b and f in (0, 1) and pairs for (a, b, f), pairs in links.items())
+            for a in range(cover.n):
+                for b in range(a + 1, cover.n):
+                    for f in (0, 1):
+                        row = sum(
+                            1 << i
+                            for i, cube in enumerate(cover.cubes)
+                            if swap_image(cube, a, b, f) == cube
+                        )
+                        for p, q in links.get((a, b, f), ()):
+                            [cube_p] = {cover.cubes[i] for i in positions(p)}
+                            [cube_q] = {cover.cubes[i] for i in positions(q)}
+                            assert cube_p != cube_q and swap_image(cube_p, a, b, f) == cube_q
+                            assert positions(p) == [
+                                i for i, cube in enumerate(cover.cubes) if cube == cube_p
+                            ]
+                            row |= p | q
+                        assert partner[a][f][b] == partner[b][f][a] == row
 
     def test_matches_closure_on_random_covers(self):
         rng = random.Random(2003)
@@ -327,7 +430,7 @@ class TestPairScan:
     def test_empty_cover(self):
         cover = Cover(("a", "b", "c"), ())
         assert self.by_scan(cover) == self.by_closure(cover)
-        assert _pair_masks([], 3) == [([0] * 3, [0] * 3)] * 3
+        assert _pair_masks([], 3) == ([([0] * 3, [0] * 3)] * 3, {})
 
     def test_one_cube(self):
         cover = Cover(("a", "b", "c"), ("10-",))
@@ -364,7 +467,7 @@ class TestPairCoreBound:
             z = sum(1 << a for a in rest)
             f = sum(1 << a for a in [x, *rest] if rng.random() < 0.4)
             wide = _closed(cubes, every, z | 1 << x, f)
-            partner = _pair_masks(cubes, n)
+            partner, _ = _pair_masks(cubes, n)
             bound = (1 << len(cubes)) - 1
             for a in rest:
                 bound &= partner[a][(f >> a ^ f >> x) & 1][x]

@@ -5,13 +5,18 @@ is every output of the demo PLAs plus seeded random covers of 6-12 inputs;
 ``WIDE_PINNED`` adds seeded covers of 13-16 inputs, the sizes the benchmark
 decomposes, and ``SMALL_PINNED`` seeded covers of 1-6 inputs with and
 without repeated cubes.  ``PRODUCTS_PINNED`` covers every one-cube cover on
-1-7 inputs.
+1-7 inputs, and ``BLOCKS_PINNED`` seeded ORs of products of two phased
+majority blocks on 10-15 inputs, the shape whose core search widens
+furthest.
 A change that alters any netlist must update the pinned digest and say why.
 
 Every pin was taken from the decomposer that splits the cover by don't-care
 count first, before that split became its only path: ``PINNED`` and
 ``SMALL_PINNED`` are that path's digests as pinned before, and
 ``WIDE_PINNED`` and ``PRODUCTS_PINNED`` were computed with it.
+``BLOCKS_PINNED`` was taken from the core search that closed cube sets by
+counting each class's cubes, before the closure became a fixpoint over the
+pair scan's swap partners.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import random
 
 from gridsyn import Cover, decompose, netlist_to_text, parse_pla_outputs
 
-from helpers import DEMO_PLAS, random_cover, random_cover_with_duplicates
+from helpers import DEMO_PLAS, random_cover, random_cover_with_duplicates, threshold_products
 
 
 def corpus():
@@ -54,6 +59,14 @@ def small_covers():
             yield f"small{k:02d}.n{n}", random_cover(rng, n, m)
         else:
             yield f"dup{k:02d}.n{n}", random_cover_with_duplicates(rng, n, m)
+
+
+def block_covers():
+    """Seeded ORs of products of two phased majority blocks, three each of 10-15 inputs."""
+    rng = random.Random(20014)
+    for k in range(18):
+        n = 10 + k % 6
+        yield f"blocks{k:02d}.n{n}", threshold_products(rng, n)
 
 
 def digest(cover) -> str:
@@ -142,6 +155,32 @@ SMALL_PINNED = {
 
 def test_small_netlists_are_pinned():
     assert {name: digest(cover) for name, cover in small_covers()} == SMALL_PINNED
+
+
+BLOCKS_PINNED = {
+    "blocks00.n10": "f3d0d78266d380a8db069dfa4916a9b36670d541e4ec39c79aa92a4f864d0090",
+    "blocks01.n11": "3814e080f4e98f1f284b685f3b99ddea3d0af693574cfc6997ec2c0eae0c97f5",
+    "blocks02.n12": "ffbd5b36034ebe012f8b0b8199a5da28aa34116456aeef41ae3a0fb706c63c1b",
+    "blocks03.n13": "db6e5fa6a365ba02b053d01f718d8d9f4b05ca4878b2f0121ccf57f0c5328412",
+    "blocks04.n14": "a7055970abecba949a24fede0f4a77aeaa8ad9975100f474743306e127d3b63d",
+    "blocks05.n15": "6130a691fc3cd9380faa9b691276aecfd6a9328fc2bd9b1db905668ae811ce66",
+    "blocks06.n10": "2a650f13dcaf5c5f11ebabc82cd8649c6d8f49848a9cd5279d10cbabcf939f0e",
+    "blocks07.n11": "8cd1f46539bfe2b40475f125920ae56cadaad0cf2c1cbacd9e9e8febb1668459",
+    "blocks08.n12": "9a15712ef4b3c74959f7694de259036379ff760d54e4cc13449a24bc20ea877d",
+    "blocks09.n13": "a592f3e29eab2a252a12e5922fc2f9c67a530c258d01017c513f3bdc5886fac0",
+    "blocks10.n14": "6380b563b238a6ecbbe630448c69f36875beb0d90a077028a2413e574557b42f",
+    "blocks11.n15": "5cda1c0c3dc07a3d636159fb5ceeee929470b87f9ca78eb8391235e3137c45d0",
+    "blocks12.n10": "c4fe1f1f4d90cf457e8767a0c7cd43dd86c2a8d73c9b839b50c85081208bec64",
+    "blocks13.n11": "1aa7447a7c61eb3c1d9799bf46dbb3bf872d5248ea29ab99542034cba46075a0",
+    "blocks14.n12": "10f3929c3d188908aae8547e7a4ff5cd485d93c97d3a5b07865cd9eef8855cc3",
+    "blocks15.n13": "5a0da735d19a82e8b4aeacb327a722c4aec5671a57ca4f9587539c5d36b4bb32",
+    "blocks16.n14": "9955d38acc86caf0563f60ed000fb7a5eefbe2747f807cec821e8b8f4ec0296c",
+    "blocks17.n15": "3eee68b7e8d7151b29ade5f8d9548ef4698a549d84703eefbc006761e5435a17",
+}
+
+
+def test_block_product_netlists_are_pinned():
+    assert {name: digest(cover) for name, cover in block_covers()} == BLOCKS_PINNED
 
 
 #: sha256 of the netlists of every cube on 1-7 inputs, alone and twice.
