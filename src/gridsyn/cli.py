@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -421,7 +420,7 @@ def _cmd_tmap(ns: argparse.Namespace) -> Report:
         circuits.append(
             {
                 "circuit": cct,
-                "cells": [asdict(use) for use in result.cells],
+                "cells": [use._asdict() for use in result.cells],
                 "total_pitches": result.total_pitches,
                 "netlist_file": str(out_path),
             }

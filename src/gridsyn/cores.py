@@ -74,15 +74,20 @@ cubes, and the ``gridsyn cores`` report, run the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cubes import Cover, Cube, set_bits, subcover
 
 
-@dataclass(frozen=True)
-class Core:
+class _CoreFields(NamedTuple):
+    base: Cover
+    cubes: int
+    z: int
+    flips: int
+
+
+class Core(_CoreFields):
     """A phased, permutation-closed cube subset of a cover, as three bit masks.
 
     ``cubes`` holds its cube positions in ``base``, ``z`` its symmetric
@@ -90,18 +95,16 @@ class Core:
     other views, and the score, are read off the masks.
     """
 
-    base: Cover
-    cubes: int
-    z: int
-    flips: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.cubes < 1 << self.base.m:
-            raise ValueError(f"cube mask {self.cubes:#x} outside the cover's {self.base.m} cubes")
-        if not 0 <= self.z < 1 << self.base.n:
-            raise ValueError(f"input mask {self.z:#x} outside the cover's {self.base.n} inputs")
-        if self.flips & ~self.z:
+    def __new__(cls, base: Cover, cubes: int, z: int, flips: int) -> Core:
+        if not 0 <= cubes < 1 << base.m:
+            raise ValueError(f"cube mask {cubes:#x} outside the cover's {base.m} cubes")
+        if not 0 <= z < 1 << base.n:
+            raise ValueError(f"input mask {z:#x} outside the cover's {base.n} inputs")
+        if flips & ~z:
             raise ValueError("inverted inputs must lie inside the symmetric set")
+        return tuple.__new__(cls, (base, cubes, z, flips))
 
     @property
     def cube_indices(self) -> tuple[int, ...]:

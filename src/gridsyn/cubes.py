@@ -13,14 +13,18 @@ Conventions used throughout the package:
   integers: bit ``v`` of the mask is the function value on assignment ``v``.
   All set operations on minterms are plain bitwise arithmetic.
 
-Every value type here is immutable; operations return new objects.
+Every value type here is an immutable named tuple: a ``NamedTuple`` of its
+fields, under a subclass whose ``__new__`` coerces and validates them.
+Operations return new objects.  A value is iterable and indexable like a
+tuple, and it equals, hashes and orders as the plain tuple of its fields, so
+``MintermSet(2, 5) == (2, 5)``.  Its fields cannot be assigned or deleted.
+``MintermSet`` keeps its own ``len``, ``in`` and truth, which count minterms.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 CUBE_CHARS = frozenset("01-")
 _ONES = str.maketrans("10-", "100")
@@ -50,29 +54,32 @@ class CapacityError(RuntimeError):
 # value types
 
 
-@dataclass(frozen=True)
-class Cover:
-    """An ordered list of cubes over named inputs (two-level sum of products)."""
-
+class _CoverFields(NamedTuple):
     input_names: tuple[str, ...]
     cubes: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_names", tuple(self.input_names))
-        object.__setattr__(self, "cubes", tuple(self.cubes))
-        if len(set(self.input_names)) != len(self.input_names):
+
+class Cover(_CoverFields):
+    """An ordered list of cubes over named inputs (two-level sum of products)."""
+
+    # no __slots__: the instance dict holds the cached ``bit_cubes``
+
+    def __new__(cls, input_names: Iterable[str], cubes: Iterable[str]) -> Cover:
+        input_names = tuple(input_names)
+        cubes = tuple(cubes)
+        if len(set(input_names)) != len(input_names):
             raise ValueError("duplicate input names")
         # the whole table is checked at once, its widths as a set and its
         # characters joined; the loop runs only to name the first offender
-        n = len(self.input_names)
-        if set(map(len, self.cubes)) <= {n} and CUBE_CHARS.issuperset("".join(self.cubes)):
-            return
-        for cube in self.cubes:
-            if len(cube) != n:
-                raise ValueError(f"cube {cube!r} has width {len(cube)}, expected {n}")
-            if not CUBE_CHARS.issuperset(cube):
-                bad = next(ch for ch in cube if ch not in CUBE_CHARS)
-                raise ValueError(f"invalid cube character {bad!r} in {cube!r}")
+        n = len(input_names)
+        if not (set(map(len, cubes)) <= {n} and CUBE_CHARS.issuperset("".join(cubes))):
+            for cube in cubes:
+                if len(cube) != n:
+                    raise ValueError(f"cube {cube!r} has width {len(cube)}, expected {n}")
+                if not CUBE_CHARS.issuperset(cube):
+                    bad = next(ch for ch in cube if ch not in CUBE_CHARS)
+                    raise ValueError(f"invalid cube character {bad!r} in {cube!r}")
+        return tuple.__new__(cls, (input_names, cubes))
 
     @property
     def n(self) -> int:
@@ -92,22 +99,26 @@ class Cover:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class MintermSet:
-    """A set of complete assignments on which a function is 1.
-
-    ``bits`` is the truth-table mask: bit ``v`` set means assignment ``v``
-    is a minterm.
-    """
-
+class _MintermSetFields(NamedTuple):
     n: int
     bits: int = 0
 
-    def __post_init__(self):
-        if self.n < 0:
+
+class MintermSet(_MintermSetFields):
+    """A set of complete assignments on which a function is 1.
+
+    ``bits`` is the truth-table mask: bit ``v`` set means assignment ``v``
+    is a minterm.  ``len`` and ``in`` count minterms, not the two fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, bits: int = 0) -> MintermSet:
+        if n < 0:
             raise ValueError("negative input count")
-        if self.bits < 0 or self.bits.bit_length() > (1 << self.n):
+        if bits < 0 or bits.bit_length() > (1 << n):
             raise ValueError("minterm index out of range for input count")
+        return tuple.__new__(cls, (n, bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -143,14 +154,17 @@ class MintermSet:
             n = len(strings[0])
         return cls.from_indices(n, (minterm_index(s) for s in strings))
 
-@dataclass(frozen=True)
-class PhaseVector:
-    """Per-input polarity choice; ``True`` means the input is inverted."""
-
+class _PhaseVectorFields(NamedTuple):
     phases: tuple[bool, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(bool(p) for p in self.phases))
+
+class PhaseVector(_PhaseVectorFields):
+    """Per-input polarity choice; ``True`` means the input is inverted."""
+
+    __slots__ = ()
+
+    def __new__(cls, phases: Iterable[object]) -> PhaseVector:
+        return tuple.__new__(cls, (tuple(map(bool, phases)),))
 
     @property
     def n(self) -> int:

@@ -72,8 +72,7 @@ is at most n // 2 deep on n live inputs; a depth guard backs both arguments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import cores as cores_mod
 from .cubes import (
@@ -109,8 +108,7 @@ class DecompositionError(RuntimeError):
 _DEPTH_LIMIT = 400  # recursion guard; each cofactor drops two or more inputs
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     """Outcome of ``verify``: ``checked`` assignments were compared, all of
     them when ``exhaustive``, else a fixed sample."""
 

@@ -66,7 +66,6 @@ the configuration it returns with one grid DAG.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Sequence
 
@@ -88,8 +87,7 @@ class PlotMetrics(NamedTuple):
         return f"N={self.node_count} L={self.link_count}"
 
 
-@dataclass(frozen=True)
-class GridDag:
+class GridDag(NamedTuple):
     """Minimal stratified acceptor of a fixed-length word set on the grid.
 
     ``classes[d]`` lists the (rank, suffix mask) classes of depth ``d`` in

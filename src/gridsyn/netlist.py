@@ -44,7 +44,6 @@ big-integer operations instead of the popcount partition's k(k+1)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_, attrgetter, or_
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
@@ -98,8 +97,7 @@ _new_node = partial(tuple.__new__, NetNode)
 _RANK0 = frozenset({0})
 
 
-@dataclass(frozen=True)
-class Netlist:
+class Netlist(NamedTuple):
     """An immutable DAG; nodes are topologically ordered by index."""
 
     input_names: tuple[str, ...]

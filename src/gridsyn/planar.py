@@ -36,8 +36,7 @@ functions.  The survey decides only the non-planar witnesses it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cubes import MintermSet, PhaseVector, assignment_masks, full_mask, transform_mask
 from .gridplot import (
@@ -53,8 +52,7 @@ _SURVEY_CAP = 4
 _MAX_WITNESSES = 10
 
 
-@dataclass(frozen=True)
-class TemplateGrid:
+class TemplateGrid(NamedTuple):
     """The programmable link set of the full grid of arity n.
 
     Links are identified by their source grid point (rank, depth) and
@@ -224,8 +222,7 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
 # exhaustive survey
 
 
-@dataclass(frozen=True)
-class PlanarSurvey:
+class PlanarSurvey(NamedTuple):
     n: int
     total: int
     planar: int

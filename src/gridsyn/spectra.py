@@ -10,9 +10,8 @@ empty, so a symmetric function is determined by its set of full ranks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cubes import (
     DEFAULT_EXPANSION_CAP,
@@ -25,19 +24,23 @@ from .cubes import (
 RankSpectrum = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FullRankSet:
-    """The set of full ranks of a totally symmetric function of ``n`` inputs."""
-
+class _FullRankSetFields(NamedTuple):
     n: int
     ranks: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", frozenset(self.ranks))
-        if self.n < 0:
+
+class FullRankSet(_FullRankSetFields):
+    """The set of full ranks of a totally symmetric function of ``n`` inputs."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, ranks: Iterable[int]) -> FullRankSet:
+        ranks = frozenset(ranks)
+        if n < 0:
             raise ValueError("negative input count")
-        if not self.ranks.issubset(range(self.n + 1)):
-            raise ValueError(f"ranks must lie in [0, {self.n}]")
+        if not ranks.issubset(range(n + 1)):
+            raise ValueError(f"ranks must lie in [0, {n}]")
+        return tuple.__new__(cls, (n, ranks))
 
 
 def spectrum_of(s: MintermSet) -> RankSpectrum:

@@ -17,8 +17,7 @@ the inverter 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .netlist import (
     KIND_AND,
@@ -38,29 +37,42 @@ class MappingError(ValueError):
     """A netlist cannot be mapped onto the given cell library."""
 
 
-@dataclass(frozen=True)
-class ThresholdCell:
+class _ThresholdCellFields(NamedTuple):
     arity: int
     threshold: int
 
-    def __post_init__(self):
-        if not 1 <= self.threshold <= self.arity:
+
+class ThresholdCell(_ThresholdCellFields):
+    __slots__ = ()
+
+    def __new__(cls, arity: int, threshold: int) -> ThresholdCell:
+        if not 1 <= threshold <= arity:
             raise ValueError("threshold must lie in [1, arity]")
+        return tuple.__new__(cls, (arity, threshold))
 
     @property
     def name(self) -> str:
         return f"t{self.threshold}of{self.arity}"
 
 
-@dataclass(frozen=True)
-class TCellLibrary:
+class _TCellLibraryFields(NamedTuple):
     max_arity: int
     pitch_costs: Mapping[tuple[int, int], float]
     inverter_cost: float = 1.0
 
-    def __post_init__(self):
-        if self.max_arity < 1:
+
+class TCellLibrary(_TCellLibraryFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        max_arity: int,
+        pitch_costs: Mapping[tuple[int, int], float],
+        inverter_cost: float = 1.0,
+    ) -> TCellLibrary:
+        if max_arity < 1:
             raise ValueError("library needs max_arity >= 1")
+        return tuple.__new__(cls, (max_arity, pitch_costs, inverter_cost))
 
     @property
     def cells(self) -> tuple[ThresholdCell, ...]:
@@ -113,8 +125,7 @@ def intervals(f: FullRankSet) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SFImpl:
+class SFImpl(NamedTuple):
     """Threshold-pair product form of one symmetric component.
 
     Each term (i, j) reads T_i AND NOT T_j; a missing j means the interval
@@ -158,12 +169,11 @@ def _sf_plan(arity: int, ranks: frozenset[int]) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class CellUse:
+class CellUse(NamedTuple):
     name: str
     arity: int
     threshold: int | None  # None for the inverter
-    count: int
+    count: int  # shadows tuple.count
     unit_cost: float
 
     @property
@@ -171,8 +181,7 @@ class CellUse:
         return self.count * self.unit_cost
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     netlist: Netlist
     cells: tuple[CellUse, ...]
     total_pitches: float

@@ -168,6 +168,18 @@ def test_synth_on_one_input(tmp_path, monkeypatch, capsys):
     assert "one: output = ~a\n" in capsys.readouterr().out
 
 
+def test_synth_reports_a_failed_verification(tmp_path, monkeypatch, capsys):
+    """A mismatch from ``verify`` is false: synth names it, writes no netlist and exits 1."""
+    from gridsyn.decompose import VerifyResult
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("gridsyn.cli.verify", lambda nl, cover: VerifyResult(False, (1,), True, 2))
+    (tmp_path / "one.pla").write_text(ONE_INPUT_PLA)
+    assert main(["synth", "one.pla"]) == 1
+    assert "one: VERIFICATION FAILED at (1,)\n" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["one.pla"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

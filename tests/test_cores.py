@@ -117,6 +117,16 @@ class TestCoreValidation:
         with pytest.raises(ValueError, match="inverted"):
             Core(CARRY, 0b1, 0b11, flips)
 
+    def test_messages(self):
+        for args, message in (
+            ((0b1000, 0b11, 0), "cube mask 0x8 outside the cover's 3 cubes"),
+            ((0b1, 0b1000, 0), "input mask 0x8 outside the cover's 3 inputs"),
+            ((0b1, 0b11, 0b100), "inverted inputs must lie inside the symmetric set"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                Core(CARRY, *args)
+            assert str(exc.value) == message
+
     def test_valid_core_reads_its_masks(self):
         core = Core(CARRY, 0b101, 0b101, 0b1)
         assert (core.cube_indices, core.sym_inputs, core.inverted) == ((0, 2), (0, 2), {0})

@@ -313,6 +313,44 @@ class TestMisc:
     def test_minterm_set_validation(self):
         with pytest.raises(ValueError):
             MintermSet(2, 1 << 4)
+        for n, bits, message in (
+            (-1, 0, "negative input count"),
+            (2, 1 << 4, "minterm index out of range for input count"),
+            (2, -1, "minterm index out of range for input count"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                MintermSet(n, bits)
+            assert str(exc.value) == message
+        assert MintermSet(2, 0b1111).bits == 0b1111
+
+    def test_minterm_set_truth_len_and_in_count_minterms(self):
+        # a set is a 2-tuple, yet its truth, len and `in` read the minterms
+        assert bool(MintermSet(3, 0)) is False and bool(MintermSet(0)) is False
+        assert bool(MintermSet(3, 0b1000)) is True
+        assert [len(MintermSet(3, bits)) for bits in (0, 0b10110, 0xFF)] == [0, 3, 8]
+        s = MintermSet(3, 0b10110)
+        assert [v for v in range(-1, 9) if v in s] == [1, 2, 4]
+        assert (3 in MintermSet(2, 0b1000), 2 in MintermSet(2, 0b1000)) == (True, False)
+
+    def test_coercions(self):
+        cover = Cover(["a", "b"], iter(["1-", "01"]))
+        assert type(cover.input_names) is tuple and type(cover.cubes) is tuple
+        assert cover == Cover(("a", "b"), ("1-", "01"))
+        phases = PhaseVector([1, 0, 2, ""])
+        assert phases.phases == (True, False, True, False)
+        assert all(type(p) is bool for p in phases.phases)
+        assert phases == PhaseVector((True, False, True, False))
+
+    def test_bit_cubes_are_parsed_once(self):
+        cover = Cover(("a", "b", "c"), ("11-", "0-1"))
+        assert "bit_cubes" not in vars(cover)
+        first = cover.bit_cubes
+        assert first == ((0b011, 0), (0b100, 0b001)) and vars(cover)["bit_cubes"] is first
+        assert cover.bit_cubes is first
+        # a subcover's preset masks are the ones it reads, not a fresh parse
+        sub = subcover(cover, [1])
+        preset = vars(sub)["bit_cubes"]
+        assert preset == ((0b100, 0b001),) and sub.bit_cubes is preset
 
     def test_density(self):
         assert literal_density(CARRY) == pytest.approx(100.0 * 6 / 9)

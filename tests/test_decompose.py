@@ -398,6 +398,8 @@ class TestVerify:
         nl = decompose(CARRY)  # wrong function on purpose
         result = verify(nl, parity.__class__(("a", "b", "c"), parity.cubes))
         assert not result
+        assert bool(result) is False and result.equivalent is False
+        assert bool(verify(nl, CARRY)) is True
         a = result.witness
         assert evaluate_netlist(nl, a) != eval_cover(parity, a)
 

@@ -121,6 +121,20 @@ class TestFullRanks:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             FullRankSet(3, {4})
+        for n, ranks, message in (
+            (-1, (), "negative input count"),
+            (3, {4}, "ranks must lie in [0, 3]"),
+            (2, [0, -1], "ranks must lie in [0, 2]"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                FullRankSet(n, ranks)
+            assert str(exc.value) == message
+
+    def test_ranks_of_any_iterable_become_a_frozenset(self):
+        for ranks in ([1, 3, 1], (3, 1), {1, 3}, iter([3, 1]), range(1, 4, 2)):
+            f = FullRankSet(3, ranks)
+            assert type(f.ranks) is frozenset and f.ranks == {1, 3}
+            assert f == FullRankSet(3, frozenset({1, 3}))
 
     @pytest.mark.parametrize("n", range(0, 5))
     def test_symmetric_function_count(self, n):

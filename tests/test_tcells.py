@@ -17,7 +17,7 @@ from gridsyn import (
     verify,
 )
 from gridsyn.netlist import KIND_SYM, NetlistBuilder
-from gridsyn.tcells import MappingError, ThresholdCell
+from gridsyn.tcells import MappingError, TCellLibrary, ThresholdCell
 
 from helpers import (
     all_assignments,
@@ -99,6 +99,14 @@ class TestLibrary:
     def test_invalid_cell(self):
         with pytest.raises(ValueError):
             ThresholdCell(3, 4)
+        for arity, threshold in ((3, 4), (3, 0), (0, 0)):
+            with pytest.raises(ValueError) as exc:
+                ThresholdCell(arity, threshold)
+            assert str(exc.value) == "threshold must lie in [1, arity]"
+        with pytest.raises(ValueError) as exc:
+            TCellLibrary(0, {})
+        assert str(exc.value) == "library needs max_arity >= 1"
+        assert TCellLibrary(1, {(1, 1): 1.0}).inverter_cost == 1.0
 
 
 class TestMapNetlist:
