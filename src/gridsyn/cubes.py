@@ -14,7 +14,8 @@ Conventions used throughout the package:
   All set operations on minterms are plain bitwise arithmetic.
 
 Every value type here is an immutable named tuple: a ``NamedTuple`` of its
-fields, under a subclass whose ``__new__`` coerces and validates them.
+fields, under a subclass whose ``__new__`` coerces and validates them;
+its ``_make``, and so its ``_replace``, build through ``__new__`` too.
 Operations return new objects.  A value is iterable and indexable like a
 tuple, and it equals, hashes and orders as the plain tuple of its fields, so
 ``MintermSet(2, 5) == (2, 5)``.  Its fields cannot be assigned or deleted.
@@ -81,6 +82,10 @@ class Cover(_CoverFields):
                     raise ValueError(f"invalid cube character {bad!r} in {cube!r}")
         return tuple.__new__(cls, (input_names, cubes))
 
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> Cover:
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.input_names)
@@ -119,6 +124,10 @@ class MintermSet(_MintermSetFields):
         if bits < 0 or bits.bit_length() > (1 << n):
             raise ValueError("minterm index out of range for input count")
         return tuple.__new__(cls, (n, bits))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> MintermSet:
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -165,6 +174,10 @@ class PhaseVector(_PhaseVectorFields):
 
     def __new__(cls, phases: Iterable[object]) -> PhaseVector:
         return tuple.__new__(cls, (tuple(map(bool, phases)),))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> PhaseVector:
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

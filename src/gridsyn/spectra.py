@@ -42,6 +42,10 @@ class FullRankSet(_FullRankSetFields):
             raise ValueError(f"ranks must lie in [0, {n}]")
         return tuple.__new__(cls, (n, ranks))
 
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> FullRankSet:
+        return cls(*iterable)
+
 
 def spectrum_of(s: MintermSet) -> RankSpectrum:
     """Minterm counts per rank, indices 0..n.

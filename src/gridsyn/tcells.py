@@ -17,7 +17,7 @@ the inverter 1.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .netlist import (
     KIND_AND,
@@ -50,6 +50,10 @@ class ThresholdCell(_ThresholdCellFields):
             raise ValueError("threshold must lie in [1, arity]")
         return tuple.__new__(cls, (arity, threshold))
 
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> ThresholdCell:
+        return cls(*iterable)
+
     @property
     def name(self) -> str:
         return f"t{self.threshold}of{self.arity}"
@@ -73,6 +77,10 @@ class TCellLibrary(_TCellLibraryFields):
         if max_arity < 1:
             raise ValueError("library needs max_arity >= 1")
         return tuple.__new__(cls, (max_arity, pitch_costs, inverter_cost))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> TCellLibrary:
+        return cls(*iterable)
 
     @property
     def cells(self) -> tuple[ThresholdCell, ...]:

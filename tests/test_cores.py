@@ -499,16 +499,23 @@ class TestPairCoreBound:
 class TestPrunedSearch:
     """The pruned, shared search returns what the unpruned widening returns.
 
-    ``TestSearchIsPinned`` stops at 8 inputs; here the covers have 9-14,
+    ``TestSearchIsPinned`` stops at 8 inputs; here the covers have 8-14,
     where the pair-core bound skips most closures.
     """
 
     @staticmethod
+    def threshold_covers() -> list[Cover]:
+        """ORs of threshold-block products, on which top seeds converge."""
+        rng = random.Random(2013)
+        return [threshold_products(rng, n) for n in range(8, 15)]
+
+    @staticmethod
     def covers() -> list[Cover]:
         rng = random.Random(2013)
-        return [
+        unstructured = [
             random_cover_with_duplicates(rng, n, rng.randint(2 * n, 4 * n)) for n in range(9, 15)
         ]
+        return unstructured + TestPrunedSearch.threshold_covers()
 
     def test_expand_core_from_every_pair_seed(self):
         for cover in self.covers():
@@ -524,6 +531,17 @@ class TestPrunedSearch:
     def test_best_core(self):
         for cover in self.covers():
             assert best_core(CoreSearch(cover)) == reference_best_core(cover)
+
+    def test_top_seeds_of_threshold_covers_converge(self):
+        """So the widening memo answers in ``test_best_core``: two top seeds
+        widen to one end, and the later one stops there."""
+        for cover in self.threshold_covers():
+            seeds = best_pair_cores(CoreSearch(cover)).values()
+            size = max(seed.cube_count for seed in seeds)
+            ends = [
+                expand_core(seed, CoreSearch(cover)) for seed in seeds if seed.cube_count == size
+            ]
+            assert len(set(ends)) < len(ends)
 
 
 class TestSharedSearch:

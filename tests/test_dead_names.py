@@ -23,7 +23,8 @@ Six rules, for every module of ``src/gridsyn`` except ``__init__.py``:
 References are matched by bare identifier (a load of the name, an
 attribute of that name, or a ``from ... import`` of it), so two
 definitions that share a name can hide each other; the check is cheap,
-not exact.  Dunder names are exempt.
+not exact.  Dunder names are exempt, as the interpreter calls them, and
+so are the members in ``LIBRARY_HOOKS``, which the standard library calls.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gridsyn"
 TREES = ("src", "tests", "demos", "perfbench")
+#: A named tuple's ``_replace`` builds its copy through ``_make``.
+LIBRARY_HOOKS = frozenset({"_make"})
 
 
 def _parse(path: Path) -> ast.Module:
@@ -159,6 +162,7 @@ def _members(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
         for item in node.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in LIBRARY_HOOKS
     ]
 
 

@@ -5,7 +5,8 @@ Each of the fifteen record types keeps what a frozen record promises: its
 field names, order and defaults, fields that cannot be assigned or
 deleted, equality and hash over the fields, and the ``Name(field=value)``
 repr.  Per-type coercions and error messages are tested beside each
-module's other tests.
+module's other tests; here, that ``_make`` and ``_replace`` check and
+coerce as the constructor does.
 """
 
 from __future__ import annotations
@@ -205,3 +206,43 @@ def test_cell_use_count_is_the_field():
     assert use.count == 3 and use.total_cost == 6.0
     fields = {"name": "t1of2", "arity": 2, "threshold": 1, "count": 3, "unit_cost": 2.0}
     assert use._asdict() == fields
+
+
+@pytest.mark.parametrize("cls, fields, defaults, make", SAMPLES, ids=IDS)
+def test_make_and_replace_rebuild_the_value(cls, fields, defaults, make):
+    value = make()
+    for rebuilt in (cls._make(iter(value)), value._replace()):
+        assert type(rebuilt) is cls and rebuilt == value
+
+
+def test_minterm_set_make_takes_the_two_fields():
+    # the tuple's own _make checks the field count with len, which counts minterms
+    assert MintermSet._make((2, 1)) == MintermSet(2, 1)
+
+
+#: Per validating type that refuses a field: a value, and a change its constructor refuses.
+REFUSED = [
+    (Cover(("a", "b"), ("1-",)), {"cubes": ("xyz",)}),
+    (MintermSet(2, 5), {"n": -3}),
+    (FullRankSet(2, {1}), {"ranks": [9]}),
+    (Core(CARRY, 0b101, 0b101, 0b1), {"flips": 0b10}),
+    (ThresholdCell(3, 2), {"threshold": 7}),
+    (TCellLibrary(2, {}), {"max_arity": 0}),
+]
+
+
+@pytest.mark.parametrize(
+    "value, change", REFUSED, ids=[type(value).__name__ for value, _ in REFUSED]
+)
+def test_replace_refuses_what_the_constructor_refuses(value, change):
+    with pytest.raises(ValueError) as built:
+        type(value)(**{**value._asdict(), **change})
+    with pytest.raises(ValueError) as replaced:
+        value._replace(**change)
+    assert str(replaced.value) == str(built.value)
+
+
+def test_replace_coerces_as_the_constructor_does():
+    assert PhaseVector((True,))._replace(phases=[1, 0]).phases == (True, False)
+    assert FullRankSet(2, {1})._replace(ranks=[2]).ranks == frozenset({2})
+    assert Cover(("a",), ("1",))._replace(cubes=["0"]).cubes == ("0",)
