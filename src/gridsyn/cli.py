@@ -277,7 +277,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> Report:
 
 
 def _cmd_grid(ns: argparse.Namespace) -> Report:
-    if ns.minimize and (ns.order or ns.phases):
+    if ns.minimize and (ns.order is not None or ns.phases is not None):
         raise ValueError("--minimize cannot be combined with --order or --phases")
     if ns.out is not None and ns.render != "svg":
         raise ValueError("--out names the --render svg file and needs --render svg")
@@ -293,12 +293,12 @@ def _cmd_grid(ns: argparse.Namespace) -> Report:
             order, phases = layout.order, layout.phases
         else:
             order = tuple(range(cover.n))
-            if ns.order:
+            if ns.order is not None:
                 order = tuple(_parse_name_list(ns.order, cover.input_names, "order"))
                 if sorted(order) != list(range(cover.n)):
                     raise ValueError("--order must list every input exactly once")
             phases = PhaseVector.none(cover.n)
-            if ns.phases:
+            if ns.phases is not None:
                 inverted = _parse_name_list(ns.phases, cover.input_names, "phases")
                 if len(set(inverted)) < len(inverted):
                     raise ValueError("--phases must list each input at most once")

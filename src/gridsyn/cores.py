@@ -49,10 +49,10 @@ every a in Z, with polarity f'(a) xor f'(x).  The widening keeps, for each
 input x outside Z and each phase of x, the AND of those pair cores, and
 updates it with one AND per input when an input joins Z; that AND with the
 current core bounds a candidate's size, a candidate whose bound cannot
-beat the best score so far, nor keep the whole core, is never closed, and
-the fixpoint of any other starts from the bound.  Second, every candidate
-of a step is a subset of the current core, so a step stops at the first
-candidate that keeps the whole core: no later one could strictly beat it.
+beat the best score so far is never closed, and the fixpoint of any other
+starts from the bound.  Second, every candidate of a step is a subset of
+the current core, so once one candidate keeps the whole core no later
+bound can beat it, and the step closes nothing more.
 
 A ``CoreSearch`` holds what the ``best_pair_cores``, ``expand_core`` and
 ``best_core`` calls on one cover share: the pair scan, and the end of
@@ -147,8 +147,8 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> tuple[list[tuple[list[int], li
     the other's image.  A pair core is the OR of the cubes the swap fixes,
     whose symbols at a and b are equal (plain) or complementary (flipped),
     and of its partner pairs.  An image that is not the cube itself differs
-    from it in exactly a and b and has as many ``-`` symbols, so partners
-    are found in one pass over the pairs of distinct cubes with equal counts.
+    from it in exactly a and b, so partners are found in one pass over the
+    pairs of distinct cubes.
     """
     at: dict[Cube, int] = {}
     for i, cube in enumerate(cubes):
@@ -163,25 +163,22 @@ def _pair_masks(cubes: Sequence[Cube], n: int) -> tuple[list[tuple[list[int], li
     dash = [every & ~(one[j] | zero[j]) for j in range(n)]
 
     links: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    by_dashes: dict[int, list[tuple[Cube, int]]] = {}
-    for (ones, zeros), bits in at.items():
-        by_dashes.setdefault((ones | zeros).bit_count(), []).append(((ones, zeros), bits))
-    for group in by_dashes.values():
-        for k, ((o1, z1), bits1) in enumerate(group):
-            for (o2, z2), bits2 in group[k + 1 :]:
-                diff = o1 ^ o2 | z1 ^ z2
-                if diff.bit_count() != 2:
-                    continue
-                a, b = set_bits(diff)
-                # symbols as 1 -> +1, 0 -> -1, - -> 0, so complementing negates
-                s1a = (o1 >> a & 1) - (z1 >> a & 1)
-                s1b = (o1 >> b & 1) - (z1 >> b & 1)
-                s2a = (o2 >> a & 1) - (z2 >> a & 1)
-                s2b = (o2 >> b & 1) - (z2 >> b & 1)
-                if s2a == s1b and s2b == s1a:
-                    links.setdefault((a, b, 0), []).append((bits1, bits2))
-                elif s2a == -s1b and s2b == -s1a:
-                    links.setdefault((a, b, 1), []).append((bits1, bits2))
+    distinct = list(at.items())
+    for k, ((o1, z1), bits1) in enumerate(distinct):
+        for (o2, z2), bits2 in distinct[k + 1 :]:
+            diff = o1 ^ o2 | z1 ^ z2
+            if diff.bit_count() != 2:
+                continue
+            a, b = set_bits(diff)
+            # symbols as 1 -> +1, 0 -> -1, - -> 0, so complementing negates
+            s1a = (o1 >> a & 1) - (z1 >> a & 1)
+            s1b = (o1 >> b & 1) - (z1 >> b & 1)
+            s2a = (o2 >> a & 1) - (z2 >> a & 1)
+            s2b = (o2 >> b & 1) - (z2 >> b & 1)
+            if s2a == s1b and s2b == s1a:
+                links.setdefault((a, b, 0), []).append((bits1, bits2))
+            elif s2a == -s1b and s2b == -s1a:
+                links.setdefault((a, b, 1), []).append((bits1, bits2))
 
     partner = [([0] * n, [0] * n) for _ in range(n)]
     for a in range(n):
@@ -281,8 +278,9 @@ def expand_core(seed: Core, search: CoreSearch) -> Core:
     candidate strictly beats the current score.  Polarities fixed in
     earlier steps are not revisited.  A candidate whose pair-core bound (see
     the module docstring) times ``width**2`` is no more than the current
-    score and the step's best so far is skipped unclosed: it could neither
-    be accepted nor keep the whole core.  The widening stops at any state
+    score and the step's best so far is skipped unclosed: it could not be
+    accepted.  So is every candidate after one that keeps the whole core,
+    as each bound lies inside the core.  The widening stops at any state
     ``search.widened`` holds, and records there the end of every state it
     passed through.  A seed of a cover other than the search's is a
     ``ValueError``.
@@ -306,8 +304,8 @@ def expand_core(seed: Core, search: CoreSearch) -> Core:
         passed.append((z, flips, core))
         width = z.bit_count() + 1
         w2 = width * width
-        score = floor = size * (width - 1) ** 2  # floor: what a candidate must beat
-        best = None  # (score, size, x, flips, core)
+        floor = size * (width - 1) ** 2  # what a candidate must beat
+        best = None  # (size, x, flips, core)
         for x in range(n):
             if z >> x & 1:
                 continue
@@ -318,19 +316,13 @@ def expand_core(seed: Core, search: CoreSearch) -> Core:
                     continue
                 cand = close(bound, cand_z, cand_flips)
                 cand_size = cand.bit_count()
-                cand_score = cand_size * w2
-                if best is None or cand_score > best[0]:
-                    best = (cand_score, cand_size, x, cand_flips, cand)
-                    floor = max(floor, cand_score)
-                if cand_size == size:
-                    break  # a subset of the core cannot be larger, so none later wins
-            else:
-                continue
-            break
-        if best is None or best[0] <= score:
+                if cand_size * w2 > floor:
+                    best = (cand_size, x, cand_flips, cand)
+                    floor = cand_size * w2
+        if best is None:
             widened[z, flips, core] = (z, flips, core)
             break
-        _, size, x, flips, core = best
+        size, x, flips, core = best
         z |= 1 << x
         fx = flips >> x & 1
         same = list(map(and_, same, partner[x][fx]))
@@ -432,23 +424,25 @@ def two_cube_core(cover: Cover) -> Core | None:
     both cubes, so when every class holds at most one input: at most five
     inputs, and the pairs are scanned one by one.
 
-    *Selection.*  The smallest ``_selection_key`` over the top seeds' ends
-    wins, the first seed on ties.  Ends of two-cube seeds never tie any
-    other (``2 * k**2`` is no square), so Z tuples are compared only when
-    score, width and inversions tie.  Two equal cubes act as one cube on
-    both positions: every input's vector is in the class of ``(0, 0)`` or
-    ``(1, 1)``, and no single-cube step exists.
+    *Selection.*  Each end is kept with its ``_selection_key`` and its
+    seed, and the least wins: the smallest key, the first seed in pair
+    order on ties.  Ends of two-cube seeds never tie any other (``2 * k**2``
+    is no square), so Z tuples are compared only when score, width and
+    inversions tie.  Two equal cubes act as one cube on both positions:
+    every input's vector is in the class of ``(0, 0)`` or ``(1, 1)``, and
+    no single-cube step exists.
     """
     cubes = cover.bit_cubes
     every = (1 << cover.n) - 1
     # at[c][s]: the inputs where cube c has symbol s
     at = [{1: ones, -1: zeros, 0: every & ~(ones | zeros)} for ones, zeros in cubes]
-    ends = []  # (-score, -width, inversions, z, seed, flips, core)
+    ends = []  # (selection key, seed, z, flips, core)
 
     def add(z: int, flips: int, core: int, seed: tuple[int, int]) -> None:
         width = z.bit_count()
         score = core.bit_count() * width * width
-        ends.append((-score, -width, flips.bit_count(), z, seed, flips, core))
+        key = _selection_key(score, width, flips.bit_count(), tuple(set_bits(z)))
+        ends.append((key, seed, z, flips, core))
 
     def add_one(c: int, a: int, b: int, flip: int) -> None:
         """The end of seed (a, b), a flipped when ``flip``, widened on cube c alone."""
@@ -519,11 +513,7 @@ def two_cube_core(cover: Cover) -> Core | None:
         if not ends:
             return None
 
-    top = min(end[:3] for end in ends)
-    tied = [end for end in ends if end[:3] == top]
-    if len(tied) > 1:
-        tied.sort(key=lambda end: (set_bits(end[3]), end[4]))
-    _, _, _, z, _, flips, core = tied[0]
+    _, _, z, flips, core = min(ends)
     return Core(cover, core, z, flips)
 
 

@@ -70,16 +70,13 @@ class Cover(_CoverFields):
         cubes = tuple(cubes)
         if len(set(input_names)) != len(input_names):
             raise ValueError("duplicate input names")
-        # the whole table is checked at once, its widths as a set and its
-        # characters joined; the loop runs only to name the first offender
         n = len(input_names)
-        if not (set(map(len, cubes)) <= {n} and CUBE_CHARS.issuperset("".join(cubes))):
-            for cube in cubes:
-                if len(cube) != n:
-                    raise ValueError(f"cube {cube!r} has width {len(cube)}, expected {n}")
-                if not CUBE_CHARS.issuperset(cube):
-                    bad = next(ch for ch in cube if ch not in CUBE_CHARS)
-                    raise ValueError(f"invalid cube character {bad!r} in {cube!r}")
+        for cube in cubes:
+            if len(cube) != n:
+                raise ValueError(f"cube {cube!r} has width {len(cube)}, expected {n}")
+            if not CUBE_CHARS.issuperset(cube):
+                bad = next(ch for ch in cube if ch not in CUBE_CHARS)
+                raise ValueError(f"invalid cube character {bad!r} in {cube!r}")
         return tuple.__new__(cls, (input_names, cubes))
 
     @classmethod

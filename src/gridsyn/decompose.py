@@ -316,7 +316,10 @@ def verify(nl: Netlist, cover: Cover) -> VerifyResult:
     every call).
     """
     if nl.input_names != cover.input_names:
-        raise ValueError("netlist and cover have different input sets")
+        raise ValueError(
+            f"netlist inputs ({', '.join(nl.input_names)}) differ from"
+            f" the cover's ({', '.join(cover.input_names)})"
+        )
     n = cover.n
     free = min(n, _BLOCK)
     high = n - free

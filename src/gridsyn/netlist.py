@@ -30,10 +30,7 @@ and sort.  Each node's input support is kept as an int bit mask, input
 ``i`` at bit ``i``.
 
 Every stage pays once per distinct value.  A builder makes its input refs
-once and one ref per new node; ``sym``, ``inv``, ``and_disjoint`` and ``or_``
-look the requested node up before checking it, which is exact because a
-node is interned only after passing every check and no simplification
-applies to an interned node.  The reader registers each valid operand token
+once and one ref per new node.  The reader registers each valid operand token
 as it becomes valid and parses only a token it is about to reject; it
 parses each rank spelling once, and the writer spells each rank set once.
 All memo state is local to one call or one builder, so no run warms the
@@ -153,30 +150,18 @@ class NetlistBuilder:
             raise NetlistError("constants must be 0 or 1")
         return self._add(_new_node((KIND_CONST, (), None, value)))
 
-    # Each request looks its node up first: a node is interned only after
-    # passing every check below, and none of the simplifications applies to
-    # it, so a hit is exactly what the full path would return.
-
     def inv(self, ref: Ref) -> Ref:
-        node = _new_node((KIND_INV, (ref,), None, None))
-        hit = self._intern.get(node)
-        if hit is not None:
-            return hit
         operand = self._resolve(ref)
         if operand is not None:
             if operand.kind == KIND_CONST:
                 return self.const(1 - operand.value)
             if operand.kind == KIND_INV:
                 return operand.operands[0]
-        return self._insert(node)
+        return self._add(_new_node((KIND_INV, (ref,), None, None)))
 
     def sym(self, ranks: Iterable[int], operands: Sequence[Ref]) -> Ref:
         operands = tuple(operands)
         ranks = frozenset(ranks)
-        node = _new_node((KIND_SYM, operands, ranks, None))
-        hit = self._intern.get(node)
-        if hit is not None:
-            return hit
         if not operands:
             raise NetlistError("SYM needs operands")
         for ref in operands:
@@ -194,13 +179,9 @@ class NetlistBuilder:
             return self.const(1)
         if k == 1:
             return operands[0] if ranks == {1} else self.inv(operands[0])
-        return self._insert(node)
+        return self._add(_new_node((KIND_SYM, operands, ranks, None)))
 
     def and_disjoint(self, operands: Sequence[Ref]) -> Ref:
-        operands = tuple(operands)
-        hit = self._intern.get(_new_node((KIND_AND, operands, None, None)))
-        if hit is not None:
-            return hit
         flat: list[Ref] = []
         for ref in operands:
             node = self._resolve(ref)
@@ -221,10 +202,6 @@ class NetlistBuilder:
         return self._add(_new_node((KIND_AND, tuple(flat), None, None)))
 
     def or_(self, operands: Sequence[Ref]) -> Ref:
-        operands = tuple(operands)
-        hit = self._intern.get(_new_node((KIND_OR, operands, None, None)))
-        if hit is not None:
-            return hit
         flat: list[Ref] = []
         seen: set[Ref] = set()
         for ref in operands:

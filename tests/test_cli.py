@@ -315,7 +315,8 @@ def test_synth_searches_nine_inputs_exactly(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--order", "d,c,b,a"], ["--phases", "a"],
-                                   ["--order", "d,c,b,a", "--phases", "a"]])
+                                   ["--order", "d,c,b,a", "--phases", "a"],
+                                   ["--order", ""], ["--phases", ""]])
 @pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
 def test_grid_refuses_minimize_with_a_configuration(mode, flags, capsys):
     argv = ["grid", str(DEMO_PLAS / "xor_pair.pla"), "--minimize", mode, *flags]
@@ -336,6 +337,25 @@ def test_grid_refuses_a_repeated_input_name(flags, message, capsys):
     assert main(["grid", str(DEMO_PLAS / "xor_pair.pla"), *flags]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"gridsyn: error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--order", "--phases"])
+def test_grid_refuses_an_empty_name_list(flag, capsys):
+    # an empty list is given, not absent: grid does not read it as the default
+    assert main(["grid", str(DEMO_PLAS / "xor_pair.pla"), flag, ""]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"gridsyn: error: unknown input '' in {flag}\n")
+
+
+def test_verify_names_both_input_lists(tmp_path, monkeypatch, capsys):
+    # exit 1 is reserved for a failed equivalence check
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.net").write_text("inputs: b a\n0 INV i0\noutput: n0\n")
+    (tmp_path / "r.pla").write_text(".i 2\n.o 1\n.ilb a b\n01 1\n.e\n")
+    assert main(["verify", "r.net", "r.pla"]) == 2
+    assert capsys.readouterr().err == (
+        "gridsyn: error: netlist inputs (b, a) differ from the cover's (a, b)\n"
+    )
 
 
 GRID_OUT_MESSAGE = "--out names the --render svg file and needs --render svg"
@@ -619,7 +639,10 @@ def test_unreadable_files_are_named(argv, missing, tmp_path, monkeypatch, capsys
 # ---------------------------------------------------------------------------
 # output pin: every command's status, stdout, stderr and artifacts
 
-PIN_DIGEST = "f5d60bcc54c6a18d758a9f355a4aafc25c708a36420a235d7e2432a97e6588c6"
+#: Recomputed when ``verify`` began naming both input lists: only the stderr of
+#: its four input-mismatch runs changed (``verify r5.net majority5.pla`` and
+#: ``verify and5.net fa_sum.pla``, each with and without ``--json``).
+PIN_DIGEST = "38cad63e54fc9eea73f8c194358c82ae81cc9d5ce5b4c59344a4f529e8d9fce5"
 
 PIN_INPUTS = {
     "r5.pla": write_pla(random_cover(random.Random(1), 5, 8)),

@@ -12,6 +12,7 @@ from gridsyn import (
     best_pair_cores,
     cover_to_minterms,
     dc_partition,
+    decompose,
     expand_core,
 )
 
@@ -542,6 +543,32 @@ class TestPrunedSearch:
                 expand_core(seed, CoreSearch(cover)) for seed in seeds if seed.cube_count == size
             ]
             assert len(set(ends)) < len(ends)
+
+
+    def test_decompose_closes_no_extra_candidate(self, monkeypatch):
+        """The bound skip gates every closure of a widening step: a weaker skip,
+        or one that another stop rule hides, closes more cube sets.  Counts
+        taken when a step also stopped at the first candidate keeping its core."""
+        close = CoreSearch._close
+        calls = [0]
+
+        def counting(search, start, z, flips):
+            calls[0] += 1
+            return close(search, start, z, flips)
+
+        monkeypatch.setattr(CoreSearch, "_close", counting)
+        rng = random.Random(3911)
+        unstructured = []
+        for _ in range(10):
+            n = rng.randint(10, 13)
+            unstructured.append(random_cover(rng, n, rng.randint(2 * n, 3 * n)))
+        structured = [threshold_products(rng, rng.randint(11, 14)) for _ in range(6)]
+        for cover in unstructured:
+            decompose(cover)
+        assert calls[0] == 660
+        for cover in structured:
+            decompose(cover)
+        assert calls[0] == 660 + 153
 
 
 class TestSharedSearch:

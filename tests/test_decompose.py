@@ -408,6 +408,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(nl, Cover(("x", "y", "z"), ("11-",)))
 
+    def test_the_mismatch_names_both_input_lists(self):
+        # the same names in another order are a mismatch too
+        nl = decompose(Cover(("b", "a"), ("10",)))
+        message = r"^netlist inputs \(b, a\) differ from the cover's \(a, b\)$"
+        with pytest.raises(ValueError, match=message):
+            verify(nl, Cover(("a", "b"), ("01",)))
+
     def test_wide_cover_sampling_path(self):
         # 22 inputs takes the block-by-block branch
         n = 22

@@ -156,7 +156,7 @@ class TestBuilder:
 
 
 class TestInternFirst:
-    """Looking a node up before checking it returns what the full path returns."""
+    """A repeated request returns the ref of its first answer and adds no node."""
 
     def test_a_repeated_request_returns_its_ref_and_adds_no_node(self):
         b = fresh()
