@@ -55,7 +55,9 @@ and a phase flip the levels below the flipped input.  L is computed only
 for a neighbour whose N ties or beats the best of the step so far.  The
 planarity decision (``planar.is_planar_function``) walks the same kernel
 over states and, by the same mirror argument, never searches below the
-root's phase-1 states when their phase-0 mirrors are not good.
+root's phase-1 states when their phase-0 mirrors are not good; its
+level-2 states come first from one truth-table pass over the input pairs,
+which refutes a function with no bridge-free pair before any split.
 ``build_grid_dag`` calls the kernel once per level of the word mask
 (``cubes.transform_mask`` puts the first input read in the most
 significant position), reading its inputs from the top down without

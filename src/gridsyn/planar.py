@@ -17,7 +17,10 @@ one call of the grid level kernel, ``gridplot._split_level``.  Inverting
 every input read maps a state to its mirror, each rank r to |S| - r, which
 moves no bridge, so a state and its mirror are both good or both bad; at
 the root the two phases of the first input read are mirrors, and phase 1
-is tried only when phase 0 is good.
+is tried only when phase 0 is good.  Level 2 has a bridge iff the rank-1
+cofactors of its two inputs are nonempty and differ, so one truth-table
+pass over the input pairs refutes a function with no bridge-free pair
+before any split and prunes the search's second level.
 
 The survey classifies every function of a small arity as bitmap algebra
 over one integer, the bitmap of all 2**(2**n) n-input functions, which is
@@ -132,6 +135,25 @@ def _level_key(read: int, level: dict[int, int]) -> tuple[int, frozenset[tuple[i
     return read, frozenset((g, ranks >> low) for g, ranks in level.items())
 
 
+def _bridge_free_pairs(s: MintermSet) -> list[list[int]]:
+    """Bit r of ``pairs[x][y]``: reading x and y first at relative phase r
+    leaves level 2 without a bridge, as only its two rank-1 prefixes share
+    a grid point and their cofactors agree or one is empty (at r = 0 the
+    two-variable symmetry test)."""
+    n, f = s.n, s.bits
+    masks = assignment_masks(n)
+    pairs = [[0] * n for _ in range(n)]
+    for y, my in enumerate(masks):
+        for x, mx in enumerate(masks[:y]):
+            # the two rank-1 cofactors, aligned: a, c at r = 0, d, e at r = 1
+            a, c = f & mx & ~my, (f & my & ~mx) >> ((1 << y) - (1 << x))
+            d, e = (f & mx & my) >> ((1 << x) + (1 << y)), f & ~(mx | my)
+            pairs[x][y] = pairs[y][x] = (a == c or not a or not c) | (
+                d == e or not d or not e
+            ) << 1
+    return pairs
+
+
 def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | None:
     """Witness (order, phases) making the plot planar, or None.
 
@@ -149,7 +171,10 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
     state is.  Reading x first at phase 1 is the mirror of reading it at
     phase 0, so phase 1 is tried only when phase 0 is good, and a
     non-planar function searches only the phase-0 half of the root's
-    successors.  The order is fixed input by input, as the
+    successors.  ``_bridge_free_pairs`` decides every level-2 state up
+    front: with no bridge-free pair (and n >= 3) the function is refuted
+    before any split, and a level-1 state tries only bridge-free pairs.
+    The order is fixed input by input, as the
     smallest input with a good successor from some state reached so far;
     the phases are then the smallest tuple among the states reached with
     every input read.
@@ -157,6 +182,9 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
     n = s.n
     if n > _EXHAUSTIVE_WITNESS_CAP:
         raise ValueError(f"planarity decision capped at {_EXHAUSTIVE_WITNESS_CAP} inputs")
+    pairs = _bridge_free_pairs(s)
+    if n >= 3 and not any(map(any, pairs)):  # n < 3: no pair, or level 2 is the last
+        return None
     every = (1 << n) - 1
     lows = _cofactor_lows(n)
     good: dict[tuple[int, frozenset[tuple[int, int]]], bool] = {}
@@ -176,6 +204,7 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
                 for y in range(n)
                 if not read >> y & 1
                 for c in (0, 1)
+                if read != 1 << x or pairs[x][y] >> (b ^ c) & 1
             )
         return nxt if good[key] else None
 

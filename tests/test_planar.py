@@ -22,7 +22,8 @@ from gridsyn import (
 )
 from gridsyn import planar
 from gridsyn.cubes import full_mask
-from gridsyn.planar import _bridge_free, _np_closure
+from gridsyn.gridplot import _cofactor_lows, _split_level
+from gridsyn.planar import _bridge_free, _bridge_free_pairs, _np_closure, _planar_level
 
 from helpers import (
     _template_words,
@@ -273,6 +274,66 @@ class TestMirror:
             monkeypatch.setattr(planar, "_split_level", recording)
             assert is_planar_function(MintermSet(4, f)) is None
             assert phases == [0] * 4, hex(f)
+
+
+def pair_table_cases():
+    """Every 3-input function, then seeded functions of 4-10 inputs: random,
+    disguised planar-by-construction and near-planar in turn."""
+    for f in range(1 << 8):
+        yield MintermSet(3, f)
+    rng = random.Random(40)
+    for n in range(4, 11):
+        for _ in range(3):
+            yield MintermSet(n, rng.getrandbits(1 << n))
+            yield disguised(rng, built(rng, n))
+            yield near_planar(rng, n)
+
+
+class TestBridgeFreePairs:
+    """Level 2 of reading x then y has a bridge only at rank 1, so one pass
+    over the truth table decides every level-2 state of the decision."""
+
+    def test_the_table_is_the_kernel_level_2_verdict(self):
+        for s in pair_table_cases():
+            n = s.n
+            lows = _cofactor_lows(n)
+            pairs = _bridge_free_pairs(s)
+            for x in range(n):
+                assert pairs[x][x] == 0
+                for y in range(n):
+                    if x == y:
+                        continue
+                    assert pairs[x][y] == pairs[y][x], (s, x, y)
+                    for b in (0, 1):
+                        level1, _ = _split_level({s.bits: 1}, lows[x], 1 << x, b)
+                        for c in (0, 1):
+                            level2, _ = _split_level(level1, lows[y], 1 << y, c)
+                            verdict = _planar_level(level2)
+                            assert pairs[x][y] >> (b ^ c) & 1 == verdict, (s, x, y, b, c)
+
+    def test_decisions_match_the_sweep_up_to_four_inputs(self):
+        """Every function of 0-3 inputs and 300 seeded 4-input ones: at
+        n = 2 level 2 is the last level, and n = 3 is the first width the
+        table refutes or prunes at."""
+        cases = [MintermSet(n, f) for n in range(4) for f in range(1 << (1 << n))]
+        assert len(cases) == 278
+        rng = random.Random(404)
+        cases += [MintermSet(4, rng.getrandbits(16)) for _ in range(300)]
+        for s in cases:
+            assert is_planar_function(s) == oracle_planar_witness(s), s
+
+    @pytest.mark.parametrize("n, seed", [(5, 0), (15, 0)])
+    def test_a_function_with_no_bridge_free_pair_is_refuted_without_search(
+        self, monkeypatch, n, seed
+    ):
+        s = MintermSet(n, random.Random(seed).getrandbits(1 << n))
+        assert not any(map(any, _bridge_free_pairs(s)))
+        calls = []
+        split, build = planar._split_level, planar.build_grid_dag
+        monkeypatch.setattr(planar, "_split_level", lambda *a: calls.append("split") or split(*a))
+        monkeypatch.setattr(planar, "build_grid_dag", lambda *a: calls.append("build") or build(*a))
+        assert is_planar_function(s) is None
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
