@@ -1,13 +1,21 @@
 """Decomposition of a cover into a network of symmetric components.
 
-A cover is first split by don't-care count (``cores.dc_partition``): each
-part holds the cubes with one count of ``-`` symbols, the engine decomposes
-every part on its own, and the terms of all parts are ORed once.  The parts
-partition the cubes, so the OR is the cover's function.  Each part's
-terms are exact, as ``factor_core`` asserts every rank cut and every leaf
-is exact, so the whole network is not verified again.
+The engine first splits every cover it is given, the whole cover and each
+cofactor, by don't-care count (``cores.dc_partition``) when its cubes have
+more than one count: each part holds the cubes with one count of ``-``
+symbols and is decomposed on its own, and its terms join the cover's.  The
+parts partition the cubes, so the OR of their terms is the cover's function.
+A phased permutation of a core's Z keeps each cube's ``-`` count, so every
+orbit, and every core, lies inside one part; the split only forbids cores
+that join orbits of different counts.  The test sits at the engine's entry
+alone: a remainder is a subset of a cover of one count, and ``restrict``
+drops only columns that are ``-`` in every cube, which shifts every count
+by the same amount.  A split drops no input, so each part recurses at the
+cover's own depth.  The terms are exact, as ``factor_core`` asserts every
+rank cut and every leaf is exact, so the whole network is not verified
+again.
 
-One pass of the engine on a cover F over inputs X:
+One pass of the engine on a cover F of one don't-care count over inputs X:
 
 1. score every input pair in both polarities (pair cores),
 2. widen the best-scoring cores greedily and pick the overall best core,
@@ -209,21 +217,16 @@ def factor_core(core: cores_mod.Core) -> list[tuple[FullRankSet, Cover]]:
 def decompose(cover: Cover) -> Netlist:
     """Decompose a cover into an equivalent symmetric network.
 
-    1. split the cover into parts of equal don't-care count
-       (``cores.dc_partition``),
-    2. decompose each part into terms with the engine,
-    3. OR the terms of all parts once.
+    1. decompose the cover into terms with the engine, which splits it, and
+       every cofactor below it, into parts of equal don't-care count,
+    2. OR the terms once.
 
-    A cover holding a cube of don't-cares only is the one node ``CONST 1``,
-    which that OR would return, and no part is decomposed.
+    An empty cover is the one node ``CONST 0`` and never reaches the engine;
+    a cover holding a cube of don't-cares only is the one node ``CONST 1``.
     """
     builder = NetlistBuilder(cover.input_names)
-    if (0, 0) in cover.bit_cubes:
-        return builder.finish(builder.const(1))
     refs = {name: builder.input(j) for j, name in enumerate(cover.input_names)}
-    terms = []
-    for part in cores_mod.dc_partition(cover):
-        terms += _decompose_rec(builder, part, refs, 0)
+    terms = _decompose_rec(builder, cover, refs, 0) if cover.m else []
     return builder.finish(builder.or_(terms))
 
 
@@ -244,13 +247,16 @@ def _decompose_rec(
     """Decompose a cover pass by pass into the terms of every pass and the leaf,
     whose OR is its function; ``refs`` maps every input name to its input ref.
 
-    The cover is never empty: ``dc_partition`` yields only non-empty parts, a
-    cofactor holds at least one kept cube, and a pass returns before an empty
-    remainder."""
+    The cover is never empty: ``decompose`` maps the empty cover to const 0
+    itself, ``dc_partition`` yields only non-empty parts, a cofactor holds at
+    least one kept cube, and a pass returns before an empty remainder."""
     if depth > _DEPTH_LIMIT:
         raise DecompositionError(f"recursion guard exceeded ({_DEPTH_LIMIT})")
     if (0, 0) in cover.bit_cubes:  # a cube of don't-cares only
         return [builder.const(1)]
+    if len({(ones | zeros).bit_count() for ones, zeros in cover.bit_cubes}) > 1:
+        parts = cores_mod.dc_partition(cover)
+        return [t for part in parts for t in _decompose_rec(builder, part, refs, depth)]
 
     terms: list[Ref] = []  # no remainder holds a cube of don't-cares only
     while True:

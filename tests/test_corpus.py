@@ -7,16 +7,18 @@ decomposes, and ``SMALL_PINNED`` seeded covers of 1-6 inputs with and
 without repeated cubes.  ``PRODUCTS_PINNED`` covers every one-cube cover on
 1-7 inputs, and ``BLOCKS_PINNED`` seeded ORs of products of two phased
 majority blocks on 10-15 inputs, the shape whose core search widens
-furthest.
+furthest.  ``THREE_INPUT_PINNED`` covers every function of 3 inputs.
 A change that alters any netlist must update the pinned digest and say why.
 
-Every pin was taken from the decomposer that splits the cover by don't-care
-count first, before that split became its only path: ``PINNED`` and
-``SMALL_PINNED`` are that path's digests as pinned before, and
-``WIDE_PINNED`` and ``PRODUCTS_PINNED`` were computed with it.
-``BLOCKS_PINNED`` was taken from the core search that closed cube sets by
-counting each class's cubes, before the closure became a fixpoint over the
-pair scan's swap partners.
+``PINNED``, ``WIDE_PINNED``, ``SMALL_PINNED`` and ``BLOCKS_PINNED`` were
+recomputed when the engine began splitting every sub-cover by don't-care
+count, not only the whole cover: 22 of their 78 netlists changed (12
+random covers, all 6 wide ones, ``dup22.n5`` and 3 block products), and
+none of the demo PLAs'.  ``PRODUCTS_PINNED`` and ``THREE_INPUT_PINNED``
+held through that change: a product or a minterm cover never mixes
+don't-care counts.  ``BLOCKS_PINNED`` was first taken from the core search
+that closed cube sets by counting each class's cubes, before the closure
+became a fixpoint over the pair scan's swap partners.
 """
 
 from __future__ import annotations
@@ -25,9 +27,24 @@ import hashlib
 import itertools
 import random
 
-from gridsyn import Cover, decompose, netlist_to_text, parse_pla_outputs
+from gridsyn import (
+    Cover,
+    MintermSet,
+    decompose,
+    library_inventory,
+    map_netlist,
+    netlist_to_text,
+    parse_pla_outputs,
+    verify,
+)
 
-from helpers import DEMO_PLAS, random_cover, random_cover_with_duplicates, threshold_products
+from helpers import (
+    DEMO_PLAS,
+    minterms_to_cover,
+    random_cover,
+    random_cover_with_duplicates,
+    threshold_products,
+)
 
 
 def corpus():
@@ -85,25 +102,25 @@ PINNED = {
     "parity4.f0": "24f3789a1ba8d83113893a03ecf8efd2723c37404b3ba3edf6fef895f4a62f5f",
     "xor_pair.f0": "5b9778e6f2813dec55d294e2c25f244b57e845a2eeed6f13bf05db401488a973",
     "random00.n6": "3c91b64ee819e06fcbf15be66aaeb12ad029a16e11bdeaecb6287ea4e406207c",
-    "random01.n7": "8994eeef917840c378534a657f156548e9f4f5715bfbceb23b5d046c3641762e",
+    "random01.n7": "3967733e3278f619b3b5ab265d3a1c76eb2b8bbc62127a6f535962036c3b8411",
     "random02.n8": "3fae65b1a0e0aad1f690bba53d6ea73ec03213d34b0f154341f1b0d5d89a4c61",
-    "random03.n9": "4df69c6ccff6c39aff9b9f112001c4430c518afe9dc918e3d6fd72358cef4211",
-    "random04.n10": "c7415873b26ed8d21588bee11a5d4231efee91258265057574fd273cc9edc791",
-    "random05.n11": "93902420f00e9991df4dd74f46ebdcde8099a04bd65f52fb05ed316167246f66",
-    "random06.n12": "bfeaff185eb969f7318c355ee4801b700e740e9e630ca158953379582a455e67",
+    "random03.n9": "1c8cabbcece490a121db590ddf52f62195093b0f19fd2caaf37f0a2ab2fc8d57",
+    "random04.n10": "b727da9054238b836e2a88db69a54cb4ebf42126f14fd34daa96f25a8d9f045d",
+    "random05.n11": "3572cb358323f3859d169114eb1759cb3df1658ea488b80e29faa63a4591e457",
+    "random06.n12": "eb6b1768603ff1c722d757239064e5c6ba87d8bcc6d101c547b9cb0563945b84",
     "random07.n6": "3ecaf17f8d1ddd261c1a0088b2dd1058ec81714eec27618913dbb7913ccfa693",
     "random08.n7": "c307e6c14b08d9fdbe2c3d58d43ee9541d649f326b82f41ca90a98ee4b95e30b",
-    "random09.n8": "251e69bffc92c2914852ed1ef9f0d56178b5a07e17c65b5528f933cac16d823c",
+    "random09.n8": "9fd9916ba6a2843e18564274cc6d440ef51ac1107aee6ef65ad41f5fe6d7a519",
     "random10.n9": "a7d78aa903b17c1148720a334950bc0805f424e6e453ed8fcf08344ca4453f11",
-    "random11.n10": "9a2e1570843c68efec150880599461e00a848369cc8bd0ae0fc35a6d82b3cea6",
+    "random11.n10": "a182d1b192f8fb22602ec3440a86d13c196e7ed4da885a66c403a133110ce0df",
     "random12.n11": "c0ad6c093c9b3358ab85edbabb9c567861dce5d05ad5844c6fe11a84005fac3d",
-    "random13.n12": "96f345a0f60ea426e0f710eadfaf34552d73ff5970eb54f1bad12f847f608444",
+    "random13.n12": "201e718edc9bd7e89d494e9af0d374c04ce5f3706ce0ad485d170272108386a2",
     "random14.n6": "73ddf30828f5e856567b7429d27bc6c37d057523296cc0d1d429a8780a8ff06f",
     "random15.n7": "6469fc32e0623302453c9f885a255b3a136f8ba3169a2d28daa46117c12074e1",
-    "random16.n8": "85b31a8b19def8c0091582649b7d020849dc940c294a7369cf6b4582d818c74f",
-    "random17.n9": "6f1376659223b8e40e98309442436a4f8665d8e45c3d57b00bd3ee748f888911",
-    "random18.n10": "a550d1fb9cb7a5d262ae54505d7d9cf6840b377a44f47f66a9f12b58c3265dd3",
-    "random19.n11": "f64719ac5aef692d75d774e35181e119586d85320e2a003d40251e9f74b00113",
+    "random16.n8": "bb2c370999f91d01222652e09f99d26f75a5047c9a4b331755bd889b85ab533b",
+    "random17.n9": "dde92b6e02994723c817c2855603c30d9f3ac3611ff8a58c4c4402b8a94c26fa",
+    "random18.n10": "3769874430e0f2a3cb805bb607b07f1e8e7708cb38d5a41fb0941187f5b089aa",
+    "random19.n11": "868f4fe49cfcb9c51180046f4e2d0ecff3cf83f99087929e9994c24acc45d225",
 }
 
 
@@ -112,12 +129,12 @@ def test_corpus_netlists_are_pinned():
 
 
 WIDE_PINNED = {
-    "wide00.n13": "c64e83a5b7f5c6644e452c059a44527d3c4d883ffd339a1eef44c98860c4e940",
-    "wide01.n14": "1e218d89fd1ced60c128c2211bec8451d11cccf9bdf3ee0b91a03c21037e7928",
-    "wide02.n15": "2aa0c817791af6f981d0e09390f481b84b770723bd1268bbe690e506318273cf",
-    "wide03.n16": "567540fcb816b1552687d9f1c57b012a6069b544d4cae0ed2a2f4505a0004960",
-    "wide04.n13": "66733fc6c7c73e83f3dd4dee3810f32a43c95fd5574bd87313c90df4fcb72885",
-    "wide05.n14": "b1fd1e5002890f7f3f7da7194f5fbafa099067953b30d4de264c5eee52b13247",
+    "wide00.n13": "94c8d9a7ffb75cd7265a44c021f41b313787117c84ef669920314c6b1d950d65",
+    "wide01.n14": "d436a4707cc558e3cbbb94e45c376ea767b9ef0ecd7867d192d543a5cbd50d58",
+    "wide02.n15": "5dee905fd76b08e9ca7abaa0b43a29d323bcf2d51a6dce8ea10919ea4d469597",
+    "wide03.n16": "8e7615ee31cd5e861a68a1827374ee17ec3a76018d79a08bf66d47951577144a",
+    "wide04.n13": "54a845eb0e4ab910301612f051f01ca2f71d86b77375e32e38097da2d1f0d0f9",
+    "wide05.n14": "fe2d49253a9ca650e1b0d8869ac7b61e9a40be9ea458d454ec5dbb291d188ee8",
 }
 
 
@@ -148,7 +165,7 @@ SMALL_PINNED = {
     "dup19.n2": "625d731a66197f6500a46e020b54b01b706740aa16d38d487568b92e795fdb97",
     "dup20.n3": "a4ae30f2ea7715161adbd5bafed1ed93b873bf5086286837d497d7e83d020dcb",
     "dup21.n4": "a8f052357e5f440261f320a85bce7a92a496f0f46dc11b9fd34501cd38e12512",
-    "dup22.n5": "066a612a4c1b97da4a6b3de052b177b28257c275fb4b19a6fef38c4783d74c56",
+    "dup22.n5": "d31d81a2708811bc6e8d2c5f9a003fbca359388dcb2f84b534dc85d9cb0c08f9",
     "dup23.n6": "4b2b10ad99ed83786e77d4a2c7301c87b3d67af12147d3efe9a336a5d2cefea0",
 }
 
@@ -160,15 +177,15 @@ def test_small_netlists_are_pinned():
 BLOCKS_PINNED = {
     "blocks00.n10": "f3d0d78266d380a8db069dfa4916a9b36670d541e4ec39c79aa92a4f864d0090",
     "blocks01.n11": "3814e080f4e98f1f284b685f3b99ddea3d0af693574cfc6997ec2c0eae0c97f5",
-    "blocks02.n12": "ffbd5b36034ebe012f8b0b8199a5da28aa34116456aeef41ae3a0fb706c63c1b",
+    "blocks02.n12": "3bee4eadf6abe8be952b13afe6a2fc307732f23370e18253da2a060352e73a83",
     "blocks03.n13": "db6e5fa6a365ba02b053d01f718d8d9f4b05ca4878b2f0121ccf57f0c5328412",
     "blocks04.n14": "a7055970abecba949a24fede0f4a77aeaa8ad9975100f474743306e127d3b63d",
-    "blocks05.n15": "6130a691fc3cd9380faa9b691276aecfd6a9328fc2bd9b1db905668ae811ce66",
+    "blocks05.n15": "bc06bfb5c33bddfd72fc0e639407d7de76af46c3dc9810eb6880f3dba4916fc0",
     "blocks06.n10": "2a650f13dcaf5c5f11ebabc82cd8649c6d8f49848a9cd5279d10cbabcf939f0e",
     "blocks07.n11": "8cd1f46539bfe2b40475f125920ae56cadaad0cf2c1cbacd9e9e8febb1668459",
     "blocks08.n12": "9a15712ef4b3c74959f7694de259036379ff760d54e4cc13449a24bc20ea877d",
     "blocks09.n13": "a592f3e29eab2a252a12e5922fc2f9c67a530c258d01017c513f3bdc5886fac0",
-    "blocks10.n14": "6380b563b238a6ecbbe630448c69f36875beb0d90a077028a2413e574557b42f",
+    "blocks10.n14": "80b554d49ea50e078512bd942059a6ba71a740cf9d27942e3d0ef37993469913",
     "blocks11.n15": "5cda1c0c3dc07a3d636159fb5ceeee929470b87f9ca78eb8391235e3137c45d0",
     "blocks12.n10": "c4fe1f1f4d90cf457e8767a0c7cd43dd86c2a8d73c9b839b50c85081208bec64",
     "blocks13.n11": "1aa7447a7c61eb3c1d9799bf46dbb3bf872d5248ea29ab99542034cba46075a0",
@@ -196,3 +213,35 @@ def test_every_product_of_up_to_seven_inputs_is_pinned():
             for cubes in ((cube,), (cube, cube)):
                 h.update(netlist_to_text(decompose(Cover(names, cubes))).encode())
     assert h.hexdigest() == PRODUCTS_PINNED
+
+
+def test_every_corpus_cover_decomposes_to_an_equivalent_netlist():
+    """The pins above fix the bytes; this checks that those bytes are right."""
+    covers = [*corpus(), *wide_covers(), *small_covers(), *block_covers()]
+    assert len(covers) == 78
+    for name, cover in covers:
+        assert verify(decompose(cover), cover), name
+
+
+#: sha256 of the netlists of the minterm covers of all 256 functions of 3
+#: inputs, in ascending truth-table order, and their total pitches.
+THREE_INPUT_PINNED = (
+    "03918ff0fc22a59147beae70972fbe140abd56bf54f5e6f8192c00ca590c87c6",
+    3263,
+)
+
+
+def test_every_three_input_function_is_pinned():
+    """Every function of 3 inputs, one cube per minterm: a complete pin of the
+    engine at that size and a quality yardstick, each netlist checked."""
+    names = ("x0", "x1", "x2")
+    lib = library_inventory(3)
+    h = hashlib.sha256()
+    pitches = 0
+    for bits in range(256):
+        cover = minterms_to_cover(MintermSet(3, bits), names)
+        nl = decompose(cover)
+        assert verify(nl, cover), bits
+        h.update(netlist_to_text(nl).encode())
+        pitches += map_netlist(nl, lib).total_pitches
+    assert (h.hexdigest(), pitches) == THREE_INPUT_PINNED

@@ -35,6 +35,7 @@ from helpers import (
     phased_inputs,
     random_cover,
     supports,
+    threshold_products,
 )
 
 CARRY = Cover(("a", "b", "c"), ("11-", "1-1", "-11"))
@@ -317,6 +318,30 @@ class TestEquivalence:
         for _ in range(20):
             c = random_cover(rng, rng.randint(2, 7), rng.randint(1, 16))
             assert verify(decompose(c), c)
+
+    def test_every_searched_cover_has_one_dont_care_count(self, monkeypatch):
+        """A core's orbits keep each cube's ``-`` count, so the engine splits
+        every sub-cover by that count before it looks for a core."""
+        searched = []
+
+        def recording(search):
+            def record(cover):
+                searched.append(cover)
+                return search(cover)
+
+            return record
+
+        monkeypatch.setattr(cores, "CoreSearch", recording(cores.CoreSearch))
+        monkeypatch.setattr(cores, "two_cube_core", recording(cores.two_cube_core))
+        rng = random.Random(4101)
+        covers = [random_cover(rng, n, rng.randint(n, 3 * n)) for n in range(8, 15)]
+        covers += [threshold_products(rng, n) for n in range(10, 15)]
+        for cover in covers:
+            assert verify(decompose(cover), cover)
+        assert searched
+        for cover in searched:
+            counts = {(ones | zeros).bit_count() for ones, zeros in cover.bit_cubes}
+            assert len(counts) == 1, cover
 
 
 class TestNetlistInvariants:
