@@ -306,15 +306,16 @@ def expand_core(seed: Core, search: CoreSearch) -> Core:
         w2 = width * width
         floor = size * (width - 1) ** 2  # what a candidate must beat
         best = None  # (size, x, flips, core)
+        phases = ((0, same), (1, other))  # x plain, then x inverted
         for x in range(n):
             if z >> x & 1:
                 continue
-            cand_z = z | 1 << x
-            for cand_flips, bound in ((flips, same[x]), (flips | 1 << x, other[x])):
-                bound &= core
+            for phase, rows in phases:
+                bound = rows[x] & core
                 if bound.bit_count() * w2 <= floor:
                     continue
-                cand = close(bound, cand_z, cand_flips)
+                cand_flips = flips | phase << x
+                cand = close(bound, z | 1 << x, cand_flips)
                 cand_size = cand.bit_count()
                 if cand_size * w2 > floor:
                     best = (cand_size, x, cand_flips, cand)

@@ -12,6 +12,11 @@ Conventions used throughout the package:
 - Truth tables over all ``2**n`` assignments are stored as arbitrary-size
   integers: bit ``v`` of the mask is the function value on assignment ``v``.
   All set operations on minterms are plain bitwise arithmetic.
+- A truth table is never negative: a complement is taken within the table
+  ``full`` of the constant 1, as ``full ^ m``, and ``x & ~m`` is written
+  ``x ^ (x & m)`` (Warren, Hacker's Delight).  CPython evaluates
+  ``~m`` and any operation on a negative integer through a two's-complement
+  copy, which costs several times the operation itself on a wide table.
 
 Every value type here is an immutable named tuple: a ``NamedTuple`` of its
 fields, under a subclass whose ``__new__`` coerces and validates them;
@@ -268,7 +273,7 @@ def cube_mask(cube: Cube, masks: Sequence[int], full: int) -> int:
     while lits:
         low = lits & -lits
         m = masks[low.bit_length() - 1]
-        acc &= m if ones & low else ~m
+        acc = acc & m if ones & low else acc ^ (acc & m)
         lits ^= low
     return acc
 
@@ -289,7 +294,7 @@ def popcount_class_masks(masks: Sequence[int], full: int) -> list[int]:
     """
     classes = [full]
     for m in masks:
-        inv = ~m & full
+        inv = full ^ m
         nxt = [classes[0] & inv]
         for j in range(1, len(classes)):
             nxt.append((classes[j] & inv) | (classes[j - 1] & m))
@@ -329,17 +334,18 @@ def transform_mask(
         raise ValueError(f"flips {flips!r} outside [0, 2**{n})")
     if perm is not None and sorted(perm) != list(range(n)):
         raise ValueError(f"perm {tuple(perm)!r} is not a permutation of range({n})")
+    full = full_mask(n)  # refuses a table over the cap before any mask is built
     masks = assignment_masks(n)
     while flips:
         low = flips & -flips  # complementing input i moves blocks by 2**i
-        bits = _delta_swap(bits, ~masks[low.bit_length() - 1], low)
+        bits = _delta_swap(bits, full ^ masks[low.bit_length() - 1], low)
         flips ^= low
     if perm is not None:
         at = list(range(n))  # at[j]: old input now at position j
         for j, v in enumerate(perm):
             if at[j] != v:  # positions below j are final
                 k = at.index(v, j + 1)
-                bits = _delta_swap(bits, masks[j] & ~masks[k], (1 << k) - (1 << j))
+                bits = _delta_swap(bits, masks[j] & (full ^ masks[k]), (1 << k) - (1 << j))
                 at[j], at[k] = v, at[j]
     return bits
 

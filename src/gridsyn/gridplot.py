@@ -171,7 +171,7 @@ def _cofactor_lows(n: int) -> list[int]:
     """Per input x, the assignments with x at 0: the ``low`` mask that splits
     a full-width cofactor on x, with shift ``1 << x``."""
     full = full_mask(n)
-    return [full & ~m for m in assignment_masks(n)]
+    return [full ^ m for m in assignment_masks(n)]
 
 
 def _split_level(
@@ -348,7 +348,7 @@ class _LevelTable:
         # at 1 and the top at 0, which an exchange of t with the top moves; width
         # n comes first, so that a width over the cap refuses before anything else
         self.ones = ones = assignment_masks(n)
-        self.swaps = [[m & ~ones[w - 1] & full_mask(w) for m in ones[:w]] for w in range(n + 1)]
+        self.swaps = [[(m ^ (m & ones[w - 1])) & full_mask(w) for m in ones[:w]] for w in range(n + 1)]
         self.start(tuple(range(n)))
 
     def start(self, order: Sequence[int]) -> None:

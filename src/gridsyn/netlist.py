@@ -287,7 +287,8 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
     """Evaluate the netlist on every assignment at once.
 
     ``input_masks[i]`` is the truth-table mask of input ``i`` over the
-    assignment space described by ``full``.  A SYM node of rank set {k}, k
+    assignment space described by ``full``, so it lies inside ``full``, and
+    a complement is taken as ``full ^ m``.  A SYM node of rank set {k}, k
     its arity, is the AND of its operands and one of rank set {0} their
     NOR; other symmetric nodes use a running popcount partition, so the
     whole netlist costs O(nodes * arity**2) big-integer operations.
@@ -300,14 +301,14 @@ def netlist_mask(nl: Netlist, input_masks: Sequence[int], full: int) -> int:
             if len(ranks) == 1 and len(operands) in ranks:
                 acc = reduce(and_, map(val, operands), full)
             elif ranks == _RANK0:
-                acc = ~reduce(or_, map(val, operands), 0) & full
+                acc = full ^ reduce(or_, map(val, operands), 0)
             else:
                 classes = popcount_class_masks(list(map(val, operands)), full)
                 acc = 0
                 for r in ranks:
                     acc |= classes[r]
         elif kind == KIND_INV:
-            acc = ~val(operands[0]) & full
+            acc = full ^ val(operands[0])
         elif kind == KIND_AND:
             acc = reduce(and_, map(val, operands), full)
         elif kind == KIND_OR:

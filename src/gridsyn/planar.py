@@ -106,7 +106,7 @@ def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> Minte
             if (r, d, "one") in alive:
                 nxt[r + 1] |= acc & m
             if (r, d, "zero") in alive:
-                nxt[r] |= acc & ~m
+                nxt[r] |= acc ^ (acc & m)
         reach = nxt
     return MintermSet(t.n, sum(reach))
 
@@ -146,8 +146,10 @@ def _bridge_free_pairs(s: MintermSet) -> list[list[int]]:
     for y, my in enumerate(masks):
         for x, mx in enumerate(masks[:y]):
             # the two rank-1 cofactors, aligned: a, c at r = 0, d, e at r = 1
-            a, c = f & mx & ~my, (f & my & ~mx) >> ((1 << y) - (1 << x))
-            d, e = (f & mx & my) >> ((1 << x) + (1 << y)), f & ~(mx | my)
+            fx, fy = f & mx, f & my
+            both = fx & my
+            a, c = fx ^ both, (fy ^ both) >> ((1 << y) - (1 << x))
+            d, e = both >> ((1 << x) + (1 << y)), f ^ (fx | fy)
             pairs[x][y] = pairs[y][x] = (a == c or not a or not c) | (
                 d == e or not d or not e
             ) << 1
@@ -294,7 +296,7 @@ def _bridge_free(n: int) -> int:
                     differ = 0
                     for p, q in zip(chunks[a], chunks[b]):
                         differ |= var[p] ^ var[q]
-                    free &= ~(nonzero[a] & nonzero[b] & differ)
+                    free ^= free & nonzero[a] & nonzero[b] & differ
     return free
 
 
@@ -338,7 +340,7 @@ def survey_planarity(n: int) -> PlanarSurvey:
     if not 0 <= n <= _SURVEY_CAP:
         raise ValueError(f"exhaustive survey capped at {_SURVEY_CAP} inputs")
     planar = _np_closure(_bridge_free(n), n)
-    missing = full_mask(1 << n) & ~planar
+    missing = full_mask(1 << n) ^ planar
     nonplanar: list[int] = []
     while missing and len(nonplanar) < _MAX_WITNESSES:
         low = missing & -missing

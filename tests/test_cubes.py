@@ -20,7 +20,17 @@ from gridsyn import (
     transform_mask,
     write_pla,
 )
-from gridsyn.cubes import index_to_minterm, project, restrict, subcover
+from gridsyn.cubes import (
+    assignment_masks,
+    cover_mask,
+    cube_mask,
+    full_mask,
+    index_to_minterm,
+    popcount_class_masks,
+    project,
+    restrict,
+    subcover,
+)
 
 from helpers import (
     all_assignments,
@@ -245,6 +255,82 @@ class TestTransformMask:
     def test_flips_outside_the_inputs_rejected(self, flips):
         with pytest.raises(ValueError, match=f"flips {flips} outside"):
             transform_mask(6, 2, None, flips)
+
+
+def _columns(masks, width):
+    """Per table position v < width, the inputs whose mask has bit v set, as a bit mask."""
+    cols = [0] * width
+    for j, m in enumerate(masks):
+        for v, bit in enumerate(reversed(format(m, f"0{width}b"))):
+            if bit == "1":
+                cols[v] |= 1 << j
+    return cols
+
+
+def _kernel_masks(rng, n, k):
+    """k input masks over the 2**n table positions, each one of the kinds the
+    engine passes: an input's own mask, its complement (``factor_core``'s
+    inverted inputs), a fixed input's ``full`` or ``0`` (``verify``'s
+    blocks), or a random table."""
+    masks, full = assignment_masks(n), full_mask(n)
+    kinds = ["random", "full", "zero"] + (["input", "complement"] if n else [])
+    out = []
+    for _ in range(k):
+        kind = rng.choice(kinds)
+        if kind == "input":
+            out.append(rng.choice(masks))
+        elif kind == "complement":
+            out.append(rng.choice(masks) ^ full)
+        elif kind == "random":
+            out.append(rng.getrandbits(1 << n))
+        else:
+            out.append(full if kind == "full" else 0)
+    return out
+
+
+class TestKernels:
+    """``cube_mask``, ``cover_mask`` and ``popcount_class_masks`` against their
+    per-position definitions, on any input masks: a position v of the table
+    reads input j as bit v of ``masks[j]``."""
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_cube_and_cover_masks_match_the_per_bit_definition(self, n):
+        import random
+
+        rng = random.Random(1000 + n)
+        width, full = 1 << n, full_mask(n)
+        for _ in range(30 if n <= 8 else 3):
+            k = rng.randint(0, n + 2)
+            masks = _kernel_masks(rng, n, k)
+            cols = _columns(masks, width)
+            cubes = []
+            for _ in range(rng.randint(0, 6)):
+                lits = rng.getrandbits(k)
+                ones = lits & rng.getrandbits(k)
+                cubes.append((ones, lits ^ ones))
+            expected = []
+            for ones, zeros in cubes:
+                lits = ones | zeros
+                expected.append(sum(1 << v for v, col in enumerate(cols) if col & lits == ones))
+                assert cube_mask((ones, zeros), masks, full) == expected[-1], (ones, zeros)
+            union = 0
+            for e in expected:
+                union |= e
+            assert cover_mask(cubes, masks, full) == union
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_popcount_classes_match_the_per_bit_definition(self, n):
+        import random
+
+        rng = random.Random(2000 + n)
+        width, full = 1 << n, full_mask(n)
+        for _ in range(30 if n <= 8 else 3):
+            k = rng.randint(0, n + 2)
+            masks = _kernel_masks(rng, n, k)
+            expected = [0] * (k + 1)
+            for v, col in enumerate(_columns(masks, width)):
+                expected[col.bit_count()] |= 1 << v
+            assert popcount_class_masks(masks, full) == expected
 
 
 class TestCodec:
