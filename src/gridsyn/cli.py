@@ -9,10 +9,11 @@ cores write no file.  Each command handler writes its artifacts and returns
 its exit status, its record and its text report; ``main`` alone prints, the
 text report or, with --json, the record as one JSON object whose first key
 is "command".  Exit status: 0 on success, 1 on a failed equivalence check, 2
-on usage or parse errors.  The commands with a layout search, synth and
-grid, take --seed for its greedy mode, so identical inputs and flags give
-byte-identical output.  grid refuses the options it would ignore: --out
-without --render svg, and, like synth, --seed without --minimize greedy.
+on usage or parse errors, or when stdout refuses the report (a closed pipe, a
+full disk).  The commands with a layout search, synth and grid, take --seed
+for its greedy mode, so identical inputs and flags give byte-identical
+output.  grid refuses the options it would ignore: --out without --render
+svg, and, like synth, --seed without --minimize greedy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -110,13 +112,19 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, CapacityError, MappingError, ValueError, OSError) as exc:
         print(f"gridsyn: error: {exc}", file=sys.stderr)
         return 2
-    if ns.json:
-        print(json.dumps({"command": ns.command, **record}, indent=2))
-    else:
-        # input names may hold characters stdout cannot encode: escape them
-        encoding = sys.stdout.encoding or "utf-8"
+    if ns.json:  # ASCII: json.dumps escapes every other character
+        lines = [json.dumps({"command": ns.command, **record}, indent=2)]
+    # input names may hold characters stdout cannot encode: escape them
+    encoding = sys.stdout.encoding or "utf-8"
+    try:
         for line in lines:
             print(line.encode(encoding, "backslashreplace").decode(encoding))
+        sys.stdout.flush()
+    except OSError as exc:
+        # as the Python docs advise for SIGPIPE: the interpreter's last flush writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"gridsyn: error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -75,9 +75,9 @@ cubes, and the ``gridsyn cores`` report, run the search.
 from __future__ import annotations
 
 from operator import and_
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .cubes import Cover, Cube, set_bits, subcover
+from .cubes import Cover, Cube, _Checked, set_bits, subcover
 
 
 class _CoreFields(NamedTuple):
@@ -87,7 +87,7 @@ class _CoreFields(NamedTuple):
     flips: int
 
 
-class Core(_CoreFields):
+class Core(_Checked, _CoreFields):
     """A phased, permutation-closed cube subset of a cover, as three bit masks.
 
     ``cubes`` holds its cube positions in ``base``, ``z`` its symmetric
@@ -105,10 +105,6 @@ class Core(_CoreFields):
         if flips & ~z:
             raise ValueError("inverted inputs must lie inside the symmetric set")
         return tuple.__new__(cls, (base, cubes, z, flips))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> Core:
-        return cls(*iterable)
 
     @property
     def cube_indices(self) -> tuple[int, ...]:

@@ -19,8 +19,12 @@ Conventions used throughout the package:
   copy, which costs several times the operation itself on a wide table.
 
 Every value type here is an immutable named tuple: a ``NamedTuple`` of its
-fields, under a subclass whose ``__new__`` coerces and validates them;
-its ``_make``, and so its ``_replace``, build through ``__new__`` too.
+fields, under a subclass whose ``__new__`` coerces and validates them.
+The subclass lists ``_Checked`` first among its bases, ahead of the fields
+class, whose own ``_make`` would otherwise win the lookup and skip the
+checks; ``_Checked._make`` is ``cls(*iterable)``, so ``_make``, and
+``_replace`` through it, build through ``__new__`` too.  The checked types
+of ``cores``, ``spectra`` and ``tcells`` share the same base.
 Operations return new objects.  A value is iterable and indexable like a
 tuple, and it equals, hashes and orders as the plain tuple of its fields, so
 ``MintermSet(2, 5) == (2, 5)``.  Its fields cannot be assigned or deleted.
@@ -60,12 +64,22 @@ class CapacityError(RuntimeError):
 # value types
 
 
+class _Checked:
+    """The first base of a checked value type: ``_make`` calls the class."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]):
+        return cls(*iterable)
+
+
 class _CoverFields(NamedTuple):
     input_names: tuple[str, ...]
     cubes: tuple[str, ...]
 
 
-class Cover(_CoverFields):
+class Cover(_Checked, _CoverFields):
     """An ordered list of cubes over named inputs (two-level sum of products)."""
 
     # no __slots__: the instance dict holds the cached ``bit_cubes``
@@ -83,10 +97,6 @@ class Cover(_CoverFields):
                 bad = next(ch for ch in cube if ch not in CUBE_CHARS)
                 raise ValueError(f"invalid cube character {bad!r} in {cube!r}")
         return tuple.__new__(cls, (input_names, cubes))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> Cover:
-        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -111,7 +121,7 @@ class _MintermSetFields(NamedTuple):
     bits: int = 0
 
 
-class MintermSet(_MintermSetFields):
+class MintermSet(_Checked, _MintermSetFields):
     """A set of complete assignments on which a function is 1.
 
     ``bits`` is the truth-table mask: bit ``v`` set means assignment ``v``
@@ -126,10 +136,6 @@ class MintermSet(_MintermSetFields):
         if bits < 0 or bits.bit_length() > (1 << n):
             raise ValueError("minterm index out of range for input count")
         return tuple.__new__(cls, (n, bits))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> MintermSet:
-        return cls(*iterable)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -169,17 +175,13 @@ class _PhaseVectorFields(NamedTuple):
     phases: tuple[bool, ...]
 
 
-class PhaseVector(_PhaseVectorFields):
+class PhaseVector(_Checked, _PhaseVectorFields):
     """Per-input polarity choice; ``True`` means the input is inverted."""
 
     __slots__ = ()
 
     def __new__(cls, phases: Iterable[object]) -> PhaseVector:
         return tuple.__new__(cls, (tuple(map(bool, phases)),))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> PhaseVector:
-        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -481,8 +483,6 @@ def parse_pla_outputs(text: str) -> list[tuple[str, Cover]]:
         if not rows:
             raise ParseError("no inputs declared and no cubes to infer them from")
         declared_n = len(rows[0][0])
-        if declared_n == 0:
-            raise ParseError("zero inputs", rows[0][2])
     n = declared_n
 
     has_out = rows[0][1] is not None if rows else declared_out is not None

@@ -115,21 +115,14 @@ def derive_pf(t: TemplateGrid, deleted: Iterable[tuple[int, int, str]]) -> Minte
 # planarity decision
 
 
-def _planar_level(level: dict[int, int]) -> bool:
-    """True iff no two cofactors of a level share a rank (a grid point)."""
+def _level_key(read: int, level: dict[int, int]) -> tuple[int, frozenset[tuple[int, int]]] | None:
+    """All that the completions of a state depend on: the inputs read and the
+    level, its ranks shifted to start at 0 (a uniform shift moves no bridge);
+    None if two cofactors of the level share a rank (a grid point)."""
     seen = 0
     for ranks in level.values():
         if seen & ranks:
-            return False
-        seen |= ranks
-    return True
-
-
-def _level_key(read: int, level: dict[int, int]) -> tuple[int, frozenset[tuple[int, int]]]:
-    """All that the completions of a state depend on: the inputs read and the
-    level, its ranks shifted to start at 0 (a uniform shift moves no bridge)."""
-    seen = 0
-    for ranks in level.values():
+            return None
         seen |= ranks
     low = max(0, (seen & -seen).bit_length() - 1)
     return read, frozenset((g, ranks >> low) for g, ranks in level.items())
@@ -195,11 +188,11 @@ def is_planar_function(s: MintermSet) -> tuple[tuple[int, ...], PhaseVector] | N
         """The level after reading x at phase b, or None if that state is not good."""
         read |= 1 << x
         nxt, _ = _split_level(level, lows[x], 1 << x, b)
-        if not _planar_level(nxt):
+        key = _level_key(read, nxt)
+        if key is None:
             return None
         if read == every:
             return nxt
-        key = _level_key(read, nxt)
         if key not in good:
             good[key] = any(
                 step(read, nxt, y, c) is not None

@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 from .cubes import (
     DEFAULT_EXPANSION_CAP,
     MintermSet,
+    _Checked,
     assignment_masks,
     full_mask,
     popcount_class_masks,
@@ -29,7 +30,7 @@ class _FullRankSetFields(NamedTuple):
     ranks: frozenset[int]
 
 
-class FullRankSet(_FullRankSetFields):
+class FullRankSet(_Checked, _FullRankSetFields):
     """The set of full ranks of a totally symmetric function of ``n`` inputs."""
 
     __slots__ = ()
@@ -41,10 +42,6 @@ class FullRankSet(_FullRankSetFields):
         if not ranks.issubset(range(n + 1)):
             raise ValueError(f"ranks must lie in [0, {n}]")
         return tuple.__new__(cls, (n, ranks))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> FullRankSet:
-        return cls(*iterable)
 
 
 def spectrum_of(s: MintermSet) -> RankSpectrum:

@@ -17,7 +17,7 @@ the inverter 1.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .netlist import (
     KIND_AND,
@@ -29,7 +29,7 @@ from .netlist import (
     NetlistBuilder,
     Ref,
 )
-from .cubes import ParseError
+from .cubes import ParseError, _Checked
 from .spectra import FullRankSet
 
 
@@ -42,17 +42,13 @@ class _ThresholdCellFields(NamedTuple):
     threshold: int
 
 
-class ThresholdCell(_ThresholdCellFields):
+class ThresholdCell(_Checked, _ThresholdCellFields):
     __slots__ = ()
 
     def __new__(cls, arity: int, threshold: int) -> ThresholdCell:
         if not 1 <= threshold <= arity:
             raise ValueError("threshold must lie in [1, arity]")
         return tuple.__new__(cls, (arity, threshold))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> ThresholdCell:
-        return cls(*iterable)
 
     @property
     def name(self) -> str:
@@ -65,7 +61,7 @@ class _TCellLibraryFields(NamedTuple):
     inverter_cost: float = 1.0
 
 
-class TCellLibrary(_TCellLibraryFields):
+class TCellLibrary(_Checked, _TCellLibraryFields):
     __slots__ = ()
 
     def __new__(
@@ -77,10 +73,6 @@ class TCellLibrary(_TCellLibraryFields):
         if max_arity < 1:
             raise ValueError("library needs max_arity >= 1")
         return tuple.__new__(cls, (max_arity, pitch_costs, inverter_cost))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> TCellLibrary:
-        return cls(*iterable)
 
     @property
     def cells(self) -> tuple[ThresholdCell, ...]:
@@ -208,16 +200,11 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
     res: dict[tuple, Ref] = dict(zip(b._inputs, b._inputs))
     plans: dict[tuple, tuple] = {}  # (arity, rank set) -> _sf_plan, once per call
 
-    def and2(x: Ref, y: Ref) -> Ref:
-        return b.sym(_AND2, (x, y))
-
-    def or2(x: Ref, y: Ref) -> Ref:
-        return b.sym(_OR2, (x, y))
-
-    def chain(refs: Sequence[Ref], gate) -> Ref:
+    def chain(refs: Sequence[Ref], ranks: frozenset[int]) -> Ref:
+        """A left fold of the refs through 2-input glue cells of the rank set."""
         acc = refs[0]
         for ref in refs[1:]:
-            acc = gate(acc, ref)
+            acc = b.sym(ranks, (acc, ref))
         return acc
 
     for i, node in enumerate(nl.nodes):
@@ -233,9 +220,9 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
         elif node.kind == KIND_INV:
             ref = b.inv(ops[0])
         elif node.kind == KIND_OR:
-            ref = chain(ops, or2)
+            ref = chain(ops, _OR2)
         elif node.kind == KIND_AND:
-            ref = chain(ops, and2)
+            ref = chain(ops, _AND2)
         elif node.kind == KIND_SYM:
             k = len(ops)
             if k > lib.max_arity:
@@ -250,8 +237,8 @@ def map_netlist(nl: Netlist, lib: TCellLibrary) -> MapResult:
                 factors = [b.sym(lower, ops)] if lower is not None else []
                 if upper is not None:
                     factors.append(b.inv(b.sym(upper, ops)))
-                terms.append(chain(factors, and2) if factors else b.const(1))
-            ref = chain(terms, or2) if terms else b.const(0)
+                terms.append(chain(factors, _AND2) if factors else b.const(1))
+            ref = chain(terms, _OR2) if terms else b.const(0)
         else:  # pragma: no cover
             raise MappingError(f"unmappable node kind {node.kind!r}")
         res["node", i] = ref

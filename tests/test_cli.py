@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -178,6 +179,85 @@ def test_synth_reports_a_failed_verification(tmp_path, monkeypatch, capsys):
     assert main(["synth", "one.pla"]) == 1
     assert "one: VERIFICATION FAILED at (1,)\n" in capsys.readouterr().out
     assert [p.name for p in tmp_path.iterdir()] == ["one.pla"]
+
+
+CONSTANT_PLAS = {"zero": ".i 2\n.o 1\n.e\n", "one": ".i 2\n.o 1\n-- 1\n.e\n"}
+
+
+@pytest.mark.parametrize("stem, value", [("zero", 0), ("one", 1)])
+def test_constant_covers_end_to_end(stem, value, tmp_path, monkeypatch, capsys):
+    """An empty cover and a tautology synthesise to one CONST node: the JSON
+    node carries its value, the text report prints the value as the output
+    expression, and the written netlist maps to no cells."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{stem}.pla").write_text(CONSTANT_PLAS[stem])
+    assert main(["synth", f"{stem}.pla", "--json"]) == 0
+    [circuit] = json.loads(capsys.readouterr().out)["circuits"]
+    assert circuit["netlist"]["nodes"] == [
+        {"id": 0, "kind": "CONST", "value": value, "operands": []}
+    ]
+    assert main(["synth", f"{stem}.pla"]) == 0
+    assert f"{stem}: output = {value}\n" in capsys.readouterr().out
+    assert main(["tmap", f"{stem}.net"]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"{stem}: mapped netlist -> {stem}.tmap.net\n  total: 0 pitches\n"
+    )
+
+
+def test_cores_skips_the_widening_of_an_empty_pair_core(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.pla").write_text(CONSTANT_PLAS["zero"])
+    assert main(["cores", "zero.pla"]) == 0
+    assert capsys.readouterr().out == (
+        "pair cores:\n  (x0,x1)     plain  0 cubes\nexpanded cores:\nbest core: none\n"
+    )
+
+
+STDOUT_COMMANDS = [
+    ["synth", "fa_carry.pla"],
+    ["synth", "fa_carry.pla", "--json"],
+    ["spectrum", "fa_carry.pla"],
+    ["grid", "fa_carry.pla"],
+    ["cores", "fa_carry.pla"],
+    ["tmap", "fa_carry.pla"],
+    ["explore-planar", "-n", "2"],
+    ["verify", "carry.net", "fa_carry.pla"],
+]
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+@pytest.mark.parametrize("argv", STDOUT_COMMANDS, ids=" ".join)
+def test_a_failed_write_to_stdout_exits_2(sink, argv, tmp_path, monkeypatch, capsys):
+    """When stdout refuses the report, a pipe whose reader has gone or a full
+    device, every command exits 2 with one error line: status 1 means a
+    failed equivalence check, and the interpreter's last flush adds no
+    traceback."""
+    if sink == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO_PLAS / "fa_carry.pla", tmp_path)
+    assert main(["synth", "fa_carry.pla", "--out", "carry"]) == 0
+    capsys.readouterr()
+    if sink == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridsyn.cli", *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(stdout)
+    reason = os.strerror(errno.EPIPE if sink == "closed-pipe" else errno.ENOSPC)
+    assert proc.returncode == 2
+    assert proc.stderr == f"gridsyn: error: cannot write the report: {reason}\n"
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,7 @@ class TestParse:
             (".i 2\n1x 1\n", "invalid cube character"),
             (".i 3\n10 1\n", "width"),
             (".i 0\n", "positive"),
+            (".i 2\n.o 0\n11 1\n", "^line 2: output count must be positive$"),
             (".i 2\n.ilb a a\n10 1\n", "duplicate"),
             (".i 2\n.p 3\n10 1\n", ".p declares"),
             (".i 2\n10 1\n11\n", "mixed"),
@@ -408,6 +409,25 @@ class TestMisc:
                 MintermSet(n, bits)
             assert str(exc.value) == message
         assert MintermSet(2, 0b1111).bits == 0b1111
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: MintermSet.from_indices(2, [1, 4]), "minterm index 4 out of range for n=2"),
+            (lambda: MintermSet.from_strings([]), "cannot infer input count from an empty set"),
+            (lambda: PhaseVector.inverting(2, [2]), "phase index out of range"),
+            (lambda: minterm_index("01x"), "invalid minterm character 'x'"),
+            (
+                lambda: phase_minterms(MintermSet(2, 1), PhaseVector.none(3)),
+                "phase vector length mismatch",
+            ),
+        ],
+        ids=["from-indices", "from-no-strings", "inverting", "minterm-index", "phase-length"],
+    )
+    def test_helpers_name_a_bad_argument(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_minterm_set_truth_len_and_in_count_minterms(self):
         # a set is a 2-tuple, yet its truth, len and `in` read the minterms

@@ -27,7 +27,7 @@ from gridsyn.gridplot import (
     _exact_layout,
     _split_level,
 )
-from gridsyn.planar import _planar_level
+from gridsyn.planar import _level_key
 
 from helpers import (
     DEMO_PLAS,
@@ -140,6 +140,19 @@ class TestMetrics:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             build_grid_dag(MintermSet(30, 0))
+
+    @pytest.mark.parametrize(
+        "order, phases, message",
+        [
+            ((0, 0, 1), None, "order is not a permutation of the inputs"),
+            ((0, 1), None, "order is not a permutation of the inputs"),
+            (None, PhaseVector.none(2), "phase vector length mismatch"),
+        ],
+    )
+    def test_configuration_errors(self, order, phases, message):
+        with pytest.raises(ValueError) as exc:
+            build_grid_dag(MintermSet(3, 0b10110), order, phases)
+        assert str(exc.value) == message
 
     def test_merging_is_scoped_to_grid_points(self):
         # prefixes 11 and 00 of this set share their suffix set {00,11} at
@@ -326,7 +339,7 @@ class TestLevelTable:
             for d, x in enumerate(order):
                 level, _ = _split_level(level, lows[x], 1 << x, pmask >> x & 1)
                 assert sum(r.bit_count() for r in level.values()) == len(dag.classes[d + 1])
-                planar = planar and _planar_level(level)
+                planar = planar and _level_key(0, level) is not None
             assert planar == is_planar_plot(dag), (s, order, pmask)
             triples += 1
         assert triples == 320

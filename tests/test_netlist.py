@@ -225,6 +225,17 @@ class TestInternFirst:
                 lambda b, i: b.and_disjoint([i(0), i(0)]),
                 "disjoint product with overlapping operand supports",
             ),
+            (
+                lambda b, i: [b.sym({1}, (i(0), i(3)))],
+                lambda b, i: i(4),
+                "input index 4 out of range",
+            ),
+            (lambda b, i: [b.const(1)], lambda b, i: b.const(2), "constants must be 0 or 1"),
+            (
+                lambda b, i: [b.sym({1}, (i(0), i(1)))],
+                lambda b, i: b.sym({1}, ()),
+                "SYM needs operands",
+            ),
         ],
     )
     def test_a_rejected_request_raises_the_same_error_after_related_nodes(
@@ -454,6 +465,8 @@ class TestSerialization:
                 "inputs: a b\n0 SYM [1] i0 i0\n1 SYM [1] i1 n0\noutput: n1\n",
                 "line 2: SYM operand i0 repeats$",
             ),
+            ("inputs: a b\n0 INV i0 i1\noutput: n0\n", "^line 2: INV takes exactly one operand$"),
+            ("", "^missing inputs line$"),
         ],
     )
     def test_parse_errors(self, text, match):

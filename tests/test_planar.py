@@ -23,7 +23,7 @@ from gridsyn import (
 from gridsyn import planar
 from gridsyn.cubes import full_mask
 from gridsyn.gridplot import _cofactor_lows, _split_level
-from gridsyn.planar import _bridge_free, _bridge_free_pairs, _np_closure, _planar_level
+from gridsyn.planar import _bridge_free, _bridge_free_pairs, _level_key, _np_closure
 
 from helpers import (
     _template_words,
@@ -46,6 +46,11 @@ class TestTemplate:
     def test_cutting_the_origin_gives_constant_zero(self):
         t = full_template(3)
         assert not derive_pf(t, {(0, 0, "one"), (0, 0, "zero")})
+
+    def test_negative_arity_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            full_template(-1)
+        assert str(exc.value) == "n must be non-negative"
 
     def test_deletions_must_exist(self):
         with pytest.raises(ValueError):
@@ -308,7 +313,7 @@ class TestBridgeFreePairs:
                         level1, _ = _split_level({s.bits: 1}, lows[x], 1 << x, b)
                         for c in (0, 1):
                             level2, _ = _split_level(level1, lows[y], 1 << y, c)
-                            verdict = _planar_level(level2)
+                            verdict = _level_key(0, level2) is not None
                             assert pairs[x][y] >> (b ^ c) & 1 == verdict, (s, x, y, b, c)
 
     def test_decisions_match_the_sweep_up_to_four_inputs(self):
